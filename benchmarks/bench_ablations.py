@@ -9,9 +9,6 @@
 4. Stream pipeline depth (§6.2): deeper staging hides more transfer.
 5. Scheduler policy ladder: O(a²) table -> O(a) rowcol -> wavefront ->
    hogwild, modelled at 768 workers.
-6. ``ThreadedHogwild.intra_batch`` (the executor-level ``f``): segment
-   replay is serial-equivalent, so the knob is pure throughput — at
-   ``n_threads=1`` every value must yield bit-identical factors.
 """
 
 import numpy as np
@@ -126,30 +123,6 @@ def test_ablation_scheduler_ladder(benchmark):
     ladder = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nMupdates/s at 768 workers (fp32): {ladder}")
     assert ladder["libmf_gpu"] < ladder["wavefront"] <= ladder["batch_hogwild"]
-
-
-def test_ablation_threaded_intra_batch(benchmark, bench_problem):
-    """``intra_batch`` (default 256 = the paper's ``f``) only changes how
-    the per-thread shard is segmented, never the update order — with one
-    thread the factors must match bit for bit across the sweep."""
-    from repro.parallel import ThreadedHogwild
-
-    factors = {}
-
-    def run():
-        for intra_batch in (64, 256, 1024):
-            est = ThreadedHogwild(
-                k=16, n_threads=1, lam=0.05, seed=0, intra_batch=intra_batch
-            )
-            est.fit(bench_problem.train, epochs=2)
-            factors[intra_batch] = (
-                est.model.p.tobytes(), est.model.q.tobytes()
-            )
-        return factors
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    baseline = factors[256]
-    assert all(pair == baseline for pair in factors.values())
 
 
 def test_ablation_minibatch_size(benchmark, bench_problem):

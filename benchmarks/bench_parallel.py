@@ -21,7 +21,7 @@ perf ledger:
 * **serial** — :class:`repro.core.hogwild.BatchHogwild`, the compiled-plan
   single-core path (the bench_hot_path.py subject);
 * **threads** — :class:`repro.parallel.ThreadedHogwild`, per-thread
-  ``SerialPlan`` replay over shared P/Q;
+  replay of the same ``EpochPlan`` column shards over shared P/Q;
 * **procs** — :class:`repro.parallel.ProcessHogwild`, shared-memory
   multiprocess batch-Hogwild! (each ``fit`` pays process spawn + shared
   segment setup, amortized over the run's epochs — recorded as measured);
@@ -119,7 +119,7 @@ def _run_serial(config: dict, train) -> None:
 def _run_threads(config: dict, train) -> None:
     est = ThreadedHogwild(
         k=config["k"], n_threads=config["n_threads"], lam=0.05,
-        seed=config["seed"], intra_batch=config["f"],
+        seed=config["seed"], workers=config["workers"], f=config["f"],
     )
     est.fit(train, epochs=config["epochs"])
 

@@ -4,17 +4,28 @@ Ties together model initialization (Algorithm 1 line 3), a scheduling scheme
 (§5), the Eq. 9 learning-rate schedule, optional half-precision storage
 (§4), and optional multi-device partitioning (§6), with per-epoch test-RMSE
 tracking — the measurement every RMSE-vs-time figure in the paper plots.
+
+:func:`run_epochs` is the one epoch loop behind every trainer — this
+estimator, the real-parallelism executors of :mod:`repro.parallel`, and
+:class:`repro.resilience.trainer.ResilientTrainer`. Executors only run
+epochs (:class:`EpochExecutor`); the loop owns the learning-rate
+schedule, per-epoch timing, evaluation, history/event emission and early
+stopping.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
+from typing import Callable, Protocol
 
 import numpy as np
 
 from repro.core.convergence import check_parallelism
 from repro.core.hogwild import BatchHogwild
+from repro.core.kernels import UPDATE_ERRSTATE
 from repro.core.lr_schedule import (
     AdaGradSchedule,
     LearningRateSchedule,
@@ -27,7 +38,13 @@ from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
 from repro.obs.hooks import EpochEvent, TrainerHooks, resolve_hooks
 
-__all__ = ["CuMFSGD", "TrainHistory"]
+__all__ = [
+    "CuMFSGD",
+    "EpochExecutor",
+    "EpochGuard",
+    "TrainHistory",
+    "run_epochs",
+]
 
 SCHEMES = ("batch_hogwild", "wavefront", "multi_device")
 
@@ -99,6 +116,21 @@ class TrainHistory:
             )
         )
 
+    def truncate(self, n_epochs: int) -> None:
+        """Drop every row recorded for an epoch after ``n_epochs``.
+
+        Rows pair by epoch number, not position: ``test_rmse`` entries go
+        with :attr:`test_epochs`, the per-epoch lists with :attr:`epochs`
+        (``train_rmse`` is recorded every epoch or never).
+        """
+        kept = bisect_right(self.epochs, n_epochs)
+        for rows in (self.epochs, self.train_rmse, self.learning_rates,
+                     self.updates, self.epoch_seconds):
+            del rows[kept:]
+        kept = bisect_right(self.test_epochs, n_epochs)
+        del self.test_rmse[kept:]
+        del self.test_epochs[kept:]
+
     @property
     def total_seconds(self) -> float:
         """Total executor wall time across recorded epochs."""
@@ -147,6 +179,132 @@ class TrainHistory:
             return False
         arr = np.asarray(self.test_rmse)
         return bool(np.isnan(arr).any() or arr[-1] > 5 * arr[0] + 1e-12)
+
+
+class EpochExecutor(Protocol):
+    """One full pass over ``ratings`` — all an executor does per epoch."""
+
+    def run_epoch(
+        self,
+        model: FactorModel,
+        ratings: RatingMatrix,
+        lr: float,
+        lam_p: float,
+        lam_q: float | None = None,
+        hooks: TrainerHooks | None = None,
+    ) -> int:
+        """Update ``model`` in place; returns the number of SGD updates."""
+
+
+class EpochGuard(Protocol):
+    """Accept-or-rewind decisions between epochs (checkpoint/rollback)."""
+
+    def check(
+        self, epoch: int, lr: float, model: FactorModel, metric: float | None
+    ) -> tuple[FactorModel, int] | None:
+        """Judge the epoch just run. ``None`` keeps it; ``(model, n)``
+        discards it and resumes from ``model`` after epoch ``n``."""
+
+    def accepted(self, epoch: int, model: FactorModel) -> None:
+        """Epoch ``epoch`` passed :meth:`check` and was recorded."""
+
+
+#: a context around the whole run that yields the model the epochs update
+#: (a process pool's shared-memory copy, say) and tears down on exit
+Session = Callable[[FactorModel, RatingMatrix | None], AbstractContextManager]
+
+
+def run_epochs(
+    executor: EpochExecutor,
+    model: FactorModel,
+    train: RatingMatrix | None,
+    epochs: int,
+    *,
+    schedule: Callable[[int], float],
+    lam: float,
+    scheme: str,
+    k: int,
+    nnz: int | None = None,
+    feature_bytes: int = 4,
+    test: RatingMatrix | None = None,
+    target_rmse: float | None = None,
+    eval_train: bool = False,
+    hooks: TrainerHooks | None = None,
+    extras: Callable[[], dict] | None = None,
+    session: Session | None = None,
+    guard: EpochGuard | None = None,
+    verbose: bool = False,
+) -> TrainHistory:
+    """Drive ``executor`` for up to ``epochs`` epochs; the one fit loop.
+
+    Per epoch: ``lr = schedule(epoch)``, one timed
+    ``executor.run_epoch``, evaluation through this module's :func:`rmse`
+    (divergence evaluates to inf/nan silently, as the kernels update), an
+    :class:`~repro.obs.hooks.EpochEvent` into the returned history and
+    ``hooks``, then early stop once ``target_rmse`` is reached on ``test``.
+
+    ``session(model, train)`` is entered around the epochs and yields the
+    model they update. ``guard`` may reject an epoch before it is
+    recorded and rewind the run to a checkpoint. ``extras()`` supplies
+    the events' executor diagnostics, asked only while ``hooks`` listen.
+    ``nnz`` defaults to ``train.nnz``.
+    """
+    if epochs <= 0:
+        raise ValueError(f"epochs must be positive, got {epochs}")
+    hooks = resolve_hooks(hooks)
+    nnz = train.nnz if nnz is None else nnz
+    history = TrainHistory()
+    opened = session(model, train) if session is not None else nullcontext(model)
+    with opened as model:
+        epoch = 0
+        while epoch < epochs:
+            lr = schedule(epoch)
+            t0 = time.perf_counter()
+            n_updates = executor.run_epoch(model, train, lr, lam, lam, hooks)
+            t1 = time.perf_counter()
+            p, q = model.as_float32()
+            with np.errstate(**UPDATE_ERRSTATE):
+                tr = rmse(p, q, train) if eval_train else None
+                te = rmse(p, q, test) if test is not None else None
+            eval_seconds = time.perf_counter() - t1
+            if guard is not None:
+                rewind = guard.check(
+                    epoch + 1, lr, model, te if te is not None else tr
+                )
+                if rewind is not None:
+                    model, epoch = rewind
+                    history.truncate(epoch)
+                    continue
+            event = EpochEvent(
+                epoch=epoch + 1,
+                lr=lr,
+                n_updates=n_updates,
+                train_rmse=tr,
+                test_rmse=te,
+                seconds=t1 - t0,
+                eval_seconds=eval_seconds,
+                nnz=nnz,
+                k=k,
+                feature_bytes=feature_bytes,
+                scheme=scheme,
+                extra=extras() if extras is not None and hooks.active else {},
+            )
+            history.on_epoch(event)
+            if hooks.active:
+                hooks.on_epoch(event)
+            epoch += 1
+            if guard is not None:
+                guard.accepted(epoch, model)
+            if verbose:  # pragma: no cover - console output
+                parts = [f"epoch {epoch:3d}", f"lr {lr:.5f}"]
+                if tr is not None:
+                    parts.append(f"train {tr:.4f}")
+                if te is not None:
+                    parts.append(f"test {te:.4f}")
+                print("  ".join(parts))
+            if target_rmse is not None and te is not None and te <= target_rmse:
+                break
+    return history
 
 
 class CuMFSGD:
@@ -272,6 +430,19 @@ class CuMFSGD:
         if self.strict_safety and not self.safety.safe:
             raise ValueError(f"unsafe parallelism: {self.safety}")
 
+    def _prepare(self, train: RatingMatrix, warm_start: bool) -> None:
+        """Pre-fit checks, then a fresh model unless warm-starting."""
+        self._check_safety(train)
+        if self.model is None or not warm_start:
+            self.model = FactorModel.initialize(
+                train.n_rows,
+                train.n_cols,
+                self.k,
+                seed=self.seed,
+                scale_factor=self.scale_factor,
+                half_precision=self.half_precision,
+            )
+
     # ------------------------------------------------------------------
     def fit(
         self,
@@ -294,58 +465,17 @@ class CuMFSGD:
             raise ValueError(f"epochs must be positive, got {epochs}")
         if target_rmse is not None and test is None:
             raise ValueError("target_rmse requires a test set")
-        self._check_safety(train)
-        if self.model is None or not warm_start:
-            self.model = FactorModel.initialize(
-                train.n_rows,
-                train.n_cols,
-                self.k,
-                seed=self.seed,
-                scale_factor=self.scale_factor,
-                half_precision=self.half_precision,
-            )
+        self._prepare(train, warm_start)
         executor = self._make_executor()
-        active_hooks = resolve_hooks(hooks if hooks is not None else self.hooks)
-        history = TrainHistory()
-        feature_bytes = 2 if self.half_precision else 4
-        for epoch in range(epochs):
-            lr = self.schedule(epoch)
-            t0 = time.perf_counter()
-            n_updates = executor.run_epoch(
-                self.model, train, lr, self.lam, hooks=active_hooks
-            )
-            t1 = time.perf_counter()
-            p, q = self.model.as_float32()
-            tr = rmse(p, q, train) if eval_train else None
-            te = rmse(p, q, test) if test is not None else None
-            event = EpochEvent(
-                epoch=epoch + 1,
-                lr=lr,
-                n_updates=n_updates,
-                train_rmse=tr,
-                test_rmse=te,
-                seconds=t1 - t0,
-                eval_seconds=time.perf_counter() - t1,
-                nnz=train.nnz,
-                k=self.k,
-                feature_bytes=feature_bytes,
-                scheme=self.scheme,
-                extra=self._executor_extras(executor) if active_hooks.active else {},
-            )
-            history.on_epoch(event)
-            if active_hooks.active:
-                active_hooks.on_epoch(event)
-            if verbose:  # pragma: no cover - console output
-                parts = [f"epoch {epoch + 1:3d}", f"lr {lr:.5f}"]
-                if tr is not None:
-                    parts.append(f"train {tr:.4f}")
-                if te is not None:
-                    parts.append(f"test {te:.4f}")
-                print("  ".join(parts))
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
+        self.history = run_epochs(
+            executor, self.model, train, epochs,
+            schedule=self.schedule, lam=self.lam, scheme=self.scheme,
+            k=self.k, feature_bytes=2 if self.half_precision else 4,
+            test=test, target_rmse=target_rmse, eval_train=eval_train,
+            hooks=hooks if hooks is not None else self.hooks,
+            extras=lambda: self._executor_extras(executor), verbose=verbose,
+        )
+        return self.history
 
     # ------------------------------------------------------------------
     @staticmethod

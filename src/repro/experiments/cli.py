@@ -469,7 +469,7 @@ def _train_parallel(args, spec, problem) -> int:
 
         est = ThreadedHogwild(k=k, n_threads=args.procs, lam=lam,
                               schedule=schedule, seed=args.seed,
-                              backend=args.backend)
+                              workers=args.workers, backend=args.backend)
         history = est.fit(problem.train, epochs=args.epochs, test=problem.test)
         per_worker = est.thread_updates
     else:

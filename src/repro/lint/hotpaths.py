@@ -66,7 +66,6 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
         "_replay_shard": _spec("rows", "cols"),
     },
     "repro/parallel/procs.py": {
-        "_run_shard": _spec("rows", "cols"),
         "_run_blocks": _spec(),
     },
     # backend registry: the numpy reference backend's dispatch bodies sit on

@@ -10,10 +10,10 @@ updates allowed, exactly the HOGWILD! [Niu et al., 2011] semantics §5.1
 builds on. Each worker is the process analogue of the paper's GPU worker
 pool: it owns a static shard of the compiled
 :class:`~repro.sched.plan.EpochPlan` (a contiguous run of worker lanes, cut
-by :meth:`EpochPlan.shard`) and executes it wave by wave through its own
-private :class:`~repro.core.kernels.WaveWorkspace`, so the per-process hot
-loop is the same allocation-free compiled-plan path the serial executor
-runs. With ``n_procs=1`` the single shard spans the full plan and execution
+by :meth:`EpochPlan.shard`) and replays it wave by wave through its own
+private :class:`~repro.core.kernels.WaveWorkspace` — the shard loop
+:func:`repro.parallel.threads._replay_shard` that the thread executor runs
+too. With ``n_procs=1`` the single shard spans the full plan and execution
 is bit-identical to :class:`repro.core.hogwild.BatchHogwild` (pinned by
 ``tests/test_parallel_procs.py``).
 
@@ -27,8 +27,8 @@ with kernels.
 Seeding: worker randomness derives from ``np.random.SeedSequence(seed)``
 ``.spawn(n_procs)`` — every worker gets an independent, collision-free
 stream that is reproducible per (seed, worker id) regardless of ``n_procs``
-or start method. The epoch *schedule* RNG (plan permutation) lives in the
-parent and matches :class:`BatchHogwild` draw for draw.
+or start method. The epoch *schedule* (plan and permutation RNG) lives in
+the parent and comes from :meth:`BatchHogwild.compiled_plan` itself.
 
 Synchronization is two barriers per epoch (dispatch and completion); between
 them, nothing synchronizes — that is the point. Per-worker update counts,
@@ -40,29 +40,34 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import shutil
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
+from repro.core.hogwild import BatchHogwild
+from repro.core.kernels import WaveWorkspace
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import TrainHistory, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore, PrefetchStats
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
 from repro.obs.context import active_tracer
-from repro.obs.hooks import EpochEvent, TrainerHooks, resolve_hooks
+from repro.obs.hooks import TrainerHooks
 from repro.obs.profiler import (
     BARRIER_WAIT_BUCKETS,
     StallReport,
     WorkerPhases,
 )
 from repro.obs.relay import TraceRelay, WorkerTelemetry
+from repro.parallel.threads import _replay_shard
 from repro.san.core import (
     activate_sanitizer,
     active_sanitizer,
@@ -71,7 +76,7 @@ from repro.san.core import (
 from repro.san.errors import SanitizerError
 from repro.san.lifecycle import track_shm
 from repro.san.races import dump_log, load_spools
-from repro.sched.plan import EpochPlan
+from repro.sched.plan import EpochPlan, PlanShard
 
 __all__ = ["ProcessHogwild"]
 
@@ -108,6 +113,30 @@ _PHASE_FIELDS = 6
 #: realistic epoch, finite so a crashed worker surfaces as BrokenBarrierError
 #: instead of a hang
 _EPOCH_TIMEOUT_S = 600.0
+
+#: how long the parent waits on a barrier abort, and then on the released
+#: workers' exit, after a worker died: an unwedged abort takes microseconds
+_ABORT_WAIT_S = 2.0
+
+
+def _abort_barrier(barrier) -> None:
+    """Break ``barrier`` for every party parked in it, without hanging.
+
+    Releasing an ``mp.Barrier`` — the last arrival's wait or an abort —
+    notifies every parked party and waits for each to wake. A worker
+    killed while parked never wakes, so the releaser blocks forever holding
+    the barrier's lock. The abort therefore runs on a daemon thread that
+    the caller waits on only briefly; a barrier wedged that way leaves its
+    parked workers to :meth:`_SharedCluster.shutdown`'s ``terminate``.
+    """
+
+    def abort(wedgeable) -> None:
+        wedgeable.abort()
+
+    thread = threading.Thread(target=abort, args=(barrier,), daemon=True,
+                              name="barrier-abort")
+    thread.start()
+    thread.join(_ABORT_WAIT_S)
 
 
 def _register_skipping_shm(original):
@@ -153,49 +182,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original
-
-
-class _ShardPlanView:
-    """Duck-typed :class:`EpochPlan` slice for ``WaveWorkspace.bind_plan``.
-
-    Carries exactly the attributes ``bind_plan`` consumes (``matrix``,
-    ``n_waves``, ``width``, ``version``); the matrix is a column view into
-    the shared plan buffer, and the worker bumps ``version`` once per epoch
-    so the workspace re-gathers after the parent's in-place re-permutation.
-    """
-
-    __slots__ = ("matrix", "n_waves", "width", "version")
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-        self.n_waves = matrix.shape[0]
-        self.width = matrix.shape[1]
-        self.version = 0
-
-
-def _run_shard(ws, wave_update, plan_view, p, q, rows, cols, vals,
-               shard_lengths, lr, lam_p, lam_q):
-    """One epoch of one worker's plan shard — the per-process hot loop.
-
-    Identical structure to ``BatchHogwild.run_epoch``: one ``bind_plan``
-    gather, then one ``wave_update`` launch per wave through the
-    backend-bound kernel (the numpy backend binds the workspace's own
-    allocation-free kernel), slicing the shard's live lanes
-    (``shard_lengths``, precomputed — padding only ever shortens a wave
-    from the right). Registered in lint ``HOT_FUNCTIONS``.
-    """
-    rows_w, cols_w, vals_w = ws.bind_plan(plan_view, rows, cols, vals)
-    updates = 0
-    i = 0
-    with np.errstate(**UPDATE_ERRSTATE):
-        for wr, wc, wv in zip(rows_w, cols_w, vals_w):
-            w = shard_lengths[i]
-            i += 1
-            if w == 0:
-                continue
-            wave_update(p, q, wr[:w], wc[:w], wv[:w], lr, lam_p, lam_q)
-            updates += w
-    return updates
 
 
 def _run_blocks(ws, serial_update, prefetcher, p, q, lr, lam_p, lam_q,
@@ -332,15 +318,13 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                               buffer=attach(cfg.cols_name).buf)
             vals = np.ndarray((cfg.nnz,), dtype=np.float32,
                               buffer=attach(cfg.vals_name).buf)
+            plan_buf = attach(cfg.plan_name).buf
             matrix = np.ndarray((cfg.n_waves, cfg.width), dtype=np.int64,
-                                buffer=attach(cfg.plan_name).buf)
+                                buffer=plan_buf)
             lengths = np.ndarray((cfg.n_waves,), dtype=np.int64,
-                                 buffer=attach(cfg.plan_name).buf,
+                                 buffer=plan_buf,
                                  offset=cfg.n_waves * cfg.width * 8)
-            plan_view = _ShardPlanView(matrix[:, cfg.col_lo:cfg.col_hi])
-            shard_lengths = np.clip(
-                lengths - cfg.col_lo, 0, cfg.col_hi - cfg.col_lo
-            ).tolist()
+            lanes = PlanShard(cfg.wid, cfg.col_lo, cfg.col_hi)
         setup_done = time.perf_counter()
         phases[cfg.wid, _PH_SPAWN] = setup_done - born
         if telemetry is not None:
@@ -394,7 +378,6 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                             0.0, compute_s - s.wait_seconds
                         )
                     else:
-                        plan_view.version += 1
                         wu = wave_update
                         if san is not None:
                             # fresh wrapper per epoch: the shadow log keys
@@ -402,10 +385,12 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                             wu = san.wave_kernel(
                                 wave_update, wid=cfg.wid, epoch=epoch
                             )
-                        n = _run_shard(ws, wu, plan_view,
-                                       model.p, model.q,
-                                       rows, cols, vals, shard_lengths,
-                                       lr, lam_p, lam_q)
+                        # cut afresh: the parent refilled the shared matrix,
+                        # so the workspace must gather the lanes again
+                        n = _replay_shard(ws, wu,
+                                          lanes.cut(matrix, lengths, epoch),
+                                          model.p, model.q, rows, cols, vals,
+                                          lr, lam_p, lam_q)
                         compute_s = time.perf_counter() - t_c0
                         phases[cfg.wid, _PH_COMPUTE] += compute_s
                     counts[cfg.wid] = n
@@ -684,8 +669,7 @@ class _SharedCluster:
             if dead:
                 # release everyone still parked (the waiter thread and any
                 # surviving workers see BrokenBarrierError and unwind)
-                barrier.abort()
-                done.wait(5.0)
+                _abort_barrier(barrier)
                 wid, proc = dead[0]
                 raise RuntimeError(
                     f"worker {wid} (pid {proc.pid}, exit code "
@@ -755,20 +739,22 @@ class _SharedCluster:
         """
         if not self._procs:
             return
+        grace = 30.0
         try:
             if self.ctl is not None:
                 self.ctl[_CMD] = _CMD_EXIT
             if any(not proc.is_alive() for proc in self._procs):
                 # a dead worker can never reach the barrier — abort it so
                 # any survivors unwind instead of stalling the full timeout
-                self.start_barrier.abort()
+                _abort_barrier(self.start_barrier)
+                grace = _ABORT_WAIT_S
             else:
                 self.start_barrier.wait(timeout=30.0)
         except Exception:  # pragma: no cover - pool already dead
             pass
         for proc in self._procs:
-            proc.join(timeout=30.0)
-            if proc.is_alive():  # pragma: no cover - defensive
+            proc.join(timeout=grace)
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs = []
@@ -805,14 +791,14 @@ class ProcessHogwild:
     k, lam, schedule, seed, scale_factor:
         As :class:`repro.core.cumf.CuMFSGD` / :class:`ThreadedHogwild`.
     n_procs:
-        Worker processes. Each owns ``workers / n_procs`` contiguous lanes
-        of the compiled plan (in-memory mode) or an nnz-balanced set of
-        grid blocks (out-of-core mode).
+        Worker processes. Each owns an equal contiguous run of the compiled
+        plan's live lanes (in-memory mode) or an nnz-balanced set of grid
+        blocks (out-of-core mode).
     workers, f:
         The batch-Hogwild! geometry of the *shared* epoch plan (``s`` total
         concurrent lanes, ``f`` consecutive samples per chunk — paper
-        default 256). The plan and its per-epoch re-permutation match
-        :class:`~repro.core.hogwild.BatchHogwild` draw for draw, so
+        default 256). The plan and its per-epoch re-permutation come from
+        :meth:`~repro.core.hogwild.BatchHogwild.compiled_plan`, so
         ``n_procs=1`` reproduces the serial compiled-plan path bit for bit.
     store:
         A :class:`~repro.data.blockstore.BlockStore` switches the executor
@@ -896,6 +882,109 @@ class ProcessHogwild:
         self._barrier_waits: list[list[float]] = []
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _pool(self, init: FactorModel, train: RatingMatrix | None):
+        """Start the worker pool around a fit's epochs; yields the
+        shared-memory model the epochs update.
+
+        On exit — error paths included — the pool is joined, worker spools
+        (trace spans, sanitizer logs) are merged, and :attr:`model` becomes
+        a private copy of the shared factors before the segments are freed.
+        """
+        self._plans = BatchHogwild(
+            workers=self.workers, f=self.f, seed=self.seed,
+            shuffle_each_epoch=self.shuffle_each_epoch,
+        )
+        #: the pool starts on epoch 1's plan; run_epoch advances it
+        self._plan = (
+            self._plans.compiled_plan(train.nnz) if self.store is None else None
+        )
+        cluster = self._cluster = _SharedCluster(self.n_procs, self.start_method)
+        self._totals = [0] * self.n_procs
+        self._epochs_run = 0
+        self._barrier_waits = []
+        self.stall_report = None
+        tracer = active_tracer()
+        relay = None
+        if tracer is not None and self.profile is not False:
+            relay = TraceRelay(tempfile.mkdtemp(prefix="cumf-relay-"))
+        san = active_sanitizer()
+        # workers spool shadow access logs + typed errors here; merged
+        # after the pool joins, removed before the session ends
+        san_dir = tempfile.mkdtemp(prefix="cumf-san-") if san is not None else None
+        from repro.backends import get_backend
+
+        # resolve (and verify) in the parent; ship only the name so workers
+        # re-resolve by exact name without re-triggering fallback warnings
+        backend_name = get_backend(self.backend).name.value
+        try:
+            yield cluster.start(
+                init, self._plan, train, self.store, self.prefetch_depth,
+                self.f, self.shuffle_each_epoch, self.seed,
+                backend=backend_name,
+                relay=relay,
+                trace_origin=tracer.origin if tracer is not None else 0.0,
+                sanitize=san.mode if san is not None else "off",
+                san_spool=san_dir,
+            )
+        finally:
+            # join the workers FIRST: their final wall/barrier phase slots
+            # are written after the done barrier releases the parent, so
+            # reading phase totals before the join races those writes and
+            # yields per-worker compute > wall (the invariant is enforced
+            # by StallReport.validate_dict)
+            cluster.shutdown()
+            if san_dir is not None:
+                # workers are joined — their spools are complete (or torn,
+                # which load_spools tolerates). Merge, then drop the dir.
+                if san.check_races:
+                    load_spools(san_dir, san.race_log)
+                shutil.rmtree(san_dir, ignore_errors=True)
+            self.barrier_wait_seconds = cluster.barrier_wait_seconds
+            if self.store is not None:
+                self.stage_stats = cluster.stage_stats()
+            phase_totals = cluster.phase_totals()
+            shm_bytes = cluster.shm_bytes
+            self.model = cluster.close()
+            if self._epochs_run:
+                self.stall_report = self._build_stall_report(phase_totals)
+            if relay is not None:
+                # workers have flushed and exited (close() joins them);
+                # replay their spools onto the parent's timeline
+                relay.merge_into(tracer, label="proc")
+                relay.cleanup()
+        self._publish(shm_bytes)
+
+    def run_epoch(
+        self,
+        model: FactorModel,
+        ratings: RatingMatrix | None,
+        lr: float,
+        lam_p: float,
+        lam_q: float | None = None,
+        hooks: TrainerHooks | None = None,
+    ) -> int:
+        """One epoch on the pool: dispatch, wait for every worker's shard."""
+        lam_q = lam_p if lam_q is None else lam_q
+        if self._plan is not None and self._epochs_run:
+            self._plan = self._plans.compiled_plan(self._plan.nnz)
+        self._epochs_run += 1
+        cluster = self._cluster
+        n = cluster.run_epoch(
+            self._plan, lr, lam_p, lam_q, epoch=self._epochs_run
+        )
+        san = active_sanitizer()
+        if san is not None:
+            # deterministic sweep over the *shared* factor views — an
+            # injected NaN is caught the epoch it lands, regardless of
+            # worker-side sampling
+            san.epoch_end(model.p, model.q, epoch=self._epochs_run)
+        self.worker_updates = cluster.worker_updates()
+        self._barrier_waits.append(cluster.epoch_barrier_waits())
+        for wid, count in enumerate(self.worker_updates):
+            self._totals[wid] += count
+        return n
+
     def fit(
         self,
         train: RatingMatrix | None,
@@ -906,8 +995,6 @@ class ProcessHogwild:
     ) -> TrainHistory:
         """Train for ``epochs`` passes. ``train`` may be ``None`` in
         out-of-core mode (shape and samples come from the store)."""
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
         if self.store is None:
             if train is None:
                 raise ValueError("train is required without a BlockStore")
@@ -921,126 +1008,23 @@ class ProcessHogwild:
                 )
         if nnz == 0:
             raise ValueError("cannot train on an empty rating matrix")
-        hooks = resolve_hooks(hooks)
-        rng = np.random.default_rng(self.seed)
         init = FactorModel.initialize(
             m, n, self.k, seed=self.seed, scale_factor=self.scale_factor
         )
-        plan = None
-        if self.store is None:
-            order = rng.permutation(nnz).astype(np.int64)
-            plan = EpochPlan(order, self.workers, self.f)
-        cluster = _SharedCluster(self.n_procs, self.start_method)
-        history = TrainHistory()
-        total_updates = [0] * self.n_procs
-        epochs_run = 0
-        self._barrier_waits = []
-        self.stall_report = None
-        tracer = active_tracer()
-        relay = None
-        if tracer is not None and self.profile is not False:
-            import tempfile
-
-            relay = TraceRelay(tempfile.mkdtemp(prefix="cumf-relay-"))
-        san = active_sanitizer()
-        san_dir = None
-        if san is not None:
-            import tempfile
-
-            # workers spool shadow access logs + typed errors here; merged
-            # after the pool joins, removed before fit returns
-            san_dir = tempfile.mkdtemp(prefix="cumf-san-")
-        from repro.backends import get_backend
-
-        # resolve (and verify) in the parent; ship only the name so workers
-        # re-resolve by exact name without re-triggering fallback warnings
-        backend_name = get_backend(self.backend).name.value
-        try:
-            model = cluster.start(
-                init, plan, train, self.store, self.prefetch_depth,
-                self.f, self.shuffle_each_epoch, self.seed,
-                backend=backend_name,
-                relay=relay,
-                trace_origin=tracer.origin if tracer is not None else 0.0,
-                sanitize=san.mode if san is not None else "off",
-                san_spool=san_dir,
-            )
-            for epoch in range(epochs):
-                if epoch and plan is not None and self.shuffle_each_epoch:
-                    plan.repermute(rng)
-                lr = self.schedule(epoch)
-                t0 = time.perf_counter()
-                n_upd = cluster.run_epoch(
-                    plan, lr, self.lam, self.lam, epoch=epoch + 1
-                )
-                seconds = time.perf_counter() - t0
-                epochs_run += 1
-                if san is not None:
-                    # deterministic sweep over the *shared* factor views —
-                    # an injected NaN is caught the epoch it lands,
-                    # regardless of worker-side sampling
-                    san.epoch_end(model.p, model.q, epoch=epoch + 1)
-                self.worker_updates = cluster.worker_updates()
-                self._barrier_waits.append(cluster.epoch_barrier_waits())
-                for wid, c in enumerate(self.worker_updates):
-                    total_updates[wid] += c
-                t1 = time.perf_counter()
-                te = None
-                if test is not None:
-                    p, q = model.as_float32()
-                    te = rmse(p, q, test)
-                eval_seconds = time.perf_counter() - t1
-                history.record(epoch + 1, lr, n_upd, None, te)
-                if hooks.active:
-                    hooks.on_epoch(
-                        EpochEvent(
-                            epoch=epoch + 1, lr=lr, n_updates=n_upd,
-                            test_rmse=te, seconds=seconds,
-                            eval_seconds=eval_seconds, nnz=nnz, k=self.k,
-                            scheme="process-hogwild",
-                            extra={
-                                "n_procs": self.n_procs,
-                                "worker_updates": list(self.worker_updates),
-                                "out_of_core": self.store is not None,
-                                "barrier_wait_seconds": float(
-                                    sum(self._barrier_waits[-1])
-                                ),
-                            },
-                        )
-                    )
-                if target_rmse is not None and te is not None and te <= target_rmse:
-                    break
-        finally:
-            # join the workers FIRST: their final wall/barrier phase slots
-            # are written after the done barrier releases the parent, so
-            # reading phase totals before the join races those writes and
-            # yields per-worker compute > wall (satellite fix; the
-            # invariant is now enforced by StallReport.validate_dict)
-            cluster.shutdown()
-            if san_dir is not None:
-                # workers are joined — their spools are complete (or torn,
-                # which load_spools tolerates). Merge, then drop the dir.
-                if san is not None and san.check_races:
-                    load_spools(san_dir, san.race_log)
-                import shutil
-
-                shutil.rmtree(san_dir, ignore_errors=True)
-            self.barrier_wait_seconds = cluster.barrier_wait_seconds
-            if self.store is not None:
-                self.stage_stats = cluster.stage_stats()
-            phase_totals = cluster.phase_totals()
-            shm_bytes = cluster.shm_bytes
-            self.model = cluster.close()
-            if epochs_run:
-                self.stall_report = self._build_stall_report(phase_totals)
-            if relay is not None:
-                # workers have flushed and exited (close() joins them);
-                # replay their spools onto the parent's timeline
-                relay.merge_into(tracer, label="proc")
-                relay.cleanup()
-        self.history = history
-        self._publish(total_updates, epochs_run, shm_bytes)
-        return history
+        self.history = run_epochs(
+            self, init, train, epochs,
+            schedule=self.schedule, lam=self.lam, scheme="process-hogwild",
+            k=self.k, nnz=nnz, test=test, target_rmse=target_rmse,
+            hooks=hooks,
+            extras=lambda: {
+                "n_procs": self.n_procs,
+                "worker_updates": list(self.worker_updates),
+                "out_of_core": self.store is not None,
+                "barrier_wait_seconds": float(sum(self._barrier_waits[-1])),
+            },
+            session=self._pool,
+        )
+        return self.history
 
     # ------------------------------------------------------------------
     def _build_stall_report(self, totals: np.ndarray) -> StallReport:
@@ -1061,8 +1045,7 @@ class ProcessHogwild:
         executor = "procs_ooc" if self.store is not None else "procs"
         return StallReport(executor, workers)
 
-    def _publish(self, total_updates: list[int], epochs_run: int,
-                 shm_bytes: int) -> None:
+    def _publish(self, shm_bytes: int) -> None:
         """Accumulate ``repro.proc.*`` (and staging) metrics into the
         ambient registry; no-op when none is active."""
         from repro.obs.context import active_registry
@@ -1073,7 +1056,7 @@ class ProcessHogwild:
             return
         registry.gauge(M.PROC_WORKERS).set(self.n_procs)
         registry.gauge(M.PROC_SHM_BYTES).set(shm_bytes)
-        registry.counter(M.PROC_EPOCHS).inc(epochs_run)
+        registry.counter(M.PROC_EPOCHS).inc(self._epochs_run)
         # one histogram per worker id: stragglers hide in an aggregate, so
         # each worker's per-epoch dispatch-barrier wait lands in its own
         # labeled family member
@@ -1083,7 +1066,7 @@ class ProcessHogwild:
                     M.PROC_BARRIER_WAIT_SECONDS, BARRIER_WAIT_BUCKETS,
                     {"worker": wid},
                 ).observe(wait)
-        for wid, count in enumerate(total_updates):
+        for wid, count in enumerate(self._totals):
             registry.counter(
                 M.PROC_WORKER_UPDATES, {"worker": wid}
             ).inc(count)

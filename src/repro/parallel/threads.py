@@ -1,94 +1,72 @@
-"""Lock-free Hogwild! on real OS threads.
+"""Lock-free batch-Hogwild! on real OS threads.
 
-Each worker thread owns a static shard of the (pre-shuffled) sample order —
-the batch-Hogwild! layout of §5.1, with each shard a run of consecutive
-chunks — and applies SGD updates to the *shared* P and Q arrays with no
-locking whatsoever. Races happen for real: concurrent threads may read
-stale vectors and overwrite each other's rows, which is exactly what the
-paper (and Hogwild! [44]) argue is tolerable while ``s ≪ min(m, n)``.
-
-Hot-path structure (mirroring the serial executor): per epoch each thread
-compiles its shard once into a :class:`~repro.sched.plan.SerialPlan` and
-replays the conflict-free segments through its own private
-:class:`~repro.core.kernels.WaveWorkspace` — allocation-free inside
-:func:`_replay_shard` (registered in lint ``HOT_FUNCTIONS``), with all heavy
-lifting inside NumPy, which releases the GIL for true multi-core execution.
-Segment replay is numerically identical to a per-sample serial pass over
-the shard, so ``intra_batch`` (the segment-length cap) is a pure throughput
-knob: any value yields bit-identical per-thread numerics.
-
-``intra_batch`` defaults to 256 — the paper's ``f`` chunk size, chosen by
-the Eq. 8 locality argument (any ``f ≫ cache_line/sample = 11`` behaves the
-same statistically; 256 amortizes per-wave kernel overhead). Swept in
-``benchmarks/bench_ablations.py``.
+Each thread owns a column shard (:meth:`EpochPlan.shard`) of the plan the
+serial and process executors replay (:meth:`BatchHogwild.compiled_plan`) and
+walks every wave, running only its lanes on the *shared* P and Q, unlocked:
+within a wave the threads race for real (§5.1; Hogwild! [44]). One thread
+spans every live lane, so ``n_threads=1`` is bit-identical to serial.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import TrainHistory, run_epochs
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
-from repro.obs.context import active_tracer
-from repro.obs.hooks import (
-    EpochEvent,
-    KernelEvent,
-    TrainerHooks,
-    resolve_hooks,
-)
+from repro.obs.context import active_registry, active_tracer
+from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
 from repro.obs.profiler import StallReport, WorkerPhases
+from repro.obs.registry import M
 from repro.obs.relay import THREAD_TID_BASE, WorkerTelemetry, merge_records
 from repro.obs.tracer import WALL_PID
 from repro.san.core import active_sanitizer
-from repro.sched.plan import SerialPlan
+from repro.sched.plan import PlanShard
 
 __all__ = ["ThreadedHogwild"]
 
-#: Shared names worker threads may legitimately mutate, audited by the
-#: ``race-shared-write`` lint pass. ``counts``, ``waves``, ``phase_secs``,
-#: ``walls``, and ``tele`` are write-disjoint (one slot per thread id) and
-#: ``errors`` relies on list.append being atomic under the GIL. P and Q
-#: races are the whole point of Hogwild! and happen inside the kernel.
-SHARED_WRITE_OK = ("counts", "waves", "errors", "phase_secs", "walls", "tele")
+#: Shared names worker threads may mutate (``race-shared-write`` lint):
+#: ``counts``/``phases`` are write-disjoint per thread id, ``errors.append``
+#: is GIL-atomic. P and Q races are the point of Hogwild! (in the kernel).
+SHARED_WRITE_OK = ("counts", "errors", "phases")
 
 
-def _replay_shard(wave_update, p, q, rows, cols, vals, starts, stops,
-                  lr, lam_p, lam_q):
-    """Replay one thread's compiled shard — the per-thread hot loop.
-
-    ``starts``/``stops`` are the shard's :class:`SerialPlan` segments as
-    plain lists; ``wave_update`` is the backend-bound per-wave kernel
-    (:meth:`repro.backends.base.KernelBackend.bind` over the thread's
-    private workspace — the numpy backend binds ``ws.wave_update``, so the
-    default loop allocates nothing after the first wave). Registered in
-    lint ``HOT_FUNCTIONS``.
+def _replay_shard(ws, wave_update, shard: PlanShard, p, q, rows, cols, vals,
+                  lr, lam_p, lam_q) -> int:
+    """One epoch of one worker's plan shard, the hot loop of both parallel
+    executors (lint ``HOT_FUNCTIONS``); returns the updates made. As in
+    ``BatchHogwild.run_epoch``: one ``bind_plan`` gather, then one kernel
+    launch per wave over its live lanes (padding only trims from the right).
     """
+    rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
+    width = shard.width
+    updates = 0
     with np.errstate(**UPDATE_ERRSTATE):
-        for start, stop in zip(starts, stops):
-            wave_update(
-                p, q, rows[start:stop], cols[start:stop], vals[start:stop],
-                lr, lam_p, lam_q,
-            )
+        for wr, wc, wv, w in zip(rows_w, cols_w, vals_w, shard.lengths.tolist()):
+            if w != width:
+                if not w:
+                    continue
+                wr = wr[:w]
+                wc = wc[:w]
+                wv = wv[:w]
+            wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
+            updates += w
+    return updates
 
 
 class ThreadedHogwild:
-    """Hogwild! SGD executor over ``n_threads`` OS threads.
-
-    Non-deterministic by nature (real races); use the deterministic
-    simulators for reproducibility-sensitive experiments.
-
-    ``hooks`` (on :meth:`fit`) receives one ``on_epoch`` event per epoch and
-    one ``on_kernel`` event per thread shard; per-thread update totals
-    accumulate into the ambient metrics registry under
-    ``repro.thread.worker_updates``.
-    """
+    """Batch-Hogwild! SGD over ``n_threads`` OS threads, non-deterministic
+    for ``n_threads > 1``. ``workers``/``f`` shape the shared epoch plan.
+    One ``on_kernel`` event per thread shard per epoch; ``repro.thread.*``
+    metrics go to the ambient registry."""
 
     def __init__(
         self,
@@ -97,231 +75,142 @@ class ThreadedHogwild:
         lam: float = 0.05,
         schedule: LearningRateSchedule | None = None,
         seed: int = 0,
-        intra_batch: int = 256,
+        workers: int = 128,
+        f: int = 256,
         scale_factor: float = 1.0,
         backend: object | None = None,
     ) -> None:
-        if k <= 0 or n_threads <= 0 or intra_batch <= 0:
-            raise ValueError("k, n_threads, intra_batch must be positive")
+        if min(k, n_threads, workers, f) <= 0:
+            raise ValueError("k, n_threads, workers, f must be positive")
+        if n_threads > workers:
+            raise ValueError(f"n_threads={n_threads} exceeds the plan's "
+                             f"{workers} worker lanes")
         self.k = k
         self.n_threads = n_threads
         self.lam = lam
         self.schedule = schedule or NomadSchedule()
         self.seed = seed
-        self.intra_batch = intra_batch
+        self.workers = workers
+        self.f = f
         self.scale_factor = scale_factor
-        #: kernel backend (name / BackendType / instance; None = numpy
-        #: reference). Resolved once per fit through the backend registry.
+        #: kernel backend (name / BackendType / instance; None = numpy)
         self.backend = backend
         self.model: FactorModel | None = None
         self.history: TrainHistory | None = None
         #: number of updates each thread performed in the last epoch
         self.thread_updates: list[int] = []
-        self._workspaces: list[WaveWorkspace] = []
-        self._bound_kernels: list = []
         #: phase attribution of the last :meth:`fit`
         self.stall_report: StallReport | None = None
 
-    # ------------------------------------------------------------------
-    def _epoch(
-        self,
-        model: FactorModel,
-        train: RatingMatrix,
-        order: np.ndarray,
-        lr: float,
-        hooks: TrainerHooks,
-        epoch: int,
-        tele: list[WorkerTelemetry] | None,
-        phase_secs: list[dict],
-        walls: list[float],
-    ) -> int:
-        shards = np.array_split(order, self.n_threads)
-        counts = [0] * self.n_threads
-        waves = [0] * self.n_threads
-        errors: list[BaseException] = []
-        lr32 = np.float32(lr)
-        lam32 = np.float32(self.lam)
+    @contextmanager
+    def _session(self, model: FactorModel, train: RatingMatrix):
+        """A fit's state: plan source, per-thread workspaces and kernels,
+        telemetry; folded into tracer, stall report and registry at the end."""
+        from repro.backends import get_backend
+
+        backend = get_backend(self.backend)
+        self._plans = BatchHogwild(workers=self.workers, f=self.f, seed=self.seed)
+        self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
+        self._kernels = [backend.bind(ws) for ws in self._workspaces]
+        # one intp cast shared by every workspace (each would cache its own)
+        self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
+        tracer = active_tracer()
+        self._tele = [] if tracer is None else [
+            WorkerTelemetry(t, origin=tracer.origin) for t in range(self.n_threads)]
+        self._phases = [WorkerPhases(tid, 0.0, {"spawn": 0.0, "compute": 0.0})
+                        for tid in range(self.n_threads)]
+        self._totals = [0] * self.n_threads
+        self._epochs_run = 0
+        yield model
+        if self._tele:
+            merge_records(tracer, [r for wt in self._tele for r in wt.drain()],
+                          label="thread", pid=WALL_PID, tid_base=THREAD_TID_BASE)
+        self.stall_report = StallReport("threads", self._phases)
+        registry = active_registry()
+        if registry is not None:
+            registry.gauge(M.THREAD_WORKERS).set(self.n_threads)
+            for tid, count in enumerate(self._totals):
+                labels = {"thread": tid}
+                registry.counter(M.THREAD_WORKER_UPDATES, labels).inc(count)
+            self.stall_report.publish(registry)
+
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
+        """One epoch inside :meth:`fit`: each thread replays its shard."""
+        lam_q = lam_p if lam_q is None else lam_q
+        hooks = resolve_hooks(hooks)
+        self._epochs_run += 1
+        shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
+        counts = self._epoch(model, ratings.vals, shards, np.float32(lr),
+                             np.float32(lam_p), np.float32(lam_q))
         san = active_sanitizer()
         if san is not None:
-            # per-thread wrappers, rebuilt each epoch so the shadow access
-            # log carries (worker, epoch, segment) coordinates; "segment"
-            # kind: within a SerialPlan segment rows/cols are conflict-free
-            kernels = [
-                san.wave_kernel(k, wid=tid, epoch=epoch, kind="segment")
-                for tid, k in enumerate(self._bound_kernels)
-            ]
-        else:
-            kernels = self._bound_kernels
+            san.epoch_end(model.p, model.q, epoch=self._epochs_run)
+        if hooks.active:
+            for shard, count in zip(shards, counts):
+                hooks.on_kernel(KernelEvent(
+                    name="threads.shard", n_updates=count,
+                    n_waves=int(np.count_nonzero(shard.lengths))))
+        self.thread_updates = counts
+        self._totals = [a + b for a, b in zip(self._totals, counts)]
+        return sum(counts)
+
+    def _epoch(self, model, vals, shards, lr, lam_p, lam_q) -> list[int]:
+        """Dispatch one thread per shard and join them; per-thread updates."""
+        epoch, phases, tele = self._epochs_run, self._phases, self._tele
+        counts = [0] * self.n_threads
+        errors: list[BaseException] = []
+        kernels = self._kernels
+        san = active_sanitizer()
+        if san is not None:  # log every wave at (worker, epoch, wave)
+            kernels = [san.wave_kernel(kernel, wid=tid, epoch=epoch)
+                       for tid, kernel in enumerate(kernels)]
+        args = (model.p, model.q, *self._ids, vals, lr, lam_p, lam_q)
         dispatched = time.perf_counter()
 
-        def work(tid: int, idx: np.ndarray) -> None:
+        def work(tid: int) -> None:
             try:
-                t_entry = time.perf_counter()
-                # shard gather + plan compile happen once per epoch (cold);
-                # the replay itself is the registered hot loop
-                rows = train.rows[idx]
-                cols = train.cols[idx]
-                vals = train.vals[idx]
-                plan = SerialPlan.compile(rows, cols, self.intra_batch)
-                t_c0 = time.perf_counter()
-                _replay_shard(
-                    kernels[tid], model.p, model.q,
-                    rows, cols, vals,
-                    plan.starts.tolist(), plan.stops.tolist(),
-                    lr32, lam32, lam32,
-                )
-                t_c1 = time.perf_counter()
-                counts[tid] = plan.n_samples
-                waves[tid] = plan.n_waves
-                # write-disjoint phase accounting: spawn = dispatch-to-entry
-                # latency, compute = kernel replay; gather/compile falls out
-                # as the StallReport's replay residual
-                phase_secs[tid]["spawn"] += t_entry - dispatched
-                phase_secs[tid]["compute"] += t_c1 - t_c0
-                walls[tid] += t_c1 - dispatched
-                if tele is not None:
-                    wt = tele[tid]
-                    wt.add_span(
-                        f"epoch {epoch} compile", t_entry - wt.origin,
-                        t_c0 - t_entry, cat="replay", args={"epoch": epoch},
-                    )
-                    wt.add_span(
-                        f"epoch {epoch} compute", t_c0 - wt.origin,
-                        t_c1 - t_c0, cat="compute",
-                        args={"epoch": epoch, "updates": plan.n_samples},
-                    )
+                t0 = time.perf_counter()
+                counts[tid] = n = _replay_shard(
+                    self._workspaces[tid], kernels[tid], shards[tid], *args)
+                t1 = time.perf_counter()
+                # spawn = dispatch-to-entry latency, compute = gather + replay
+                phases[tid].seconds["spawn"] += t0 - dispatched
+                phases[tid].seconds["compute"] += t1 - t0
+                phases[tid].wall_seconds += t1 - dispatched
+                if tele:
+                    tele[tid].add_span(
+                        f"epoch {epoch} compute", t0 - tele[tid].origin, t1 - t0,
+                        cat="compute", args={"epoch": epoch, "updates": n})
             except BaseException as exc:  # pragma: no cover - defensive
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=work, args=(tid, shard), name=f"hogwild-{tid}")
-            for tid, shard in enumerate(shards)
-        ]
+        threads = [threading.Thread(target=work, args=(tid,), name=f"hogwild-{tid}")
+                   for tid in range(self.n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         if errors:  # pragma: no cover - defensive
             raise errors[0]
-        if hooks.active:
-            for tid in range(self.n_threads):
-                hooks.on_kernel(
-                    KernelEvent(
-                        name="threads.shard", n_updates=counts[tid],
-                        n_waves=waves[tid],
-                    )
-                )
-        self.thread_updates = counts
-        return sum(counts)
+        return counts
 
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 10,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-        hooks: TrainerHooks | None = None,
-    ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        hooks = resolve_hooks(hooks)
-        rng = np.random.default_rng(self.seed)
+    def fit(self, train: RatingMatrix, epochs: int = 10,
+            test: RatingMatrix | None = None, target_rmse: float | None = None,
+            hooks: TrainerHooks | None = None) -> TrainHistory:
         self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
+            train.n_rows, train.n_cols, self.k, seed=self.seed,
+            scale_factor=self.scale_factor,
         )
-        if len(self._workspaces) != self.n_threads:
-            self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
-        from repro.backends import get_backend
-
-        backend = get_backend(self.backend)
-        # one bound kernel per thread: numpy binds the thread's own
-        # workspace kernel (the historical path); accelerated backends
-        # return their jitted launcher
-        self._bound_kernels = [backend.bind(ws) for ws in self._workspaces]
-        order = rng.permutation(train.nnz)
-        history = TrainHistory()
-        total_updates = [0] * self.n_threads
-        tracer = active_tracer()
-        tele = None
-        if tracer is not None:
-            tele = [
-                WorkerTelemetry(tid, origin=tracer.origin)
-                for tid in range(self.n_threads)
-            ]
-        phase_secs = [
-            {"spawn": 0.0, "compute": 0.0} for _ in range(self.n_threads)
-        ]
-        walls = [0.0] * self.n_threads
-        for epoch in range(epochs):
-            rng.shuffle(order)
-            lr = self.schedule(epoch)
-            t0 = time.perf_counter()
-            n = self._epoch(
-                self.model, train, order, lr, hooks, epoch + 1,
-                tele, phase_secs, walls,
-            )
-            seconds = time.perf_counter() - t0
-            san = active_sanitizer()
-            if san is not None:
-                san.epoch_end(self.model.p, self.model.q, epoch=epoch + 1)
-            for tid, c in enumerate(self.thread_updates):
-                total_updates[tid] += c
-            t1 = time.perf_counter()
-            p, q = self.model.as_float32()
-            te = rmse(p, q, test) if test is not None else None
-            eval_seconds = time.perf_counter() - t1
-            history.record(epoch + 1, lr, n, None, te)
-            if hooks.active:
-                hooks.on_epoch(
-                    EpochEvent(
-                        epoch=epoch + 1, lr=lr, n_updates=n, test_rmse=te,
-                        seconds=seconds, eval_seconds=eval_seconds,
-                        nnz=train.nnz, k=self.k, scheme="threaded-hogwild",
-                        extra={
-                            "n_threads": self.n_threads,
-                            "thread_updates": list(self.thread_updates),
-                        },
-                    )
-                )
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        if tele is not None:
-            merge_records(
-                tracer,
-                [rec for wt in tele for rec in wt.drain()],
-                label="thread", pid=WALL_PID, tid_base=THREAD_TID_BASE,
-            )
-        self.stall_report = StallReport(
-            "threads",
-            [
-                WorkerPhases(
-                    wid=tid,
-                    wall_seconds=walls[tid],
-                    seconds=dict(phase_secs[tid]),
-                )
-                for tid in range(self.n_threads)
-            ],
+        self.history = run_epochs(
+            self, self.model, train, epochs, schedule=self.schedule,
+            lam=self.lam, scheme="threaded-hogwild", k=self.k, test=test,
+            target_rmse=target_rmse, hooks=hooks, session=self._session,
+            extras=lambda: {"n_threads": self.n_threads,
+                            "thread_updates": list(self.thread_updates)},
         )
-        self._publish(total_updates)
-        return history
-
-    def _publish(self, total_updates: list[int]) -> None:
-        """Accumulate ``repro.thread.*`` metrics into the ambient registry."""
-        from repro.obs.context import active_registry
-        from repro.obs.registry import M
-
-        registry = active_registry()
-        if registry is None:
-            return
-        registry.gauge(M.THREAD_WORKERS).set(self.n_threads)
-        for tid, count in enumerate(total_updates):
-            registry.counter(
-                M.THREAD_WORKER_UPDATES, {"thread": tid}
-            ).inc(count)
-        if self.stall_report is not None:
-            self.stall_report.publish(registry)
+        return self.history
 
     def score(self, ratings: RatingMatrix) -> float:
         if self.model is None:

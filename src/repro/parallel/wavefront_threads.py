@@ -23,9 +23,10 @@ import numpy as np
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import TrainHistory, run_epochs
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
+from repro.obs.hooks import TrainerHooks
 from repro.sched.column_lock import ColumnLockArray
 
 __all__ = ["ThreadedWavefront"]
@@ -83,20 +84,26 @@ class ThreadedWavefront:
             for i in range(s)
         ]
 
-    def _epoch(
+    def run_epoch(
         self,
         model: FactorModel,
-        train: RatingMatrix,
-        index: list[list[np.ndarray]],
+        ratings: RatingMatrix,
         lr: float,
-        rng: np.random.Generator,
+        lam_p: float,
+        lam_q: float | None = None,
+        hooks: TrainerHooks | None = None,
     ) -> int:
+        """One epoch: every row thread visits every column block once."""
+        lam_q = lam_p if lam_q is None else lam_q
+        index = self._index
         locks = ColumnLockArray(self.col_blocks)
         self.locks = locks
         counts = [0] * self.workers
         errors: list[BaseException] = []
-        sequences = [rng.permutation(self.col_blocks) for _ in range(self.workers)]
-        rows, cols, vals = train.rows, train.cols, train.vals
+        sequences = [
+            self._rng.permutation(self.col_blocks) for _ in range(self.workers)
+        ]
+        rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
 
         def work(wid: int) -> None:
             try:
@@ -111,7 +118,7 @@ class ThreadedWavefront:
                             sgd_serial_update(
                                 model.p, model.q,
                                 rows[idx], cols[idx], vals[idx],
-                                lr, self.lam,
+                                lr, lam_p, lam_q,
                             )
                             counts[wid] += len(idx)
                     finally:
@@ -141,25 +148,19 @@ class ThreadedWavefront:
         test: RatingMatrix | None = None,
         target_rmse: float | None = None,
     ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self.seed)
         self.model = FactorModel.initialize(
             train.n_rows, train.n_cols, self.k, seed=self.seed,
             scale_factor=self.scale_factor,
         )
-        index = self._index_blocks(train)
-        history = TrainHistory()
-        for epoch in range(epochs):
-            lr = self.schedule(epoch)
-            n = self._epoch(self.model, train, index, lr, rng)
-            p, q = self.model.as_float32()
-            te = rmse(p, q, test) if test is not None else None
-            history.record(epoch + 1, lr, n, None, te)
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
+        self._index = self._index_blocks(train)
+        self.history = run_epochs(
+            self, self.model, train, epochs,
+            schedule=self.schedule, lam=self.lam,
+            scheme="threaded-wavefront", k=self.k,
+            test=test, target_rmse=target_rmse,
+        )
+        return self.history
 
     def score(self, ratings: RatingMatrix) -> float:
         if self.model is None:

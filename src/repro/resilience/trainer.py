@@ -2,8 +2,10 @@
 
 HOGWILD!-style lock-free updates amplify divergence at aggressive learning
 rates (Niu et al., 2011; the paper's §7.5 safety rule bounds *when*, not
-*whether*). :class:`ResilientTrainer` drives the same executors as
-:class:`repro.core.trainer.CuMFSGD` but owns the epoch loop, so it can:
+*whether*). :class:`ResilientTrainer` runs the same executors through the
+same epoch loop as :class:`repro.core.trainer.CuMFSGD`
+(:func:`~repro.core.trainer.run_epochs`), acting as its
+:class:`~repro.core.trainer.EpochGuard`, so it can:
 
 * take an **atomic checkpoint** of the last known-good model every
   ``checkpoint_every`` epochs (plus an epoch-0 safety net);
@@ -24,7 +26,6 @@ Every recovery action is mirrored into the ambient metrics registry as
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,12 +36,11 @@ from repro.analysis.diagnostics import detect_divergence
 from repro.core.checkpoint import load_model, save_model
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD
-from repro.core.trainer import CuMFSGD, TrainHistory
+from repro.core.trainer import CuMFSGD, TrainHistory, run_epochs
 from repro.data.container import RatingMatrix
-from repro.metrics.rmse import rmse
 from repro.obs.context import active_registry
 from repro.obs.registry import M
-from repro.obs.hooks import EpochEvent, TrainerHooks, resolve_hooks
+from repro.obs.hooks import TrainerHooks
 from repro.resilience.faults import TrainingDivergedError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,14 +63,14 @@ class RecoveryEvent:
 
 
 class ResilientTrainer:
-    """Fault-tolerant epoch loop over a configured :class:`CuMFSGD`.
+    """Fault-tolerant training of a configured :class:`CuMFSGD`.
 
     Parameters
     ----------
     estimator:
         The configured estimator; its model, schedule, scheme, and executor
-        settings are reused. The trainer replaces ``estimator.fit``'s loop,
-        not its configuration.
+        settings are reused. The trainer adds its guard to
+        ``estimator.fit``'s epoch loop, not a loop of its own.
     checkpoint_dir:
         Directory for the rotating ``last_good.npz`` checkpoint (created if
         missing). Saves are atomic — a crash mid-save never clobbers the
@@ -126,6 +126,8 @@ class ResilientTrainer:
         self.lr_scale = 1.0
         self.log: list[RecoveryEvent] = []
         self.events: dict[str, float] = {}
+        #: metric of every epoch currently kept, the divergence baseline
+        self._good_metrics: list[float] = []
 
     # ------------------------------------------------------------------
     @property
@@ -157,20 +159,6 @@ class ResilientTrainer:
                 return True
         return False
 
-    @staticmethod
-    def _truncate(history: TrainHistory, n_epochs: int) -> None:
-        """Drop history rows beyond the checkpointed epoch after a rollback."""
-        for name in (
-            "epochs",
-            "train_rmse",
-            "test_rmse",
-            "learning_rates",
-            "updates",
-            "epoch_seconds",
-        ):
-            rows = getattr(history, name)
-            del rows[n_epochs:]
-
     def _save_checkpoint(self, epoch: int) -> None:
         save_model(
             self.checkpoint_path,
@@ -180,6 +168,50 @@ class ResilientTrainer:
         )
         self._emit("checkpoints_saved")
         self.log.append(RecoveryEvent("checkpoint", epoch))
+
+    # -- EpochGuard protocol (called by run_epochs) ----------------------
+    def check(
+        self, epoch: int, lr: float, model: FactorModel, metric: float | None
+    ) -> tuple[FactorModel, int] | None:
+        """Keep a healthy epoch; roll a diverged one back to the last good
+        checkpoint with a smaller learning rate."""
+        if not self._diverged(model, self._good_metrics, metric):
+            if metric is not None:
+                self._good_metrics.append(float(metric))
+            return None
+        self._emit("divergence_detected")
+        self.log.append(
+            RecoveryEvent("divergence", epoch, {"rmse": metric, "lr": lr})
+        )
+        if self.rollbacks >= self.max_rollbacks:
+            raise TrainingDivergedError(
+                f"divergence persisted after {self.rollbacks} rollbacks "
+                f"(budget {self.max_rollbacks}); last lr {lr:.6g}"
+            )
+        ckpt = load_model(self.checkpoint_path)
+        self.estimator.model = ckpt.model
+        self.rollbacks += 1
+        self.lr_scale *= self.rollback_lr_factor
+        del self._good_metrics[ckpt.epoch:]
+        # the failed attempt plus any good epochs past the checkpoint
+        self._emit("rollback_epochs_lost", epoch - ckpt.epoch)
+        self._emit("rollbacks")
+        self.log.append(
+            RecoveryEvent(
+                "rollback",
+                ckpt.epoch,
+                {"lr_scale": self.lr_scale, "rollbacks": self.rollbacks},
+            )
+        )
+        registry = active_registry()
+        if registry is not None:
+            registry.gauge(M.RESILIENCE_LR_SCALE).set(self.lr_scale)
+        return ckpt.model, ckpt.epoch
+
+    def accepted(self, epoch: int, model: FactorModel) -> None:
+        self._emit("epochs_completed")
+        if epoch % self.checkpoint_every == 0:
+            self._save_checkpoint(epoch)
 
     # ------------------------------------------------------------------
     def fit(
@@ -200,94 +232,24 @@ class ResilientTrainer:
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         est = self.estimator
-        est._check_safety(train)
-        if est.model is None or not warm_start:
-            est.model = FactorModel.initialize(
-                train.n_rows,
-                train.n_cols,
-                est.k,
-                seed=est.seed,
-                scale_factor=est.scale_factor,
-                half_precision=est.half_precision,
-            )
+        est._prepare(train, warm_start)
         executor = est._make_executor()
         if self.fault_plan is not None and isinstance(executor, MultiDeviceSGD):
             executor.attach_faults(self.fault_plan, self.retry)
-        active_hooks = resolve_hooks(hooks if hooks is not None else est.hooks)
-        history = TrainHistory()
-        feature_bytes = 2 if est.half_precision else 4
         self.rollbacks = 0
         self.lr_scale = 1.0
         self.log = []
-        guard: list[float] = []
+        self._good_metrics = []
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self._save_checkpoint(0)  # epoch-0 safety net: rollback always has a target
-        epoch = 0
-        while epoch < epochs:
-            lr = est.schedule(epoch) * self.lr_scale
-            t0 = time.perf_counter()
-            n_updates = executor.run_epoch(
-                est.model, train, lr, est.lam, hooks=active_hooks
-            )
-            t1 = time.perf_counter()
-            p, q = est.model.as_float32()
-            with np.errstate(over="ignore", invalid="ignore"):
-                tr = rmse(p, q, train) if eval_train else None
-                te = rmse(p, q, test) if test is not None else None
-            metric = te if te is not None else tr
-            if self._diverged(est.model, guard, metric):
-                self._emit("divergence_detected")
-                self.log.append(
-                    RecoveryEvent("divergence", epoch + 1, {"rmse": metric, "lr": lr})
-                )
-                if self.rollbacks >= self.max_rollbacks:
-                    raise TrainingDivergedError(
-                        f"divergence persisted after {self.rollbacks} rollbacks "
-                        f"(budget {self.max_rollbacks}); last lr {lr:.6g}"
-                    )
-                ckpt = load_model(self.checkpoint_path)
-                est.model = ckpt.model
-                self.rollbacks += 1
-                self.lr_scale *= self.rollback_lr_factor
-                self._truncate(history, ckpt.epoch)
-                del guard[ckpt.epoch:]
-                # the failed attempt plus any good epochs past the checkpoint
-                self._emit("rollback_epochs_lost", epoch - ckpt.epoch + 1)
-                epoch = ckpt.epoch
-                self._emit("rollbacks")
-                self.log.append(
-                    RecoveryEvent(
-                        "rollback",
-                        ckpt.epoch,
-                        {"lr_scale": self.lr_scale, "rollbacks": self.rollbacks},
-                    )
-                )
-                registry = active_registry()
-                if registry is not None:
-                    registry.gauge(M.RESILIENCE_LR_SCALE).set(self.lr_scale)
-                continue
-            if metric is not None:
-                guard.append(float(metric))
-            event = EpochEvent(
-                epoch=epoch + 1,
-                lr=lr,
-                n_updates=n_updates,
-                train_rmse=tr,
-                test_rmse=te,
-                seconds=t1 - t0,
-                eval_seconds=time.perf_counter() - t1,
-                nnz=train.nnz,
-                k=est.k,
-                feature_bytes=feature_bytes,
-                scheme=est.scheme,
-            )
-            history.on_epoch(event)
-            if active_hooks.active:
-                active_hooks.on_epoch(event)
-            epoch += 1
-            self._emit("epochs_completed")
-            if epoch % self.checkpoint_every == 0:
-                self._save_checkpoint(epoch)
+        history = run_epochs(
+            executor, est.model, train, epochs,
+            schedule=lambda epoch: est.schedule(epoch) * self.lr_scale,
+            lam=est.lam, scheme=est.scheme, k=est.k,
+            feature_bytes=2 if est.half_precision else 4,
+            test=test, eval_train=eval_train,
+            hooks=hooks if hooks is not None else est.hooks, guard=self,
+        )
         injector = getattr(executor, "injector", None)
         if injector is not None:
             for name, amount in injector.events.items():

@@ -42,7 +42,7 @@ from repro.san.numeric import (
     DEFAULT_SAMPLE_STRIDE,
     NumericSentry,
 )
-from repro.san.races import _KIND_CODES, AccessLog, analyze_log
+from repro.san.races import KIND_WAVE, AccessLog, analyze_log
 
 __all__ = [
     "MODES",
@@ -95,7 +95,7 @@ def sanitizer_from_mode(mode: str | None):
     return Sanitizer(mode)
 
 
-def instrument_kernel(inner, san, wid: int, epoch: int, kind: str):
+def instrument_kernel(inner, san, wid: int, epoch: int):
     """Wrap a bound wave-update kernel for one worker's epoch.
 
     Mirrors the kernel calling convention exactly
@@ -114,7 +114,7 @@ def instrument_kernel(inner, san, wid: int, epoch: int, kind: str):
     """
     entries = san.race_log.entries if san.check_races else None
     sentry = san.numeric if san.check_numeric else None
-    kind_code = _KIND_CODES[kind]
+    kind_code = KIND_WAVE
     stride = san.numeric.sample_stride
     wave = 0
 
@@ -150,7 +150,6 @@ def instrument_kernel(inner, san, wid: int, epoch: int, kind: str):
     wrapped.san = san
     wrapped.wid = wid
     wrapped.epoch = epoch
-    wrapped.kind = kind
     return wrapped
 
 
@@ -191,10 +190,7 @@ class Sanitizer:
         self._epoch_by_wid: dict[int, int] = {}
 
     # -- executor hooks --------------------------------------------------
-    def wave_kernel(
-        self, inner, wid: int = 0, epoch: int | None = None,
-        kind: str = "wave",
-    ):
+    def wave_kernel(self, inner, wid: int = 0, epoch: int | None = None):
         """Wrap a bound kernel for one worker's epoch
         (:func:`instrument_kernel`).
 
@@ -208,7 +204,7 @@ class Sanitizer:
         if epoch is None:
             epoch = self._epoch_by_wid.get(wid, 0) + 1
         self._epoch_by_wid[wid] = epoch
-        return instrument_kernel(inner, self, wid, epoch, kind)
+        return instrument_kernel(inner, self, wid, epoch)
 
     def begin_epoch(self, wid: int = 0) -> int:
         """Seal the log and advance this worker's epoch counter.

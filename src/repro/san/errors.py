@@ -16,7 +16,7 @@ class SanFinding:
     """One sanitizer finding, pinned to its wave coordinates.
 
     ``kind`` is a stable identifier (``race-overlap``, ``race-ownership``,
-    ``race-double-execution``, ``race-segment-conflict``,
+    ``race-double-execution``,
     ``numeric-nonfinite``, ``numeric-overflow``, ``numeric-fp64-leak``,
     ``lifecycle-shm-leak``, ``lifecycle-mmap-leak``); ``worker`` / ``epoch``
     / ``wave`` locate the offending execution point where one exists

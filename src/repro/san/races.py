@@ -14,18 +14,14 @@ prove about the *compiled plan*, not about what the workers actually ran:
   inside the same concurrent wave race write-for-write on identical P and
   Q rows (``race-overlap``); this is how a tampered/duplicated plan lane
   surfaces.
-* **segment conflict-freedom** — entries recorded from
-  :class:`~repro.sched.plan.SerialPlan` segments (kind ``segment``) must
-  repeat no row and no column within the segment (Eq. 6 at runtime).
 * **benign race rate** — for concurrent waves, the fraction of samples
   whose row *or* column is simultaneously touched by another worker in
   the same wave: the HOGWILD!-tolerated races, quantified per worker and
   published as ``repro.san.*``.
 
 Entry kinds: ``wave`` (concurrent batch-Hogwild wave — the ``wave`` index
-is a cross-worker synchronization point), ``segment`` (one thread's
-conflict-free SerialPlan segment), ``block`` (an out-of-core grid block —
-participates in exactly-once only).
+is a cross-worker synchronization point) and ``block`` (an out-of-core
+grid block — participates in exactly-once only).
 
 Cross-process transport mirrors the trace relay: process workers dump
 their logs as one ``.npz`` per worker id (:func:`dump_log`) and the parent
@@ -42,7 +38,6 @@ import numpy as np
 from repro.san.errors import SanFinding
 
 __all__ = [
-    "KIND_SEGMENT",
     "KIND_WAVE",
     "KIND_BLOCK",
     "AccessLog",
@@ -54,8 +49,8 @@ __all__ = [
 ]
 
 #: entry kinds (int8 codes in the flattened log)
-KIND_SEGMENT, KIND_WAVE, KIND_BLOCK = 0, 1, 2
-_KIND_CODES = {"segment": KIND_SEGMENT, "wave": KIND_WAVE, "block": KIND_BLOCK}
+KIND_WAVE, KIND_BLOCK = 1, 2
+_KIND_CODES = {"wave": KIND_WAVE, "block": KIND_BLOCK}
 
 #: cap on per-finding example coordinates carried into messages
 _MAX_EXAMPLES = 3
@@ -466,30 +461,4 @@ def analyze_log(
             stats.workers.append(
                 WorkerRaceStats(wid=int(u), samples=int(m.sum()))
             )
-
-    # -- segment conflict-freedom (SerialPlan entries) ------------------
-    seg = kind == KIND_SEGMENT
-    if seg.any():
-        sw, se, sv = wid[seg], epoch[seg], wave[seg]
-        for label, coord in (("row", row[seg]), ("column", col[seg])):
-            order = np.lexsort((coord, sv, se, sw))
-            w3, e3, v3, c3 = sw[order], se[order], sv[order], coord[order]
-            clash = (
-                (w3[1:] == w3[:-1]) & (e3[1:] == e3[:-1])
-                & (v3[1:] == v3[:-1]) & (c3[1:] == c3[:-1])
-            )
-            idx = np.flatnonzero(clash)
-            if len(idx):
-                i0 = int(idx[0])
-                findings.append(
-                    SanFinding(
-                        kind="race-segment-conflict",
-                        message=f"serial segment repeats {label} "
-                        f"{int(c3[i0 + 1])} ({len(idx)} conflict(s)) — "
-                        "the segment is not conflict-free at runtime",
-                        worker=int(w3[i0 + 1]),
-                        epoch=int(e3[i0 + 1]),
-                        wave=int(v3[i0 + 1]),
-                    )
-                )
     return findings, stats

@@ -26,7 +26,7 @@ executors surface it through ``repro.obs`` as per-epoch extras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class PlanStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanShard:
     """One executor's static slice of an :class:`EpochPlan`'s worker lanes.
 
@@ -70,15 +70,29 @@ class PlanShard:
     order. Padding only ever shortens a wave from the right, so the live
     lane count of wave ``i`` inside this shard is
     ``clip(lengths[i] - col_lo, 0, width)`` (:meth:`live_width`).
+
+    A shard :meth:`cut` from a wave matrix is a plan in its own right for
+    :meth:`~repro.core.kernels.WaveWorkspace.bind_plan`: ``matrix`` is the
+    column view, ``lengths`` the shard's per-wave live widths, and
+    ``version`` the plan version it was cut from. Cut afresh after the plan
+    is re-permuted; the bare edges (``matrix is None``) are what a process
+    worker receives.
     """
 
     index: int
     col_lo: int
     col_hi: int
+    matrix: np.ndarray | None = field(default=None, repr=False)
+    lengths: np.ndarray | None = field(default=None, repr=False)
+    version: int = 0
 
     @property
     def width(self) -> int:
         return self.col_hi - self.col_lo
+
+    @property
+    def n_waves(self) -> int:
+        return len(self.lengths)
 
     def live_width(self, wave_length: int) -> int:
         """Live (non-padding) lanes of a wave with ``wave_length`` samples."""
@@ -86,6 +100,16 @@ class PlanShard:
         if live <= 0:
             return 0
         return live if live < self.width else self.width
+
+    def cut(
+        self, matrix: np.ndarray, lengths: np.ndarray, version: int = 0
+    ) -> "PlanShard":
+        """This shard's lanes of a compiled ``(n_waves, s)`` wave matrix."""
+        lo, hi = self.col_lo, self.col_hi
+        return PlanShard(
+            self.index, lo, hi, matrix[:, lo:hi],
+            np.clip(lengths - lo, 0, hi - lo), version,
+        )
 
 
 class EpochPlan:
@@ -196,22 +220,26 @@ class EpochPlan:
         return [self.wave(i).copy() for i in range(self.n_waves)]
 
     def shard(self, n_shards: int) -> list[PlanShard]:
-        """Partition the plan's worker lanes into ``n_shards`` static shards.
+        """Partition the plan's *live* worker lanes into ``n_shards`` shards.
 
-        Columns split as evenly as possible (``linspace`` edges, so shard
-        widths differ by at most one); the union of the shards covers every
-        lane of every wave exactly once. With ``n_shards == 1`` the single
-        shard spans the full width, so executing it wave-by-wave is the
-        serial compiled-plan path bit for bit. Shards are *schedule* slices
-        only — they share the underlying matrix and stay valid across
-        :meth:`repermute` (widths and lengths are shuffle-invariant).
+        Lanes beyond ``lengths.max()`` are padding in every wave (a plan
+        with ``nnz < s*f`` fills only its first ``ceil(nnz/f)`` chunks), so
+        the ``linspace`` edges split the live lanes only: shard widths
+        differ by at most one and no shard idles at the barrier while the
+        others work. The union of the shards covers every live lane of
+        every wave exactly once; with ``n_shards == 1`` the single shard
+        spans all live lanes, so executing it wave by wave is the serial
+        compiled-plan path bit for bit. The shards are cut for the current
+        :attr:`version`; widths and lengths are shuffle-invariant, so the
+        edges stay valid across :meth:`repermute`.
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        edges = np.linspace(0, self.width, n_shards + 1).astype(np.int64)
+        live = int(self.lengths.max()) if self.n_waves else 0
+        edges = np.linspace(0, live, n_shards + 1).astype(np.int64).tolist()
         return [
-            PlanShard(index=i, col_lo=int(edges[i]), col_hi=int(edges[i + 1]))
-            for i in range(n_shards)
+            PlanShard(i, lo, hi).cut(self.matrix, self.lengths, self.version)
+            for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
         ]
 
 

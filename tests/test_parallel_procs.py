@@ -2,13 +2,15 @@
 
 Covers the contracts the parallel layer is built on:
 
-* ``EpochPlan.shard`` — static column shards that tile every worker lane
-  exactly once, with ``live_width`` clipping padded tails;
+* ``EpochPlan.shard`` — static column shards that tile every live worker
+  lane exactly once, with ``live_width`` clipping padded tails;
 * ``BlockStore`` — the i x j mmap grid round-trips the COO multiset, and
   the double-buffered prefetcher stages every block with honest stats;
-* ``ProcessHogwild`` — ``n_procs=1`` is bit-identical to the serial
-  compiled-plan executor (same RNG stream, same kernels, one shard), and
-  ``n_procs=4`` still converges despite real cross-process races;
+* ``ProcessHogwild`` / ``ThreadedHogwild`` — one worker is bit-identical
+  to the serial compiled-plan executor (same RNG stream, same kernels, one
+  shard), and ``n_procs=4`` still converges despite real cross-process
+  races;
+* the epoch loop — every executor's history times its epochs;
 * telemetry — both executors emit epoch events and publish their
   ``repro.proc.*`` / ``repro.thread.*`` metrics into the ambient registry.
 """
@@ -22,7 +24,9 @@ from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD
+from repro.core.trainer import CuMFSGD
 from repro.data.blockstore import BlockPrefetcher, BlockStore
+from repro.metrics.throughput import ThroughputRecord
 from repro.obs import RecordingHooks, TelemetryCollector, activate
 from repro.obs.registry import M
 from repro.parallel import ProcessHogwild, ThreadedHogwild
@@ -75,6 +79,19 @@ class TestPlanShard:
         plan = EpochPlan(rng.permutation(64).astype(np.int64), workers=4, f=4)
         with pytest.raises(ValueError, match="n_shards"):
             plan.shard(0)
+
+    def test_small_plan_splits_only_live_lanes(self, rng):
+        """nnz < workers*f fills only the first ceil(nnz/f) lanes; cutting
+        every lane would leave the last shards idle all epoch."""
+        plan = EpochPlan(rng.permutation(100).astype(np.int64), workers=16, f=16)
+        shards = plan.shard(4)
+        assert shards[-1].col_hi == 7  # ceil(100 / 16) live lanes
+        per_shard = [
+            sum(s.live_width(length) for length in plan.lengths.tolist())
+            for s in shards
+        ]
+        assert all(n > 0 for n in per_shard), per_shard
+        assert sum(per_shard) == 100
 
 
 class TestBlockStore:
@@ -217,18 +234,27 @@ class TestProcessHogwild:
 
 
 class TestThreadedHogwild:
-    def test_intra_batch_is_pure_throughput_knob(self, tiny_problem):
-        """Serial-equivalence of segment replay: with one thread, any
-        ``intra_batch`` yields bit-identical factors."""
-        results = []
-        for intra_batch in (64, 256):
-            est = ThreadedHogwild(
-                k=8, n_threads=1, lam=0.05, seed=0, intra_batch=intra_batch
-            )
-            est.fit(tiny_problem.train, epochs=2)
-            results.append((est.model.p.copy(), est.model.q.copy()))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+    def test_one_worker_bit_identical_to_cumfsgd(self, tiny_problem):
+        """Threads and procs replay the serial executor's EpochPlan: with
+        one worker, both reproduce CuMFSGD's factors bit for bit."""
+        train = tiny_problem.train
+        workers, f, seed = 32, 16, 3
+        ref = CuMFSGD(k=8, scheme="batch_hogwild", workers=workers, f=f,
+                      lam=0.05, seed=seed)
+        ref.fit(train, epochs=3)
+        for est in (
+            ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=seed,
+                            workers=workers, f=f),
+            ProcessHogwild(k=8, n_procs=1, lam=0.05, seed=seed,
+                           workers=workers, f=f),
+        ):
+            est.fit(train, epochs=3)
+            assert est.model.p.tobytes() == ref.model.p.tobytes(), est
+            assert est.model.q.tobytes() == ref.model.q.tobytes(), est
+
+    def test_more_threads_than_lanes_rejected(self):
+        with pytest.raises(ValueError, match="worker lanes"):
+            ThreadedHogwild(n_threads=8, workers=4)
 
     def test_telemetry_and_hooks(self, tiny_problem):
         hooks = RecordingHooks()
@@ -246,6 +272,22 @@ class TestThreadedHogwild:
             m.value for m in registry.family(M.THREAD_WORKER_UPDATES)
         )
         assert per_thread == 2 * tiny_problem.train.nnz
+
+
+class TestEpochLoop:
+    def test_every_recorded_epoch_is_timed(self, tiny_problem):
+        """The one epoch loop times every executor's epochs, so any history
+        yields an Eq. 7 throughput record."""
+        train = tiny_problem.train
+        for est in (
+            CuMFSGD(k=8, workers=32, f=16, seed=0),
+            ThreadedHogwild(k=8, n_threads=2, seed=0, workers=32, f=16),
+            ProcessHogwild(k=8, n_procs=2, seed=0, workers=32, f=16),
+        ):
+            history = est.fit(train, epochs=2)
+            assert len(history.epoch_seconds) == 2, est
+            assert all(s > 0 for s in history.epoch_seconds), est
+            assert ThroughputRecord.from_history(history, train.nnz).musec > 0
 
 
 class TestMultiDeviceStore:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_model, save_model
-from repro.core.lr_schedule import ConstantSchedule
+from repro.core.lr_schedule import ConstantSchedule, NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD
 from repro.core.trainer import CuMFSGD
@@ -207,6 +207,21 @@ class TestResilientTrainer:
         assert list(hist.epochs) == [1, 2, 3]
         kinds = [event.kind for event in trainer.log]
         assert "divergence" in kinds and "rollback" in kinds
+
+    def test_rollback_truncates_test_rows_by_epoch(self, tiny_problem,
+                                                   tmp_path):
+        """A rollback past a checkpoint also drops the discarded epochs'
+        test RMSE rows, so epochs_to_target pairs them by epoch number."""
+        nomad = NomadSchedule()
+        est = CuMFSGD(k=8, workers=16, seed=0,
+                      schedule=lambda epoch: 8.0 if epoch == 4 else nomad(epoch))
+        trainer = ResilientTrainer(est, tmp_path, checkpoint_every=3,
+                                   max_rollbacks=10)
+        hist = trainer.fit(tiny_problem.train, epochs=6, test=tiny_problem.test)
+        assert trainer.rollbacks >= 1
+        assert hist.epochs == [1, 2, 3, 4, 5, 6]
+        assert hist.test_epochs == hist.epochs
+        assert len(hist.test_rmse) == 6
 
     def test_rollback_budget_exhaustion_raises(self, tiny_problem, tmp_path):
         est = CuMFSGD(k=8, workers=32, lam=0.0,

@@ -85,6 +85,11 @@ class TestCleanRuns:
             est.fit(train, epochs=2)
         report = san.finalize(publish=False)
         assert report.clean, "\n".join(f.format() for f in report.findings)
+        # every thread's waves reached the log: full coverage, one race
+        # row per thread, and the threads really do race within waves
+        assert report.race_stats.samples == 2 * train.nnz
+        assert len(report.race_stats.workers) == 4
+        assert 0.0 < report.race_stats.race_rate <= 1.0
 
     def test_procs_clean_with_full_accounting(self, tiny_problem):
         train = tiny_problem.train
