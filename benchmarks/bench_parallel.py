@@ -34,6 +34,13 @@ is the median of per-round paired ratios — every round times one full run
 of each variant back to back, rotating which goes first to cancel drift
 (the bench_hot_path.py methodology extended from pairs to a rotation).
 
+Every variant runs on the kernel backend the auto policy resolves for the
+problem size (:func:`repro.parallel.policy.choose_backend`: ``c`` where a
+C compiler is present and nnz amortizes loading it, else numpy), recorded
+as ``config.backend``; ``n_threads``/``n_procs`` are capped at the core
+count, so the ratios measure capacity rather than oversubscription
+(:func:`effective_config`).
+
 Scaling expectations depend on physical cores: the emitted document records
 ``os.cpu_count()`` so a 1-core container's honest ~1x threads/procs ratios
 are not mistaken for a regression. The cross-executor *correctness*
@@ -69,7 +76,7 @@ from repro.data.synthetic import DatasetSpec, make_synthetic
 from repro.obs.ledger import PerfLedger, bench_meta
 from repro.obs.profiler import StallReport
 from repro.parallel import ProcessHogwild, ThreadedHogwild
-from repro.parallel.policy import choose_executor
+from repro.parallel.policy import choose_backend, choose_executor
 from repro.san import MODES, SanReport, activate_sanitizer, sanitizer_from_mode
 
 # v2: +meta provenance stamp (bench_meta), +stall_report / stall_report_ooc
@@ -77,7 +84,9 @@ from repro.san import MODES, SanReport, activate_sanitizer, sanitizer_from_mode
 # kept one release)
 # v3: +auto policy variant (auto_vs_serial + the auto decision block),
 # +oversubscribed flag, deprecated ooc_overhead alias removed
-SCHEMA_VERSION = 3
+# v4: +config.backend (the policy-resolved kernel backend every variant
+# runs on); n_threads/n_procs capped at cpu_count
+SCHEMA_VERSION = 4
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 #: The acceptance configuration: nnz >= 1e6, k = 32, s = 128 workers.
@@ -97,6 +106,15 @@ QUICK_CONFIG = {
 VARIANTS = ("serial", "threads", "procs", "procs_ooc")
 
 
+def effective_config(config: dict) -> dict:
+    """``config`` as this host runs it: worker counts capped at the core
+    count and the policy-resolved kernel backend added."""
+    cpus = os.cpu_count() or 1
+    backend, _ = choose_backend(config["nnz"], config["k"])
+    return dict(config, n_threads=min(config["n_threads"], cpus),
+                n_procs=min(config["n_procs"], cpus), backend=backend)
+
+
 def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
@@ -106,7 +124,8 @@ def _timed(fn) -> float:
 def _run_serial(config: dict, train) -> None:
     """``epochs`` epochs of the compiled-plan serial executor."""
     sched = BatchHogwild(
-        workers=config["workers"], f=config["f"], seed=config["seed"]
+        workers=config["workers"], f=config["f"], seed=config["seed"],
+        backend=config["backend"],
     )
     model = FactorModel.initialize(
         config["m"], config["n"], config["k"], seed=config["seed"]
@@ -120,6 +139,7 @@ def _run_threads(config: dict, train) -> None:
     est = ThreadedHogwild(
         k=config["k"], n_threads=config["n_threads"], lam=0.05,
         seed=config["seed"], workers=config["workers"], f=config["f"],
+        backend=config["backend"],
     )
     est.fit(train, epochs=config["epochs"])
 
@@ -128,7 +148,7 @@ def _run_procs(config: dict, train, store: BlockStore | None = None) -> ProcessH
     est = ProcessHogwild(
         k=config["k"], n_procs=config["n_procs"], lam=0.05,
         seed=config["seed"], workers=config["workers"], f=config["f"],
-        store=store,
+        store=store, backend=config["backend"],
     )
     est.fit(train if store is None else None, epochs=config["epochs"])
     return est
@@ -152,18 +172,19 @@ def _sanitized_probe(config: dict, mode: str) -> dict:
     est = ProcessHogwild(
         k=config["k"], n_procs=config["n_procs"], lam=0.05,
         seed=config["seed"], workers=config["workers"], f=config["f"],
+        backend=config["backend"],
     )
     with activate_sanitizer(san):
         est.fit(train, epochs=config["epochs"])
     return san.finalize().as_dict()
 
 
-def _bit_identity_check() -> bool:
+def _bit_identity_check(backend: str) -> bool:
     """``ProcessHogwild(n_procs=1)`` vs the serial compiled-plan loop.
 
     Fixed tiny problem (independent of the timing config): same seed, same
-    schedule, two epochs — the single-shard process path must reproduce the
-    serial executor's factors bit for bit.
+    schedule, same backend, two epochs — the single-shard process path must
+    reproduce the serial executor's factors bit for bit.
     """
     spec = DatasetSpec(name="bitcheck", m=120, n=80, k=8,
                        n_train=4_000, n_test=400)
@@ -171,13 +192,13 @@ def _bit_identity_check() -> bool:
     epochs, seed, workers, f = 2, 11, 32, 16
 
     ref = FactorModel.initialize(spec.m, spec.n, spec.k, seed=seed)
-    sched = BatchHogwild(workers=workers, f=f, seed=seed)
+    sched = BatchHogwild(workers=workers, f=f, seed=seed, backend=backend)
     schedule = NomadSchedule()
     for epoch in range(epochs):
         sched.run_epoch(ref, train, schedule(epoch), 0.05)
 
     est = ProcessHogwild(k=spec.k, n_procs=1, lam=0.05, seed=seed,
-                         workers=workers, f=f)
+                         workers=workers, f=f, backend=backend)
     est.fit(train, epochs=epochs)
     return (
         est.model.p.tobytes() == ref.p.tobytes()
@@ -186,7 +207,8 @@ def _bit_identity_check() -> bool:
 
 
 def run_config(config: dict) -> dict:
-    """Race all executor variants over one dataset; return the result doc."""
+    """Race all executor variants over one dataset; return the result doc.
+    ``config`` is an :func:`effective_config`."""
     spec = DatasetSpec(
         name="parallel", m=config["m"], n=config["n"], k=config["k"],
         n_train=config["nnz"], n_test=1_000,
@@ -265,7 +287,7 @@ def run_config(config: dict) -> dict:
         "auto": choice.as_dict(),
         "stall_report": fitted["procs"].stall_report.as_dict(),
         "stall_report_ooc": fitted["procs_ooc"].stall_report.as_dict(),
-        "bit_identical": _bit_identity_check(),
+        "bit_identical": _bit_identity_check(config["backend"]),
     }
 
 
@@ -289,6 +311,9 @@ def validate_result(doc: dict) -> None:
             key != "seed" and config[key] <= 0
         ):
             fail(f"config.{key} must be a positive int, got {config.get(key)!r}")
+    if not isinstance(config.get("backend"), str) or not config["backend"]:
+        fail(f"config.backend must be a backend name, got "
+             f"{config.get('backend')!r}")
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         fail("metrics missing or not a mapping")
@@ -379,7 +404,7 @@ def main(argv: list[str] | None = None) -> dict:
     )
     args = parser.parse_args(argv)
 
-    config = QUICK_CONFIG if args.quick else REFERENCE_CONFIG
+    config = effective_config(QUICK_CONFIG if args.quick else REFERENCE_CONFIG)
     doc = run_config(config)
     if args.sanitize != "off":
         doc["sanitizer"] = _sanitized_probe(config, args.sanitize)
@@ -393,7 +418,7 @@ def main(argv: list[str] | None = None) -> dict:
     m = doc["metrics"]
     print(f"nnz={config['nnz']:,} k={config['k']} "
           f"threads={config['n_threads']} procs={config['n_procs']} "
-          f"cpus={m['cpu_count']}")
+          f"cpus={m['cpu_count']} backend={config['backend']}")
     for key in VARIANTS:
         print(f"{key:11s}: {m[f'{key}_epoch_seconds'] * 1e3:9.2f} ms/epoch "
               f"({m[f'{key}_updates_per_sec'] / 1e6:.2f} M updates/s)")

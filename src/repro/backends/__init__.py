@@ -1,20 +1,25 @@
 """Pluggable SGD kernel backends.
 
-One training run, several possible kernel implementations: the vectorized
-NumPy reference (:mod:`repro.core.kernels`, bit-exact, always present),
-Numba nopython JIT kernels, and a CuPy device stub — each registered behind
-feature detection and a correctness gate against the reference. Executors
-resolve a backend once per fit through :func:`get_backend` and drive their
-hot loops through the bound callable it returns; the default (``None``)
-resolves to the NumPy reference, so existing bit-identity contracts are
-untouched unless a caller opts in.
+One training run, two kernel implementations: the vectorized NumPy
+reference (:mod:`repro.core.kernels`, bit-exact, always present) and the
+fused C kernel the local compiler builds on first use
+(:mod:`repro.backends.c_backend`), registered behind a presence probe and
+a correctness gate against the reference. Executors resolve a backend once
+per fit through :func:`get_backend` and replay each plan shard through it;
+the default (``None``) resolves to the NumPy reference, so existing
+bit-identity contracts are untouched unless a caller opts in.
 
 See ``docs/PERFORMANCE.md`` (backend matrix) and
 :mod:`repro.parallel.policy` for how ``--executor auto`` picks a backend
 per problem size.
 """
 
-from repro.backends.base import BackendType, KernelBackend, estimate_memory_bytes
+from repro.backends.base import (
+    BackendType,
+    KernelBackend,
+    estimate_memory_bytes,
+    replay_waves,
+)
 from repro.backends.registry import (
     BackendUnavailable,
     BackendVerificationError,
@@ -28,6 +33,7 @@ __all__ = [
     "BackendType",
     "KernelBackend",
     "estimate_memory_bytes",
+    "replay_waves",
     "BackendUnavailable",
     "BackendVerificationError",
     "available_backends",

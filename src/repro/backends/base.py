@@ -1,4 +1,4 @@
-"""Kernel-backend contract: one wave/serial kernel family per backend.
+"""Kernel-backend contract: one wave/shard/serial kernel family per backend.
 
 The reference SGD kernels (:mod:`repro.core.kernels`) are vectorized NumPy
 with explicit Hogwild race semantics — snapshot gathers, last-writer-wins
@@ -6,19 +6,22 @@ scatters — and every convergence and bit-identity claim in the repo anchors
 on them.  A :class:`KernelBackend` packages one alternative implementation
 of exactly that contract:
 
+* :meth:`KernelBackend.replay` — one epoch of one worker's plan shard (or a
+  whole :class:`~repro.sched.plan.EpochPlan`), the unit every executor
+  launches when no per-wave observer is attached.  The base implementation
+  is :func:`replay_waves`, the Python wave loop over :meth:`bind`; the
+  compiled ``c`` backend replaces it with one GIL-free foreign call;
+* :meth:`KernelBackend.bind` — given the caller's
+  :class:`~repro.core.kernels.WaveWorkspace`, the per-wave callable the
+  observed paths (sanitizer wrappers, kernel hooks, collision tracking)
+  invoke wave by wave.  The NumPy backend returns the workspace's own bound
+  method, so dispatching through the registry is *structurally* identical
+  to the pre-registry code path — same callable, same bits;
 * :meth:`KernelBackend.wave_update` — one concurrent wave (all reads from
-  the pre-wave snapshot, racy write-back), the unit
-  :class:`~repro.core.hogwild.BatchHogwild` and the plan-shard executors
-  launch per wave;
+  the pre-wave snapshot, racy write-back);
 * :meth:`KernelBackend.serial_update` — serial-equivalent replay of one
   worker's sample run (conflict-free segmentation), the unit the
-  out-of-core block loop launches per block;
-* :meth:`KernelBackend.bind` — the hot-loop entry point: given the caller's
-  :class:`~repro.core.kernels.WaveWorkspace` it returns the per-wave
-  callable the epoch loop invokes.  The NumPy backend returns the
-  workspace's own bound method, so dispatching through the registry is
-  *structurally* identical to the pre-registry code path — same callable,
-  same bits.
+  out-of-core block loop launches per block.
 
 ``exact`` declares the verification gate: exact backends must reproduce the
 reference kernels bit for bit (``tobytes`` equality); accelerated backends
@@ -36,15 +39,18 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["BackendType", "KernelBackend", "estimate_memory_bytes"]
+from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
+from repro.sched.plan import SerialPlan
+
+__all__ = ["BackendType", "KernelBackend", "estimate_memory_bytes",
+           "replay_waves"]
 
 
 class BackendType(str, Enum):
     """Registered kernel-backend families."""
 
     NUMPY = "numpy"
-    NUMBA = "numba"
-    CUPY = "cupy"
+    C = "c"
 
     def __str__(self) -> str:  # "numpy", not "BackendType.NUMPY", in messages
         return self.value
@@ -68,14 +74,24 @@ class KernelBackend:
     exact: bool = True
 
     # ------------------------------------------------------------------
+    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
+        """One epoch of ``shard`` (a :class:`~repro.sched.plan.PlanShard`
+        or a whole :class:`~repro.sched.plan.EpochPlan`) over the data
+        arrays; returns the updates made. ``ws`` is the caller's private
+        workspace. The base implementation is :func:`replay_waves` over
+        :meth:`bind`, so the NumPy backend replays bit for bit as the
+        executors' own wave loops did.
+        """
+        return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
+                            vals, lr, lam_p, lam_q)
+
     def bind(self, workspace):
-        """Return the per-wave callable the epoch hot loop should invoke.
+        """Return the per-wave callable the observed epoch loops invoke.
 
         The callable's signature is
-        ``f(p, q, rows, cols, vals, lr, lam_p, lam_q)`` — exactly what the
-        executors' hot loops pass today. ``workspace`` is the caller's
-        (thread-/process-private) :class:`~repro.core.kernels.WaveWorkspace`;
-        backends that don't use NumPy scratch may ignore it.
+        ``f(p, q, rows, cols, vals, lr, lam_p, lam_q) -> err``. ``workspace``
+        is the caller's (thread-/process-private)
+        :class:`~repro.core.kernels.WaveWorkspace`.
         """
         raise NotImplementedError
 
@@ -88,12 +104,43 @@ class KernelBackend:
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
                       max_wave: int = 64, workspace=None):
         """Serial-equivalent replay of one worker's sample run (see
-        :func:`repro.core.kernels.sgd_serial_update`)."""
-        raise NotImplementedError
+        :func:`repro.core.kernels.sgd_serial_update`): its conflict-free
+        segments, in order, through :meth:`bind`."""
+        wave_update = self.bind(
+            workspace if workspace is not None else WaveWorkspace())
+        plan = SerialPlan.compile(rows, cols, max_wave)
+        with np.errstate(**UPDATE_ERRSTATE):
+            for start, stop in zip(plan.starts.tolist(), plan.stops.tolist()):
+                wave_update(p, q, rows[start:stop], cols[start:stop],
+                            vals[start:stop], lr, lam_p, lam_q)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name.value} exact={self.exact}>"
+
+
+def replay_waves(ws, wave_update, shard, p, q, rows, cols, vals,
+                 lr, lam_p, lam_q) -> int:
+    """One epoch of a plan shard through a per-wave kernel; returns the
+    updates made. One ``bind_plan`` gather, then one ``wave_update`` launch
+    per wave over its live lanes (padding only trims from the right) — the
+    base :meth:`KernelBackend.replay` and the loop observed executors run
+    with a wrapped kernel.
+    """
+    rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
+    width = shard.width
+    updates = 0
+    with np.errstate(**UPDATE_ERRSTATE):
+        for wr, wc, wv, w in zip(rows_w, cols_w, vals_w, shard.lengths.tolist()):
+            if w != width:
+                if not w:
+                    continue
+                wr = wr[:w]
+                wc = wc[:w]
+                wv = wv[:w]
+            wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
+            updates += w
+    return updates
 
 
 def estimate_memory_bytes(

@@ -1,0 +1,245 @@
+"""Compiled C backend: the fused wave kernel of ``c_kernel.c``.
+
+The paper's kernel does each update in one pass with the features held in
+registers (§4).  The NumPy reference instead makes about fourteen passes
+over five ``(w, k)`` temporaries per wave, holding the GIL throughout, so
+Hogwild! threads never overlap.  This backend compiles ``c_kernel.c`` with
+the local C compiler on first use and calls it through :mod:`ctypes`, which
+releases the GIL for the length of every call:
+
+* :meth:`CBackend.replay` runs a whole plan shard — every wave of one
+  worker's epoch — in one foreign call;
+* :meth:`CBackend.bind` returns a per-wave callable for the observed paths
+  (sanitizer wrappers, kernel hooks, collision tracking).
+
+Both keep the reference race semantics (snapshot gather, then a lane-order
+last-writer-wins scatter).  The dot product sums in a different fixed
+order, so the backend is tolerance-gated (``exact = False``).
+
+Build and cache
+---------------
+``cc -O3 -ffp-contract=off -fPIC -shared``, plus ``-mf16c`` when the CPU
+reports F16C, so fp16 storage converts in hardware (soft-float conversion
+is slower than NumPy; without F16C, fp16 models keep the NumPy kernel).
+The shared object is cached under :func:`cache_dir` (outside the working
+tree), named by a hash of the source, the flags and the compiler's version,
+and published with an atomic :func:`os.replace`, so processes compiling
+into an empty cache at once each load a complete file.  A cold build took
+about 0.4 s on a 2-vCPU x86 host; a cached load plus verification about
+20 ms.
+
+Safety
+------
+The kernel trusts what it is given, so every launch first rejects factors
+that are not C-contiguous fp32 (or fp16 with F16C) and ratings that are
+not fp32 (:class:`ValueError`), and row/column ids outside the model
+(:class:`IndexError`).  :meth:`CBackend.replay` checks the ids once per
+bound data array (:meth:`~repro.core.kernels.WaveWorkspace.check_ids`);
+the per-wave entry gets new id arrays every call, so the kernel checks
+those itself before the wave writes anything.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from repro.backends.base import BackendType, KernelBackend, replay_waves
+from repro.core.kernels import WaveWorkspace
+
+__all__ = ["CBackend", "build_library", "cache_dir", "find_compiler"]
+
+SOURCE = Path(__file__).with_name("c_kernel.c")
+BASE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+#: environment variable that overrides :func:`cache_dir`
+CACHE_ENV = "REPRO_C_CACHE"
+
+_P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float
+_WAVE_ARGS = [_P, _P, ctypes.c_int, _I, _I, _I, _P, _P, _P, _I, _P, _P, _P,
+              _F, _F, _F]
+_REPLAY_ARGS = [_P, _P, ctypes.c_int, _I, _P, _P, _P, _I, _I, _P, _I,
+                _P, _P, _P, _F, _F, _F]
+
+
+def find_compiler() -> str | None:
+    """Path of the C compiler (``$CC``, else ``cc`` or ``gcc``), or None."""
+    for name in (os.environ.get("CC"), "cc", "gcc"):
+        path = shutil.which(name) if name else None
+        if path:
+            return path
+    return None
+
+
+def cpu_has_f16c() -> bool:
+    """True when the CPU reports hardware fp16 conversion (Linux only)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return "f16c" in line.split()
+    except OSError:
+        pass
+    return False
+
+
+def cache_dir() -> Path:
+    """Where compiled kernels live: ``$REPRO_C_CACHE``, else
+    ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``)."""
+    override = os.environ.get(CACHE_ENV)
+    if override:
+        return Path(override)
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro"
+
+
+def build_library(cache: Path | None = None) -> Path:
+    """The compiled kernel for this source, flags and compiler, built into
+    ``cache`` (default :func:`cache_dir`) unless already there."""
+    compiler = find_compiler()
+    if compiler is None:
+        raise RuntimeError("no C compiler found ($CC, cc, gcc)")
+    flags = BASE_FLAGS + (("-mf16c",) if cpu_has_f16c() else ())
+    version = subprocess.run([compiler, "--version"], capture_output=True,
+                             text=True, check=True).stdout
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(flags).encode(), version.encode()])
+    ).hexdigest()[:16]
+    cache = cache_dir() if cache is None else Path(cache)
+    target = cache / f"cumf_kernel-{key}.so"
+    if target.exists():
+        return target
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp",
+                               dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run([compiler, *flags, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(f"{compiler} failed: {done.stderr.strip()}")
+        os.replace(tmp, target)  # atomic: readers see no file or all of it
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _check_vals(vals: np.ndarray) -> None:
+    if vals.dtype != np.float32:
+        raise ValueError(f"the c backend needs fp32 ratings, got {vals.dtype}")
+
+
+class CBackend(KernelBackend):
+    """The fused C kernel; tolerance-gated against the reference."""
+
+    name = BackendType.C
+    exact = False
+
+    def __init__(self) -> None:
+        self.path = build_library()
+        lib = ctypes.CDLL(str(self.path))  # CDLL calls release the GIL
+        lib.cumf_wave.argtypes = _WAVE_ARGS
+        lib.cumf_wave.restype = ctypes.c_int
+        lib.cumf_replay.argtypes = _REPLAY_ARGS
+        lib.cumf_replay.restype = _I
+        lib.cumf_has_fp16.argtypes = []
+        lib.cumf_has_fp16.restype = ctypes.c_int
+        self._wave = lib.cumf_wave
+        self._replay = lib.cumf_replay
+        #: fp16 storage runs natively (compiled with F16C)
+        self.fp16 = bool(lib.cumf_has_fp16())
+
+    def _storage(self, p: np.ndarray, q: np.ndarray) -> int | None:
+        """The kernel's ``half`` flag for these factors (0 fp32, 1 fp16),
+        or None when fp16 storage must stay on NumPy (no F16C)."""
+        if not (p.dtype == q.dtype and p.dtype in (np.float32, np.float16)
+                and p.ndim == q.ndim == 2 and p.shape[1] == q.shape[1]
+                and p.flags.c_contiguous and q.flags.c_contiguous):
+            raise ValueError(
+                "the c backend needs C-contiguous fp32 or fp16 factor "
+                f"matrices of equal k, got P {p.dtype}{p.shape} and "
+                f"Q {q.dtype}{q.shape}"
+            )
+        if p.dtype == np.float32:
+            return 0
+        return 1 if self.fp16 else None
+
+    # ------------------------------------------------------------------
+    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
+        """Every wave of ``shard`` in one GIL-free foreign call."""
+        half = self._storage(p, q)
+        if half is None:
+            return replay_waves(ws, ws.wave_update, shard, p, q, rows, cols,
+                                vals, lr, lam_p, lam_q)
+        _check_vals(vals)
+        ws.check_ids(rows, cols, p.shape[0], q.shape[0])
+        # three views of one (n_waves, width) shape: one row stride for all
+        rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
+        lengths = shard.lengths
+        if (lengths.dtype != np.int64 or not lengths.flags.c_contiguous
+                or len(lengths) != len(rows_w)):
+            raise ValueError("plan lengths must be one int64 per wave")
+        k = p.shape[1]
+        pu, qv, err = ws.kernel_scratch(shard.width, k)
+        updates = self._replay(
+            p.ctypes.data, q.ctypes.data, half, k,
+            rows_w.ctypes.data, cols_w.ctypes.data, vals_w.ctypes.data,
+            rows_w.strides[0] // rows_w.itemsize, shard.width,
+            lengths.ctypes.data, len(lengths),
+            pu.ctypes.data, qv.ctypes.data, err.ctypes.data, lr, lam_p, lam_q,
+        )
+        ws.waves += int(np.count_nonzero(lengths))
+        return updates
+
+    def bind(self, workspace):
+        """A per-wave callable over the workspace's scratch. Executors pass
+        the same P and Q every wave, so it validates them, and takes their
+        and the scratch's addresses, only when they change."""
+        ws, launch = workspace, self._wave
+        pq = scratch = None  # (p, q, half, p_ptr, q_ptr), (pu, pointers)
+
+        def wave_update(p, q, rows, cols, vals, lr, lam_p, lam_q):
+            nonlocal pq, scratch
+            if pq is None or pq[0] is not p or pq[1] is not q:
+                pq = (p, q, self._storage(p, q), p.ctypes.data, q.ctypes.data)
+            half = pq[2]
+            if half is None:
+                return ws.wave_update(p, q, rows, cols, vals, lr, lam_p, lam_q)
+            _check_vals(vals)
+            rows = np.ascontiguousarray(rows, dtype=np.intp)  # lint: hotpath-alloc -- no-op for the intp wave views executors pass
+            cols = np.ascontiguousarray(cols, dtype=np.intp)  # lint: hotpath-alloc -- no-op for the intp wave views executors pass
+            vals = np.ascontiguousarray(vals)  # lint: hotpath-alloc -- no-op for contiguous wave values
+            w = len(rows)
+            if len(cols) != w or len(vals) != w:
+                raise ValueError("rows, cols and vals differ in length")
+            (m, k), n = p.shape, q.shape[0]
+            pu, qv, err = ws.kernel_scratch(w, k)
+            if scratch is None or scratch[0] is not pu:
+                scratch = (pu, pu.ctypes.data, qv.ctypes.data, err.ctypes.data)
+            if launch(pq[3], pq[4], half, k, m, n, rows.ctypes.data,
+                      cols.ctypes.data, vals.ctypes.data, w, *scratch[1:],
+                      lr, lam_p, lam_q):
+                raise IndexError(
+                    f"wave ids leave the {m} x {n} model: rows span "
+                    f"[{rows.min()}, {rows.max()}], columns "
+                    f"[{cols.min()}, {cols.max()}]"
+                )
+            ws.waves += 1
+            return err[:w]
+
+        return wave_update
+
+    def wave_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
+                    workspace=None):
+        """One wave in one foreign call; returns the error vector (a
+        workspace scratch view, overwritten by the next wave)."""
+        ws = workspace if workspace is not None else WaveWorkspace()
+        return self.bind(ws)(p, q, rows, cols, vals, lr, lam_p, lam_q)

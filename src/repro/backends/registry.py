@@ -1,9 +1,9 @@
 """Backend registry: feature detection, verification gates, fallback.
 
 Backends register lazily — a factory per :class:`BackendType`, instantiated
-at most once — behind feature detection (``importlib.util.find_spec``), so
-importing this module costs nothing and never imports an optional
-dependency. :func:`get_backend` is the one resolution entry point:
+at most once — behind a presence probe (for ``c``: a C compiler on the
+path), so importing this module costs nothing and compiles nothing.
+:func:`get_backend` is the one resolution entry point:
 
 1. resolve the request (``"auto"``, a name, a :class:`BackendType`, or an
    already-constructed :class:`KernelBackend`) to a candidate;
@@ -12,26 +12,25 @@ dependency. :func:`get_backend` is the one resolution entry point:
    :mod:`repro.core.kernels`, ``tobytes``-equal for ``exact`` backends and
    ``np.allclose`` for accelerated ones (verified once per process, then
    cached);
-3. on a missing dependency, failed instantiation, or failed verification:
-   warn **once per backend per process** and fall back to the NumPy
-   reference, so training never dies because an accelerator is absent.
+3. on a missing compiler, failed build, or failed verification: warn
+   **once per backend per process** and fall back to the NumPy reference,
+   so training never dies because an accelerator is absent.
 
 ``"auto"`` at this layer means "the most accelerated backend that is
-present and verified" (cupy > numba > numpy). Size-aware selection — is the
-problem big enough to amortize a JIT? — lives one level up, in
-:func:`repro.parallel.policy.choose_backend`.
+present and verified" (c > numpy). Size-aware selection — is the problem
+big enough to amortize loading the compiled kernel? — lives one level up,
+in :func:`repro.parallel.policy.choose_backend`.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import warnings
 
 import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend
 from repro.backends.numpy_backend import NumpyBackend
-from repro.core.kernels import sgd_serial_update, sgd_wave_update
+from repro.core.kernels import WaveWorkspace, sgd_serial_update, sgd_wave_update
 
 __all__ = [
     "BackendUnavailable",
@@ -51,32 +50,34 @@ class BackendVerificationError(RuntimeError):
     """A backend's kernels disagree with the reference beyond its gate."""
 
 
-def _make_numba() -> KernelBackend:
-    from repro.backends.numba_backend import NumbaBackend
+def _c_present() -> bool:
+    from repro.backends import c_backend
 
-    return NumbaBackend()
-
-
-def _make_cupy() -> KernelBackend:
-    from repro.backends.cupy_backend import CupyBackend
-
-    return CupyBackend()
+    return c_backend.find_compiler() is not None
 
 
-#: backend -> (feature-detection module, factory). NumPy has no entry: it is
-#: always available and constructed directly.
+def _make_c() -> KernelBackend:
+    from repro.backends.c_backend import CBackend
+
+    return CBackend()
+
+
+#: backend -> (what it needs, presence probe, factory). NumPy has no entry:
+#: it is always available and constructed directly.
 _OPTIONAL = {
-    BackendType.NUMBA: ("numba", _make_numba),
-    BackendType.CUPY: ("cupy", _make_cupy),
+    BackendType.C: ("a C compiler", _c_present, _make_c),
 }
 
 #: ``"auto"`` preference order at the registry layer (most accelerated
 #: first); the policy layer narrows this by problem size.
-_AUTO_ORDER = (BackendType.CUPY, BackendType.NUMBA, BackendType.NUMPY)
+_AUTO_ORDER = (BackendType.C, BackendType.NUMPY)
 
 #: relative/absolute tolerance for non-exact backends: fp32 kernels with a
 #: different reduction order drift by a few ULPs per update, not more
 _RTOL, _ATOL = 1e-4, 1e-5
+#: with fp16 storage that drift can flip a stored value's rounding: allow
+#: a few fp16 ULPs (eps16 = 2**-10) instead
+_RTOL_FP16 = 4 * float(np.finfo(np.float16).eps)
 
 _instances: dict[BackendType, KernelBackend] = {}
 _verified: set[int] = set()
@@ -101,14 +102,8 @@ def _count_fallback(btype: BackendType) -> None:
         registry.counter(M.BACKEND_FALLBACKS, {"backend": btype.value}).inc()
 
 
-def _module_present(btype: BackendType) -> bool:
-    if btype is BackendType.NUMPY:
-        return True
-    module = _OPTIONAL[btype][0]
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):  # pragma: no cover - broken metadata
-        return False
+def _present(btype: BackendType) -> bool:
+    return btype is BackendType.NUMPY or _OPTIONAL[btype][1]()
 
 
 def _instantiate(btype: BackendType) -> KernelBackend:
@@ -119,11 +114,11 @@ def _instantiate(btype: BackendType) -> KernelBackend:
     if btype is BackendType.NUMPY:
         inst = NumpyBackend()
     else:
-        module, factory = _OPTIONAL[btype]
-        if not _module_present(btype):
+        needs, present, factory = _OPTIONAL[btype]
+        if not present():
             raise BackendUnavailable(
-                f"backend {btype.value!r} needs the optional dependency "
-                f"{module!r}, which is not installed"
+                f"backend {btype.value!r} needs {needs}, which is not "
+                "available"
             )
         try:
             inst = factory()
@@ -163,6 +158,9 @@ def verify_backend(backend: KernelBackend) -> None:
     """Gate ``backend`` against the reference kernels; raises
     :class:`BackendVerificationError` on disagreement.
 
+    The per-wave kernel (:meth:`~KernelBackend.bind`) runs the problem's
+    waves with fp32 and with fp16 storage, and
+    :meth:`~KernelBackend.serial_update` replays them as one worker's run.
     Exact backends must match :func:`sgd_wave_update` /
     :func:`sgd_serial_update` bit for bit; accelerated backends within
     ``np.allclose`` tolerance. Each instance verifies once per process.
@@ -172,16 +170,14 @@ def verify_backend(backend: KernelBackend) -> None:
     p0, q0, waves = _verification_problem()
     lr, lam = 0.05, 0.02
 
-    ref_p, ref_q = p0.copy(), q0.copy()
-    got_p, got_q = p0.copy(), q0.copy()
-    from repro.core.kernels import WaveWorkspace
-
-    ws = WaveWorkspace()
-    bound = backend.bind(ws)
-    for rows, cols, vals in waves:
-        sgd_wave_update(ref_p, ref_q, rows, cols, vals, lr, lam, lam)
-        bound(got_p, got_q, rows, cols, vals, lr, lam, lam)
-    _compare(backend, "wave_update", ref_p, got_p, ref_q, got_q)
+    for dtype in (np.float32, np.float16):
+        ref_p, ref_q = p0.astype(dtype), q0.astype(dtype)
+        got_p, got_q = p0.astype(dtype), q0.astype(dtype)
+        bound = backend.bind(WaveWorkspace())
+        for rows, cols, vals in waves:
+            sgd_wave_update(ref_p, ref_q, rows, cols, vals, lr, lam, lam)
+            bound(got_p, got_q, rows, cols, vals, lr, lam, lam)
+        _compare(backend, "wave_update", ref_p, got_p, ref_q, got_q)
 
     # serial replay: concatenate the waves into one worker-run sequence
     rows = np.concatenate([wv[0] for wv in waves])
@@ -197,18 +193,19 @@ def verify_backend(backend: KernelBackend) -> None:
 
 
 def _compare(backend, kernel, ref_p, got_p, ref_q, got_q) -> None:
+    rtol = _RTOL if ref_p.dtype == np.float32 else _RTOL_FP16
     if backend.exact:
         ok = (ref_p.tobytes() == got_p.tobytes()
               and ref_q.tobytes() == got_q.tobytes())
         gate = "bit identity"
     else:
-        ok = (np.allclose(ref_p, got_p, rtol=_RTOL, atol=_ATOL)
-              and np.allclose(ref_q, got_q, rtol=_RTOL, atol=_ATOL))
-        gate = f"allclose(rtol={_RTOL}, atol={_ATOL})"
+        ok = (np.allclose(ref_p, got_p, rtol=rtol, atol=_ATOL)
+              and np.allclose(ref_q, got_q, rtol=rtol, atol=_ATOL))
+        gate = f"allclose(rtol={rtol:.3g}, atol={_ATOL})"
     if not ok:
         raise BackendVerificationError(
             f"backend {backend.name.value!r} failed the {gate} gate on "
-            f"{kernel} against the reference kernels"
+            f"{kernel} ({ref_p.dtype}) against the reference kernels"
         )
 
 
@@ -216,21 +213,17 @@ def _compare(backend, kernel, ref_p, got_p, ref_q, got_q) -> None:
 # public resolution API
 # ---------------------------------------------------------------------------
 def available_backends() -> tuple[BackendType, ...]:
-    """Backends whose dependency is importable, in ``_AUTO_ORDER``-reversed
-    (numpy first) declaration order. Presence, not verification: a present
-    backend can still fail its gate and fall back at :func:`get_backend`."""
-    out = [BackendType.NUMPY]
-    for btype in (BackendType.NUMBA, BackendType.CUPY):
-        if _module_present(btype):
-            out.append(btype)
-    return tuple(out)
+    """Backends whose requirement is present, numpy first. Presence, not
+    verification: a present backend can still fail its build or gate and
+    fall back at :func:`get_backend`."""
+    return tuple(b for b in BackendType if _present(b))
 
 
 def backend_status() -> dict[str, str]:
     """Human-readable availability map (for CLI/debug output)."""
     status = {}
     for btype in BackendType:
-        if not _module_present(btype):
+        if not _present(btype):
             status[btype.value] = "missing dependency"
         elif btype in _instances and id(_instances[btype]) in _verified:
             status[btype.value] = "verified"
@@ -272,7 +265,7 @@ def get_backend(name="auto") -> KernelBackend:
     requested = _coerce_request(name)
     candidates = _AUTO_ORDER if requested is None else (requested,)
     for btype in candidates:
-        if requested is None and not _module_present(btype):
+        if requested is None and not _present(btype):
             continue  # auto mode skips absent backends silently
         try:
             backend = _instantiate(btype)

@@ -159,19 +159,33 @@ class BatchHogwild:
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         observe = hooks.active
+        plan = self.compiled_plan(ratings.nnz)
+        san = active_sanitizer()
+        ws = self.workspace
+        p, q = model.p, model.q
+        # pre-coerced scalars: the kernel skips its per-call conversions
+        lr = np.float32(lr)
+        lam_p = np.float32(lam_p)
+        lam_q = np.float32(lam_q)
+        ws.reserve(plan.width, p.shape[1],
+                   half_precision=p.dtype != np.float32)
+        backend = self.resolved_backend()
+        if not (observe or self.track_collisions or san is not None):
+            # nothing watches single waves: the backend replays the whole
+            # plan (numpy wave by wave, bit for bit; c in one foreign call)
+            return backend.replay(ws, plan, p, q, ratings.rows, ratings.cols,
+                                  ratings.vals, lr, lam_p, lam_q)
         stride = resolve_kernel_stride(hooks) if observe else 1
         pending_waves = 0
         pending_updates = 0
         updates = 0
         collision_acc = 0.0
         n_waves = 0
-        plan = self.compiled_plan(ratings.nnz)
         # inline sanitizer hooks: the epoch's coverage is captured in one
         # O(1) record after the loop (the bound wave matrices ARE the
         # coverage), so the hot loop pays one branch per wave plus a
         # sampled residual check — begin_epoch seals the previous
         # epoch's recorded views before bind_plan regathers them
-        san = active_sanitizer()
         sentry = None
         san_stride = san_epoch = 0
         if san is not None:
@@ -179,25 +193,17 @@ class BatchHogwild:
             if san.check_numeric:
                 sentry = san.numeric
                 san_stride = sentry.sample_stride
-        ws = self.workspace
-        ws.reserve(plan.width, model.p.shape[1],
-                   half_precision=model.p.dtype != np.float32)
         rows_w, cols_w, vals_w = ws.bind_plan(
             plan, ratings.rows, ratings.cols, ratings.vals
         )
-        p, q = model.p, model.q
         lengths = plan.lengths.tolist()
         width = plan.width
         track = self.track_collisions
         # registry dispatch: numpy resolves to ws.wave_update itself, so the
         # default path is the historical one, bit for bit
-        wave_update = self.resolved_backend().bind(ws)
+        wave_update = backend.bind(ws)
         if sentry is not None:
             sentry.check_dtypes(p, q, None, 0, san_epoch)
-        # pre-coerced scalars: the kernel skips its per-call conversions
-        lr = np.float32(lr)
-        lam_p = np.float32(lam_p)
-        lam_q = np.float32(lam_q)
         i = 0
         with np.errstate(**UPDATE_ERRSTATE):
             for wr, wc, wv in zip(rows_w, cols_w, vals_w):

@@ -122,7 +122,7 @@ class WaveWorkspace:
         "_err", "_err2", "_views",
         "_pu16", "_qv16",
         "_rows_w", "_cols_w", "_vals_w", "_bound_shape", "_bound_key",
-        "_cast_cache",
+        "_cast_cache", "_checked_ids",
     )
 
     def __init__(self) -> None:
@@ -139,6 +139,7 @@ class WaveWorkspace:
         self._bound_shape: tuple[int, int] | None = None
         self._bound_key: tuple | None = None
         self._cast_cache: tuple | None = None
+        self._checked_ids: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -178,6 +179,30 @@ class WaveWorkspace:
         self._k = k
         self._views = {}
         self.allocations += 1
+
+    def kernel_scratch(self, capacity: int, k: int) -> tuple:
+        """The full ``p_u``/``q_v`` snapshot buffers and error vector, after
+        :meth:`reserve` — the scratch a compiled kernel writes in place."""
+        self.reserve(capacity, k)
+        return self._pu, self._qv, self._err
+
+    def check_ids(self, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> None:
+        """Raise :class:`IndexError` unless every row id is in ``[0, m)``
+        and every column id in ``[0, n)``. A compiled kernel indexes
+        without bounds checks; like :meth:`bind_plan`'s cast cache, the
+        check runs once per (rows, cols) array pair, not per epoch.
+        """
+        done = self._checked_ids
+        if (done is not None and done[0] is rows and done[1] is cols
+                and done[2] == m and done[3] == n):
+            return
+        for ids, bound, axis in ((rows, m, "row"), (cols, n, "column")):
+            if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+                raise IndexError(
+                    f"{axis} ids span [{ids.min()}, {ids.max()}], outside "
+                    f"the model's [0, {bound})"
+                )
+        self._checked_ids = (rows, cols, m, n)
 
     def _views_for(self, w: int, fp16: bool) -> tuple:
         views = self._views.get(w)

@@ -8,7 +8,7 @@ Subcommands::
     cumf-sgd train netflix-syn --epochs 20 --scheme wavefront
     cumf-sgd train netflix-syn --executor auto            # policy picks (default)
     cumf-sgd train netflix-syn --executor procs --procs 4   # shared-memory Hogwild
-    cumf-sgd train netflix-syn --backend numba            # JIT kernels when present
+    cumf-sgd train netflix-syn --backend c                # fused C kernel (local cc)
     cumf-sgd train netflix-syn --executor procs --out-of-core
     cumf-sgd plan hugewiki --gpu pascal --devices 2
     cumf-sgd throughput --gpu maxwell --workers 768
@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "applies); threads: ThreadedHogwild; procs: "
                          "shared-memory ProcessHogwild")
     train_p.add_argument("--backend", default="auto",
-                         choices=("auto", "numpy", "numba", "cupy"),
+                         choices=("auto", "numpy", "c"),
                          help="kernel backend (repro.backends registry); "
                          "auto picks the fastest verified backend the "
                          "problem size amortizes, numpy is the bit-exact "
@@ -336,9 +336,10 @@ def _resolve_executor(args, spec, problem) -> None:
     k = args.k or spec.k
     nnz = problem.train.nnz
     if args.executor != "auto":
-        args.backend, _ = choose_backend(nnz, k, args.backend)
+        args.backend, reason = choose_backend(nnz, k, args.backend)
         if args.procs is None:
             args.procs = 4
+        print(f"kernel: backend={args.backend} ({reason})")
         return
     backend_name, _ = choose_backend(nnz, k, args.backend)
     if args.out_of_core:

@@ -65,20 +65,23 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
     "repro/parallel/threads.py": {
         "_replay_shard": _spec("rows", "cols"),
     },
+    "repro/backends/base.py": {
+        "replay_waves": _spec("rows", "cols"),
+    },
     "repro/parallel/procs.py": {
         "_run_blocks": _spec(),
     },
     # backend registry: the numpy reference backend's dispatch bodies sit on
-    # the same hot path as the kernels they delegate to (accelerated
-    # backends run jitted/device code the AST passes cannot see, so only
-    # their python-level launchers are registered)
+    # the same hot path as the kernels they delegate to (the c backend runs
+    # compiled code the AST passes cannot see, so only its python-level
+    # launchers are registered)
     "repro/backends/numpy_backend.py": {
         "NumpyBackend.wave_update": _spec("rows", "cols"),
         "NumpyBackend.serial_update": _spec(),
     },
-    "repro/backends/numba_backend.py": {
-        "NumbaBackend.wave_update": _spec("rows", "cols"),
-        "NumbaBackend.serial_update": _spec(),
+    "repro/backends/c_backend.py": {
+        "CBackend.replay": _spec("rows", "cols"),
+        "CBackend.bind": _spec("rows", "cols"),
     },
 }
 

@@ -5,8 +5,9 @@ The rest of :mod:`repro.core` *simulates* concurrency deterministically
 concurrency** — OS threads racing over shared NumPy arrays, and OS
 processes racing over :mod:`multiprocessing.shared_memory` segments —
 genuine Hogwild!, useful to validate that the simulated semantics match
-reality and as multi-core executors in their own right (NumPy kernels
-release the GIL; processes sidestep it entirely).
+reality and as multi-core executors in their own right (the compiled
+``c`` kernel releases the GIL for a whole plan shard; processes sidestep
+it entirely).
 """
 
 from repro.parallel.procs import ProcessHogwild

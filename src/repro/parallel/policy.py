@@ -20,10 +20,10 @@ hypothesis* and demands measured evidence before rejecting it:
    entries from oversubscribed runs (more workers than cores) are ignored:
    their ratios measure contention, not capacity.
 
-Backend choice is size-aware: the Numba JIT pays a multi-second compile on
-first launch, so it needs ``nnz >= JIT_NNZ`` to amortize; below that (or
-when Numba is absent) the NumPy reference wins. The CuPy stub is never
-auto-selected (it round-trips PCIe per wave — see its module docstring).
+Backend choice is size-aware: the compiled ``c`` kernel costs a cached
+load plus verification in every process (and one compile per host), so it
+needs ``nnz >= C_MIN_NNZ`` to amortize; below that (or without a C
+compiler) the NumPy reference wins.
 
 Decisions publish to the ambient metrics registry
 (``repro.policy.executor_selected`` / ``repro.backend.selected``) so runs
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 __all__ = [
     "ExecutorChoice",
     "SMALL_NNZ",
-    "JIT_NNZ",
+    "C_MIN_NNZ",
     "PARALLEL_MARGIN",
     "choose_backend",
     "choose_executor",
@@ -48,8 +48,11 @@ __all__ = [
 #: below this nnz, coordination overhead dominates any parallel win
 SMALL_NNZ = 200_000
 
-#: below this nnz, the Numba JIT compile cost cannot amortize
-JIT_NNZ = 10_000
+#: below this nnz, loading the c kernel costs more than it saves in one
+#: epoch: a cached load plus verification measured ~20 ms, and the kernel
+#: saves ~380 ns per update (numpy ~450 vs c ~70 ns on netflix-syn, k=32,
+#: 2-vCPU x86 host), so 20 ms / 380 ns ~ 50k updates
+C_MIN_NNZ = 50_000
 
 #: a parallel executor must beat serial by this measured factor before the
 #: policy will pick it (protects the >= 1.0 auto_vs_serial acceptance bar
@@ -63,7 +66,7 @@ class ExecutorChoice:
 
     executor: str  # "serial" | "threads" | "procs"
     n_workers: int
-    backend: str  # resolved backend name ("numpy", "numba", ...)
+    backend: str  # resolved backend name ("numpy" or "c")
     reason: str
 
     def as_dict(self) -> dict:
@@ -80,32 +83,36 @@ def choose_backend(nnz: int, k: int, requested: str = "auto") -> tuple[str, str]
 
     Returns ``(name, reason)``. An explicit request passes through
     untouched (``get_backend`` still gates and falls back); ``"auto"``
-    picks Numba only when it is importable and the problem is big enough
-    to amortize the JIT, else the NumPy reference.
+    picks ``c`` when a C compiler is present and the problem is big enough
+    to amortize loading the kernel, else the NumPy reference.
     """
     if requested not in (None, "auto"):
         return str(requested), "requested explicitly"
     from repro.backends import BackendType, available_backends
 
-    if BackendType.NUMBA in available_backends() and nnz >= JIT_NNZ:
-        return (
-            BackendType.NUMBA.value,
-            f"numba present and nnz={nnz} >= {JIT_NNZ} amortizes the JIT",
-        )
-    if BackendType.NUMBA in available_backends():
+    if BackendType.C not in available_backends():
+        return BackendType.NUMPY.value, "no accelerated backend available"
+    if nnz < C_MIN_NNZ:
         return (
             BackendType.NUMPY.value,
-            f"nnz={nnz} < {JIT_NNZ}: too small to amortize the numba JIT",
+            f"nnz={nnz} < {C_MIN_NNZ}: too small to amortize loading the "
+            "c kernel",
         )
-    return BackendType.NUMPY.value, "no accelerated backend available"
+    return (
+        BackendType.C.value,
+        f"c present and nnz={nnz} >= {C_MIN_NNZ} amortizes loading it",
+    )
 
 
-def evidence_from_ledger(ledger, cpu_count: int) -> dict | None:
+def evidence_from_ledger(ledger, cpu_count: int,
+                         backend: str | None = None) -> dict | None:
     """Latest usable parallel-bench ratios from a perf ledger, or None.
 
     Usable means: a ``benchmark == "parallel"`` entry recorded on a host
-    with the same ``cpu_count`` (speedup is a property of the silicon) and
-    not flagged ``oversubscribed``. The newest such entry wins.
+    with the same ``cpu_count`` (speedup is a property of the silicon),
+    with the same kernel ``backend`` when one is given (entries before the
+    backend was recorded ran numpy), and not flagged ``oversubscribed``.
+    The newest such entry wins.
     """
     if ledger is None:
         return None
@@ -116,6 +123,9 @@ def evidence_from_ledger(ledger, cpu_count: int) -> dict | None:
         metrics = entry.get("metrics", {})
         meta = entry.get("meta", {})
         if meta.get("cpu_count") != cpu_count:
+            continue
+        if backend is not None and \
+                entry.get("config", {}).get("backend", "numpy") != backend:
             continue
         if metrics.get("oversubscribed"):
             continue
@@ -169,7 +179,7 @@ def choose_executor(
             "coordination"
         )
     if evidence is None:
-        evidence = evidence_from_ledger(ledger, cpu_count)
+        evidence = evidence_from_ledger(ledger, cpu_count, backend_name)
     if not evidence:
         return serial(
             "no measured evidence (bench ratios or perf-ledger entry for "

@@ -1,7 +1,7 @@
 """Lock-free Hogwild! on OS processes over shared-memory feature matrices.
 
 :class:`ProcessHogwild` is the real-parallelism counterpart of the simulated
-executors in :mod:`repro.core` and the GIL-bound threads of
+executors in :mod:`repro.core` and the threads of
 :mod:`repro.parallel.threads`: P and Q live in
 :mod:`multiprocessing.shared_memory` segments, wrapped by
 :meth:`repro.core.model.FactorModel.from_buffers` so every worker process
@@ -10,12 +10,12 @@ updates allowed, exactly the HOGWILD! [Niu et al., 2011] semantics §5.1
 builds on. Each worker is the process analogue of the paper's GPU worker
 pool: it owns a static shard of the compiled
 :class:`~repro.sched.plan.EpochPlan` (a contiguous run of worker lanes, cut
-by :meth:`EpochPlan.shard`) and replays it wave by wave through its own
-private :class:`~repro.core.kernels.WaveWorkspace` — the shard loop
+by :meth:`EpochPlan.shard`) and replays it through its own private
+:class:`~repro.core.kernels.WaveWorkspace` — the shard entry
 :func:`repro.parallel.threads._replay_shard` that the thread executor runs
 too. With ``n_procs=1`` the single shard spans the full plan and execution
-is bit-identical to :class:`repro.core.hogwild.BatchHogwild` (pinned by
-``tests/test_parallel_procs.py``).
+is bit-identical to :class:`repro.core.hogwild.BatchHogwild` on the same
+backend (pinned by ``tests/test_parallel_procs.py``).
 
 Out-of-core mode swaps the in-memory rating shards for a
 :class:`~repro.data.blockstore.BlockStore`: each worker owns a static,
@@ -304,7 +304,6 @@ def _worker_main(cfg: _WorkerConfig) -> None:
 
         ws = WaveWorkspace()
         backend = get_backend(cfg.backend)
-        wave_update = backend.bind(ws)
         serial_update = backend.serial_update
         wrng = np.random.default_rng(cfg.seed_seq)
         out_of_core = cfg.store_root is not None
@@ -378,19 +377,19 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                             0.0, compute_s - s.wait_seconds
                         )
                     else:
-                        wu = wave_update
+                        observer = None
                         if san is not None:
                             # fresh wrapper per epoch: the shadow log keys
                             # every wave to (worker, epoch, wave)
-                            wu = san.wave_kernel(
-                                wave_update, wid=cfg.wid, epoch=epoch
+                            observer = san.wave_kernel(
+                                backend.bind(ws), wid=cfg.wid, epoch=epoch
                             )
                         # cut afresh: the parent refilled the shared matrix,
                         # so the workspace must gather the lanes again
-                        n = _replay_shard(ws, wu,
+                        n = _replay_shard(ws, backend,
                                           lanes.cut(matrix, lengths, epoch),
                                           model.p, model.q, rows, cols, vals,
-                                          lr, lam_p, lam_q)
+                                          lr, lam_p, lam_q, observer=observer)
                         compute_s = time.perf_counter() - t_c0
                         phases[cfg.wid, _PH_COMPUTE] += compute_s
                     counts[cfg.wid] = n

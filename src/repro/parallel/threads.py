@@ -3,8 +3,11 @@
 Each thread owns a column shard (:meth:`EpochPlan.shard`) of the plan the
 serial and process executors replay (:meth:`BatchHogwild.compiled_plan`) and
 walks every wave, running only its lanes on the *shared* P and Q, unlocked:
-within a wave the threads race for real (§5.1; Hogwild! [44]). One thread
-spans every live lane, so ``n_threads=1`` is bit-identical to serial.
+within a wave the threads race for real (§5.1; Hogwild! [44]). A shard is
+one ``backend.replay`` call; the compiled ``c`` backend holds no GIL for
+its length, so the threads compute at once, which the GIL-bound NumPy
+kernel never allows. One thread spans every live lane, so ``n_threads=1``
+is bit-identical to serial on the same backend.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.backends import get_backend, replay_waves
 from repro.core.hogwild import BatchHogwild
-from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
+from repro.core.kernels import WaveWorkspace
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import TrainHistory, run_epochs
@@ -39,27 +43,19 @@ __all__ = ["ThreadedHogwild"]
 SHARED_WRITE_OK = ("counts", "errors", "phases")
 
 
-def _replay_shard(ws, wave_update, shard: PlanShard, p, q, rows, cols, vals,
-                  lr, lam_p, lam_q) -> int:
-    """One epoch of one worker's plan shard, the hot loop of both parallel
-    executors (lint ``HOT_FUNCTIONS``); returns the updates made. As in
-    ``BatchHogwild.run_epoch``: one ``bind_plan`` gather, then one kernel
-    launch per wave over its live lanes (padding only trims from the right).
+def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
+                  lr, lam_p, lam_q, observer=None) -> int:
+    """One epoch of one worker's plan shard, the kernel entry of both
+    parallel executors; returns the updates made. Unobserved, the backend
+    replays the whole shard (``c``: one GIL-free foreign call); a per-wave
+    ``observer`` (the sanitizer's wrapper of ``backend.bind(ws)``) replays
+    it wave by wave, as ``BatchHogwild.run_epoch`` does when observed.
     """
-    rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
-    width = shard.width
-    updates = 0
-    with np.errstate(**UPDATE_ERRSTATE):
-        for wr, wc, wv, w in zip(rows_w, cols_w, vals_w, shard.lengths.tolist()):
-            if w != width:
-                if not w:
-                    continue
-                wr = wr[:w]
-                wc = wc[:w]
-                wv = wv[:w]
-            wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
-            updates += w
-    return updates
+    if observer is None:
+        return backend.replay(ws, shard, p, q, rows, cols, vals,
+                              lr, lam_p, lam_q)
+    return replay_waves(ws, observer, shard, p, q, rows, cols, vals,
+                        lr, lam_p, lam_q)
 
 
 class ThreadedHogwild:
@@ -104,14 +100,11 @@ class ThreadedHogwild:
 
     @contextmanager
     def _session(self, model: FactorModel, train: RatingMatrix):
-        """A fit's state: plan source, per-thread workspaces and kernels,
+        """A fit's state: backend, plan source, per-thread workspaces,
         telemetry; folded into tracer, stall report and registry at the end."""
-        from repro.backends import get_backend
-
-        backend = get_backend(self.backend)
+        self._backend = get_backend(self.backend)
         self._plans = BatchHogwild(workers=self.workers, f=self.f, seed=self.seed)
         self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
-        self._kernels = [backend.bind(ws) for ws in self._workspaces]
         # one intp cast shared by every workspace (each would cache its own)
         self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
         tracer = active_tracer()
@@ -161,11 +154,12 @@ class ThreadedHogwild:
         epoch, phases, tele = self._epochs_run, self._phases, self._tele
         counts = [0] * self.n_threads
         errors: list[BaseException] = []
-        kernels = self._kernels
+        backend, workspaces = self._backend, self._workspaces
+        observers = [None] * self.n_threads
         san = active_sanitizer()
         if san is not None:  # log every wave at (worker, epoch, wave)
-            kernels = [san.wave_kernel(kernel, wid=tid, epoch=epoch)
-                       for tid, kernel in enumerate(kernels)]
+            observers = [san.wave_kernel(backend.bind(ws), wid=tid, epoch=epoch)
+                         for tid, ws in enumerate(workspaces)]
         args = (model.p, model.q, *self._ids, vals, lr, lam_p, lam_q)
         dispatched = time.perf_counter()
 
@@ -173,7 +167,8 @@ class ThreadedHogwild:
             try:
                 t0 = time.perf_counter()
                 counts[tid] = n = _replay_shard(
-                    self._workspaces[tid], kernels[tid], shards[tid], *args)
+                    workspaces[tid], backend, shards[tid], *args,
+                    observer=observers[tid])
                 t1 = time.perf_counter()
                 # spawn = dispatch-to-entry latency, compute = gather + replay
                 phases[tid].seconds["spawn"] += t0 - dispatched

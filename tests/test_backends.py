@@ -8,6 +8,9 @@ Covers the dispatch layer introduced with :mod:`repro.backends`:
 * optional backends gate through verification (exact backends by
   ``tobytes``, accelerated by tolerance) and fall back to NumPy with a
   single per-process warning when absent or failing;
+* the compiled ``c`` backend agrees with NumPy within tolerance, rejects
+  bad inputs with an exception instead of a crash, and builds safely into
+  a cold cache from several processes at once;
 * :mod:`repro.parallel.policy` decisions are pinned over a
   (cpu_count, nnz, evidence) grid — serial is the null hypothesis and
   parallel requires measured evidence beating the margin.
@@ -15,8 +18,11 @@ Covers the dispatch layer introduced with :mod:`repro.backends`:
 
 from __future__ import annotations
 
-import importlib.util
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +36,14 @@ from repro.backends import (
     get_backend,
     verify_backend,
 )
+from repro.backends import c_backend
 from repro.backends import registry as backend_registry
 from repro.backends.numpy_backend import NumpyBackend
 from repro.core.kernels import WaveWorkspace, sgd_serial_update, sgd_wave_update
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+HAVE_CC = c_backend.find_compiler() is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler found")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -43,6 +52,14 @@ def clean_warnings(monkeypatch):
     warning behaviour from scratch (instances/verification stay cached —
     they are deterministic)."""
     monkeypatch.setattr(backend_registry, "_warned", set())
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, clean_warnings):
+    """A host without a C compiler: the lookup finds nothing and no ``c``
+    instance survives from earlier tests."""
+    monkeypatch.setattr(c_backend, "find_compiler", lambda: None)
+    monkeypatch.setattr(backend_registry, "_instances", {})
 
 
 def _problem(seed=5, nnz=600, m=60, n=50, k=8):
@@ -78,7 +95,7 @@ class TestRegistryResolution:
 
     def test_available_always_includes_numpy(self):
         assert BackendType.NUMPY in available_backends()
-        assert (BackendType.NUMBA in available_backends()) == HAVE_NUMBA
+        assert (BackendType.C in available_backends()) == HAVE_CC
 
     def test_status_map_covers_all_types(self):
         status = backend_status()
@@ -164,54 +181,184 @@ class TestVerificationAndFallback:
         with pytest.raises(BackendVerificationError, match="bit identity"):
             verify_backend(BrokenBackend())
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_missing_numba_falls_back_with_single_warning(
-        self, clean_warnings
+    def test_missing_c_compiler_falls_back_with_single_warning(
+        self, no_compiler
     ):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            backend = get_backend("numba")
+        with pytest.warns(RuntimeWarning, match="needs a C compiler"):
+            backend = get_backend("c")
         assert isinstance(backend, NumpyBackend)
         # second request: same fallback, no second warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert isinstance(get_backend("numba"), NumpyBackend)
+            assert isinstance(get_backend("c"), NumpyBackend)
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_auto_skips_absent_backends_silently(self, clean_warnings):
+    def test_auto_skips_absent_backends_silently(self, no_compiler):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert isinstance(get_backend("auto"), NumpyBackend)
 
-    def test_fallbacks_counted_in_ambient_registry(self, clean_warnings):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed; no fallback to count")
+    def test_fallbacks_counted_in_ambient_registry(self, no_compiler):
         from repro.obs import TelemetryCollector, activate
         from repro.obs.registry import M
 
         collector = TelemetryCollector(run_label="backend-fallback")
         with activate(collector), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            get_backend("numba")
-            get_backend("numba")  # warning dedups; the counter must not
+            get_backend("c")
+            get_backend("c")  # warning dedups; the counter must not
         assert collector.registry.value(
-            M.BACKEND_FALLBACKS, {"backend": "numba"}
+            M.BACKEND_FALLBACKS, {"backend": "c"}
         ) == 2
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_passes_tolerance_gate(self):
-        backend = get_backend("numba")
-        assert backend.name is BackendType.NUMBA
+
+# ---------------------------------------------------------------------------
+# the compiled c backend
+# ---------------------------------------------------------------------------
+@needs_cc
+class TestCBackend:
+    def test_c_passes_tolerance_gate(self):
+        backend = get_backend("c")
+        assert backend.name is BackendType.C
         assert not backend.exact
-        # tolerance agreement on a racy problem (duplicates allowed):
-        # conflict-free segments of a serial replay must agree closely
+        assert backend_status()["c"] == "verified"
+        # racy waves (repeated rows/cols resolve last-writer-wins in lane
+        # order, as numpy's scatter does) agree within the gate tolerance
         p_ref, q_ref, rows, cols, vals = _problem(seed=8)
         p_got, q_got = p_ref.copy(), q_ref.copy()
-        sgd_serial_update(p_ref, q_ref, rows, cols, vals, 0.05, 0.02, 0.02,
-                          max_wave=32)
-        backend.serial_update(p_got, q_got, rows, cols, vals,
-                              0.05, 0.02, 0.02, max_wave=32)
+        ref, got = WaveWorkspace(), backend.bind(WaveWorkspace())
+        for lo in range(0, len(rows), 64):
+            sl = slice(lo, lo + 64)
+            ref.wave_update(p_ref, q_ref, rows[sl], cols[sl], vals[sl],
+                            0.05, 0.02, 0.02)
+            got(p_got, q_got, rows[sl], cols[sl], vals[sl], 0.05, 0.02, 0.02)
         assert np.allclose(p_ref, p_got, rtol=1e-4, atol=1e-5)
         assert np.allclose(q_ref, q_got, rtol=1e-4, atol=1e-5)
+
+    def test_replay_matches_its_own_wave_kernel(self, tiny_problem):
+        """One foreign call per shard is the per-wave kernel, wave after
+        wave: the two entry points agree bit for bit."""
+        from repro.backends import replay_waves
+        from repro.core.hogwild import BatchHogwild
+        from repro.core.model import FactorModel
+
+        backend = get_backend("c")
+        train = tiny_problem.train
+        plan = BatchHogwild(workers=32, f=16, seed=4).compiled_plan(train.nnz)
+        models = [FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=4)
+                  for _ in range(2)]
+        args = (train.rows, train.cols, train.vals, 0.05, 0.02, 0.02)
+        ws = WaveWorkspace()
+        n = backend.replay(ws, plan, models[0].p, models[0].q, *args)
+        m = replay_waves(ws, backend.bind(ws), plan,
+                         models[1].p, models[1].q, *args)
+        assert n == m == train.nnz
+        assert models[0].p.tobytes() == models[1].p.tobytes()
+        assert models[0].q.tobytes() == models[1].q.tobytes()
+
+    def test_fit_rmse_matches_numpy_per_epoch(self, tiny_problem):
+        from repro.core.trainer import CuMFSGD
+
+        curves = {}
+        for backend in ("numpy", "c"):
+            est = CuMFSGD(k=8, workers=32, f=16, seed=5, backend=backend)
+            history = est.fit(tiny_problem.train, epochs=3,
+                              test=tiny_problem.test)
+            curves[backend] = np.array(history.test_rmse)
+        assert len(curves["c"]) == 3
+        assert np.all(np.abs(curves["c"] - curves["numpy"]) < 1e-3)
+
+    def test_oversubscribed_threads_apply_every_update(self, tiny_problem):
+        """Four GIL-free threads on two or fewer cores, switching often:
+        every sample is applied once per epoch and the racing fit still
+        converges like the serial one."""
+        from repro.core.trainer import CuMFSGD
+        from repro.parallel import ThreadedHogwild
+
+        train, test = tiny_problem.train, tiny_problem.test
+        serial = CuMFSGD(k=8, workers=32, f=16, seed=6, backend="c")
+        serial.fit(train, epochs=4, test=test)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            est = ThreadedHogwild(k=8, n_threads=4, workers=32, f=16, seed=6,
+                                  backend="c")
+            history = est.fit(train, epochs=4, test=test)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(est.thread_updates) == train.nnz
+        assert abs(history.final_test_rmse
+                   - serial.history.final_test_rmse) < 0.02
+
+    def test_fp16_storage_without_f16c_keeps_numpy_kernel(self, tiny_problem):
+        from repro.core.hogwild import BatchHogwild
+        from repro.core.model import FactorModel
+
+        train = tiny_problem.train
+        no_f16c = c_backend.CBackend()
+        no_f16c.fp16 = False
+        factors = []
+        for backend in ("numpy", no_f16c):
+            model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
+                                           seed=2, half_precision=True)
+            BatchHogwild(workers=32, f=16, seed=2, backend=backend).run_epoch(
+                model, train, 0.05, 0.02)
+            factors.append((model.p.tobytes(), model.q.tobytes()))
+        assert factors[0] == factors[1]
+
+    def test_out_of_range_id_raises_before_any_update(self, tiny_problem):
+        from repro.core.hogwild import BatchHogwild
+        from repro.core.model import FactorModel
+
+        backend = get_backend("c")
+        train = tiny_problem.train
+        model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=1)
+        before = model.p.copy()
+        plan = BatchHogwild(workers=32, f=16, seed=1).compiled_plan(train.nnz)
+        rows = train.rows.copy()
+        rows[-1] = train.n_rows  # one past the last row
+        with pytest.raises(IndexError, match="row ids"):
+            backend.replay(WaveWorkspace(), plan, model.p, model.q, rows,
+                           train.cols, train.vals, 0.05, 0.02, 0.02)
+        assert model.p.tobytes() == before.tobytes()
+        cols = np.array([0, -1], np.intp)
+        with pytest.raises(IndexError, match="leave the 300 x 200 model"):
+            backend.bind(WaveWorkspace())(
+                model.p, model.q, np.array([0, 1], np.intp), cols,
+                np.ones(2, np.float32), 0.05, 0.02, 0.02)
+        assert model.p.tobytes() == before.tobytes()
+
+    def test_fp64_model_and_ratings_rejected(self):
+        backend = get_backend("c")
+        p, q, rows, cols, vals = _problem(seed=9)
+        bound = backend.bind(WaveWorkspace())
+        with pytest.raises(ValueError, match="fp32 or fp16"):
+            bound(p.astype(np.float64), q.astype(np.float64), rows[:8],
+                  cols[:8], vals[:8], 0.05, 0.02, 0.02)
+        with pytest.raises(ValueError, match="fp32 ratings"):
+            bound(p, q, rows[:8], cols[:8], vals[:8].astype(np.float64),
+                  0.05, 0.02, 0.02)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            bound(np.asfortranarray(p), q, rows[:8], cols[:8], vals[:8],
+                  0.05, 0.02, 0.02)
+
+    def test_two_processes_build_into_a_cold_cache(self, tmp_path):
+        """Both compile into the same empty cache at once; the atomic
+        publish leaves one complete shared object that both load."""
+        script = (
+            "from repro.backends.c_backend import CBackend\n"
+            "b = CBackend()\n"
+            "print(b.path)\n"
+        )
+        env = dict(os.environ, REPRO_C_CACHE=str(tmp_path / "cache"),
+                   PYTHONPATH=str(SRC))
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        paths = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert paths[0] == paths[1]
+        built = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert built == [Path(paths[0]).name]  # no temp files left behind
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +426,15 @@ class TestExecutorPolicy:
         assert choice.n_workers == 2
 
     def test_backend_choice_is_size_aware(self):
-        from repro.parallel.policy import JIT_NNZ, choose_backend
+        from repro.parallel.policy import C_MIN_NNZ, choose_backend
 
         # explicit request passes through untouched
         assert choose_backend(100, 8, "numpy")[0] == "numpy"
-        assert choose_backend(100, 8, "cupy")[0] == "cupy"
-        name, reason = choose_backend(JIT_NNZ * 10, 8, "auto")
-        if HAVE_NUMBA:
-            assert name == "numba"
-            assert choose_backend(JIT_NNZ - 1, 8, "auto")[0] == "numpy"
+        assert choose_backend(100, 8, "c")[0] == "c"
+        name, reason = choose_backend(C_MIN_NNZ * 10, 8, "auto")
+        if HAVE_CC:
+            assert name == "c"
+            assert choose_backend(C_MIN_NNZ - 1, 8, "auto")[0] == "numpy"
         else:
             assert name == "numpy"
             assert "no accelerated backend" in reason
@@ -321,6 +468,25 @@ class TestExecutorPolicy:
         assert "oversubscribed" not in evidence
         assert evidence_from_ledger(ledger, cpu_count=64) is None
         assert evidence_from_ledger(None, cpu_count=8) is None
+
+    def test_evidence_must_match_the_backend(self, tmp_path):
+        """A speedup measured on one kernel says nothing about another;
+        entries without a recorded backend ran numpy."""
+        from repro.obs.ledger import PerfLedger
+        from repro.parallel.policy import evidence_from_ledger
+
+        ledger = PerfLedger(tmp_path / "ledger.jsonl")
+        for config, ratio in (({}, 1.5), ({"backend": "c"}, 1.2)):
+            ledger.append({
+                "benchmark": "parallel", "config": config,
+                "meta": {"cpu_count": 2},
+                "metrics": {"threads_vs_serial": ratio},
+            })
+        ratio = lambda backend: evidence_from_ledger(  # noqa: E731
+            ledger, 2, backend)["threads_vs_serial"]
+        assert ratio("numpy") == 1.5
+        assert ratio("c") == 1.2
+        assert ratio(None) == 1.2  # newest entry, any backend
 
     def test_publish_choice_emits_policy_metrics(self):
         from repro.obs import TelemetryCollector, activate

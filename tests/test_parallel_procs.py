@@ -7,9 +7,9 @@ Covers the contracts the parallel layer is built on:
 * ``BlockStore`` — the i x j mmap grid round-trips the COO multiset, and
   the double-buffered prefetcher stages every block with honest stats;
 * ``ProcessHogwild`` / ``ThreadedHogwild`` — one worker is bit-identical
-  to the serial compiled-plan executor (same RNG stream, same kernels, one
-  shard), and ``n_procs=4`` still converges despite real cross-process
-  races;
+  to the serial compiled-plan executor on the same kernel backend (same RNG
+  stream, same kernels, one shard), and ``n_procs=4`` still converges
+  despite real cross-process races;
 * the epoch loop — every executor's history times its epochs;
 * telemetry — both executors emit epoch events and publish their
   ``repro.proc.*`` / ``repro.thread.*`` metrics into the ambient registry.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends.c_backend import find_compiler
 from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
@@ -234,19 +235,25 @@ class TestProcessHogwild:
 
 
 class TestThreadedHogwild:
-    def test_one_worker_bit_identical_to_cumfsgd(self, tiny_problem):
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("c", marks=pytest.mark.skipif(
+            find_compiler() is None, reason="no C compiler found")),
+    ])
+    def test_one_worker_bit_identical_to_cumfsgd(self, tiny_problem, backend):
         """Threads and procs replay the serial executor's EpochPlan: with
-        one worker, both reproduce CuMFSGD's factors bit for bit."""
+        one worker, both reproduce CuMFSGD's factors bit for bit on the
+        same backend."""
         train = tiny_problem.train
         workers, f, seed = 32, 16, 3
         ref = CuMFSGD(k=8, scheme="batch_hogwild", workers=workers, f=f,
-                      lam=0.05, seed=seed)
+                      lam=0.05, seed=seed, backend=backend)
         ref.fit(train, epochs=3)
         for est in (
             ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=seed,
-                            workers=workers, f=f),
+                            workers=workers, f=f, backend=backend),
             ProcessHogwild(k=8, n_procs=1, lam=0.05, seed=seed,
-                           workers=workers, f=f),
+                           workers=workers, f=f, backend=backend),
         ):
             est.fit(train, epochs=3)
             assert est.model.p.tobytes() == ref.model.p.tobytes(), est

@@ -117,7 +117,9 @@ class TestBenchParallelSmoke:
         out = tmp_path / "BENCH_parallel.json"
         doc = bench_par.main(["--quick", "--out", str(out)])
         bench_par.validate_result(doc)  # raises on schema violations
-        assert doc["config"] == bench_par.QUICK_CONFIG
+        assert doc["config"] == bench_par.effective_config(
+            bench_par.QUICK_CONFIG)
+        assert doc["config"]["backend"] == doc["auto"]["backend"]
         assert doc["bit_identical"] is True  # n_procs=1 == serial plan path
         assert doc["metrics"]["cpu_count"] >= 1
         on_disk = json.loads(out.read_text())
@@ -144,7 +146,7 @@ class TestBenchParallelSmoke:
         good = {
             "benchmark": "parallel",
             "schema_version": bench_par.SCHEMA_VERSION,
-            "config": dict(bench_par.QUICK_CONFIG),
+            "config": bench_par.effective_config(bench_par.QUICK_CONFIG),
             "meta": {"git_sha": "abc123def456", "timestamp_utc": "t",
                      "hostname": "h", "cpu_count": 4},
             "metrics": metrics,
@@ -160,6 +162,7 @@ class TestBenchParallelSmoke:
             lambda d: d.update(benchmark="hot_path"),
             lambda d: d.update(schema_version=99),
             lambda d: d["config"].update(n_procs=0),
+            lambda d: d["config"].pop("backend"),
             lambda d: d["metrics"].update(procs_vs_serial=0),
             lambda d: d["metrics"].update(cpu_count=1.5),
             lambda d: d["metrics"].pop("ooc_vs_procs"),
@@ -207,7 +210,7 @@ class TestBenchParallelSmoke:
                               ("stall_report_ooc", "procs_ooc")):
             report = doc[key]
             assert report["executor"] == executor
-            assert len(report["workers"]) == bench_par.QUICK_CONFIG["n_procs"]
+            assert len(report["workers"]) == doc["config"]["n_procs"]
             for w in report["workers"]:
                 total = math.fsum(w["fractions"][p] for p in report["phases"])
                 assert abs(total - 1.0) <= 0.02
