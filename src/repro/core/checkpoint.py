@@ -53,7 +53,9 @@ def save_model(
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(
+            # uncompressed: trained fp32 factors barely shrink under zlib,
+            # which would cost more than the rest of the save
+            np.savez(
                 fh,
                 p=model.p,
                 q=model.q,

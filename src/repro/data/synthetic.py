@@ -191,6 +191,11 @@ def _sample_coordinates(
     Rejection-free for the sparse regimes we target: sample 64-bit flat keys,
     unique them, and top up until enough. Density in all registered specs is
     well below 10%, so a couple of rounds suffice.
+
+    The dedup sorts and drops repeats by hand. It returns exactly
+    ``np.unique``'s sorted keys, but numpy >= 2.3 finds integer uniques
+    through a hash table, which at these sizes is some 30x slower than one
+    sort.
     """
     total = m * n
     if count > total:
@@ -199,7 +204,12 @@ def _sample_coordinates(
     want = count
     while len(keys) < count:
         draw = rng.integers(0, total, size=int(want * 1.2) + 16, dtype=np.int64)
-        keys = np.unique(np.concatenate([keys, draw]))
+        merged = np.concatenate([keys, draw])
+        merged.sort()
+        first = np.empty(len(merged), dtype=bool)
+        first[:1] = True
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        keys = merged[first]
         want = count - len(keys)
     keys = rng.permutation(keys)[:count]
     return (keys // n).astype(np.int32), (keys % n).astype(np.int32)

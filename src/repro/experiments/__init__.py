@@ -1,11 +1,12 @@
 """Experiment harness: one module per paper table/figure.
 
 Every experiment is a function ``run(quick: bool = True) -> ExperimentResult``
-registered in :data:`repro.experiments.base.REGISTRY`. ``quick`` trades
-data-set size and epoch counts for runtime; the reported *shape* (who wins,
-by roughly what factor, where crossovers fall) is the reproduction target —
-absolute numbers live in the performance model, whose paper-scale parameters
-are used regardless of ``quick``.
+registered in :data:`repro.experiments.base.REGISTRY`, which imports the
+experiment modules on first use. ``quick`` trades data-set size and epoch
+counts for runtime; the reported *shape* (who wins, by roughly what factor,
+where crossovers fall) is the reproduction target — absolute numbers live
+in the performance model, whose paper-scale parameters are used regardless
+of ``quick``.
 
 Run from the CLI::
 
@@ -15,28 +16,5 @@ Run from the CLI::
 """
 
 from repro.experiments.base import REGISTRY, ExperimentResult, get_experiment, run_experiment
-
-# importing the modules populates the registry
-from repro.experiments import (  # noqa: F401
-    cost,
-    eq8,
-    fig02,
-    fig04,
-    fig05,
-    fig07,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    resilience,
-    roofline,
-    table2,
-    table4,
-    table5,
-)
 
 __all__ = ["REGISTRY", "ExperimentResult", "get_experiment", "run_experiment"]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "ExperimentResult",
@@ -96,8 +98,58 @@ class ExperimentResult:
         return [row[idx] for row in self.rows]
 
 
-#: experiment id -> run callable
-REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}
+#: the modules of :mod:`repro.experiments` that register experiments, one
+#: per paper table/figure
+EXPERIMENT_MODULES = (
+    "cost", "eq8", "fig02", "fig04", "fig05", "fig07", "fig09", "fig10",
+    "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "resilience",
+    "roofline", "table2", "table4", "table5",
+)
+
+
+class ExperimentRegistry(MutableMapping):
+    """Experiment id -> run callable, filled on first use.
+
+    The experiment modules import the baselines, the GPU model and scipy,
+    none of which ``cumf-sgd train`` runs, so the first read of the
+    registry imports :data:`EXPERIMENT_MODULES` instead of the package.
+    """
+
+    def __init__(self) -> None:
+        self._runs: dict[str, Callable[..., ExperimentResult]] = {}
+        self._loaded = False
+
+    def _load(self) -> dict[str, Callable[..., ExperimentResult]]:
+        if not self._loaded:
+            # set before importing: each module's @register reads the
+            # registry while it loads
+            self._loaded = True
+            try:
+                for name in EXPERIMENT_MODULES:
+                    importlib.import_module(f"repro.experiments.{name}")
+            except BaseException:
+                self._loaded = False
+                raise
+        return self._runs
+
+    def __getitem__(self, experiment_id: str) -> Callable[..., ExperimentResult]:
+        return self._load()[experiment_id]
+
+    def __setitem__(self, experiment_id: str,
+                    fn: Callable[..., ExperimentResult]) -> None:
+        self._load()[experiment_id] = fn
+
+    def __delitem__(self, experiment_id: str) -> None:
+        del self._load()[experiment_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._load())
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+
+REGISTRY = ExperimentRegistry()
 
 
 def register(experiment_id: str):

@@ -102,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list registered experiments")
 
     run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("experiment", choices=sorted(REGISTRY))
+    # the registry loads the experiment modules only when ``run`` checks an
+    # id; the metavar keeps argparse from listing the ids while building
+    run_p.add_argument("experiment", choices=REGISTRY, metavar="experiment",
+                       help="experiment id ('cumf-sgd list' shows them)")
     run_p.add_argument("--full", action="store_true", help="full-scale numeric runs")
     run_p.add_argument("--csv", type=Path, help="also write rows as CSV")
 

@@ -29,46 +29,39 @@ Entry points: ``repro lint`` / ``cumf-sgd lint`` (main CLI),
 tier-1 gate ``tests/test_lint_clean.py``. See ``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.lint.core import FileContext, Finding, LintPass
-from repro.lint.driver import (
-    DEFAULT_PASSES,
-    LintReport,
-    iter_python_files,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
-from repro.lint.hotpaths import HOT_FUNCTIONS, HotSpec, hot_path
-from repro.lint.races import (
-    check_epoch_plan,
-    check_round_grants,
-    check_serial_plan,
-    check_wavefront_sequences,
-    schedule_selfcheck,
-    simulate_wavefront_rounds,
-)
-from repro.lint.report import to_human, to_json, to_json_dict
+import importlib
 
-__all__ = [
-    "Finding",
-    "FileContext",
-    "LintPass",
-    "LintReport",
-    "DEFAULT_PASSES",
-    "run_lint",
-    "iter_python_files",
-    "load_baseline",
-    "write_baseline",
-    "HOT_FUNCTIONS",
-    "HotSpec",
-    "hot_path",
-    "check_serial_plan",
-    "check_epoch_plan",
-    "check_wavefront_sequences",
-    "check_round_grants",
-    "simulate_wavefront_rounds",
-    "schedule_selfcheck",
-    "to_human",
-    "to_json",
-    "to_json_dict",
-]
+#: public name -> the submodule defining it; imported on first access
+#: (PEP 562), so mounting the ``lint`` subcommand on the main CLI through
+#: :mod:`repro.lint.cli` loads none of the passes
+_EXPORTS = {
+    "FileContext": "core",
+    "Finding": "core",
+    "LintPass": "core",
+    "DEFAULT_PASSES": "driver",
+    "LintReport": "driver",
+    "iter_python_files": "driver",
+    "load_baseline": "driver",
+    "run_lint": "driver",
+    "write_baseline": "driver",
+    "HOT_FUNCTIONS": "hotpaths",
+    "HotSpec": "hotpaths",
+    "hot_path": "hotpaths",
+    "check_epoch_plan": "races",
+    "check_round_grants": "races",
+    "check_serial_plan": "races",
+    "check_wavefront_sequences": "races",
+    "schedule_selfcheck": "races",
+    "simulate_wavefront_rounds": "races",
+    "to_human": "report",
+    "to_json": "report",
+    "to_json_dict": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -10,8 +10,21 @@ reality and as multi-core executors in their own right (the compiled
 it entirely).
 """
 
-from repro.parallel.procs import ProcessHogwild
-from repro.parallel.threads import ThreadedHogwild
-from repro.parallel.wavefront_threads import ThreadedWavefront
+import importlib
 
-__all__ = ["ProcessHogwild", "ThreadedHogwild", "ThreadedWavefront"]
+#: public name -> the submodule defining it; imported on first access
+#: (PEP 562), so a thread or serial training never loads the process
+#: executor and its shared-memory machinery
+_EXPORTS = {
+    "ProcessHogwild": "procs",
+    "ThreadedHogwild": "threads",
+    "ThreadedWavefront": "wavefront_threads",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -1,8 +1,16 @@
 """Tests for the train/plan/throughput CLI subcommands."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPlanCommand:
@@ -103,3 +111,72 @@ class TestTrainExecutors:
         assert "blockstore:" in out
         assert "staging:" in out
         assert (tmp_path / "model.npz").exists()
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+#: runs the CLI on its arguments, then prints the loaded module names
+_TRAIN_THEN_LIST_MODULES = """
+import json, sys
+from repro.experiments.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(rc)
+"""
+
+
+def _unused_by_train(name: str) -> bool:
+    """Modules ``train`` does not run: the experiments, baselines, scipy,
+    the lint passes and the process executor."""
+    return (
+        name.split(".")[0] == "scipy"
+        or name.startswith("repro.baselines")
+        or (name.startswith("repro.experiments.")
+            and name not in ("repro.experiments.base", "repro.experiments.cli"))
+        or (name.startswith("repro.lint.") and name != "repro.lint.cli")
+        or name in ("repro.parallel.procs", "multiprocessing.shared_memory")
+    )
+
+
+class TestFreshInterpreter:
+    """In-process tests share ``sys.modules`` with every test before them,
+    so import leaks and the lazy experiment registry are checked in a new
+    interpreter."""
+
+    @pytest.mark.parametrize("executor", [
+        ["--executor", "serial"],
+        ["--executor", "threads", "--procs", "2"],
+    ], ids=["serial", "threads"])
+    def test_train_imports_only_what_it_runs(self, executor):
+        proc = _fresh_python(
+            "-c", _TRAIN_THEN_LIST_MODULES,
+            "train", "netflix-syn", "--epochs", "1", *executor,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "repro.data.synthetic" in loaded
+        assert [name for name in loaded if _unused_by_train(name)] == []
+
+    def test_list_loads_every_experiment(self):
+        proc = _fresh_python("-m", "repro.experiments.cli", "list")
+        assert proc.returncode == 0, proc.stderr
+        ids = [line.split()[0] for line in proc.stdout.splitlines()]
+        assert ids == [
+            "cost", "eq8", "fig10", "fig11", "fig12", "fig13", "fig14",
+            "fig15", "fig16", "fig2", "fig4", "fig5b", "fig7", "fig9",
+            "resilience", "roofline", "table2", "table4", "table5",
+        ]
+
+    def test_run_loads_the_registry(self):
+        proc = _fresh_python("-m", "repro.experiments.cli", "run", "fig15")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "8 of 24 orders" in proc.stdout

@@ -81,8 +81,6 @@ class TestCLIFailurePath:
 
         REGISTRY["zz-fail"] = failing
         try:
-            # argparse choices are bound at parser build time, so route
-            # through the registry-level runner instead
             from repro.experiments import run_experiment
 
             result = run_experiment("zz-fail")

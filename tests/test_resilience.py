@@ -269,7 +269,7 @@ class TestAtomicCheckpoint:
         def explode(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", explode)
+        monkeypatch.setattr(np, "savez", explode)
         other = FactorModel.initialize(m=50, n=40, k=8, seed=2)
         with pytest.raises(OSError, match="disk full"):
             save_model(path, other, epoch=6)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data.synthetic import (
     PAPER_DATASETS,
     SCALED_DATASETS,
     DatasetSpec,
+    _sample_coordinates,
     dataset_registry,
     make_synthetic,
     scaled_dataset,
@@ -109,3 +112,48 @@ class TestGeneration:
         spec = DatasetSpec("bad", m=10, n=10, k=4, n_train=95, n_test=10)
         with pytest.raises(ValueError, match="unique cells"):
             make_synthetic(spec, seed=0)
+
+
+def _np_unique_sample_coordinates(rng, m, n, count):
+    """The reference: ``_sample_coordinates`` as it was with ``np.unique``."""
+    total = m * n
+    if count > total:
+        raise ValueError(f"cannot draw {count} unique cells from a {m}x{n} grid")
+    keys = np.empty(0, dtype=np.int64)
+    want = count
+    while len(keys) < count:
+        draw = rng.integers(0, total, size=int(want * 1.2) + 16, dtype=np.int64)
+        keys = np.unique(np.concatenate([keys, draw]))
+        want = count - len(keys)
+    keys = rng.permutation(keys)[:count]
+    return (keys // n).astype(np.int32), (keys % n).astype(np.int32)
+
+
+@st.composite
+def _draws(draw):
+    """(m, n, count, seed), with the empty and the completely full grid."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 60))
+    count = draw(st.one_of(st.just(0), st.just(m * n), st.integers(0, m * n)))
+    return m, n, count, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampleCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(_draws())
+    @example((4_800, 1_780, 420_000, 1))  # netflix-syn's draw
+    def test_matches_np_unique_reference(self, case):
+        m, n, count, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_coordinates(rng, m, n, count)
+        want = _np_unique_sample_coordinates(ref_rng, m, n, count)
+        for ours, ref in zip(got, want):
+            assert ours.dtype == ref.dtype
+            np.testing.assert_array_equal(ours, ref)
+        # the same draws were consumed: the generators continue alike
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    def test_more_cells_than_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="unique cells"):
+            _sample_coordinates(np.random.default_rng(0), 3, 4, 13)
