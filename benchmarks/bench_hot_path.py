@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 import time
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from repro.obs.relay import WorkerTelemetry
 SCHEMA_VERSION = 3
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_hot_path.json"
 
-#: Worker-side profiling (phase timer + telemetry span + spool flush per
+#: Worker-side profiling (phase timer + telemetry span + drain per
 #: epoch) must cost < 5% of a serial epoch — same budget discipline as
 #: ``bench_obs_overhead.py``. Enforced by :func:`validate_result`.
 MAX_PROFILER_OVERHEAD = 0.05
@@ -144,43 +143,40 @@ def _profiler_overhead(sched, model, train) -> float:
     """Relative cost of per-epoch profiling on the serial hot path.
 
     Interleaves bare epochs with epochs wrapped in exactly the worker-side
-    instrumentation the parallel executors pay per epoch — a
-    :class:`PhaseTimer` compute phase, a :class:`WorkerTelemetry` span, and
-    a JSONL spool flush — and compares the per-variant *minima* (the
-    bench_obs_overhead.py methodology: additive noise cannot lower a
-    minimum, so each variant's best shot converges to its true cost).
-    Sampling is adaptive: stops early once the bound is comfortably met.
+    instrumentation the thread executor pays per epoch — a
+    :class:`PhaseTimer` compute phase and a :class:`WorkerTelemetry` span,
+    drained as the executor drains it — and compares the per-variant
+    *minima* (the bench_obs_overhead.py methodology: additive noise cannot
+    lower a minimum, so each variant's best shot converges to its true
+    cost). Sampling is adaptive: stops early once the bound is comfortably
+    met.
     """
     timer = PhaseTimer()
     base = prof = float("inf")
-    with tempfile.TemporaryDirectory(prefix="bench-hot-prof-") as tmp:
-        telemetry = WorkerTelemetry(
-            0, origin=time.perf_counter(),
-            spool_path=Path(tmp) / "worker_0000.jsonl",
-        )
+    telemetry = WorkerTelemetry(0, origin=time.perf_counter())
 
-        def bare() -> float:
-            t0 = time.perf_counter()
-            sched.run_epoch(model, train, 0.05, 0.05)
-            return time.perf_counter() - t0
+    def bare() -> float:
+        t0 = time.perf_counter()
+        sched.run_epoch(model, train, 0.05, 0.05)
+        return time.perf_counter() - t0
 
-        def profiled(epoch: int) -> float:
-            t0 = time.perf_counter()
-            with timer.phase("compute"):
-                with telemetry.span(f"epoch {epoch} compute") as span_args:
-                    n = sched.run_epoch(model, train, 0.05, 0.05)
-                    span_args["updates"] = n
-            telemetry.flush()
-            return time.perf_counter() - t0
+    def profiled(epoch: int) -> float:
+        t0 = time.perf_counter()
+        with timer.phase("compute"):
+            with telemetry.span(f"epoch {epoch} compute") as span_args:
+                n = sched.run_epoch(model, train, 0.05, 0.05)
+                span_args["updates"] = n
+        telemetry.drain()
+        return time.perf_counter() - t0
 
-        bare(), profiled(0)  # warm both paths
-        rounds = 0
-        while rounds < _PROF_MAX_ROUNDS:
-            base = min(base, bare())
-            prof = min(prof, profiled(rounds + 1))
-            rounds += 1
-            if rounds >= _PROF_MIN_ROUNDS and prof / base - 1.0 < _PROF_CONFIDENT:
-                break
+    bare(), profiled(0)  # warm both paths
+    rounds = 0
+    while rounds < _PROF_MAX_ROUNDS:
+        base = min(base, bare())
+        prof = min(prof, profiled(rounds + 1))
+        rounds += 1
+        if rounds >= _PROF_MIN_ROUNDS and prof / base - 1.0 < _PROF_CONFIDENT:
+            break
     return prof / base - 1.0
 
 

@@ -1,33 +1,29 @@
-"""Executor benchmark: serial vs threaded vs multiprocess Hogwild.
+"""Executor benchmark: serial vs threaded Hogwild, in core and out of core.
 
-Races the three CPU executors over the same synthetic problem and reports
-epochs/sec for each, plus ``ooc_vs_procs`` — the paired-ratio median of
-out-of-core over in-core procs epoch time (< 1 ⇒ streaming from the
-BlockStore is *faster* than in-core; the pre-v2 name ``ooc_overhead`` was
-a deprecated alias for one release and is gone in schema v3). v3 also
+Races the CPU executors over the same synthetic problem and reports
+epochs/sec for each, plus ``ooc_vs_threads`` — the paired-ratio median of
+out-of-core over in-core threads epoch time (lower is better: < 1 ⇒
+streaming from the BlockStore is *faster* than in core). The document also
 scores the **auto** policy: :func:`repro.parallel.policy.choose_executor`
-is resolved against the ratios this run just measured, its pick is aliased
+is resolved against the ratio this run just measured, its pick is aliased
 into the timing table, and ``auto_vs_serial`` records how the policy's
 choice fares against serial — exactly 1.0 when it (correctly) stays
 serial, ≥ the policy margin when it goes parallel, so the ≥ 1.0 acceptance
 bar holds without special-casing the host. ``oversubscribed`` flags runs
-with more workers than cores (their speedup ratios measure contention, not
+with more threads than cores (their speedup ratios measure contention, not
 capacity; perf-diff skips speedup gating on them). Each document also
-embeds the procs executors' :class:`~repro.obs.profiler.StallReport` phase
-attribution (``stall_report`` / ``stall_report_ooc``) and a ``meta``
-provenance stamp (git SHA, UTC timestamp, hostname, cpu count) for the
-perf ledger:
+embeds the thread executor's :class:`~repro.obs.profiler.StallReport`
+phase attribution (``stall_report`` in core, ``stall_report_ooc`` out of
+core) and a ``meta`` provenance stamp (git SHA, UTC timestamp, hostname,
+cpu count) for the perf ledger:
 
 * **serial** — :class:`repro.core.hogwild.BatchHogwild`, the compiled-plan
   single-core path (the bench_hot_path.py subject);
 * **threads** — :class:`repro.parallel.ThreadedHogwild`, per-thread
   replay of the same ``EpochPlan`` column shards over shared P/Q;
-* **procs** — :class:`repro.parallel.ProcessHogwild`, shared-memory
-  multiprocess batch-Hogwild! (each ``fit`` pays process spawn + shared
-  segment setup, amortized over the run's epochs — recorded as measured);
-* **procs (out-of-core)** — the same executor streaming mmap'd
-  :class:`repro.data.BlockStore` shards through the double-buffered
-  prefetcher instead of holding the ratings in shared memory.
+* **threads_ooc** — the same executor streaming mmap'd
+  :class:`repro.data.BlockStore` shards through per-thread double-buffered
+  prefetchers, one ``serial_update`` call per block.
 
 Timing: shared runners show *multiplicative* noise, so each headline ratio
 is the median of per-round paired ratios — every round times one full run
@@ -37,16 +33,16 @@ of each variant back to back, rotating which goes first to cancel drift
 Every variant runs on the kernel backend the auto policy resolves for the
 problem size (:func:`repro.parallel.policy.choose_backend`: ``c`` where a
 C compiler is present and nnz amortizes loading it, else numpy), recorded
-as ``config.backend``; ``n_threads``/``n_procs`` are capped at the core
-count, so the ratios measure capacity rather than oversubscription
+as ``config.backend``; ``n_threads`` is capped at the core count, so the
+ratios measure capacity rather than oversubscription
 (:func:`effective_config`).
 
 Scaling expectations depend on physical cores: the emitted document records
-``os.cpu_count()`` so a 1-core container's honest ~1x threads/procs ratios
-are not mistaken for a regression. The cross-executor *correctness*
-contract — ``ProcessHogwild(n_procs=1)`` bit-identical to the serial
-compiled-plan loop — is asserted on a fixed tiny problem regardless of the
-timing config and recorded as ``bit_identical``.
+``os.cpu_count()`` so a 1-core container's honest ~1x threads ratio is not
+mistaken for a regression. The cross-executor *correctness* contract —
+``ThreadedHogwild(n_threads=1)`` bit-identical to the serial compiled-plan
+loop — is asserted on a fixed tiny problem regardless of the timing config
+and recorded as ``bit_identical``.
 
 Run::
 
@@ -75,7 +71,7 @@ from repro.data.blockstore import BlockStore
 from repro.data.synthetic import DatasetSpec, make_synthetic
 from repro.obs.ledger import PerfLedger, bench_meta
 from repro.obs.profiler import StallReport
-from repro.parallel import ProcessHogwild, ThreadedHogwild
+from repro.parallel import ThreadedHogwild
 from repro.parallel.policy import choose_backend, choose_executor
 from repro.san import MODES, SanReport, activate_sanitizer, sanitizer_from_mode
 
@@ -86,33 +82,36 @@ from repro.san import MODES, SanReport, activate_sanitizer, sanitizer_from_mode
 # +oversubscribed flag, deprecated ooc_overhead alias removed
 # v4: +config.backend (the policy-resolved kernel backend every variant
 # runs on); n_threads/n_procs capped at cpu_count
-SCHEMA_VERSION = 4
+# v5: the process executor is gone: variants serial/threads/threads_ooc,
+# ooc_vs_threads replaces ooc_vs_procs, procs_vs_serial and config.n_procs
+# removed, stall reports come from threads
+SCHEMA_VERSION = 5
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 #: The acceptance configuration: nnz >= 1e6, k = 32, s = 128 workers.
 REFERENCE_CONFIG = {
     "m": 8_000, "n": 4_000, "k": 32, "nnz": 1_000_000,
     "workers": 128, "f": 256, "epochs": 3, "rounds": 3,
-    "n_threads": 4, "n_procs": 4, "grid": 4, "seed": 7,
+    "n_threads": 4, "grid": 4, "seed": 7,
 }
 #: Tiny variant for smoke tests — same code paths, seconds not minutes.
 QUICK_CONFIG = {
     "m": 800, "n": 400, "k": 16, "nnz": 40_000,
     "workers": 64, "f": 64, "epochs": 2, "rounds": 2,
-    "n_threads": 2, "n_procs": 2, "grid": 2, "seed": 7,
+    "n_threads": 2, "grid": 2, "seed": 7,
 }
 
 #: Variant keys in canonical order; ``metrics.{key}_epoch_seconds`` et al.
-VARIANTS = ("serial", "threads", "procs", "procs_ooc")
+VARIANTS = ("serial", "threads", "threads_ooc")
 
 
 def effective_config(config: dict) -> dict:
-    """``config`` as this host runs it: worker counts capped at the core
+    """``config`` as this host runs it: the thread count capped at the core
     count and the policy-resolved kernel backend added."""
     cpus = os.cpu_count() or 1
     backend, _ = choose_backend(config["nnz"], config["k"])
     return dict(config, n_threads=min(config["n_threads"], cpus),
-                n_procs=min(config["n_procs"], cpus), backend=backend)
+                backend=backend)
 
 
 def _timed(fn) -> float:
@@ -135,33 +134,25 @@ def _run_serial(config: dict, train) -> None:
         sched.run_epoch(model, train, schedule(epoch), 0.05)
 
 
-def _run_threads(config: dict, train) -> None:
+def _run_threads(config: dict, train,
+                 store: BlockStore | None = None) -> ThreadedHogwild:
     est = ThreadedHogwild(
         k=config["k"], n_threads=config["n_threads"], lam=0.05,
         seed=config["seed"], workers=config["workers"], f=config["f"],
-        backend=config["backend"],
-    )
-    est.fit(train, epochs=config["epochs"])
-
-
-def _run_procs(config: dict, train, store: BlockStore | None = None) -> ProcessHogwild:
-    est = ProcessHogwild(
-        k=config["k"], n_procs=config["n_procs"], lam=0.05,
-        seed=config["seed"], workers=config["workers"], f=config["f"],
-        store=store, backend=config["backend"],
+        backend=config["backend"], store=store,
     )
     est.fit(train if store is None else None, epochs=config["epochs"])
     return est
 
 
 def _sanitized_probe(config: dict, mode: str) -> dict:
-    """One sanitized :class:`ProcessHogwild` fit over the bench dataset.
+    """One sanitized :class:`ThreadedHogwild` fit over the bench dataset.
 
     Runs outside the timing loops (the sanitizer's cost is gated
-    separately, by ``bench_hot_path``); the report — findings, benign
-    race rate, lifecycle pairing — is embedded as the result doc's
-    optional ``sanitizer`` block, where :func:`validate_result` fails
-    the run on any finding.
+    separately, by ``bench_hot_path``); the report — findings and the
+    benign race rate — is embedded as the result doc's optional
+    ``sanitizer`` block, where :func:`validate_result` fails the run on
+    any finding.
     """
     spec = DatasetSpec(
         name="parallel-san", m=config["m"], n=config["n"], k=config["k"],
@@ -169,21 +160,16 @@ def _sanitized_probe(config: dict, mode: str) -> dict:
     )
     train = make_synthetic(spec, seed=1).train
     san = sanitizer_from_mode(mode)
-    est = ProcessHogwild(
-        k=config["k"], n_procs=config["n_procs"], lam=0.05,
-        seed=config["seed"], workers=config["workers"], f=config["f"],
-        backend=config["backend"],
-    )
     with activate_sanitizer(san):
-        est.fit(train, epochs=config["epochs"])
+        _run_threads(config, train)
     return san.finalize().as_dict()
 
 
 def _bit_identity_check(backend: str) -> bool:
-    """``ProcessHogwild(n_procs=1)`` vs the serial compiled-plan loop.
+    """``ThreadedHogwild(n_threads=1)`` vs the serial compiled-plan loop.
 
     Fixed tiny problem (independent of the timing config): same seed, same
-    schedule, same backend, two epochs — the single-shard process path must
+    schedule, same backend, two epochs — the single-shard thread path must
     reproduce the serial executor's factors bit for bit.
     """
     spec = DatasetSpec(name="bitcheck", m=120, n=80, k=8,
@@ -197,8 +183,8 @@ def _bit_identity_check(backend: str) -> bool:
     for epoch in range(epochs):
         sched.run_epoch(ref, train, schedule(epoch), 0.05)
 
-    est = ProcessHogwild(k=spec.k, n_procs=1, lam=0.05, seed=seed,
-                         workers=workers, f=f, backend=backend)
+    est = ThreadedHogwild(k=spec.k, n_threads=1, lam=0.05, seed=seed,
+                          workers=workers, f=f, backend=backend)
     est.fit(train, epochs=epochs)
     return (
         est.model.p.tobytes() == ref.p.tobytes()
@@ -221,18 +207,17 @@ def run_config(config: dict) -> dict:
             train, config["grid"], config["grid"], tmp,
             seed=config["seed"],
         )
-        # keep the last fitted procs estimators: their StallReports (phase
-        # accounting is always on, spooling only under a tracer — no timing
+        # keep the last fitted thread estimators: their StallReports (phase
+        # accounting is always on, spans only under a tracer — no timing
         # skew) become the doc's stall_report / stall_report_ooc
-        fitted: dict[str, ProcessHogwild] = {}
+        fitted: dict[str, ThreadedHogwild] = {}
         runs = [
             ("serial", lambda: _run_serial(config, train)),
-            ("threads", lambda: _run_threads(config, train)),
-            ("procs",
-             lambda: fitted.__setitem__("procs", _run_procs(config, train))),
-            ("procs_ooc",
+            ("threads",
+             lambda: fitted.__setitem__("threads", _run_threads(config, train))),
+            ("threads_ooc",
              lambda: fitted.__setitem__(
-                 "procs_ooc", _run_procs(config, train, store=store))),
+                 "threads_ooc", _run_threads(config, train, store=store))),
         ]
         for r in range(config["rounds"]):
             # rotate who goes first so frequency drift cancels in the medians
@@ -252,12 +237,11 @@ def run_config(config: dict) -> dict:
         metrics[f"{key}_epoch_seconds"] = best / epochs
         metrics[f"{key}_updates_per_sec"] = train.nnz * epochs / best
     metrics["threads_vs_serial"] = ratio("serial", "threads")
-    metrics["procs_vs_serial"] = ratio("serial", "procs")
-    # t(procs_ooc) / t(procs): < 1 means the out-of-core pipeline is
-    # *faster* than in-core procs, > 1 means staging costs wall time
-    metrics["ooc_vs_procs"] = ratio("procs_ooc", "procs")
+    # t(threads_ooc) / t(threads): < 1 means the out-of-core pipeline is
+    # *faster* than in-core threads, > 1 means staging costs wall time
+    metrics["ooc_vs_threads"] = ratio("threads_ooc", "threads")
     cpu_count = os.cpu_count() or 1
-    # auto variant: resolve the policy against the ratios just measured on
+    # auto variant: resolve the policy against the ratio just measured on
     # this host (the strongest evidence there is) and alias its pick into
     # the timing table — auto_vs_serial is exactly 1.0 when the policy
     # (correctly) stays serial, >= the policy margin when it goes parallel
@@ -265,18 +249,14 @@ def run_config(config: dict) -> dict:
         config["nnz"], config["k"], cpu_count=cpu_count,
         evidence={
             "threads_vs_serial": metrics["threads_vs_serial"],
-            "procs_vs_serial": metrics["procs_vs_serial"],
             "n_threads": config["n_threads"],
-            "n_procs": config["n_procs"],
         },
     )
     times["auto"] = times[choice.executor]
     metrics["auto_vs_serial"] = ratio("serial", "auto")
-    # more workers than cores: the speedup ratios above measure contention,
+    # more threads than cores: the speedup ratios above measure contention,
     # not capacity — perf-diff skips speedup gating on flagged runs
-    metrics["oversubscribed"] = (
-        max(config["n_threads"], config["n_procs"]) > cpu_count
-    )
+    metrics["oversubscribed"] = config["n_threads"] > cpu_count
     metrics["cpu_count"] = cpu_count
     return {
         "benchmark": "parallel",
@@ -285,8 +265,8 @@ def run_config(config: dict) -> dict:
         "meta": bench_meta(),
         "metrics": metrics,
         "auto": choice.as_dict(),
-        "stall_report": fitted["procs"].stall_report.as_dict(),
-        "stall_report_ooc": fitted["procs_ooc"].stall_report.as_dict(),
+        "stall_report": fitted["threads"].stall_report.as_dict(),
+        "stall_report_ooc": fitted["threads_ooc"].stall_report.as_dict(),
         "bit_identical": _bit_identity_check(config["backend"]),
     }
 
@@ -306,7 +286,7 @@ def validate_result(doc: dict) -> None:
     if not isinstance(config, dict):
         fail("config missing or not a mapping")
     for key in ("m", "n", "k", "nnz", "workers", "f", "epochs", "rounds",
-                "n_threads", "n_procs", "grid", "seed"):
+                "n_threads", "grid", "seed"):
         if not isinstance(config.get(key), int) or (
             key != "seed" and config[key] <= 0
         ):
@@ -319,8 +299,7 @@ def validate_result(doc: dict) -> None:
         fail("metrics missing or not a mapping")
     positive = [f"{key}_epoch_seconds" for key in VARIANTS]
     positive += [f"{key}_updates_per_sec" for key in VARIANTS]
-    positive += ["threads_vs_serial", "procs_vs_serial", "ooc_vs_procs",
-                 "auto_vs_serial"]
+    positive += ["threads_vs_serial", "ooc_vs_threads", "auto_vs_serial"]
     for key in positive:
         value = metrics.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -328,7 +307,7 @@ def validate_result(doc: dict) -> None:
             fail(f"metrics.{key} must be a positive number, got {value!r}")
     if "ooc_overhead" in metrics:
         fail("metrics.ooc_overhead was removed in schema v3 "
-             "(use metrics.ooc_vs_procs)")
+             "(use metrics.ooc_vs_threads)")
     # the auto acceptance bar: never lose to serial. Exactly 1.0 when the
     # policy stays serial (auto aliases the serial timings), >= the policy
     # margin when it picked a parallel executor on measured evidence.
@@ -343,7 +322,7 @@ def validate_result(doc: dict) -> None:
     auto = doc.get("auto")
     if not isinstance(auto, dict):
         fail("auto decision block missing or not a mapping")
-    if auto.get("executor") not in ("serial", "threads", "procs"):
+    if auto.get("executor") not in ("serial", "threads"):
         fail(f"auto.executor {auto.get('executor')!r} unknown")
     if not isinstance(auto.get("n_workers"), int) or auto["n_workers"] <= 0:
         fail(f"auto.n_workers must be a positive int, got {auto.get('n_workers')!r}")
@@ -365,10 +344,10 @@ def validate_result(doc: dict) -> None:
         except ValueError as exc:
             fail(f"{key}: {exc}")
     ooc = doc["stall_report_ooc"]
-    if doc["stall_report"].get("executor") != "procs":
-        fail("stall_report.executor must be 'procs'")
-    if ooc.get("executor") != "procs_ooc":
-        fail("stall_report_ooc.executor must be 'procs_ooc'")
+    if doc["stall_report"].get("executor") != "threads":
+        fail("stall_report.executor must be 'threads'")
+    if ooc.get("executor") != "threads_ooc":
+        fail("stall_report_ooc.executor must be 'threads_ooc'")
     if not isinstance(doc.get("bit_identical"), bool):
         fail("bit_identical must be a bool")
     if "sanitizer" in doc:  # optional block, present under --sanitize
@@ -399,7 +378,7 @@ def main(argv: list[str] | None = None) -> dict:
     )
     parser.add_argument(
         "--sanitize", choices=MODES, default="off",
-        help="also run one reprosan-instrumented procs fit and embed its "
+        help="also run one reprosan-instrumented threads fit and embed its "
              "report; any finding fails validation (default: off)",
     )
     args = parser.parse_args(argv)
@@ -417,14 +396,14 @@ def main(argv: list[str] | None = None) -> dict:
 
     m = doc["metrics"]
     print(f"nnz={config['nnz']:,} k={config['k']} "
-          f"threads={config['n_threads']} procs={config['n_procs']} "
+          f"threads={config['n_threads']} "
           f"cpus={m['cpu_count']} backend={config['backend']}")
     for key in VARIANTS:
         print(f"{key:11s}: {m[f'{key}_epoch_seconds'] * 1e3:9.2f} ms/epoch "
               f"({m[f'{key}_updates_per_sec'] / 1e6:.2f} M updates/s)")
     print(f"threads vs serial: {m['threads_vs_serial']:.2f}x   "
-          f"procs vs serial: {m['procs_vs_serial']:.2f}x   "
-          f"out-of-core vs procs: {m['ooc_vs_procs']:.2f}x (<1 means ooc faster)")
+          f"out-of-core vs threads: {m['ooc_vs_threads']:.2f}x "
+          "(<1 means ooc faster)")
     auto = doc["auto"]
     print(f"auto policy: {auto['executor']} / {auto['backend']} -> "
           f"{m['auto_vs_serial']:.2f}x vs serial ({auto['reason']})")
@@ -432,16 +411,18 @@ def main(argv: list[str] | None = None) -> dict:
         print("WARNING: oversubscribed (workers > cores) — speedup ratios "
               "measure contention, not capacity; perf-diff will not gate "
               "on them")
-    print(f"n_procs=1 bit-identical to serial: {doc['bit_identical']}")
+    print(f"n_threads=1 bit-identical to serial: {doc['bit_identical']}")
     if "sanitizer" in doc:
         s = doc["sanitizer"]
         rate = s["race"]["race_rate"]
         print(f"sanitizer ({s['mode']}): clean={s['clean']} "
               f"findings={len(s['findings'])} benign race rate={rate:.2%}")
-    agg = doc["stall_report"]["aggregate"]["fractions"]
-    print("procs stall attribution: " + "  ".join(
-        f"{phase}={agg[phase]:.1%}" for phase in doc["stall_report"]["phases"]
-    ))
+    for key in ("stall_report", "stall_report_ooc"):
+        report = doc[key]
+        agg = report["aggregate"]["fractions"]
+        print(f"{report['executor']} stall attribution: " + "  ".join(
+            f"{phase}={agg[phase]:.1%}" for phase in report["phases"]
+        ))
     print(f"wrote {args.out}")
     return doc
 

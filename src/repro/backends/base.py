@@ -19,9 +19,9 @@ of exactly that contract:
   to the pre-registry code path — same callable, same bits;
 * :meth:`KernelBackend.wave_update` — one concurrent wave (all reads from
   the pre-wave snapshot, racy write-back);
-* :meth:`KernelBackend.serial_update` — serial-equivalent replay of one
-  worker's sample run (conflict-free segmentation), the unit the
-  out-of-core block loop launches per block.
+* :meth:`KernelBackend.serial_update` — serial SGD over one worker's
+  samples in order, the unit the out-of-core block loop launches per
+  block (NumPy: conflict-free segments; ``c``: one foreign call).
 
 ``exact`` declares the verification gate: exact backends must reproduce the
 reference kernels bit for bit (``tobytes`` equality); accelerated backends
@@ -39,8 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
-from repro.sched.plan import SerialPlan
+from repro.core.kernels import UPDATE_ERRSTATE
 
 __all__ = ["BackendType", "KernelBackend", "estimate_memory_bytes",
            "replay_waves"]
@@ -103,16 +102,9 @@ class KernelBackend:
 
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
                       max_wave: int = 64, workspace=None):
-        """Serial-equivalent replay of one worker's sample run (see
-        :func:`repro.core.kernels.sgd_serial_update`): its conflict-free
-        segments, in order, through :meth:`bind`."""
-        wave_update = self.bind(
-            workspace if workspace is not None else WaveWorkspace())
-        plan = SerialPlan.compile(rows, cols, max_wave)
-        with np.errstate(**UPDATE_ERRSTATE):
-            for start, stop in zip(plan.starts.tolist(), plan.stops.tolist()):
-                wave_update(p, q, rows[start:stop], cols[start:stop],
-                            vals[start:stop], lr, lam_p, lam_q)
+        """Serial SGD over one worker's samples, in order (see
+        :func:`repro.core.kernels.sgd_serial_update`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -10,11 +10,14 @@ releases the GIL for the length of every call:
 * :meth:`CBackend.replay` runs a whole plan shard — every wave of one
   worker's epoch — in one foreign call;
 * :meth:`CBackend.bind` returns a per-wave callable for the observed paths
-  (sanitizer wrappers, kernel hooks, collision tracking).
+  (sanitizer wrappers, kernel hooks, collision tracking);
+* :meth:`CBackend.serial_update` runs one worker's samples as plain serial
+  SGD, in order, in one foreign call (an out-of-core block, say).
 
-Both keep the reference race semantics (snapshot gather, then a lane-order
-last-writer-wins scatter).  The dot product sums in a different fixed
-order, so the backend is tolerance-gated (``exact = False``).
+The wave entries keep the reference race semantics (snapshot gather, then
+a lane-order last-writer-wins scatter).  The dot product sums in a
+different fixed order, so the backend is tolerance-gated
+(``exact = False``).
 
 Build and cache
 ---------------
@@ -35,8 +38,8 @@ that are not C-contiguous fp32 (or fp16 with F16C) and ratings that are
 not fp32 (:class:`ValueError`), and row/column ids outside the model
 (:class:`IndexError`).  :meth:`CBackend.replay` checks the ids once per
 bound data array (:meth:`~repro.core.kernels.WaveWorkspace.check_ids`);
-the per-wave entry gets new id arrays every call, so the kernel checks
-those itself before the wave writes anything.
+the per-wave and serial entries get new id arrays every call, so the
+kernel checks those itself before it writes anything.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend, replay_waves
-from repro.core.kernels import WaveWorkspace
+from repro.core.kernels import WaveWorkspace, sgd_serial_update
 
 __all__ = ["CBackend", "build_library", "cache_dir", "find_compiler"]
 
@@ -150,10 +153,13 @@ class CBackend(KernelBackend):
         lib.cumf_wave.restype = ctypes.c_int
         lib.cumf_replay.argtypes = _REPLAY_ARGS
         lib.cumf_replay.restype = _I
+        lib.cumf_serial.argtypes = _WAVE_ARGS
+        lib.cumf_serial.restype = ctypes.c_int
         lib.cumf_has_fp16.argtypes = []
         lib.cumf_has_fp16.restype = ctypes.c_int
         self._wave = lib.cumf_wave
         self._replay = lib.cumf_replay
+        self._serial = lib.cumf_serial
         #: fp16 storage runs natively (compiled with F16C)
         self.fp16 = bool(lib.cumf_has_fp16())
 
@@ -243,3 +249,33 @@ class CBackend(KernelBackend):
         workspace scratch view, overwritten by the next wave)."""
         ws = workspace if workspace is not None else WaveWorkspace()
         return self.bind(ws)(p, q, rows, cols, vals, lr, lam_p, lam_q)
+
+    def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
+                      max_wave=64, workspace=None):
+        """Serial SGD over the samples in order, in one GIL-free foreign
+        call. ``max_wave`` sizes only the reference's conflict-free
+        segments, which a serial loop does not need; fp16 storage without
+        F16C runs :func:`~repro.core.kernels.sgd_serial_update`."""
+        half = self._storage(p, q)
+        if half is None:
+            return sgd_serial_update(p, q, rows, cols, vals, lr, lam_p, lam_q,
+                                     max_wave=max_wave, workspace=workspace)
+        _check_vals(vals)
+        rows = np.ascontiguousarray(rows, dtype=np.intp)  # lint: hotpath-alloc -- one id cast per call, O(n) beside the O(n*k) kernel
+        cols = np.ascontiguousarray(cols, dtype=np.intp)  # lint: hotpath-alloc -- one id cast per call, O(n) beside the O(n*k) kernel
+        vals = np.ascontiguousarray(vals)  # lint: hotpath-alloc -- packed block records: one O(n) copy per call
+        count = len(rows)
+        if len(cols) != count or len(vals) != count:
+            raise ValueError("rows, cols and vals differ in length")
+        ws = workspace if workspace is not None else WaveWorkspace()
+        (m, k), n = p.shape, q.shape[0]
+        pu, qv, err = ws.kernel_scratch(1, k)
+        if self._serial(p.ctypes.data, q.ctypes.data, half, k, m, n,
+                        rows.ctypes.data, cols.ctypes.data, vals.ctypes.data,
+                        count, pu.ctypes.data, qv.ctypes.data,
+                        err.ctypes.data, lr, lam_p, lam_q):
+            raise IndexError(
+                f"sample ids leave the {m} x {n} model: rows span "
+                f"[{rows.min()}, {rows.max()}], columns "
+                f"[{cols.min()}, {cols.max()}]"
+            )

@@ -16,6 +16,10 @@
  * product sums in a different fixed order (eight partial sums), which is
  * why the backend is held to a tolerance rather than bit identity.
  *
+ * cumf_serial is the other unit of work: one worker's samples updated
+ * one after another, each reading what the previous one wrote -- plain
+ * serial SGD, through the same one-lane arithmetic.
+ *
  * The Python launcher checks every array's dtype and layout, and for
  * cumf_replay the id range, before it calls in.
  */
@@ -145,4 +149,27 @@ idx_t cumf_replay(void *p, void *q, int half, idx_t k,
         updates += w;
     }
     return updates;
+}
+
+/* Serial SGD over `count` samples, in order: each update reads the factors
+ * the previous one wrote (a one-lane wave per sample).  Checks every id
+ * against the m x n model first and returns -1, having written nothing,
+ * when one is out of range. */
+int cumf_serial(void *p, void *q, int half, idx_t k, idx_t m, idx_t n,
+                const idx_t *rows, const idx_t *cols, const float *vals,
+                idx_t count, float *pu, float *qv, float *err,
+                float lr, float lam_p, float lam_q)
+{
+    for (idx_t i = 0; i < count; i++)
+        if ((uint64_t)rows[i] >= (uint64_t)m || (uint64_t)cols[i] >= (uint64_t)n)
+            return -1;
+    if (half)
+        for (idx_t i = 0; i < count; i++)
+            wave(p, q, 1, k, rows + i, cols + i, vals + i, 1,
+                 pu, qv, err, lr, lam_p, lam_q);
+    else
+        for (idx_t i = 0; i < count; i++)
+            wave(p, q, 0, k, rows + i, cols + i, vals + i, 1,
+                 pu, qv, err, lr, lam_p, lam_q);
+    return 0;
 }

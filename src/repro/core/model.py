@@ -64,33 +64,6 @@ class FactorModel:
         q = rng.uniform(0.0, hi, size=(n, k)).astype(dtype)
         return cls(p=p, q=q)
 
-    @classmethod
-    def from_buffers(
-        cls,
-        p_buf,
-        q_buf,
-        m: int,
-        n: int,
-        k: int,
-        dtype=np.float32,
-    ) -> "FactorModel":
-        """Attach zero-copy views over externally owned buffers.
-
-        ``p_buf`` / ``q_buf`` are writable buffer objects (e.g. the ``buf``
-        of a :class:`multiprocessing.shared_memory.SharedMemory` segment)
-        holding at least ``m*k`` / ``n*k`` elements of ``dtype``. The
-        returned model's P and Q are plain ``ndarray`` views into those
-        buffers — no bytes are copied, so every update a kernel applies is
-        immediately visible to every other process attached to the same
-        segment (the substrate of :class:`repro.parallel.procs.ProcessHogwild`).
-        The caller owns the buffer lifetime; detach by dropping the model.
-        """
-        if min(m, n, k) <= 0:
-            raise ValueError(f"m, n, k must be positive, got ({m}, {n}, {k})")
-        p = np.ndarray((m, k), dtype=dtype, buffer=p_buf)
-        q = np.ndarray((n, k), dtype=dtype, buffer=q_buf)
-        return cls(p=p, q=q)
-
     # ------------------------------------------------------------------
     @property
     def m(self) -> int:

@@ -11,7 +11,7 @@ arXiv:2304.13724). This module is the host-side analogue:
   as one ``.npy`` shard of packed 12-byte COO records
   (:data:`~repro.data.io.COO_DTYPE` — the exact Eq. 5 layout), plus a JSON
   manifest. Shards load back as zero-copy memory maps, so any number of
-  worker processes can read them concurrently through the page cache.
+  workers can read them concurrently through the page cache.
 * :class:`BlockPrefetcher` is the double-buffered staging pipeline: a
   background thread loads shard ``b+1`` into a preallocated staging buffer
   while the consumer computes on shard ``b`` — the same overlap the
@@ -26,6 +26,7 @@ registry under the ``repro.stage.*`` manifest names.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import queue
 import threading
@@ -50,7 +51,7 @@ _STORE_VERSION = 1
 #: the loader and only read by the consumer after join(); ``ready`` /
 #: ``slots`` are internally locked :class:`queue.Queue` hand-off channels;
 #: ``telemetry`` buffers span records via GIL-atomic list appends and is
-#: only flushed after the loader joins.
+#: only drained after the loader joins.
 SHARED_WRITE_OK = ("stats", "ready", "slots", "telemetry")
 
 #: Consumer stalls shorter than this render as noise, not signal — they
@@ -96,8 +97,8 @@ class BlockStore:
         block_<bi>_<bj>.npy        # packed COO_DTYPE records of block (bi, bj)
 
     Shards are written once by :meth:`create` and never mutated; readers
-    attach with :meth:`open` and map shards read-only, so concurrent worker
-    processes share one page-cache copy.
+    attach with :meth:`open` and map shards read-only, so concurrent
+    workers share one page-cache copy.
     """
 
     def __init__(self, root: str | Path, meta: dict) -> None:
@@ -399,8 +400,14 @@ class BlockPrefetcher:
     ``stage.stall`` span whenever the consumer blocks longer than
     :data:`STALL_SPAN_MIN_S` — the visible form of the exposed-transfer
     residue. Both sides append to the telemetry buffer under the GIL, and
-    the caller only flushes after iteration completes (the loader is joined
-    by then), so the hand-off needs no extra locking.
+    the caller only drains it after iteration completes (the loader is
+    joined by then), so the hand-off needs no extra locking.
+
+    The loader runs in a copy of the consumer's :mod:`contextvars`
+    context, so its shard loads see the consumer's ambient sanitizer (the
+    mmap lifecycle ledger). Under a numeric sanitizer every staged block is
+    checked before it is yielded; a bad one raises a
+    :class:`~repro.san.errors.SanitizerError` naming worker ``wid``.
 
     One prefetcher serves one consumer; create one per worker.
     """
@@ -411,6 +418,7 @@ class BlockPrefetcher:
         sequence: Iterable[tuple[int, int]],
         depth: int = 2,
         telemetry=None,
+        wid: int = 0,
     ) -> None:
         if depth < 1:
             raise ValueError(f"prefetch depth must be >= 1, got {depth}")
@@ -418,6 +426,7 @@ class BlockPrefetcher:
         self.sequence = list(sequence)
         self.depth = depth
         self.telemetry = telemetry
+        self.wid = wid
         capacity = max(store.max_block_nnz, 1)
         self._buffers = [
             np.empty(capacity, dtype=COO_DTYPE) for _ in range(depth)
@@ -460,8 +469,10 @@ class BlockPrefetcher:
             except BaseException as exc:  # pragma: no cover - defensive
                 ready.put(_LoaderFailure(exc))
 
+        # the consumer's context, not the empty one a new thread starts in
         thread = threading.Thread(
-            target=loader, name="block-prefetch", daemon=True
+            target=contextvars.copy_context().run, args=(loader,),
+            name="block-prefetch", daemon=True,
         )
         thread.start()
         try:
@@ -481,7 +492,8 @@ class BlockPrefetcher:
                 if sentry is not None:
                     # verify the staged ratings are finite before compute
                     # consumes them (catches corrupt shards at the source)
-                    sentry.check_block(buffers[slot]["r"][:n], coords)
+                    sentry.check_block(buffers[slot]["r"][:n], coords,
+                                       wid=self.wid)
                 yield coords, buffers[slot][:n]
                 slots.put(slot)
             thread.join()

@@ -7,13 +7,13 @@ Subcommands::
     cumf-sgd all [--full] [--outdir D]    # reproduce everything
     cumf-sgd train netflix-syn --epochs 20 --scheme wavefront
     cumf-sgd train netflix-syn --executor auto            # policy picks (default)
-    cumf-sgd train netflix-syn --executor procs --procs 4   # shared-memory Hogwild
+    cumf-sgd train netflix-syn --executor threads --procs 4   # Hogwild! threads
     cumf-sgd train netflix-syn --backend c                # fused C kernel (local cc)
-    cumf-sgd train netflix-syn --executor procs --out-of-core
+    cumf-sgd train netflix-syn --out-of-core              # stream blocks from disk
     cumf-sgd plan hugewiki --gpu pascal --devices 2
     cumf-sgd throughput --gpu maxwell --workers 768
     cumf-sgd trace fig07 --out results/fig07_trace.json       # Chrome trace
-    cumf-sgd train netflix-syn --executor procs --trace results/train_trace.json
+    cumf-sgd train netflix-syn --executor threads --trace results/train_trace.json
     cumf-sgd metrics-dump fig10 --out results/fig10_metrics.json
     cumf-sgd perf-diff                                    # gate BENCH_*.json
     cumf-sgd perf-diff --against results/perf_ledger.jsonl --record
@@ -30,10 +30,9 @@ checkpoint/rollback recovery via
 :class:`repro.resilience.trainer.ResilientTrainer`.
 
 ``train --trace PATH`` runs the training itself under telemetry and writes
-one merged multi-lane Chrome trace: the trainer's wall lane plus one lane
-per worker (``--executor procs``: per-process pid rows relayed through
-:class:`repro.obs.relay.TraceRelay`; ``--executor threads``: per-thread tid
-rows), and prints the :class:`repro.obs.profiler.StallReport` phase table.
+one merged multi-lane Chrome trace: the trainer's wall lane plus one
+per-thread tid row per worker of ``--executor threads``, and prints the
+:class:`repro.obs.profiler.StallReport` phase table.
 ``perf-diff`` compares fresh ``BENCH_*.json`` documents against the perf
 ledger (``results/perf_ledger.jsonl``) and exits 1 on a >15% regression in
 the gated throughput metrics; a missing baseline warns and exits 0 (the
@@ -118,13 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--scheme", default="batch_hogwild",
                          choices=("batch_hogwild", "wavefront", "multi_device"))
     train_p.add_argument("--executor", default="auto",
-                         choices=("auto", "serial", "threads", "procs"),
+                         choices=("auto", "serial", "threads"),
                          help="auto (default): pick per host/problem via "
                          "repro.parallel.policy (serial unless measured "
-                         "evidence says a parallel executor wins); serial: "
+                         "evidence says threads win); serial: "
                          "deterministic simulated executor (--scheme "
-                         "applies); threads: ThreadedHogwild; procs: "
-                         "shared-memory ProcessHogwild")
+                         "applies); threads: ThreadedHogwild")
     train_p.add_argument("--backend", default="auto",
                          choices=("auto", "numpy", "c"),
                          help="kernel backend (repro.backends registry); "
@@ -132,12 +130,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          "problem size amortizes, numpy is the bit-exact "
                          "reference")
     train_p.add_argument("--procs", type=int, default=None,
-                         help="worker threads/processes for "
-                         "--executor threads|procs (default: the auto-"
-                         "policy's choice, else 4)")
+                         help="worker threads for --executor threads "
+                         "(default: the auto-policy's choice, else 4)")
     train_p.add_argument("--out-of-core", action="store_true",
                          help="stage ratings from a temporary on-disk "
-                         "BlockStore (requires --executor procs)")
+                         "BlockStore (runs on --executor threads)")
     train_p.add_argument("--epochs", type=int, default=20)
     train_p.add_argument("--workers", type=int, default=64)
     train_p.add_argument("--k", type=int, default=None)
@@ -156,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run under the reprosan runtime sanitizer: "
                          "'races' audits the shadow access log (write "
                          "overlaps, ownership, benign race rate) and the "
-                         "shm/mmap lifecycle, 'numeric' adds sampled "
+                         "BlockStore mmap lifecycle, 'numeric' adds sampled "
                          "NaN/Inf/overflow/fp64-leak checks, 'all' both; "
                          "exits nonzero on any finding")
     train_p.add_argument("--san-report", type=Path,
@@ -165,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--trace", type=Path,
                          help="run under telemetry and write a merged "
                          "multi-lane Chrome trace here (one lane per "
-                         "worker for --executor threads|procs)")
+                         "worker for --executor threads)")
 
     plan_p = sub.add_parser("plan", help="plan a training configuration (§6.1 + §7.5)")
     plan_p.add_argument("dataset", help="paper-scale data set (netflix/yahoo/hugewiki)")
@@ -321,11 +318,11 @@ def _cmd_train_inner(args) -> int:
 def _resolve_executor(args, spec, problem) -> None:
     """Resolve ``--executor auto`` (the default) into a concrete executor.
 
-    Structural constraints first — ``--out-of-core`` only runs on procs;
+    Structural constraints first — ``--out-of-core`` only runs on threads;
     ``--fault-plan`` and the non-hogwild schemes only run on the serial
     simulators — then the measured-evidence policy of
     :mod:`repro.parallel.policy` (serial unless this host's perf ledger
-    shows a parallel executor beating serial). Also resolves
+    shows threads beating serial). Also resolves
     ``--backend auto`` to a concrete verified backend either way, and
     publishes the decision to any ambient metrics registry.
     """
@@ -347,8 +344,8 @@ def _resolve_executor(args, spec, problem) -> None:
     backend_name, _ = choose_backend(nnz, k, args.backend)
     if args.out_of_core:
         choice = ExecutorChoice(
-            "procs", args.procs or 4, backend_name,
-            "--out-of-core streams through the procs executor",
+            "threads", args.procs or 4, backend_name,
+            "--out-of-core streams through the threads executor",
         )
     elif args.fault_plan:
         choice = ExecutorChoice(
@@ -392,7 +389,7 @@ def _run_train(args) -> int:
     if args.executor != "serial":
         return _train_parallel(args, spec, problem)
     if args.out_of_core:
-        print("--out-of-core requires --executor procs", file=sys.stderr)
+        print("--out-of-core requires --executor threads", file=sys.stderr)
         return 2
     est = CuMFSGD(
         k=args.k or spec.k,
@@ -449,63 +446,50 @@ def _run_train(args) -> int:
 
 
 def _train_parallel(args, spec, problem) -> int:
-    """``train --executor threads|procs``: the real-parallelism executors."""
+    """``train --executor threads``: the real-parallelism executor, in
+    core or streaming a temporary BlockStore (``--out-of-core``)."""
+    import tempfile
+
     from repro.core.checkpoint import save_model
     from repro.core.lr_schedule import NomadSchedule
     from repro.metrics.throughput import ThroughputRecord
+    from repro.parallel.threads import ThreadedHogwild
 
     if args.fault_plan:
         print("--fault-plan is only supported with --executor serial",
               file=sys.stderr)
         return 2
-    if args.out_of_core and args.executor != "procs":
-        print("--out-of-core requires --executor procs", file=sys.stderr)
-        return 2
     if args.half:
-        print("note: --half is ignored by the parallel executors "
-              "(fp32 shared buffers)", file=sys.stderr)
+        print("note: --half is ignored by --executor threads "
+              "(fp32 factors)", file=sys.stderr)
     k = args.k or spec.k
-    lam = args.lam if args.lam is not None else spec.lam
-    schedule = NomadSchedule(alpha=spec.alpha, beta=spec.beta)
     start = time.perf_counter()
-    if args.executor == "threads":
-        from repro.parallel.threads import ThreadedHogwild
+    tmp = tempfile.TemporaryDirectory() if args.out_of_core else None
+    try:
+        store = None
+        if tmp is not None:
+            from repro.data.blockstore import BlockStore
 
-        est = ThreadedHogwild(k=k, n_threads=args.procs, lam=lam,
-                              schedule=schedule, seed=args.seed,
-                              workers=args.workers, backend=args.backend)
+            grid = max(2, args.procs)
+            store = BlockStore.create(problem.train, grid, grid, tmp.name,
+                                      seed=args.seed)
+            print(f"blockstore: {grid}x{grid} grid, "
+                  f"{store.max_block_nnz} max nnz/block -> {tmp.name}")
+        est = ThreadedHogwild(
+            k=k, n_threads=args.procs,
+            lam=args.lam if args.lam is not None else spec.lam,
+            schedule=NomadSchedule(alpha=spec.alpha, beta=spec.beta),
+            seed=args.seed, workers=args.workers, backend=args.backend,
+            store=store)
         history = est.fit(problem.train, epochs=args.epochs, test=problem.test)
-        per_worker = est.thread_updates
-    else:
-        import tempfile
-
-        from repro.data.blockstore import BlockStore
-        from repro.parallel.procs import ProcessHogwild
-
-        tmp = tempfile.TemporaryDirectory() if args.out_of_core else None
-        try:
-            store = None
-            if tmp is not None:
-                grid = max(2, args.procs)
-                store = BlockStore.create(problem.train, grid, grid, tmp.name,
-                                          seed=args.seed)
-                print(f"blockstore: {grid}x{grid} grid, "
-                      f"{store.max_block_nnz} max nnz/block -> {tmp.name}")
-            est = ProcessHogwild(k=k, n_procs=args.procs, lam=lam,
-                                 schedule=schedule, seed=args.seed,
-                                 workers=args.workers, store=store,
-                                 backend=args.backend)
-            history = est.fit(problem.train, epochs=args.epochs,
-                              test=problem.test)
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-        per_worker = est.worker_updates
-        if est.stage_stats is not None:
-            s = est.stage_stats
-            print(f"staging: {s.blocks_loaded} blocks, "
-                  f"{s.bytes_loaded / 1e6:.1f} MB loaded in "
-                  f"{s.load_seconds:.2f}s (stall {s.wait_seconds:.2f}s)")
+    finally:
+        if tmp is not None:
+            tmp.cleanup()
+    if est.stage_stats is not None:
+        s = est.stage_stats
+        print(f"staging: {s.blocks_loaded} blocks, "
+              f"{s.bytes_loaded / 1e6:.1f} MB loaded in "
+              f"{s.load_seconds:.2f}s (stall {s.wait_seconds:.2f}s)")
     elapsed = time.perf_counter() - start
     record = ThroughputRecord.from_history(
         history, problem.train.nnz, elapsed_seconds=elapsed,
@@ -516,7 +500,7 @@ def _train_parallel(args, spec, problem) -> int:
           f"(noise floor {problem.rmse_floor:.2f}) in {elapsed:.1f}s "
           f"({record.musec:.1f} M updates/s Eq.7) "
           f"across {args.procs} {args.executor}")
-    print(f"per-worker updates (last epoch): {per_worker}")
+    print(f"per-worker updates (last epoch): {est.thread_updates}")
     if est.stall_report is not None:
         print(est.stall_report.format())
     if args.save:

@@ -64,12 +64,10 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
     },
     "repro/parallel/threads.py": {
         "_replay_shard": _spec("rows", "cols"),
+        "_replay_blocks": _spec(),
     },
     "repro/backends/base.py": {
         "replay_waves": _spec("rows", "cols"),
-    },
-    "repro/parallel/procs.py": {
-        "_run_blocks": _spec(),
     },
     # backend registry: the numpy reference backend's dispatch bodies sit on
     # the same hot path as the kernels they delegate to (the c backend runs
@@ -82,6 +80,7 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
     "repro/backends/c_backend.py": {
         "CBackend.replay": _spec("rows", "cols"),
         "CBackend.bind": _spec("rows", "cols"),
+        "CBackend.serial_update": _spec("rows", "cols"),
     },
 }
 

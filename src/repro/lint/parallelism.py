@@ -1,13 +1,11 @@
 """Passes 6-7: parallel-machinery lifecycle discipline.
 
-The process executor (PR 6) and the reprosan lifecycle ledger both learned
-the hard way that POSIX shared memory and multiprocessing barriers fail
-*open*: a ``SharedMemory`` segment nobody unlinks outlives the process tree
-in ``/dev/shm``, and a ``Barrier.wait()`` with no timeout hangs the parent
-forever when a worker dies mid-epoch. reprosan catches both at runtime
-(:mod:`repro.san.lifecycle`, the crash watchdog in
-:mod:`repro.parallel.procs`); these passes catch the *patterns that make
-them possible* statically:
+POSIX shared memory and multiprocessing barriers fail *open*: a
+``SharedMemory`` segment nobody unlinks outlives the process tree in
+``/dev/shm``, and a ``Barrier.wait()`` with no timeout hangs the parent
+forever when a worker dies mid-epoch. No module in ``src/`` uses either
+today; these passes keep any that does from landing the *patterns that
+make those failures possible*:
 
 ``shm-lifecycle``
     A file that creates segments (``SharedMemory(create=True)``) must also

@@ -258,7 +258,8 @@ def _shared_write_allowlist(tree: ast.Module) -> set[str]:
 
 
 def _thread_target_names(tree: ast.Module) -> set[str]:
-    """Function names passed as ``target=`` to ``threading.Thread(...)``."""
+    """Function names a ``threading.Thread(...)`` runs: its ``target=``,
+    or the function a ``target=<context>.run`` runs (``args=(fn, ...)``)."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -269,9 +270,13 @@ def _thread_target_names(tree: ast.Module) -> set[str]:
         ) or (isinstance(func, ast.Name) and func.id == "Thread")
         if not is_thread:
             continue
-        for kw in node.keywords:
-            if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                out.add(kw.value.id)
+        kws = {kw.arg: kw.value for kw in node.keywords}
+        target, args = kws.get("target"), kws.get("args")
+        if (isinstance(target, ast.Attribute) and target.attr == "run"
+                and isinstance(args, ast.Tuple) and args.elts):
+            target = args.elts[0]
+        if isinstance(target, ast.Name):
+            out.add(target.id)
     return out
 
 

@@ -42,7 +42,7 @@ from repro.obs.hooks import (
 from repro.obs.ledger import PerfLedger, bench_meta, perf_diff
 from repro.obs.profiler import PHASES, PhaseTimer, StallReport, WorkerPhases
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
-from repro.obs.relay import TraceRelay, WorkerTelemetry, merge_records, read_spool
+from repro.obs.relay import WorkerTelemetry, merge_records
 from repro.obs.trace_schema import TraceValidationError, validate_chrome_trace
 from repro.obs.tracer import Tracer
 
@@ -72,10 +72,8 @@ __all__ = [
     "active_hooks",
     "active_registry",
     "active_tracer",
-    "TraceRelay",
     "WorkerTelemetry",
     "merge_records",
-    "read_spool",
     "PHASES",
     "PhaseTimer",
     "StallReport",

@@ -129,7 +129,7 @@ def is_speedup_metric(name: str) -> bool:
     """Whether a gated metric is a higher-is-better speedup *ratio*.
 
     ``speedup`` families and the ``*_vs_serial`` ratios qualify; plain
-    ``_vs_`` does not (``ooc_vs_procs`` is lower-is-better). Speedup
+    ``_vs_`` does not (``ooc_vs_threads`` is lower-is-better). Speedup
     ratios are skipped by :func:`perf_diff` when the run is flagged
     ``oversubscribed`` — with more workers than cores they measure
     contention, not capacity.

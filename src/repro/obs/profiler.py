@@ -10,15 +10,15 @@ classifies every worker's wall time into a fixed stall taxonomy:
     blocked on the epoch dispatch/completion barriers — load imbalance and
     parent-side latency show up here;
 ``spawn``
-    process/thread launch, shared-memory attach, and plan/buffer setup —
-    the fixed cost HOGWILD!-style executors amortize over epochs;
+    thread launch and plan/buffer setup — the fixed cost HOGWILD!-style
+    executors amortize over epochs;
 ``prefetch``
     consumer-side stalls waiting on the out-of-core
     :class:`~repro.data.blockstore.BlockPrefetcher` (the exposed, i.e.
     un-overlapped, transfer residue of the paper's §6.2 pipeline);
 ``replay``
-    everything else — plan gather/compile, per-epoch bookkeeping, spool
-    flushes. Computed as the residual ``wall − measured phases``, so the
+    everything else — plan gather/compile, per-epoch bookkeeping.
+    Computed as the residual ``wall − measured phases``, so the
     per-worker fractions sum to 1 by construction.
 
 :class:`StallReport` carries per-worker and aggregate phase seconds and
@@ -37,7 +37,6 @@ from typing import Iterator, Mapping
 
 __all__ = [
     "PHASES",
-    "BARRIER_WAIT_BUCKETS",
     "PhaseTimer",
     "WorkerPhases",
     "StallReport",
@@ -48,12 +47,6 @@ __all__ = [
 PHASES = ("compute", "barrier", "spawn", "prefetch", "replay")
 
 _MEASURED = tuple(p for p in PHASES if p != "replay")
-
-#: Bucket edges (seconds) for per-worker barrier-wait histograms: spans
-#: everything from an uncontended futex wake to a straggler-bound epoch.
-BARRIER_WAIT_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
-)
 
 
 class PhaseTimer:
@@ -182,8 +175,8 @@ class StallReport:
         run always observes wall time), and every worker's *measured*
         phase seconds must fit inside its wall clock: measured > wall
         means the producer read the accumulators while workers were still
-        writing them (the pre-join race fixed in ``ProcessHogwild``) — the
-        ``replay`` residual clamp used to hide exactly that corruption.
+        writing them — the ``replay`` residual clamp would hide exactly
+        that corruption.
         """
         for key in ("executor", "phases", "workers", "aggregate"):
             if key not in state:

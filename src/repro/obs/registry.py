@@ -406,12 +406,6 @@ class M:
     SIM_SCHED_UTILIZATION = "repro.sim.sched.utilization"
     # experiment harness
     EXP_ELAPSED_SECONDS = "repro.exp.elapsed_seconds"
-    # shared-memory process executor (ProcessHogwild)
-    PROC_WORKERS = "repro.proc.workers"
-    PROC_WORKER_UPDATES = "repro.proc.worker_updates"
-    PROC_SHM_BYTES = "repro.proc.shm_bytes"
-    PROC_BARRIER_WAIT_SECONDS = "repro.proc.barrier_wait_seconds"
-    PROC_EPOCHS = "repro.proc.epochs"
     # threaded executor (ThreadedHogwild)
     THREAD_WORKERS = "repro.thread.workers"
     THREAD_WORKER_UPDATES = "repro.thread.worker_updates"

@@ -1,57 +1,33 @@
-"""Cross-worker trace relay: per-worker span spools merged into one timeline.
+"""Worker-thread telemetry merged into the parent's trace.
 
-:class:`ProcessHogwild` workers live in other processes, so they cannot
-append to the parent's :class:`~repro.obs.tracer.Tracer` directly. Instead
-each worker owns a :class:`WorkerTelemetry` — a tracer-shaped buffer that
-records span/instant/counter events against a *shared clock origin* and
-spools them as JSONL, one file per worker id. After the epochs finish the
-parent's :class:`TraceRelay` reads every spool back and replays the events
-into the real tracer on per-worker lanes (``pid = WORKER_PID_BASE + wid``,
-named via ``Tracer.name_process`` / ``name_thread``), so ``cumf-sgd trace``
-renders a procs run as one multi-lane Chrome timeline alongside the
-parent's trainer lane.
-
-Clock alignment: ``time.perf_counter`` is CLOCK_MONOTONIC — one system-wide
-clock shared by every process on the host — so the parent hands workers its
-tracer's origin (``Tracer.origin``) and worker timestamps land directly on
-the parent's timeline with no skew correction. Timestamps are clamped at 0
-in the merge as a belt-and-braces guard (the trace schema rejects negative
-``ts``).
-
-Crash tolerance: a worker that dies mid-write leaves a truncated final
-JSONL line. :func:`read_spool` skips undecodable lines and counts them
-instead of raising — a crashed worker costs its tail events, never the
-whole trace.
-
-:class:`ThreadedHogwild` reuses :class:`WorkerTelemetry` in-memory (no
-spool file — same address space) and merges through the same
-:func:`merge_records`, with per-thread ``tid`` lanes under the wall pid.
+Worker threads do not append to the shared :class:`~repro.obs.tracer.Tracer`
+while they compute. Each owns a :class:`WorkerTelemetry` -- a tracer-shaped
+in-memory buffer that records span/instant/counter events against the
+tracer's clock origin -- and after the epochs the executor replays every
+buffer into the tracer with :func:`merge_records`, one thread lane per
+worker (``tid = THREAD_TID_BASE + wid`` under the trainer's ``WALL_PID``),
+so a threaded run renders as one multi-lane Chrome timeline next to the
+trainer lane. Timestamps are clamped at 0 in the merge (the trace schema
+rejects negative ``ts``).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import WALL_PID, Tracer
 
 __all__ = [
     "WorkerTelemetry",
-    "TraceRelay",
-    "read_spool",
     "merge_records",
-    "WORKER_PID_BASE",
     "THREAD_TID_BASE",
 ]
 
-#: Trace lane bases: each worker *process* gets its own pid row
-#: (``WORKER_PID_BASE + wid``); worker *threads* share the parent pid and
-#: fan out as tids (``THREAD_TID_BASE + tid``) so they nest under the
-#: trainer process in Perfetto. Chosen clear of WALL_PID(1)/SIM_PID(100).
-WORKER_PID_BASE = 200
+#: Trace lane base: worker threads share the parent pid and fan out as
+#: tids (``THREAD_TID_BASE + tid``), so they nest under the trainer process
+#: in Perfetto.
 THREAD_TID_BASE = 10
 
 
@@ -59,21 +35,18 @@ class WorkerTelemetry:
     """Worker-side event buffer with the tracer's span vocabulary.
 
     Every record carries the worker id and a timestamp relative to the
-    parent tracer's origin, so the merge is a pure replay. ``spool_path``
-    switches on JSONL spooling for cross-process use; without it the buffer
-    stays in memory and is collected via :meth:`drain` (thread executors).
+    parent tracer's origin, so the merge is a pure replay; the executor
+    collects the records with :meth:`drain`.
     """
 
     def __init__(
         self,
         wid: int,
         origin: float = 0.0,
-        spool_path: str | Path | None = None,
         clock=time.perf_counter,
     ) -> None:
         self.wid = int(wid)
         self.origin = float(origin)
-        self.spool_path = Path(spool_path) if spool_path is not None else None
         self._clock = clock
         self.records: list[dict] = []
 
@@ -156,169 +129,41 @@ class WorkerTelemetry:
         )
 
     # -- hand-off -------------------------------------------------------
-    def flush(self) -> int:
-        """Append buffered records to the spool file and clear the buffer.
-
-        One ``json.dumps`` line per record; the single ``write`` call keeps
-        lines intact under concurrent flushes. In-memory mode (no spool
-        path) this is a no-op so callers can flush unconditionally.
-        """
-        if self.spool_path is None or not self.records:
-            return 0
-        lines = "".join(
-            json.dumps(rec, sort_keys=True) + "\n" for rec in self.records
-        )
-        n = len(self.records)
-        self.records = []
-        with self.spool_path.open("a") as fh:
-            fh.write(lines)
-        return n
-
     def drain(self) -> list[dict]:
-        """Pop and return buffered records (in-memory hand-off)."""
+        """Pop and return buffered records."""
         records, self.records = self.records, []
         return records
 
 
-def read_spool(path: str | Path) -> tuple[list[dict], int]:
-    """Read one worker spool, tolerating a crashed writer.
-
-    Returns ``(records, n_corrupt)``: undecodable or non-dict lines (the
-    torn tail a killed worker leaves behind) are skipped and counted, never
-    fatal. A missing file reads as empty — a worker that died before its
-    first flush.
-    """
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        return [], 0
-    records: list[dict] = []
-    corrupt = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt += 1
-            continue
-        if isinstance(rec, dict) and rec.get("kind") in (
-            "span", "instant", "counter"
-        ):
-            records.append(rec)
-        else:
-            corrupt += 1
-    return records, corrupt
-
-
-def merge_records(
-    tracer: Tracer,
-    records: list[dict],
-    *,
-    label: str = "worker",
-    pid_base: int | None = None,
-    pid: int | None = None,
-    tid_base: int = THREAD_TID_BASE,
-) -> int:
-    """Replay worker records into ``tracer`` on per-worker lanes.
-
-    Lane assignment is one of two layouts:
-
-    * ``pid_base`` (default, process workers): worker ``w`` renders as its
-      own process row ``(pid_base + w, 0)``;
-    * ``pid`` + ``tid_base`` (thread workers): worker ``w`` renders as
-      thread row ``(pid, tid_base + w)`` under one shared process.
+def merge_records(tracer: Tracer, records: list[dict], *,
+                  label: str = "worker") -> int:
+    """Replay worker records into ``tracer``: worker ``w`` renders as
+    thread row ``(WALL_PID, THREAD_TID_BASE + w)``, named ``label:w``.
 
     Deterministic output order — all lane metadata first (workers sorted),
     then events sorted by ``(ts, wid)`` — so merged traces diff stably.
     Timestamps clamp at 0 (the schema's floor). Returns events replayed.
     """
-    if pid is not None and pid_base is not None:
-        raise ValueError("pass at most one of pid_base= or pid=")
-    if pid is None and pid_base is None:
-        pid_base = WORKER_PID_BASE
-
-    def lane(wid: int) -> tuple[int, int]:
-        if pid_base is not None:
-            return pid_base + wid, 0
-        return pid, tid_base + wid  # type: ignore[return-value]
-
+    pid = WALL_PID
     for wid in sorted({int(rec["wid"]) for rec in records}):
-        lp, lt = lane(wid)
-        if pid_base is not None:
-            tracer.name_process(lp, f"{label} {wid}")
-        tracer.name_thread(lp, lt, f"{label}:{wid}")
+        tracer.name_thread(pid, THREAD_TID_BASE + wid, f"{label}:{wid}")
     merged = 0
     for rec in sorted(records, key=lambda r: (r.get("ts", 0.0), r["wid"])):
-        lp, lt = lane(int(rec["wid"]))
+        tid = THREAD_TID_BASE + int(rec["wid"])
         ts = max(0.0, float(rec.get("ts", 0.0)))
         kind = rec["kind"]
         if kind == "span":
             tracer.add_span(
                 rec["name"], ts, float(rec.get("dur", 0.0)),
-                pid=lp, tid=lt, cat=rec.get("cat", "worker"),
+                pid=pid, tid=tid, cat=rec.get("cat", "worker"),
                 args=rec.get("args"),
             )
         elif kind == "instant":
             tracer.instant(
-                rec["name"], ts, pid=lp, tid=lt,
+                rec["name"], ts, pid=pid, tid=tid,
                 cat=rec.get("cat", "mark"), args=rec.get("args"),
             )
         else:  # counter
-            tracer.counter(rec["name"], rec.get("values", {}), ts, pid=lp, tid=lt)
+            tracer.counter(rec["name"], rec.get("values", {}), ts, pid=pid, tid=tid)
         merged += 1
     return merged
-
-
-class TraceRelay:
-    """Parent-side spool directory: hand out per-worker spool paths, then
-    merge whatever the workers managed to write."""
-
-    def __init__(self, spool_dir: str | Path) -> None:
-        self.spool_dir = Path(spool_dir)
-        self.spool_dir.mkdir(parents=True, exist_ok=True)
-        #: torn/undecodable lines seen by the last :meth:`read`
-        self.corrupt_lines = 0
-
-    def spool_path(self, wid: int) -> Path:
-        return self.spool_dir / f"worker_{int(wid):04d}.jsonl"
-
-    def worker_telemetry(self, wid: int, origin: float = 0.0) -> WorkerTelemetry:
-        return WorkerTelemetry(wid, origin=origin, spool_path=self.spool_path(wid))
-
-    def read(self) -> list[dict]:
-        """All spooled records across workers; corrupt lines are counted on
-        :attr:`corrupt_lines`, not raised."""
-        records: list[dict] = []
-        self.corrupt_lines = 0
-        for path in sorted(self.spool_dir.glob("worker_*.jsonl")):
-            recs, corrupt = read_spool(path)
-            records.extend(recs)
-            self.corrupt_lines += corrupt
-        return records
-
-    def merge_into(
-        self,
-        tracer: Tracer,
-        *,
-        label: str = "proc",
-        pid_base: int = WORKER_PID_BASE,
-    ) -> int:
-        """Read every spool and replay it into ``tracer`` (see
-        :func:`merge_records`). Returns events merged."""
-        return merge_records(
-            tracer, self.read(), label=label, pid_base=pid_base
-        )
-
-    def cleanup(self) -> None:
-        """Delete the spool files and (if then empty) the directory."""
-        for path in self.spool_dir.glob("worker_*.jsonl"):
-            try:
-                path.unlink()
-            except FileNotFoundError:  # pragma: no cover - racing cleanup
-                pass
-        try:
-            self.spool_dir.rmdir()
-        except OSError:  # pragma: no cover - foreign files present
-            pass

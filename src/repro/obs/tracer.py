@@ -48,9 +48,7 @@ class Tracer:
     def origin(self) -> float:
         """The raw clock reading that is this tracer's t=0. Hand it to
         worker-side clocks (:class:`repro.obs.relay.WorkerTelemetry`) so
-        their timestamps land on this tracer's timeline —
-        ``time.perf_counter`` is CLOCK_MONOTONIC, one clock for every
-        process on the host."""
+        their timestamps land on this tracer's timeline."""
         return self._origin
 
     # -- low-level emitters --------------------------------------------

@@ -2,23 +2,23 @@
 
 ``train --executor auto`` has one promise — **never lose to serial** — and
 this module is where that promise is enforced. The shipped
-BENCH_parallel.json is the cautionary tale: threads at 0.39x and procs at
-0.25x of serial on a 1-core container, because the executor was hardcoded
-while the host had no silicon to parallelize on (HOGWILD!'s lock-free win
-only materializes once per-worker compute dominates coordination, which
-needs real cores). The policy therefore treats *serial as the null
-hypothesis* and demands measured evidence before rejecting it:
+BENCH_parallel.json is the cautionary tale: threads at 0.42x of serial on
+a 1-core container, because the executor was hardcoded while the host had
+no silicon to parallelize on (HOGWILD!'s lock-free win only materializes
+once per-worker compute dominates coordination, which needs real cores).
+The policy therefore treats *serial as the null hypothesis* and demands
+measured evidence before rejecting it:
 
 1. ``cpu_count <= 1`` — serial, unconditionally (coordination cannot pay).
-2. ``nnz < SMALL_NNZ`` — serial (spawn/barrier overhead is fixed; small
-   problems never amortize it, whatever the core count).
-3. Otherwise parallel executors are considered only when **evidence** —
-   this host's measured ``threads_vs_serial`` / ``procs_vs_serial`` ratios,
-   either passed directly (bench_parallel passes the ratios it just
-   measured) or recovered from the perf ledger's latest comparable entry —
-   shows one of them beating serial by :data:`PARALLEL_MARGIN`. Ledger
-   entries from oversubscribed runs (more workers than cores) are ignored:
-   their ratios measure contention, not capacity.
+2. ``nnz < SMALL_NNZ`` — serial (thread dispatch/join overhead is fixed;
+   small problems never amortize it, whatever the core count).
+3. Otherwise threads are picked only when **evidence** — this host's
+   measured ``threads_vs_serial`` ratio, either passed directly
+   (bench_parallel passes the ratio it just measured) or recovered from the
+   perf ledger's latest comparable entry — shows them beating serial by
+   :data:`PARALLEL_MARGIN`. Ledger entries from oversubscribed runs (more
+   workers than cores) are ignored: their ratios measure contention, not
+   capacity.
 
 Backend choice is size-aware: the compiled ``c`` kernel costs a cached
 load plus verification in every process (and one compile per host), so it
@@ -64,7 +64,7 @@ PARALLEL_MARGIN = 1.05
 class ExecutorChoice:
     """One resolved auto-policy decision, with its audit trail."""
 
-    executor: str  # "serial" | "threads" | "procs"
+    executor: str  # "serial" | "threads"
     n_workers: int
     backend: str  # resolved backend name ("numpy" or "c")
     reason: str
@@ -106,7 +106,7 @@ def choose_backend(nnz: int, k: int, requested: str = "auto") -> tuple[str, str]
 
 def evidence_from_ledger(ledger, cpu_count: int,
                          backend: str | None = None) -> dict | None:
-    """Latest usable parallel-bench ratios from a perf ledger, or None.
+    """Latest usable parallel-bench ratio from a perf ledger, or None.
 
     Usable means: a ``benchmark == "parallel"`` entry recorded on a host
     with the same ``cpu_count`` (speedup is a property of the silicon),
@@ -134,14 +134,12 @@ def evidence_from_ledger(ledger, cpu_count: int,
         return None
     metrics = match["metrics"]
     out = {}
-    for key in ("threads_vs_serial", "procs_vs_serial"):
-        value = metrics.get(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = float(value)
-    config = match.get("config", {})
-    for key in ("n_threads", "n_procs"):
-        if isinstance(config.get(key), int):
-            out[key] = config[key]
+    value = metrics.get("threads_vs_serial")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out["threads_vs_serial"] = float(value)
+    n_threads = match.get("config", {}).get("n_threads")
+    if isinstance(n_threads, int):
+        out["n_threads"] = n_threads
     return out or None
 
 
@@ -156,11 +154,10 @@ def choose_executor(
 ) -> ExecutorChoice:
     """Resolve ``--executor auto`` for one training run.
 
-    ``evidence`` is a mapping with measured ``threads_vs_serial`` /
-    ``procs_vs_serial`` ratios (and optionally ``n_threads``/``n_procs``)
-    for *this* host; when absent it is recovered from ``ledger`` via
-    :func:`evidence_from_ledger`. No evidence means serial — auto never
-    gambles on an unmeasured host.
+    ``evidence`` is a mapping with the measured ``threads_vs_serial``
+    ratio (and optionally ``n_threads``) for *this* host; when absent it is
+    recovered from ``ledger`` via :func:`evidence_from_ledger`. No evidence
+    means serial — auto never gambles on an unmeasured host.
     """
     if cpu_count is None:
         import os
@@ -182,33 +179,20 @@ def choose_executor(
         evidence = evidence_from_ledger(ledger, cpu_count, backend_name)
     if not evidence:
         return serial(
-            "no measured evidence (bench ratios or perf-ledger entry for "
-            f"cpu_count={cpu_count}) that a parallel executor beats serial"
+            "no measured evidence (bench ratio or perf-ledger entry for "
+            f"cpu_count={cpu_count}) that threads beat serial"
         )
-    candidates = []
-    threads_ratio = evidence.get("threads_vs_serial", 0.0)
-    procs_ratio = evidence.get("procs_vs_serial", 0.0)
-    if threads_ratio >= PARALLEL_MARGIN:
-        candidates.append(
-            ("threads", threads_ratio,
-             int(evidence.get("n_threads") or min(cpu_count, 4)))
-        )
-    if procs_ratio >= PARALLEL_MARGIN:
-        candidates.append(
-            ("procs", procs_ratio,
-             int(evidence.get("n_procs") or min(cpu_count, 4)))
-        )
-    if not candidates:
+    ratio = evidence.get("threads_vs_serial", 0.0)
+    if ratio < PARALLEL_MARGIN:
         return serial(
-            f"measured threads_vs_serial={threads_ratio:.2f} / "
-            f"procs_vs_serial={procs_ratio:.2f} below the "
+            f"measured threads_vs_serial={ratio:.2f} below the "
             f"{PARALLEL_MARGIN}x margin"
         )
-    executor, ratio, n_workers = max(candidates, key=lambda c: c[1])
+    n_workers = int(evidence.get("n_threads") or min(cpu_count, 4))
     n_workers = max(2, min(n_workers, cpu_count))
     return ExecutorChoice(
-        executor, n_workers, backend_name,
-        f"measured {executor}_vs_serial={ratio:.2f} >= {PARALLEL_MARGIN}x "
+        "threads", n_workers, backend_name,
+        f"measured threads_vs_serial={ratio:.2f} >= {PARALLEL_MARGIN}x "
         f"on a cpu_count={cpu_count} host ({backend_reason})",
     )
 

@@ -1,17 +1,28 @@
 """Lock-free batch-Hogwild! on real OS threads.
 
 Each thread owns a column shard (:meth:`EpochPlan.shard`) of the plan the
-serial and process executors replay (:meth:`BatchHogwild.compiled_plan`) and
-walks every wave, running only its lanes on the *shared* P and Q, unlocked:
-within a wave the threads race for real (§5.1; Hogwild! [44]). A shard is
-one ``backend.replay`` call; the compiled ``c`` backend holds no GIL for
-its length, so the threads compute at once, which the GIL-bound NumPy
-kernel never allows. One thread spans every live lane, so ``n_threads=1``
-is bit-identical to serial on the same backend.
+serial executor replays (:meth:`BatchHogwild.compiled_plan`) and walks every
+wave, running only its lanes on the *shared* P and Q, unlocked: within a
+wave the threads race for real (§5.1; Hogwild! [44]). A shard is one
+``backend.replay`` call; the compiled ``c`` backend holds no GIL for its
+length, so the threads compute at once, which the GIL-bound NumPy kernel
+never allows. One thread spans every live lane, so ``n_threads=1`` is
+bit-identical to serial on the same backend.
+
+Out of core (``store=``) the ratings stay on disk in a
+:class:`~repro.data.blockstore.BlockStore`. Each thread owns an
+nnz-balanced set of the store's grid blocks, visits them in an order it
+draws afresh every epoch from its own ``SeedSequence(seed).spawn(n_threads)``
+stream, and streams them through its own double-buffered
+:class:`~repro.data.blockstore.BlockPrefetcher`: the next block loads
+while this one computes (§6.2). Each block is one
+``backend.serial_update`` call, the worker updating its samples serially
+(§5.1) -- on ``c``, one GIL-free foreign call per block.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from contextlib import contextmanager
@@ -24,23 +35,24 @@ from repro.core.kernels import WaveWorkspace
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import TrainHistory, run_epochs
+from repro.data.blockstore import BlockPrefetcher, BlockStore, PrefetchStats
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
 from repro.obs.context import active_registry, active_tracer
 from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
 from repro.obs.profiler import StallReport, WorkerPhases
 from repro.obs.registry import M
-from repro.obs.relay import THREAD_TID_BASE, WorkerTelemetry, merge_records
-from repro.obs.tracer import WALL_PID
+from repro.obs.relay import WorkerTelemetry, merge_records
 from repro.san.core import active_sanitizer
 from repro.sched.plan import PlanShard
 
 __all__ = ["ThreadedHogwild"]
 
 #: Shared names worker threads may mutate (``race-shared-write`` lint):
-#: ``counts``/``phases`` are write-disjoint per thread id, ``errors.append``
-#: is GIL-atomic. P and Q races are the point of Hogwild! (in the kernel).
-SHARED_WRITE_OK = ("counts", "errors", "phases")
+#: ``counts``/``phases``/``staged`` are write-disjoint per thread id,
+#: ``errors.append`` is GIL-atomic. P and Q races are the point of Hogwild!
+#: (in the kernel).
+SHARED_WRITE_OK = ("counts", "errors", "phases", "staged")
 
 
 def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
@@ -58,11 +70,36 @@ def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
                         lr, lam_p, lam_q)
 
 
+def _replay_blocks(ws, backend, prefetcher, p, q, lr, lam_p, lam_q,
+                   max_wave, san=None, wid=0, epoch=0) -> int:
+    """One epoch of one thread's out-of-core blocks; returns the updates
+    made. Blocks arrive through the prefetcher (the next one loads while
+    this one computes) and each is one ``backend.serial_update`` call, the
+    paper's chunk size capping the NumPy reference's conflict-free
+    segments. With a sanitizer attached, each block's coverage lands in the
+    shadow access log for the exactly-once audit.
+    """
+    updates = 0
+    for seq, (_, rec) in enumerate(prefetcher):
+        rows = rec["u"]
+        cols = rec["v"]
+        backend.serial_update(p, q, rows, cols, rec["r"], lr, lam_p, lam_q,
+                              max_wave=max_wave, workspace=ws)
+        if san is not None:
+            san.block_executed(wid, epoch, seq, rows, cols)
+        updates += len(rec)
+    return updates
+
+
 class ThreadedHogwild:
     """Batch-Hogwild! SGD over ``n_threads`` OS threads, non-deterministic
     for ``n_threads > 1``. ``workers``/``f`` shape the shared epoch plan.
-    One ``on_kernel`` event per thread shard per epoch; ``repro.thread.*``
-    metrics go to the ambient registry."""
+    A ``store`` (:class:`~repro.data.blockstore.BlockStore`) streams the
+    ratings from disk instead, each thread replaying its own blocks
+    serially (``f`` caps the NumPy reference's segments); ``fit`` then
+    needs no ``train``. One ``on_kernel`` event per thread per epoch;
+    ``repro.thread.*`` (and, out of core, ``repro.stage.*``) metrics go to
+    the ambient registry."""
 
     def __init__(
         self,
@@ -75,10 +112,11 @@ class ThreadedHogwild:
         f: int = 256,
         scale_factor: float = 1.0,
         backend: object | None = None,
+        store: BlockStore | None = None,
     ) -> None:
         if min(k, n_threads, workers, f) <= 0:
             raise ValueError("k, n_threads, workers, f must be positive")
-        if n_threads > workers:
+        if n_threads > workers and store is None:
             raise ValueError(f"n_threads={n_threads} exceeds the plan's "
                              f"{workers} worker lanes")
         self.k = k
@@ -91,34 +129,47 @@ class ThreadedHogwild:
         self.scale_factor = scale_factor
         #: kernel backend (name / BackendType / instance; None = numpy)
         self.backend = backend
+        self.store = store
         self.model: FactorModel | None = None
         self.history: TrainHistory | None = None
         #: number of updates each thread performed in the last epoch
         self.thread_updates: list[int] = []
         #: phase attribution of the last :meth:`fit`
         self.stall_report: StallReport | None = None
+        #: staging totals of the last out-of-core :meth:`fit`
+        self.stage_stats: PrefetchStats | None = None
 
     @contextmanager
-    def _session(self, model: FactorModel, train: RatingMatrix):
+    def _session(self, model: FactorModel, train: RatingMatrix | None):
         """A fit's state: backend, plan source, per-thread workspaces,
         telemetry; folded into tracer, stall report and registry at the end."""
         self._backend = get_backend(self.backend)
-        self._plans = BatchHogwild(workers=self.workers, f=self.f, seed=self.seed)
         self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
-        # one intp cast shared by every workspace (each would cache its own)
-        self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
+        phases = {"spawn": 0.0, "compute": 0.0}
+        if self.store is None:
+            self._plans = BatchHogwild(workers=self.workers, f=self.f,
+                                       seed=self.seed)
+            # one intp cast shared by every workspace (each would cache its own)
+            self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
+        else:
+            self._blocks = self.store.assign(self.n_threads)
+            self._rngs = [np.random.default_rng(s) for s in
+                          np.random.SeedSequence(self.seed).spawn(self.n_threads)]
+            self.stage_stats = PrefetchStats()
+            phases["prefetch"] = 0.0
         tracer = active_tracer()
         self._tele = [] if tracer is None else [
             WorkerTelemetry(t, origin=tracer.origin) for t in range(self.n_threads)]
-        self._phases = [WorkerPhases(tid, 0.0, {"spawn": 0.0, "compute": 0.0})
+        self._phases = [WorkerPhases(tid, 0.0, dict(phases))
                         for tid in range(self.n_threads)]
         self._totals = [0] * self.n_threads
         self._epochs_run = 0
         yield model
         if self._tele:
             merge_records(tracer, [r for wt in self._tele for r in wt.drain()],
-                          label="thread", pid=WALL_PID, tid_base=THREAD_TID_BASE)
-        self.stall_report = StallReport("threads", self._phases)
+                          label="thread")
+        self.stall_report = StallReport(
+            "threads" if self.store is None else "threads_ooc", self._phases)
         registry = active_registry()
         if registry is not None:
             registry.gauge(M.THREAD_WORKERS).set(self.n_threads)
@@ -126,25 +177,37 @@ class ThreadedHogwild:
                 labels = {"thread": tid}
                 registry.counter(M.THREAD_WORKER_UPDATES, labels).inc(count)
             self.stall_report.publish(registry)
+            if self.stage_stats is not None:
+                self.stage_stats.publish()
 
-    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
-                  lam_p: float, lam_q: float | None = None,
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix | None,
+                  lr: float, lam_p: float, lam_q: float | None = None,
                   hooks: TrainerHooks | None = None) -> int:
-        """One epoch inside :meth:`fit`: each thread replays its shard."""
+        """One epoch inside :meth:`fit`: each thread replays its shard, or
+        out of core streams its blocks."""
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         self._epochs_run += 1
-        shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
-        counts = self._epoch(model, ratings.vals, shards, np.float32(lr),
-                             np.float32(lam_p), np.float32(lam_q))
+        if self.store is None:
+            shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
+            counts = self._epoch(model, ratings.vals, shards, np.float32(lr),
+                                 np.float32(lam_p), np.float32(lam_q))
+        else:
+            counts = self._stream(model, np.float32(lr), np.float32(lam_p),
+                                  np.float32(lam_q))
         san = active_sanitizer()
         if san is not None:
             san.epoch_end(model.p, model.q, epoch=self._epochs_run)
         if hooks.active:
-            for shard, count in zip(shards, counts):
-                hooks.on_kernel(KernelEvent(
-                    name="threads.shard", n_updates=count,
-                    n_waves=int(np.count_nonzero(shard.lengths))))
+            for tid, count in enumerate(counts):
+                if self.store is None:  # one launch per live wave
+                    event = KernelEvent(
+                        name="threads.shard", n_updates=count,
+                        n_waves=int(np.count_nonzero(shards[tid].lengths)))
+                else:  # one launch per block
+                    event = KernelEvent(name="threads.blocks", n_updates=count,
+                                        n_waves=len(self._blocks[tid]))
+                hooks.on_kernel(event)
         self.thread_updates = counts
         self._totals = [a + b for a, b in zip(self._totals, counts)]
         return sum(counts)
@@ -191,17 +254,82 @@ class ThreadedHogwild:
             raise errors[0]
         return counts
 
-    def fit(self, train: RatingMatrix, epochs: int = 10,
+    def _stream(self, model, lr, lam_p, lam_q) -> list[int]:
+        """One out-of-core epoch: each thread streams its blocks, in its
+        own fresh order, through its own prefetcher; per-thread updates."""
+        epoch, phases, tele = self._epochs_run, self._phases, self._tele
+        counts = [0] * self.n_threads
+        staged: list[PrefetchStats | None] = [None] * self.n_threads
+        errors: list[BaseException] = []
+        backend, workspaces, store = self._backend, self._workspaces, self.store
+        blocks, rngs, max_wave = self._blocks, self._rngs, self.f
+        p, q = model.p, model.q
+        san = active_sanitizer()
+        dispatched = time.perf_counter()
+
+        def stream(tid: int) -> None:
+            try:
+                t0 = time.perf_counter()
+                own = blocks[tid]
+                prefetcher = BlockPrefetcher(
+                    store, [own[i] for i in rngs[tid].permutation(len(own))],
+                    telemetry=tele[tid] if tele else None, wid=tid)
+                counts[tid] = n = _replay_blocks(
+                    workspaces[tid], backend, prefetcher, p, q, lr, lam_p,
+                    lam_q, max_wave, san=san, wid=tid, epoch=epoch)
+                t1 = time.perf_counter()
+                stats = staged[tid] = prefetcher.stats
+                # the block loop's wall time is prefetch stall plus compute
+                phases[tid].seconds["spawn"] += t0 - dispatched
+                phases[tid].seconds["prefetch"] += stats.wait_seconds
+                phases[tid].seconds["compute"] += max(
+                    0.0, t1 - t0 - stats.wait_seconds)
+                phases[tid].wall_seconds += t1 - dispatched
+                if tele:
+                    tele[tid].add_span(
+                        f"epoch {epoch} compute", t0 - tele[tid].origin, t1 - t0,
+                        cat="compute", args={"epoch": epoch, "updates": n})
+            except BaseException as exc:
+                errors.append(exc)
+
+        # one context copy per thread (a Context admits one thread at a
+        # time): the caller's sanitizer and tracer reach each thread's
+        # block checks, shard loads and stage spans
+        threads = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(stream, tid), name=f"hogwild-{tid}")
+                   for tid in range(self.n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        for stats in staged:
+            self.stage_stats.merge(stats)
+        return counts
+
+    def fit(self, train: RatingMatrix | None, epochs: int = 10,
             test: RatingMatrix | None = None, target_rmse: float | None = None,
             hooks: TrainerHooks | None = None) -> TrainHistory:
+        """Train for ``epochs`` passes. Out of core, ``train`` may be
+        None: the shape and the samples come from the store."""
+        if self.store is None:
+            if train is None:
+                raise ValueError("train is required without a BlockStore")
+            m, n, nnz = train.n_rows, train.n_cols, train.nnz
+        else:
+            m, n, nnz = self.store.n_rows, self.store.n_cols, self.store.nnz
+            if train is not None and train.shape != self.store.shape:
+                raise ValueError(f"train shape {train.shape} disagrees with "
+                                 f"store shape {self.store.shape}")
         self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed,
-            scale_factor=self.scale_factor,
+            m, n, self.k, seed=self.seed, scale_factor=self.scale_factor,
         )
         self.history = run_epochs(
             self, self.model, train, epochs, schedule=self.schedule,
-            lam=self.lam, scheme="threaded-hogwild", k=self.k, test=test,
-            target_rmse=target_rmse, hooks=hooks, session=self._session,
+            lam=self.lam, scheme="threaded-hogwild", k=self.k, nnz=nnz,
+            test=test, target_rmse=target_rmse, hooks=hooks,
+            session=self._session,
             extras=lambda: {"n_threads": self.n_threads,
                             "thread_updates": list(self.thread_updates)},
         )

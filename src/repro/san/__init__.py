@@ -6,7 +6,7 @@ like the tracer), the Hogwild executors route their wave kernels through a
 thin instrumented wrapper that records per-worker shadow access logs and
 runs sampled numeric checks; a post-fit checker then detects within-wave
 write overlaps, cross-shard ownership violations, non-finite factors, and
-leaked shared-memory segments / mmaps — and quantifies the benign
+leaked BlockStore mmaps — and quantifies the benign
 cross-worker race rate the HOGWILD! argument tolerates.
 
 Usage::
@@ -34,9 +34,9 @@ from repro.san.core import (
     instrument_kernel,
     sanitizer_from_mode,
 )
-from repro.san.lifecycle import LifecycleTracker, track_shm
+from repro.san.lifecycle import LifecycleTracker
 from repro.san.numeric import NumericSentry
-from repro.san.races import AccessLog, analyze_log, dump_log, load_spools
+from repro.san.races import AccessLog, analyze_log
 from repro.san.report import SanReport
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
     "activate_sanitizer",
     "active_sanitizer",
     "analyze_log",
-    "dump_log",
     "instrument_kernel",
-    "load_spools",
     "sanitizer_from_mode",
-    "track_shm",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`Sanitizer` is activated ambiently (contextvar, mirroring
 ``repro.obs.context``) so the executors — serial
-:class:`~repro.core.hogwild.BatchHogwild`, threaded and process Hogwild,
+:class:`~repro.core.hogwild.BatchHogwild`, threaded Hogwild,
 the :class:`~repro.data.blockstore.BlockPrefetcher` — can pick it up
 without plumbing a parameter through every constructor:
 
@@ -19,7 +19,7 @@ Three check families, toggled by mode:
     post-fit :func:`~repro.san.races.analyze_log` pass detects
     within-wave write overlaps, cross-shard ownership violations and
     quantifies the benign cross-worker race rate. Also enables the
-    shm/mmap lifecycle ledger.
+    BlockStore mmap lifecycle ledger.
 
 ``numeric``
     Sampled NaN/Inf/overflow checks on kernel residuals, an fp64-leak

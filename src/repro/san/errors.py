@@ -18,7 +18,7 @@ class SanFinding:
     ``kind`` is a stable identifier (``race-overlap``, ``race-ownership``,
     ``race-double-execution``,
     ``numeric-nonfinite``, ``numeric-overflow``, ``numeric-fp64-leak``,
-    ``lifecycle-shm-leak``, ``lifecycle-mmap-leak``); ``worker`` / ``epoch``
+    ``lifecycle-mmap-leak``); ``worker`` / ``epoch``
     / ``wave`` locate the offending execution point where one exists
     (lifecycle findings have none).
     """
@@ -49,10 +49,8 @@ class SanFinding:
 class SanitizerError(RuntimeError):
     """A sanitizer check failed hard (numeric checks raise immediately).
 
-    Carries the same coordinates as :class:`SanFinding` so callers —
-    including the :class:`~repro.parallel.procs.ProcessHogwild` parent
-    re-raising a worker-side failure — can report exactly which worker /
-    epoch / wave tripped the check.
+    Carries the same coordinates as :class:`SanFinding` so callers can
+    report exactly which worker / epoch / wave tripped the check.
     """
 
     def __init__(
@@ -74,15 +72,3 @@ class SanitizerError(RuntimeError):
                 worker=worker, epoch=epoch, wave=wave,
             ).format()
         )
-
-    @property
-    def finding(self) -> SanFinding:
-        # args[0] is the formatted message; reconstruct the plain one
-        msg = str(self.args[0]).split(": ", 1)[-1]
-        return SanFinding(
-            kind=self.kind, message=msg,
-            worker=self.worker, epoch=self.epoch, wave=self.wave,
-        )
-
-    def as_dict(self) -> dict:
-        return self.finding.as_dict()

@@ -1,23 +1,10 @@
-"""Lifecycle sanitizer: shared-memory segments and BlockStore mmaps.
+"""Lifecycle sanitizer: BlockStore mmaps.
 
-Tracks the create → close → unlink protocol of every
-``multiprocessing.shared_memory`` segment the parent allocates
-(:class:`~repro.parallel.procs._SharedCluster` reports through
-:func:`repro.san.core.active_sanitizer`) and the open → release cycle of
-every mmap the :class:`~repro.data.blockstore.BlockStore` hands out
-(release observed via ``weakref.finalize`` on the returned memmap). At
-:meth:`LifecycleTracker.leaks` time anything still open is a finding:
-
-* a segment created but never unlinked outlives the process in
-  ``/dev/shm`` (``lifecycle-shm-leak``);
-* a segment never closed keeps its mapping (and pages) pinned;
-* an mmap never released pins page-cache references past shutdown
-  (``lifecycle-mmap-leak``).
-
-Scope: the tracker observes the *current process*. Worker processes close
-their attaches in their own ``finally`` blocks; the parent owns create
-and unlink, which is exactly the pairing the ``shm-lifecycle`` static
-lint pass audits in the source.
+Tracks the open → release cycle of every mmap the
+:class:`~repro.data.blockstore.BlockStore` hands out (release observed via
+``weakref.finalize`` on the returned memmap). At
+:meth:`LifecycleTracker.leaks` time an mmap never released is a finding:
+it pins page-cache references past shutdown (``lifecycle-mmap-leak``).
 """
 
 from __future__ import annotations
@@ -27,15 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.san.errors import SanFinding
 
-__all__ = ["LifecycleTracker", "track_shm"]
-
-
-@dataclass
-class _SegmentState:
-    created: bool = False
-    attached: int = 0
-    closed: int = 0
-    unlinked: bool = False
+__all__ = ["LifecycleTracker"]
 
 
 @dataclass
@@ -46,35 +25,13 @@ class _MmapState:
 
 @dataclass
 class LifecycleTracker:
-    """Create/close/unlink ledger for shm segments and BlockStore mmaps."""
+    """Open/release ledger for BlockStore mmaps."""
 
-    segments: dict = field(default_factory=dict)
     mmaps: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    # -- shared memory --------------------------------------------------
-    def _segment(self, name: str) -> _SegmentState:
-        return self.segments.setdefault(name, _SegmentState())
-
-    def note_create(self, name: str) -> None:
-        with self._lock:
-            self._segment(name).created = True
-
-    def note_attach(self, name: str) -> None:
-        with self._lock:
-            self._segment(name).attached += 1
-
-    def note_close(self, name: str) -> None:
-        with self._lock:
-            self._segment(name).closed += 1
-
-    def note_unlink(self, name: str) -> None:
-        with self._lock:
-            self._segment(name).unlinked = True
-
-    # -- mmaps ----------------------------------------------------------
     def note_mmap_open(self, path: str) -> None:
         with self._lock:
             self.mmaps.setdefault(path, _MmapState()).opened += 1
@@ -83,86 +40,20 @@ class LifecycleTracker:
         with self._lock:
             self.mmaps.setdefault(path, _MmapState()).released += 1
 
-    # -- the leak report ------------------------------------------------
     def leaks(self) -> list[SanFinding]:
         with self._lock:
-            findings: list[SanFinding] = []
-            for name, st in sorted(self.segments.items()):
-                if st.created and not st.unlinked:
-                    findings.append(
-                        SanFinding(
-                            kind="lifecycle-shm-leak",
-                            message=f"shared-memory segment {name!r} was "
-                            "created but never unlinked (leaks in /dev/shm)",
-                        )
-                    )
-                opened = int(st.created) + st.attached
-                if opened > st.closed:
-                    findings.append(
-                        SanFinding(
-                            kind="lifecycle-shm-leak",
-                            message=f"segment {name!r}: {opened} "
-                            f"create/attach vs {st.closed} close — "
-                            "a mapping is still pinned",
-                        )
-                    )
-            for path, st in sorted(self.mmaps.items()):
-                if st.opened > st.released:
-                    findings.append(
-                        SanFinding(
-                            kind="lifecycle-mmap-leak",
-                            message=f"BlockStore mmap {path!r}: "
-                            f"{st.opened} open vs {st.released} release",
-                        )
-                    )
-            return findings
+            return [
+                SanFinding(
+                    kind="lifecycle-mmap-leak",
+                    message=f"BlockStore mmap {path!r}: "
+                    f"{st.opened} open vs {st.released} release",
+                )
+                for path, st in sorted(self.mmaps.items())
+                if st.opened > st.released
+            ]
 
     def as_dict(self) -> dict:
         with self._lock:
-            created = sum(1 for s in self.segments.values() if s.created)
-            unlinked = sum(1 for s in self.segments.values() if s.unlinked)
-            closes = sum(s.closed for s in self.segments.values())
-            attaches = sum(
-                int(s.created) + s.attached for s in self.segments.values()
-            )
             opened = sum(m.opened for m in self.mmaps.values())
             released = sum(m.released for m in self.mmaps.values())
-        return {
-            "segments_created": created,
-            "segments_unlinked": unlinked,
-            "segment_opens": attaches,
-            "segment_closes": closes,
-            "mmaps_opened": opened,
-            "mmaps_released": released,
-        }
-
-
-def track_shm(shm) -> object:
-    """Register a :class:`multiprocessing.shared_memory.SharedMemory` with
-    the ambient sanitizer and observe its close/unlink calls.
-
-    Returns ``shm`` (instrumented in place) so call sites can wrap their
-    constructor: ``shm = track_shm(SharedMemory(create=True, size=n))``.
-    No-op when no sanitizer (or no lifecycle checking) is active.
-    """
-    from repro.san.core import active_sanitizer
-
-    san = active_sanitizer()
-    if san is None or not san.check_lifecycle:
-        return shm
-    tracker = san.lifecycle
-    tracker.note_create(shm.name)
-    name = shm.name
-    orig_close, orig_unlink = shm.close, shm.unlink
-
-    def close():
-        tracker.note_close(name)
-        return orig_close()
-
-    def unlink():
-        tracker.note_unlink(name)
-        return orig_unlink()
-
-    shm.close = close
-    shm.unlink = unlink
-    return shm
+        return {"mmaps_opened": opened, "mmaps_released": released}

@@ -22,16 +22,11 @@ prove about the *compiled plan*, not about what the workers actually ran:
 Entry kinds: ``wave`` (concurrent batch-Hogwild wave — the ``wave`` index
 is a cross-worker synchronization point) and ``block`` (an out-of-core
 grid block — participates in exactly-once only).
-
-Cross-process transport mirrors the trace relay: process workers dump
-their logs as one ``.npz`` per worker id (:func:`dump_log`) and the parent
-folds them back with :func:`load_spools`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +39,6 @@ __all__ = [
     "RaceStats",
     "WorkerRaceStats",
     "analyze_log",
-    "dump_log",
-    "load_spools",
 ]
 
 #: entry kinds (int8 codes in the flattened log)
@@ -64,7 +57,7 @@ class AccessLog:
     its own entries; the list itself is the only shared structure).
     """
 
-    __slots__ = ("entries", "_epoch_entries", "_spooled")
+    __slots__ = ("entries", "_epoch_entries", "_sealed")
 
     def __init__(self) -> None:
         #: (wid, epoch, wave, kind_code, rows_i32, cols_i32) tuples
@@ -72,8 +65,8 @@ class AccessLog:
         #: (wid, epoch, kind_code, rows_w, cols_w, lengths) whole-epoch
         #: records from inline executors (:meth:`record_epoch`)
         self._epoch_entries: list[tuple] = []
-        #: pre-flattened bundles merged from worker spools
-        self._spooled: list[dict] = []
+        #: flat bundles of the entries :meth:`seal` has flattened
+        self._sealed: list[dict] = []
 
     def record(
         self,
@@ -132,25 +125,25 @@ class AccessLog:
         wave. Not thread-safe — call only while no worker is appending.
         """
         if self.entries:
-            self._spooled.append(self._bundle_entries())
+            self._sealed.append(self._bundle_entries())
             # in place: live instrumented kernels cache a reference
             self.entries.clear()
         if self._epoch_entries:
             for entry in self._epoch_entries:
-                self._spooled.append(self._bundle_epoch(entry))
+                self._sealed.append(self._bundle_epoch(entry))
             self._epoch_entries.clear()
 
     def clear(self) -> None:
         self.entries.clear()
         self._epoch_entries.clear()
-        self._spooled = []
+        self._sealed = []
 
     @property
     def n_calls(self) -> int:
         return (
             len(self.entries)
             + sum(len(e[5]) for e in self._epoch_entries)
-            + sum(int(b["n_calls"]) for b in self._spooled)
+            + sum(int(b["n_calls"]) for b in self._sealed)
         )
 
     @property
@@ -158,7 +151,7 @@ class AccessLog:
         return (
             sum(len(e[4]) for e in self.entries)
             + sum(int(e[5].sum()) for e in self._epoch_entries)
-            + sum(len(b["row"]) for b in self._spooled)
+            + sum(len(b["row"]) for b in self._sealed)
         )
 
     # -- flattening -----------------------------------------------------
@@ -200,8 +193,8 @@ class AccessLog:
 
     def flatten(self) -> dict:
         """The whole log as flat parallel arrays (wid, epoch, wave, kind,
-        row, col), concatenating live entries and merged spools."""
-        bundles = list(self._spooled)
+        row, col), concatenating sealed bundles and live entries."""
+        bundles = list(self._sealed)
         if self.entries:
             bundles.append(self._bundle_entries())
         bundles.extend(
@@ -214,43 +207,6 @@ class AccessLog:
                 for k in keys
             }
         return {k: np.concatenate([b[k] for b in bundles]) for k in keys}
-
-    def merge_arrays(self, arrays: dict) -> None:
-        """Fold one worker's flattened bundle (from :func:`load_spools`)."""
-        bundle = {k: np.asarray(arrays[k]) for k in
-                  ("wid", "epoch", "wave", "kind", "row", "col")}
-        bundle["n_calls"] = int(arrays.get("n_calls", 0))
-        self._spooled.append(bundle)
-
-
-# ---------------------------------------------------------------------------
-# spool transport (process workers -> parent), relay-style
-# ---------------------------------------------------------------------------
-def dump_log(path: str | Path, log: AccessLog) -> None:
-    """Spool one worker's log as a single ``.npz`` (crash = missing file,
-    which the parent reads as an empty log, never an error)."""
-    flat = log.flatten()
-    np.savez(
-        Path(path),
-        wid=flat["wid"], epoch=flat["epoch"], wave=flat["wave"],
-        kind=flat["kind"], row=flat["row"], col=flat["col"],
-        n_calls=np.int64(log.n_calls),
-    )
-
-
-def load_spools(spool_dir: str | Path, log: AccessLog) -> int:
-    """Merge every worker spool under ``spool_dir`` into ``log``; returns
-    the number of spool files read. Unreadable spools (a worker killed
-    mid-``savez``) are skipped, mirroring the trace relay's tolerance."""
-    read = 0
-    for path in sorted(Path(spool_dir).glob("san_*.npz")):
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                log.merge_arrays({k: data[k] for k in data.files})
-        except (OSError, ValueError, KeyError):  # torn write
-            continue
-        read += 1
-    return read
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,6 @@ class SanReport:
             lc = self.lifecycle
             lines.append(
                 "lifecycle: "
-                f"{lc.get('segments_created', 0)} shm created / "
-                f"{lc.get('segments_unlinked', 0)} unlinked, "
-                f"{lc.get('segment_opens', 0)} opens / "
-                f"{lc.get('segment_closes', 0)} closes, "
                 f"{lc.get('mmaps_opened', 0)} mmaps / "
                 f"{lc.get('mmaps_released', 0)} released"
             )

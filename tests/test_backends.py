@@ -297,13 +297,37 @@ class TestCBackend:
         no_f16c = c_backend.CBackend()
         no_f16c.fp16 = False
         factors = []
-        for backend in ("numpy", no_f16c):
+        for backend in (NumpyBackend(), no_f16c):
             model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
                                            seed=2, half_precision=True)
             BatchHogwild(workers=32, f=16, seed=2, backend=backend).run_epoch(
                 model, train, 0.05, 0.02)
+            backend.serial_update(model.p, model.q, train.rows, train.cols,
+                                  train.vals, 0.05, 0.02, 0.02, max_wave=16)
             factors.append((model.p.tobytes(), model.q.tobytes()))
         assert factors[0] == factors[1]
+
+    def test_serial_update_matches_numpy_within_the_gate(self, tiny_problem):
+        """One foreign call of plain serial SGD agrees with the reference's
+        conflict-free segments, with fp32 storage and (F16C) fp16."""
+        from repro.core.model import FactorModel
+
+        backend = get_backend("c")
+        train = tiny_problem.train
+        dtypes = [(False, 1e-4)]
+        if backend.fp16:
+            dtypes.append((True, backend_registry._RTOL_FP16))
+        for half, rtol in dtypes:
+            ref, got = (FactorModel.initialize(train.n_rows, train.n_cols, 8,
+                                               seed=3, half_precision=half)
+                        for _ in range(2))
+            args = (train.rows, train.cols, train.vals, 0.05, 0.02, 0.02)
+            sgd_serial_update(ref.p, ref.q, *args, max_wave=16)
+            backend.serial_update(got.p, got.q, *args, max_wave=16)
+            assert got.p.dtype == ref.p.dtype
+            for a, b in ((ref.p, got.p), (ref.q, got.q)):
+                assert np.allclose(a.astype(np.float32), b.astype(np.float32),
+                                   rtol=rtol, atol=1e-5)
 
     def test_out_of_range_id_raises_before_any_update(self, tiny_problem):
         from repro.core.hogwild import BatchHogwild
@@ -326,6 +350,13 @@ class TestCBackend:
                 model.p, model.q, np.array([0, 1], np.intp), cols,
                 np.ones(2, np.float32), 0.05, 0.02, 0.02)
         assert model.p.tobytes() == before.tobytes()
+        # the serial kernel checks every id before its first update
+        before_q = model.q.copy()
+        with pytest.raises(IndexError, match="leave the 300 x 200 model"):
+            backend.serial_update(model.p, model.q, rows, train.cols,
+                                  train.vals, 0.05, 0.02, 0.02)
+        assert model.p.tobytes() == before.tobytes()
+        assert model.q.tobytes() == before_q.tobytes()
 
     def test_fp64_model_and_ratings_rejected(self):
         backend = get_backend("c")
@@ -365,8 +396,7 @@ class TestCBackend:
 # auto-policy decisions
 # ---------------------------------------------------------------------------
 class TestExecutorPolicy:
-    GOOD_EVIDENCE = {"threads_vs_serial": 1.8, "procs_vs_serial": 2.4,
-                     "n_threads": 4, "n_procs": 4}
+    GOOD_EVIDENCE = {"threads_vs_serial": 1.8, "n_threads": 4}
 
     def test_one_core_is_always_serial(self):
         from repro.parallel.policy import choose_executor
@@ -398,7 +428,7 @@ class TestExecutorPolicy:
 
         choice = choose_executor(
             5_000_000, 32, cpu_count=8,
-            evidence={"threads_vs_serial": 1.02, "procs_vs_serial": 0.9},
+            evidence={"threads_vs_serial": 1.02},
         )
         assert choice.executor == "serial"
         assert "below" in choice.reason
@@ -408,21 +438,17 @@ class TestExecutorPolicy:
 
         choice = choose_executor(5_000_000, 32, cpu_count=8,
                                  evidence=self.GOOD_EVIDENCE)
-        assert choice.executor == "procs"  # 2.4 > 1.8
+        assert choice.executor == "threads"
         assert choice.n_workers == 4
-        threads_better = dict(self.GOOD_EVIDENCE,
-                              threads_vs_serial=3.0)
-        assert choose_executor(
-            5_000_000, 32, cpu_count=8, evidence=threads_better
-        ).executor == "threads"
+        assert "threads_vs_serial=1.80" in choice.reason
 
     def test_workers_clamped_to_cores(self):
         from repro.parallel.policy import choose_executor
 
-        evidence = dict(self.GOOD_EVIDENCE, n_procs=16)
+        evidence = dict(self.GOOD_EVIDENCE, n_threads=16)
         choice = choose_executor(5_000_000, 32, cpu_count=2,
                                  evidence=evidence)
-        assert choice.executor == "procs"
+        assert choice.executor == "threads"
         assert choice.n_workers == 2
 
     def test_backend_choice_is_size_aware(self):
@@ -447,11 +473,10 @@ class TestExecutorPolicy:
             return {
                 "benchmark": "parallel",
                 "schema_version": 3,
-                "config": {"n_threads": 4, "n_procs": 4},
+                "config": {"n_threads": 4},
                 "meta": {"cpu_count": cpu_count},
                 "metrics": {
                     "threads_vs_serial": threads_ratio,
-                    "procs_vs_serial": 1.0,
                     "oversubscribed": oversubscribed,
                 },
             }

@@ -69,14 +69,13 @@ class TestTrainCommand:
 
 
 class TestTrainExecutors:
-    def test_out_of_core_requires_procs(self, capsys):
-        for executor in ("serial", "threads"):
-            assert main([
-                "train", "netflix-syn", "--executor", executor, "--out-of-core",
-            ]) == 2
-            assert "--out-of-core requires --executor procs" in (
-                capsys.readouterr().err
-            )
+    def test_out_of_core_rejected_on_serial(self, capsys):
+        assert main([
+            "train", "netflix-syn", "--executor", "serial", "--out-of-core",
+        ]) == 2
+        assert "--out-of-core requires --executor threads" in (
+            capsys.readouterr().err
+        )
 
     def test_fault_plan_rejected_with_parallel_executor(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
@@ -99,10 +98,10 @@ class TestTrainExecutors:
         assert "per-worker updates" in out
 
     @pytest.mark.slow
-    def test_train_procs_out_of_core(self, capsys, tmp_path):
+    def test_train_threads_out_of_core(self, capsys, tmp_path):
         ck = tmp_path / "model"
         code = main([
-            "train", "netflix-syn", "--executor", "procs", "--procs", "2",
+            "train", "netflix-syn", "--executor", "threads", "--procs", "2",
             "--epochs", "2", "--workers", "32", "--k", "8", "--out-of-core",
             "--save", str(ck),
         ])
@@ -136,14 +135,14 @@ sys.exit(rc)
 
 def _unused_by_train(name: str) -> bool:
     """Modules ``train`` does not run: the experiments, baselines, scipy,
-    the lint passes and the process executor."""
+    the lint passes and multiprocessing."""
     return (
         name.split(".")[0] == "scipy"
         or name.startswith("repro.baselines")
         or (name.startswith("repro.experiments.")
             and name not in ("repro.experiments.base", "repro.experiments.cli"))
         or (name.startswith("repro.lint.") and name != "repro.lint.cli")
-        or name in ("repro.parallel.procs", "multiprocessing.shared_memory")
+        or name.split(".")[0] == "multiprocessing"
     )
 
 

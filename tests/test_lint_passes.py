@@ -89,6 +89,31 @@ def test_bad_races_flags_write_call_and_global():
     assert "global" in messages
 
 
+def test_worker_run_in_a_context_copy_is_audited(tmp_path):
+    target = tmp_path / "mod.py"
+    target.write_text(
+        "import contextvars\n"
+        "import threading\n"
+        "\n"
+        "def run(n):\n"
+        "    results = []\n"
+        "\n"
+        "    def work(tid):\n"
+        "        results.append(tid)\n"
+        "\n"
+        "    threads = [threading.Thread(target=contextvars.copy_context().run,\n"
+        "                                args=(work, i)) for i in range(n)]\n"
+        "    for t in threads:\n"
+        "        t.start()\n"
+        "    for t in threads:\n"
+        "        t.join()\n"
+        "    return results\n"
+    )
+    report = run_lint([target])
+    assert [f.symbol for f in report.findings
+            if f.rule == "race-shared-write"] == ["run.work"]
+
+
 def test_bad_shm_names_both_missing_calls():
     report = run_lint([FIXTURES / "bad_shm.py"])
     messages = [f.message for f in report.findings if f.rule == "shm-lifecycle"]

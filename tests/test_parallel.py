@@ -1,4 +1,4 @@
-"""Tier-1 tests for the multiprocess executor and out-of-core block store.
+"""Tier-1 tests for the thread executor and the out-of-core block store.
 
 Covers the contracts the parallel layer is built on:
 
@@ -6,31 +6,37 @@ Covers the contracts the parallel layer is built on:
   lane exactly once, with ``live_width`` clipping padded tails;
 * ``BlockStore`` — the i x j mmap grid round-trips the COO multiset, and
   the double-buffered prefetcher stages every block with honest stats;
-* ``ProcessHogwild`` / ``ThreadedHogwild`` — one worker is bit-identical
-  to the serial compiled-plan executor on the same kernel backend (same RNG
-  stream, same kernels, one shard), and ``n_procs=4`` still converges
-  despite real cross-process races;
+* ``ThreadedHogwild`` — one thread is bit-identical to the serial
+  compiled-plan executor on the same kernel backend (same RNG stream, same
+  kernels, one shard), ``n_threads=4`` still converges despite real races,
+  and out of core one NumPy thread is bit-identical to a plain loop of
+  ``sgd_serial_update`` over its blocks;
 * the epoch loop — every executor's history times its epochs;
-* telemetry — both executors emit epoch events and publish their
-  ``repro.proc.*`` / ``repro.thread.*`` metrics into the ambient registry.
+* telemetry — the executor emits epoch and kernel events and publishes
+  its ``repro.thread.*`` metrics into the ambient registry.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.backends.c_backend import find_compiler
 from repro.core.hogwild import BatchHogwild
+from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD
 from repro.core.trainer import CuMFSGD
 from repro.data.blockstore import BlockPrefetcher, BlockStore
+from repro.data.container import RatingMatrix
 from repro.metrics.throughput import ThroughputRecord
 from repro.obs import RecordingHooks, TelemetryCollector, activate
 from repro.obs.registry import M
-from repro.parallel import ProcessHogwild, ThreadedHogwild
+from repro.parallel import ThreadedHogwild
+from repro.san import Sanitizer, activate_sanitizer
 from repro.sched.plan import EpochPlan
 
 
@@ -155,10 +161,29 @@ class TestBlockStore:
         assert pf.stats.load_seconds >= 0.0
 
 
-class TestProcessHogwild:
-    def test_single_proc_bit_identical_to_serial(self, tiny_problem):
-        """One shard over shared memory must replay the serial compiled-plan
-        executor exactly: same init, same permutation stream, same kernels."""
+class TestThreadedHogwild:
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("c", marks=pytest.mark.skipif(
+            find_compiler() is None, reason="no C compiler found")),
+    ])
+    def test_one_worker_bit_identical_to_cumfsgd(self, tiny_problem, backend):
+        """Threads replay the serial executor's EpochPlan: with one thread
+        they reproduce CuMFSGD's factors bit for bit on the same backend."""
+        train = tiny_problem.train
+        workers, f, seed = 32, 16, 3
+        ref = CuMFSGD(k=8, scheme="batch_hogwild", workers=workers, f=f,
+                      lam=0.05, seed=seed, backend=backend)
+        ref.fit(train, epochs=3)
+        est = ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=seed,
+                              workers=workers, f=f, backend=backend)
+        est.fit(train, epochs=3)
+        assert est.model.p.tobytes() == ref.model.p.tobytes()
+        assert est.model.q.tobytes() == ref.model.q.tobytes()
+
+    def test_single_thread_bit_identical_to_serial(self, tiny_problem):
+        """One shard replays the serial compiled-plan schedule exactly: same
+        init, same permutation stream, same kernels."""
         train = tiny_problem.train
         spec = tiny_problem.spec
         workers, f, seed, epochs = 32, 16, 7, 3
@@ -169,19 +194,20 @@ class TestProcessHogwild:
         for epoch in range(epochs):
             sched.run_epoch(ref, train, schedule(epoch), 0.05)
 
-        est = ProcessHogwild(
-            k=8, n_procs=1, lam=0.05, seed=seed, workers=workers, f=f
+        est = ThreadedHogwild(
+            k=8, n_threads=1, lam=0.05, seed=seed, workers=workers, f=f
         )
         est.fit(train, epochs=epochs)
         assert np.array_equal(est.model.p, ref.p)
         assert np.array_equal(est.model.q, ref.q)
 
-    def test_multiproc_converges_and_accounts_updates(self, tiny_problem):
+    def test_four_threads_converge_and_account_updates(self, tiny_problem):
         train, test = tiny_problem.train, tiny_problem.test
-        est = ProcessHogwild(k=8, n_procs=4, lam=0.05, seed=0, workers=64, f=16)
+        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0, workers=64,
+                              f=16)
         history = est.fit(train, epochs=5, test=test)
-        assert sum(est.worker_updates) == train.nnz  # last epoch, exact
-        assert len(est.worker_updates) == 4
+        assert sum(est.thread_updates) == train.nnz  # last epoch, exact
+        assert len(est.thread_updates) == 4
         final = history.final_test_rmse
         assert np.isfinite(final)
 
@@ -198,70 +224,96 @@ class TestProcessHogwild:
     def test_out_of_core_stages_and_converges(self, tiny_problem, tmp_path):
         train = tiny_problem.train
         store = BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
-        est = ProcessHogwild(k=8, n_procs=2, lam=0.05, seed=0, store=store)
+        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
         est.fit(None, epochs=2, test=tiny_problem.test)
-        assert sum(est.worker_updates) == train.nnz
+        assert sum(est.thread_updates) == train.nnz
         assert est.stage_stats is not None
         assert est.stage_stats.blocks_loaded == 2 * len(list(store.blocks()))
         assert est.stage_stats.bytes_loaded > 0
         assert np.isfinite(est.history.final_test_rmse)
 
-    def test_telemetry_and_hooks(self, tiny_problem):
-        hooks = RecordingHooks()
-        collector = TelemetryCollector()
-        est = ProcessHogwild(k=8, n_procs=2, lam=0.05, seed=0, workers=32, f=16)
-        with activate(collector):
-            est.fit(tiny_problem.train, epochs=2, hooks=hooks)
-        assert len(hooks.epochs) == 2
-        assert all(e.scheme == "process-hogwild" for e in hooks.epochs)
-        assert hooks.epochs[0].extra["n_procs"] == 2
-        registry = collector.registry
-        assert registry.value(M.PROC_WORKERS) == 2
-        assert registry.value(M.PROC_EPOCHS) == 2
-        per_worker = sum(
-            m.value for m in registry.family(M.PROC_WORKER_UPDATES)
-        )
-        assert per_worker == 2 * tiny_problem.train.nnz
-        assert registry.value(M.PROC_SHM_BYTES) > 0
-
-    def test_validation(self, tiny_problem):
-        with pytest.raises(ValueError):
-            ProcessHogwild(n_procs=0)
-        with pytest.raises(ValueError):
-            ProcessHogwild(n_procs=8, workers=4)
-        est = ProcessHogwild(n_procs=1)
-        with pytest.raises(ValueError):
-            est.fit(None, epochs=1)  # no ratings and no store
-
-
-class TestThreadedHogwild:
-    @pytest.mark.parametrize("backend", [
-        "numpy",
-        pytest.param("c", marks=pytest.mark.skipif(
-            find_compiler() is None, reason="no C compiler found")),
-    ])
-    def test_one_worker_bit_identical_to_cumfsgd(self, tiny_problem, backend):
-        """Threads and procs replay the serial executor's EpochPlan: with
-        one worker, both reproduce CuMFSGD's factors bit for bit on the
-        same backend."""
+    def test_one_thread_out_of_core_bit_identical_to_reference_loop(
+            self, tiny_problem, tmp_path):
+        """One NumPy thread replays its blocks in the order its seed stream
+        draws, each through sgd_serial_update, and nothing else."""
         train = tiny_problem.train
-        workers, f, seed = 32, 16, 3
-        ref = CuMFSGD(k=8, scheme="batch_hogwild", workers=workers, f=f,
-                      lam=0.05, seed=seed, backend=backend)
-        ref.fit(train, epochs=3)
-        for est in (
-            ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=seed,
-                            workers=workers, f=f, backend=backend),
-            ProcessHogwild(k=8, n_procs=1, lam=0.05, seed=seed,
-                           workers=workers, f=f, backend=backend),
-        ):
-            est.fit(train, epochs=3)
-            assert est.model.p.tobytes() == ref.model.p.tobytes(), est
-            assert est.model.q.tobytes() == ref.model.q.tobytes(), est
+        spec = tiny_problem.spec
+        seed, lam, f, epochs = 5, 0.05, 16, 3
+        store = BlockStore.create(train, 3, 2, tmp_path / "store", seed=1)
+        est = ThreadedHogwild(k=8, n_threads=1, lam=lam, seed=seed, f=f,
+                              store=store)
+        est.fit(None, epochs=epochs)
+
+        ref = FactorModel.initialize(spec.m, spec.n, 8, seed=seed)
+        (blocks,) = store.assign(1)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        schedule = NomadSchedule()
+        for epoch in range(epochs):
+            lr = np.float32(schedule(epoch))
+            for i in rng.permutation(len(blocks)):
+                rec = store.load(*blocks[i])
+                sgd_serial_update(ref.p, ref.q, rec["u"], rec["v"], rec["r"],
+                                  lr, np.float32(lam), np.float32(lam),
+                                  max_wave=f)
+        assert est.model.p.tobytes() == ref.p.tobytes()
+        assert est.model.q.tobytes() == ref.q.tobytes()
+
+    def test_oversubscribed_out_of_core_accounts_every_block(
+            self, tiny_problem, tmp_path):
+        """Four threads on two or fewer cores, switching often: every
+        block is staged, checked, logged and released once per epoch."""
+        train = tiny_problem.train
+        store = BlockStore.create(train, 4, 4, tmp_path / "store", seed=0)
+        san = Sanitizer("all")
+        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0, store=store)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with activate_sanitizer(san):
+                est.fit(None, epochs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        report = san.finalize(publish=False)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert sum(est.thread_updates) == train.nnz
+        assert est.stage_stats.blocks_loaded == 2 * store.n_blocks
+        assert report.numeric["block_checks"] == 2 * store.n_blocks
+        assert report.race_stats.samples == 2 * train.nnz
+        lc = report.lifecycle
+        assert lc["mmaps_opened"] == lc["mmaps_released"] == 2 * store.n_blocks
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no C compiler found")
+    def test_c_out_of_core_rmse_matches_numpy_per_epoch(self, tiny_problem,
+                                                        tmp_path):
+        store = BlockStore.create(tiny_problem.train, 3, 3,
+                                  tmp_path / "store", seed=0)
+        curves = {}
+        for backend in ("numpy", "c"):
+            est = ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=4,
+                                  backend=backend, store=store)
+            history = est.fit(None, epochs=3, test=tiny_problem.test)
+            curves[backend] = np.array(history.test_rmse)
+        assert len(curves["c"]) == 3
+        assert np.all(np.abs(curves["c"] - curves["numpy"]) < 1e-3)
 
     def test_more_threads_than_lanes_rejected(self):
         with pytest.raises(ValueError, match="worker lanes"):
             ThreadedHogwild(n_threads=8, workers=4)
+
+    def test_validation(self, tiny_problem, tmp_path):
+        with pytest.raises(ValueError):
+            ThreadedHogwild(n_threads=0)
+        with pytest.raises(ValueError, match="train is required"):
+            ThreadedHogwild(n_threads=1).fit(None, epochs=1)
+        train = tiny_problem.train
+        store = BlockStore.create(train, 2, 2, tmp_path / "s", seed=0)
+        # out of core the threads own blocks, not plan lanes
+        est = ThreadedHogwild(n_threads=8, workers=4, store=store)
+        wider = RatingMatrix(rows=train.rows, cols=train.cols,
+                             vals=train.vals, n_rows=train.n_rows + 1,
+                             n_cols=train.n_cols)
+        with pytest.raises(ValueError, match="disagrees"):
+            est.fit(wider, epochs=1)
 
     def test_telemetry_and_hooks(self, tiny_problem):
         hooks = RecordingHooks()
@@ -271,6 +323,7 @@ class TestThreadedHogwild:
             est.fit(tiny_problem.train, epochs=2, hooks=hooks)
         assert len(hooks.epochs) == 2
         assert all(e.scheme == "threaded-hogwild" for e in hooks.epochs)
+        assert hooks.epochs[0].extra["n_threads"] == 3
         assert len(hooks.kernels) == 3 * 2  # one per thread shard per epoch
         assert sum(e.n_updates for e in hooks.kernels) == 2 * tiny_problem.train.nnz
         registry = collector.registry
@@ -280,16 +333,43 @@ class TestThreadedHogwild:
         )
         assert per_thread == 2 * tiny_problem.train.nnz
 
+    def test_out_of_core_telemetry_and_hooks(self, tiny_problem, tmp_path):
+        """Out of core: one epoch event per epoch with the executor's
+        extras, one block-launch event per thread, and the thread and
+        staging metrics in the ambient registry."""
+        train = tiny_problem.train
+        store = BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
+        hooks = RecordingHooks()
+        collector = TelemetryCollector()
+        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        with activate(collector):
+            est.fit(None, epochs=2, hooks=hooks)
+        assert len(hooks.epochs) == 2
+        assert all(e.scheme == "threaded-hogwild" for e in hooks.epochs)
+        assert hooks.epochs[0].extra["n_threads"] == 2
+        assert [e.name for e in hooks.kernels] == ["threads.blocks"] * 2 * 2
+        assert sum(e.n_waves for e in hooks.kernels) == 2 * store.n_blocks
+        assert sum(e.n_updates for e in hooks.kernels) == 2 * train.nnz
+        registry = collector.registry
+        assert registry.value(M.THREAD_WORKERS) == 2
+        per_thread = sum(
+            m.value for m in registry.family(M.THREAD_WORKER_UPDATES)
+        )
+        assert per_thread == 2 * train.nnz
+        assert registry.value(M.STAGE_BLOCKS_LOADED) == 2 * store.n_blocks
+        assert registry.value(M.STAGE_BYTES_LOADED) > 0
+
 
 class TestEpochLoop:
-    def test_every_recorded_epoch_is_timed(self, tiny_problem):
+    def test_every_recorded_epoch_is_timed(self, tiny_problem, tmp_path):
         """The one epoch loop times every executor's epochs, so any history
         yields an Eq. 7 throughput record."""
         train = tiny_problem.train
+        store = BlockStore.create(train, 2, 2, tmp_path / "store", seed=0)
         for est in (
             CuMFSGD(k=8, workers=32, f=16, seed=0),
             ThreadedHogwild(k=8, n_threads=2, seed=0, workers=32, f=16),
-            ProcessHogwild(k=8, n_procs=2, seed=0, workers=32, f=16),
+            ThreadedHogwild(k=8, n_threads=2, seed=0, store=store),
         ):
             history = est.fit(train, epochs=2)
             assert len(history.epoch_seconds) == 2, est

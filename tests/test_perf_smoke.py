@@ -120,7 +120,7 @@ class TestBenchParallelSmoke:
         assert doc["config"] == bench_par.effective_config(
             bench_par.QUICK_CONFIG)
         assert doc["config"]["backend"] == doc["auto"]["backend"]
-        assert doc["bit_identical"] is True  # n_procs=1 == serial plan path
+        assert doc["bit_identical"] is True  # n_threads=1 == serial plan path
         assert doc["metrics"]["cpu_count"] >= 1
         on_disk = json.loads(out.read_text())
         assert on_disk == doc
@@ -141,8 +141,8 @@ class TestBenchParallelSmoke:
         for key in bench_par.VARIANTS:
             metrics[f"{key}_epoch_seconds"] = 0.1
             metrics[f"{key}_updates_per_sec"] = 1e6
-        metrics.update(threads_vs_serial=1.5, procs_vs_serial=2.0,
-                       ooc_vs_procs=0.9, auto_vs_serial=2.0)
+        metrics.update(threads_vs_serial=1.5, ooc_vs_threads=0.9,
+                       auto_vs_serial=2.0)
         good = {
             "benchmark": "parallel",
             "schema_version": bench_par.SCHEMA_VERSION,
@@ -150,10 +150,10 @@ class TestBenchParallelSmoke:
             "meta": {"git_sha": "abc123def456", "timestamp_utc": "t",
                      "hostname": "h", "cpu_count": 4},
             "metrics": metrics,
-            "auto": {"executor": "procs", "n_workers": 4,
+            "auto": {"executor": "threads", "n_workers": 4,
                      "backend": "numpy", "reason": "measured"},
-            "stall_report": self._stall_report("procs"),
-            "stall_report_ooc": self._stall_report("procs_ooc"),
+            "stall_report": self._stall_report("threads"),
+            "stall_report_ooc": self._stall_report("threads_ooc"),
             "bit_identical": True,
         }
         bench_par.validate_result(good)
@@ -161,11 +161,11 @@ class TestBenchParallelSmoke:
             lambda d: d.pop("bit_identical"),
             lambda d: d.update(benchmark="hot_path"),
             lambda d: d.update(schema_version=99),
-            lambda d: d["config"].update(n_procs=0),
+            lambda d: d["config"].update(n_threads=0),
             lambda d: d["config"].pop("backend"),
-            lambda d: d["metrics"].update(procs_vs_serial=0),
+            lambda d: d["metrics"].update(threads_vs_serial=0),
             lambda d: d["metrics"].update(cpu_count=1.5),
-            lambda d: d["metrics"].pop("ooc_vs_procs"),
+            lambda d: d["metrics"].pop("ooc_vs_threads"),
             # v3 removed the deprecated alias outright
             lambda d: d["metrics"].update(ooc_overhead=0.9),
             # the acceptance bar: auto never loses to serial
@@ -175,13 +175,15 @@ class TestBenchParallelSmoke:
             lambda d: d["metrics"].update(oversubscribed=1),
             lambda d: d.pop("auto"),
             lambda d: d["auto"].update(executor="gpu"),
+            # v5: the process executor is gone
+            lambda d: d["auto"].update(executor="procs"),
             lambda d: d["auto"].update(n_workers=0),
             lambda d: d["auto"].update(backend=""),
             lambda d: d.pop("meta"),
             lambda d: d["meta"].pop("hostname"),
             lambda d: d.pop("stall_report"),
             lambda d: d.pop("stall_report_ooc"),
-            lambda d: d["stall_report"].update(executor="threads"),
+            lambda d: d["stall_report"].update(executor="threads_ooc"),
             lambda d: d["stall_report"]["workers"].clear(),
             # fractions must sum to 1 ± 0.02 per worker
             lambda d: d["stall_report"]["workers"][0]["fractions"].update(
@@ -206,11 +208,11 @@ class TestBenchParallelSmoke:
 
         out = tmp_path / "BENCH_parallel.json"
         doc = bench_par.main(["--quick", "--out", str(out)])
-        for key, executor in (("stall_report", "procs"),
-                              ("stall_report_ooc", "procs_ooc")):
+        for key, executor in (("stall_report", "threads"),
+                              ("stall_report_ooc", "threads_ooc")):
             report = doc[key]
             assert report["executor"] == executor
-            assert len(report["workers"]) == doc["config"]["n_procs"]
+            assert len(report["workers"]) == doc["config"]["n_threads"]
             for w in report["workers"]:
                 total = math.fsum(w["fractions"][p] for p in report["phases"])
                 assert abs(total - 1.0) <= 0.02
@@ -221,7 +223,10 @@ class TestBenchParallelSmoke:
         # v3 dropped the deprecated alias and grew the auto decision
         assert "ooc_overhead" not in doc["metrics"]
         assert doc["metrics"]["auto_vs_serial"] >= 1.0
-        assert doc["auto"]["executor"] in ("serial", "threads", "procs")
+        assert doc["auto"]["executor"] in ("serial", "threads")
+        # out of core the threads stall only on spawn and the prefetcher
+        ooc = doc["stall_report_ooc"]["workers"][0]["seconds"]
+        assert ooc["prefetch"] >= 0.0 and ooc["barrier"] == 0.0
 
     def test_default_out_is_repo_root(self, bench_par):
         assert bench_par.DEFAULT_OUT == BENCHMARKS.parent / "BENCH_parallel.json"

@@ -2,16 +2,16 @@
 
 Covers the observability additions around the parallel executors:
 
-* `repro.obs.relay` — per-worker span spools, torn-line crash tolerance,
-  deterministic multi-pid merge into one Chrome trace;
+* `repro.obs.relay` — per-thread telemetry buffers and their deterministic
+  merge onto thread lanes of one Chrome trace;
 * `repro.obs.profiler` — the StallReport phase taxonomy (fractions sum to
   1 by construction), serialization round-trip, `repro.profile.*`
   publication;
 * `repro.obs.ledger` — provenance stamps, config-matched baselines, and
   the >15% `perf-diff` regression gate (plus its CLI exit codes);
-* the executor wiring — a `ProcessHogwild` fit under a collector yields
-  one schema-valid trace with >= n_procs+1 lanes, per-worker barrier-wait
-  histograms, and an embedded-able stall report.
+* the executor wiring — a `ThreadedHogwild` fit under a collector, in
+  core or out of core, yields one schema-valid trace with a lane per
+  thread and an embeddable stall report.
 """
 
 from __future__ import annotations
@@ -34,72 +34,34 @@ from repro.obs.ledger import (
 )
 from repro.obs.profiler import PHASES, PhaseTimer, StallReport, WorkerPhases
 from repro.obs.registry import METRIC_MANIFEST, M, MetricsRegistry
-from repro.obs.relay import (
-    THREAD_TID_BASE,
-    WORKER_PID_BASE,
-    TraceRelay,
-    WorkerTelemetry,
-    merge_records,
-    read_spool,
-)
+from repro.obs.relay import THREAD_TID_BASE, WorkerTelemetry, merge_records
 from repro.obs.tracer import WALL_PID, Tracer
 
 pytestmark = pytest.mark.obs
 
 
 # ---------------------------------------------------------------------------
-# relay: spools, crash tolerance, merge
+# relay: in-memory telemetry, merge
 # ---------------------------------------------------------------------------
 class TestWorkerTelemetry:
-    def test_spool_round_trip(self, tmp_path):
-        spool = tmp_path / "worker_0000.jsonl"
-        wt = WorkerTelemetry(3, origin=0.0, spool_path=spool)
+    def test_drain_round_trips_record_kinds(self):
+        wt = WorkerTelemetry(3, origin=0.0)
         wt.add_span("epoch 1 compute", 0.5, 0.25, args={"updates": 10})
         wt.instant("mark", 0.6)
         wt.counter("repro.test", {"v": 1.0}, ts_seconds=0.7)
-        assert wt.flush() == 3
+        records = wt.drain()
         assert wt.records == []  # buffer cleared
-        records, corrupt = read_spool(spool)
-        assert corrupt == 0
         assert [r["kind"] for r in records] == ["span", "instant", "counter"]
-        assert records[0]["wid"] == 3
+        assert all(r["wid"] == 3 for r in records)
         assert records[0]["dur"] == 0.25
-
-    def test_flush_appends_across_calls(self, tmp_path):
-        spool = tmp_path / "w.jsonl"
-        wt = WorkerTelemetry(0, spool_path=spool)
-        wt.add_span("a", 0.0, 0.1)
-        wt.flush()
-        wt.add_span("b", 0.2, 0.1)
-        wt.flush()
-        records, _ = read_spool(spool)
-        assert [r["name"] for r in records] == ["a", "b"]
+        assert records[0]["args"] == {"updates": 10}
 
     def test_in_memory_mode_drain(self):
         wt = WorkerTelemetry(1)
         wt.add_span("x", 0.0, 0.1)
-        assert wt.flush() == 0  # no spool path: flush is a no-op
         drained = wt.drain()
         assert len(drained) == 1
         assert wt.records == []
-
-    def test_torn_tail_line_is_tolerated(self, tmp_path):
-        """A worker killed mid-write leaves a truncated final line; the
-        spool must still yield every complete record."""
-        spool = tmp_path / "w.jsonl"
-        wt = WorkerTelemetry(0, spool_path=spool)
-        for i in range(4):
-            wt.add_span(f"span {i}", float(i), 0.5)
-        wt.flush()
-        text = spool.read_text()
-        spool.write_text(text + '{"wid": 0, "kind": "span", "name": "to')
-        records, corrupt = read_spool(spool)
-        assert len(records) == 4
-        assert corrupt == 1
-
-    def test_missing_spool_reads_empty(self, tmp_path):
-        records, corrupt = read_spool(tmp_path / "never_written.jsonl")
-        assert records == [] and corrupt == 0
 
 
 class TestMergeRecords:
@@ -110,37 +72,30 @@ class TestMergeRecords:
             {"wid": 1, "kind": "span", "name": "first", "ts": 0.5, "dur": 0.1},
         ]
 
-    def test_process_layout_lanes_and_ordering(self):
+    def test_thread_layout_shares_parent_pid(self):
         tracer = Tracer()
-        n = merge_records(tracer, self._records(), label="proc")
+        merge_records(tracer, self._records(), label="thread")
+        spans = [e for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "X"]
+        assert {e["pid"] for e in spans} == {WALL_PID}
+        assert {e["tid"] for e in spans} == {THREAD_TID_BASE, THREAD_TID_BASE + 1}
+
+    def test_thread_layout_lanes_and_ordering(self):
+        tracer = Tracer()
+        n = merge_records(tracer, self._records(), label="thread")
         assert n == 3
         events = tracer.to_chrome()["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         # lane metadata first (sorted wids), then events sorted by (ts, wid)
         assert events[: len(meta)] == meta
-        pids = [e["pid"] for e in spans]
-        assert pids == [WORKER_PID_BASE + 1, WORKER_PID_BASE, WORKER_PID_BASE + 1]
-        assert [e["name"] for e in spans] == ["first", "early", "late"]
-        named = {
-            (e["pid"], e["args"]["name"])
-            for e in meta if e["name"] == "process_name"
-        }
-        assert named == {(WORKER_PID_BASE, "proc 0"), (WORKER_PID_BASE + 1, "proc 1")}
-
-    def test_thread_layout_shares_parent_pid(self):
-        tracer = Tracer()
-        merge_records(
-            tracer, self._records(), label="thread",
-            pid=WALL_PID, tid_base=THREAD_TID_BASE,
-        )
-        spans = [e for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "X"]
         assert {e["pid"] for e in spans} == {WALL_PID}
-        assert {e["tid"] for e in spans} == {THREAD_TID_BASE, THREAD_TID_BASE + 1}
-
-    def test_rejects_both_layouts_at_once(self):
-        with pytest.raises(ValueError, match="at most one"):
-            merge_records(Tracer(), [], pid_base=200, pid=1)
+        tids = [e["tid"] for e in spans]
+        assert tids == [THREAD_TID_BASE + 1, THREAD_TID_BASE,
+                        THREAD_TID_BASE + 1]
+        assert [e["name"] for e in spans] == ["first", "early", "late"]
+        named = {(e["tid"], e["args"]["name"]) for e in meta}
+        assert named == {(THREAD_TID_BASE, "thread:0"),
+                         (THREAD_TID_BASE + 1, "thread:1")}
 
     def test_negative_timestamps_clamped(self):
         tracer = Tracer()
@@ -152,22 +107,6 @@ class TestMergeRecords:
         validate_chrome_trace(trace)  # schema rejects ts < 0
         span = [e for e in trace["traceEvents"] if e["ph"] == "X"][0]
         assert span["ts"] == 0
-
-    def test_relay_merges_all_spools(self, tmp_path):
-        relay = TraceRelay(tmp_path / "spools")
-        for wid in (0, 2):
-            wt = relay.worker_telemetry(wid)
-            wt.add_span(f"work {wid}", 0.1 * (wid + 1), 0.05)
-            wt.flush()
-        # sabotage one spool with a torn line
-        with relay.spool_path(2).open("a") as fh:
-            fh.write('{"wid": 2, "kind"')
-        tracer = Tracer()
-        assert relay.merge_into(tracer) == 2
-        assert relay.corrupt_lines == 1
-        validate_chrome_trace(tracer.to_chrome())
-        relay.cleanup()
-        assert not (tmp_path / "spools").exists()
 
 
 class TestTracerLaneNaming:
@@ -199,7 +138,7 @@ class TestTracerLaneNaming:
 class TestStallReport:
     def _report(self):
         return StallReport(
-            "procs",
+            "threads",
             [
                 WorkerPhases(0, 2.0, {"compute": 1.2, "barrier": 0.4,
                                       "spawn": 0.2}),
@@ -242,10 +181,10 @@ class TestStallReport:
 
     def test_validate_rejects_measured_exceeding_wall(self):
         """Measured phase seconds > wall means the producer read the
-        accumulators mid-write (the ProcessHogwild pre-join race); the
-        replay-residual clamp must not be allowed to mask it."""
+        accumulators mid-write; the replay-residual clamp must not be
+        allowed to mask it."""
         report = StallReport(
-            "procs",
+            "threads",
             [WorkerPhases(0, 1.0, {"compute": 1.3, "barrier": 0.2})],
         )
         # fractions still sum to 1 (stretched denominator) — only the
@@ -275,7 +214,7 @@ class TestStallReport:
         for phase in PHASES:
             assert registry.value(
                 M.PROFILE_PHASE_FRACTION,
-                {"executor": "procs", "worker": "all", "phase": phase},
+                {"executor": "threads", "worker": "all", "phase": phase},
             ) >= 0.0
 
     def test_profile_names_in_manifest(self):
@@ -286,53 +225,50 @@ class TestStallReport:
 
 
 # ---------------------------------------------------------------------------
-# executor wiring: multi-lane traces + per-worker metrics from a real fit
+# executor wiring: multi-lane traces + stall reports from a real fit
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def procs_profiled_run(tiny_problem):
-    from repro.parallel.procs import ProcessHogwild
+def ooc_profiled_run(tiny_problem, tmp_path_factory):
+    from repro.data.blockstore import BlockStore
+    from repro.parallel.threads import ThreadedHogwild
 
-    collector = TelemetryCollector(run_label="profiled-procs")
-    est = ProcessHogwild(k=8, n_procs=2, lam=0.05, seed=0, workers=16, f=32)
+    store = BlockStore.create(tiny_problem.train, 3, 3,
+                              tmp_path_factory.mktemp("store"), seed=0)
+    collector = TelemetryCollector(run_label="profiled-threads-ooc")
+    est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
     with activate(collector):
-        est.fit(tiny_problem.train, epochs=2)
+        est.fit(None, epochs=2)
     return est, collector
 
 
-class TestProcsProfiling:
-    def test_single_trace_with_worker_lanes(self, procs_profiled_run):
-        est, collector = procs_profiled_run
+def _lanes(trace: dict) -> set:
+    return {(e.get("pid"), e.get("tid"))
+            for e in trace["traceEvents"] if e.get("ph") != "M"}
+
+
+class TestThreadsProfiling:
+    def test_single_trace_with_worker_lanes(self, ooc_profiled_run):
+        est, collector = ooc_profiled_run
         trace = collector.tracer.to_chrome()
         validate_chrome_trace(trace)
-        lanes = {
-            (e.get("pid"), e.get("tid"))
-            for e in trace["traceEvents"] if e.get("ph") != "M"
-        }
-        # the trainer wall lane + one pid lane per worker process
-        assert len(lanes) >= est.n_procs + 1
-        for wid in range(est.n_procs):
-            assert (WORKER_PID_BASE + wid, 0) in lanes
+        lanes = _lanes(trace)
+        # the trainer wall lane + one thread lane per worker
+        assert len(lanes) >= est.n_threads + 1
+        for tid in range(est.n_threads):
+            assert (WALL_PID, THREAD_TID_BASE + tid) in lanes
+        # each thread's shard loads land on its own lane
+        loads = {e["tid"] for e in trace["traceEvents"]
+                 if e["name"].startswith("stage.load")}
+        assert loads == {THREAD_TID_BASE + t for t in range(est.n_threads)}
 
-    def test_stall_report_fractions(self, procs_profiled_run):
-        est, _ = procs_profiled_run
+    def test_stall_report_fractions(self, ooc_profiled_run):
+        est, _ = ooc_profiled_run
         report = est.stall_report
-        assert report is not None and report.executor == "procs"
-        assert len(report.workers) == est.n_procs
+        assert report is not None and report.executor == "threads_ooc"
+        assert len(report.workers) == est.n_threads
         StallReport.validate_dict(report.as_dict())
         # epochs ran compute, so it can't be all residual
         assert report.aggregate_seconds()["compute"] > 0.0
-
-    def test_barrier_wait_histogram_per_worker(self, procs_profiled_run):
-        """Regression: barrier waits must stay per-worker labeled — one
-        histogram per worker id, not one shared aggregate."""
-        est, collector = procs_profiled_run
-        family = collector.registry.family(M.PROC_BARRIER_WAIT_SECONDS)
-        workers = {dict(m.labels)["worker"] for m in family}
-        assert workers == {str(w) for w in range(est.n_procs)}
-        for metric in family:
-            assert metric.kind == "histogram"
-            # one observation per epoch per worker
-            assert metric.total == 2
 
     def test_threads_report_and_lanes(self, tiny_problem):
         from repro.parallel.threads import ThreadedHogwild
@@ -346,10 +282,7 @@ class TestProcsProfiling:
         StallReport.validate_dict(est.stall_report.as_dict())
         trace = collector.tracer.to_chrome()
         validate_chrome_trace(trace)
-        lanes = {
-            (e.get("pid"), e.get("tid"))
-            for e in trace["traceEvents"] if e.get("ph") != "M"
-        }
+        lanes = _lanes(trace)
         for tid in range(est.n_threads):
             assert (WALL_PID, THREAD_TID_BASE + tid) in lanes
 
@@ -437,7 +370,7 @@ class TestPerfLedger:
             "speedup": 2.0,                 # gated (speedup)
             "threads_vs_serial": 1.5,       # gated (speedup ratio)
             "auto_vs_serial": 1.0,          # gated (speedup ratio)
-            "ooc_vs_procs": 0.9,            # lower-is-better: never gated
+            "ooc_vs_threads": 0.9,          # lower-is-better: never gated
             "oversubscribed": True,         # bool flag: never gated
             "cpu_count": 4,                 # not a gated family
         }
@@ -446,7 +379,7 @@ class TestPerfLedger:
                               "threads_vs_serial", "auto_vs_serial"}
         assert is_speedup_metric("auto_vs_serial")
         assert is_speedup_metric("speedup")
-        assert not is_speedup_metric("ooc_vs_procs")
+        assert not is_speedup_metric("ooc_vs_threads")
         assert not is_speedup_metric("serial_updates_per_sec")
 
     def test_oversubscribed_run_skips_speedup_gates(self, tmp_path):

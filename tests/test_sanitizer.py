@@ -2,27 +2,21 @@
 
 The sanitizer's acceptance bar has two sides, and both are tested here:
 
-* **clean runs never report** — serial, threaded and process executors
-  under ``--sanitize all`` produce zero findings, full coverage
-  accounting (``samples == epochs * nnz``), and a paired shm lifecycle
-  ledger; a hypothesis sweep randomizes the schedule geometry;
+* **clean runs never report** — the serial and threaded executors, in
+  core and out of core, under ``--sanitize all`` produce zero findings,
+  full coverage accounting (``samples == epochs * nnz``, one block check
+  per staged block) and a paired mmap lifecycle ledger; a hypothesis sweep
+  randomizes the schedule geometry;
 * **seeded faults are always caught** — a tampered
   :class:`~repro.sched.plan.EpochPlan` (a lane duplicated within a wave,
-  overlapping process shards), a NaN injected into Q, an fp64 model, and
-  a leaked shared-memory segment each surface as the documented typed
-  finding or :class:`~repro.san.errors.SanitizerError`, deterministically.
-
-Also covers the crash-surfacing contract of the process pool (a worker
-killed mid-epoch raises promptly instead of hanging the barrier) and the
-narrowed resource-tracker shim it relies on.
+  overlapping thread shards), a NaN injected into Q or into a staged
+  block, non-finite ratings in a worker thread, and an fp64 model each
+  surface as the documented typed finding or
+  :class:`~repro.san.errors.SanitizerError`, deterministically, naming the
+  worker that tripped it.
 """
 
 from __future__ import annotations
-
-import os
-import signal
-import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -31,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro.core.hogwild import BatchHogwild
 from repro.core.model import FactorModel
+from repro.data.blockstore import BlockPrefetcher, BlockStore
 from repro.data.container import RatingMatrix
-from repro.parallel import ProcessHogwild, ThreadedHogwild
-from repro.parallel.procs import _register_skipping_shm, _SharedCluster
+from repro.parallel import ThreadedHogwild
 from repro.san import (
     SanitizerError,
     SanReport,
@@ -41,7 +35,6 @@ from repro.san import (
     sanitizer_from_mode,
 )
 from repro.san.core import Sanitizer
-from repro.san.lifecycle import track_shm
 from repro.sched.plan import EpochPlan, PlanShard
 
 
@@ -91,25 +84,46 @@ class TestCleanRuns:
         assert len(report.race_stats.workers) == 4
         assert 0.0 < report.race_stats.race_rate <= 1.0
 
-    def test_procs_clean_with_full_accounting(self, tiny_problem):
+    @pytest.mark.parametrize("out_of_core", [False, True],
+                             ids=["in-core", "out-of-core"])
+    def test_threads_clean_with_full_accounting(self, tiny_problem, tmp_path,
+                                                out_of_core):
         train = tiny_problem.train
+        store = (BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
+                 if out_of_core else None)
         san = Sanitizer("all")
-        est = ProcessHogwild(
-            k=8, n_procs=2, lam=0.05, seed=0, workers=32, f=16
+        est = ThreadedHogwild(
+            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16, store=store
         )
         with activate_sanitizer(san):
-            est.fit(train, epochs=2)
+            est.fit(None if out_of_core else train, epochs=2)
         report = san.finalize(publish=False)
         assert report.clean, "\n".join(f.format() for f in report.findings)
-        # both workers spooled their shadow logs; nothing was lost
+        # both threads logged their waves or blocks; nothing was lost
         assert report.race_stats.samples == 2 * train.nnz
         assert len(report.race_stats.workers) == 2
         assert 0.0 <= report.race_stats.race_rate <= 1.0
-        # the shm ledger is fully paired once fit tears the cluster down
-        lc = report.lifecycle
-        assert lc["segments_created"] > 0
-        assert lc["segments_created"] == lc["segments_unlinked"]
-        assert lc["segment_opens"] == lc["segment_closes"]
+        if out_of_core:
+            # the worker threads see the caller's sanitizer: every staged
+            # block was checked and its mmap released
+            assert report.numeric["block_checks"] == 2 * store.n_blocks
+            lc = report.lifecycle
+            assert lc["mmaps_opened"] == lc["mmaps_released"] == (
+                2 * store.n_blocks)
+
+    def test_sanitized_prefetch_pairs_every_mmap(self, tiny_problem,
+                                                 tmp_path):
+        """The loader thread loads shards in the consumer's context, so
+        the lifecycle ledger sees every staged mmap."""
+        store = BlockStore.create(tiny_problem.train, 3, 3,
+                                  tmp_path / "store", seed=0)
+        san = Sanitizer("all")
+        with activate_sanitizer(san):
+            staged = sum(len(rec) for _, rec in
+                         BlockPrefetcher(store, list(store.blocks())))
+        assert staged == tiny_problem.train.nnz
+        lc = san.finalize(publish=False).lifecycle
+        assert lc["mmaps_opened"] == lc["mmaps_released"] == 9
 
     def test_report_round_trips_and_validates(self, tiny_problem):
         san = Sanitizer("all")
@@ -168,10 +182,10 @@ class TestSeededFaults:
         kinds = {f.kind for f in report.findings}
         assert "race-double-execution" in kinds, kinds
 
-    def test_overlapping_proc_shards_are_caught(self, tiny_problem,
-                                                monkeypatch):
+    def test_overlapping_thread_shards_are_caught(self, tiny_problem,
+                                                  monkeypatch):
         """Shard tampering: widen worker 1's column shard to also cover
-        worker 0's lanes. Both processes then execute the same samples —
+        worker 0's lanes. Both threads then execute the same samples —
         a cross-shard ownership violation and a within-wave overlap."""
         train = tiny_problem.train
         original = EpochPlan.shard
@@ -180,13 +194,14 @@ class TestSeededFaults:
             shards = original(self, n_shards)
             last = shards[-1]
             shards[-1] = PlanShard(index=last.index, col_lo=0,
-                                   col_hi=last.col_hi)
+                                   col_hi=last.col_hi).cut(
+                self.matrix, self.lengths, self.version)
             return shards
 
         monkeypatch.setattr(EpochPlan, "shard", overlapping)
         san = Sanitizer("races")
-        est = ProcessHogwild(
-            k=8, n_procs=2, lam=0.05, seed=0, workers=32, f=16
+        est = ThreadedHogwild(
+            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16
         )
         with activate_sanitizer(san):
             est.fit(train, epochs=1)
@@ -217,58 +232,27 @@ class TestSeededFaults:
             _serial_epochs(train, san, epochs=1, model=model)
         assert excinfo.value.kind == "numeric-fp64-leak"
 
-    def test_leaked_shm_segment_is_reported(self):
-        san = Sanitizer("races")  # lifecycle rides with race checking
-        with activate_sanitizer(san):
-            shm = track_shm(shared_memory.SharedMemory(create=True, size=64))
-            shm.close()  # mapping released — but the name never unlinked
-        report = san.finalize(publish=False)
-        try:
-            leaks = [f for f in report.findings
-                     if f.kind == "lifecycle-shm-leak"]
-            assert leaks, [f.format() for f in report.findings]
-            assert any("never unlinked" in f.message for f in leaks)
-        finally:
-            shm.unlink()
+    def test_poisoned_block_names_its_thread(self, tiny_problem, tmp_path):
+        """A NaN rating in a block only thread 1 owns fails that block's
+        staging check, naming the block and worker 1."""
+        store = BlockStore.create(tiny_problem.train, 3, 3,
+                                  tmp_path / "store", seed=0)
+        coords = store.assign(2)[1][0]
+        path = store.path(*coords)
+        rec = np.load(path)
+        rec["r"][0] = np.nan
+        np.save(path, rec)
+        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        with activate_sanitizer(Sanitizer("numeric")):
+            with pytest.raises(SanitizerError) as excinfo:
+                est.fit(None, epochs=1)
+        assert excinfo.value.kind == "numeric-nonfinite"
+        assert str(coords) in str(excinfo.value)
+        assert excinfo.value.worker == 1
 
-
-# ---------------------------------------------------------------------------
-# process-pool failure modes
-# ---------------------------------------------------------------------------
-class TestProcessPoolFailureModes:
-    def test_worker_death_surfaces_promptly_not_a_hang(self, tiny_ratings):
-        """SIGKILLing a worker mid-epoch must raise a diagnostic naming
-        the worker within seconds — not stall until the 600 s barrier
-        timeout."""
-        init = FactorModel.initialize(10, 8, 4, seed=0)
-        order = np.random.default_rng(0).permutation(
-            tiny_ratings.nnz
-        ).astype(np.int64)
-        plan = EpochPlan(order, workers=4, f=4)
-        cluster = _SharedCluster(2, None)
-        try:
-            cluster.start(init, plan, tiny_ratings, None, 2, 4, False, 0)
-            os.kill(cluster._procs[0].pid, signal.SIGKILL)
-            t0 = time.perf_counter()
-            with pytest.raises(RuntimeError, match="worker 0 .*died"):
-                cluster.run_epoch(plan, 0.01, 0.05, 0.05, epoch=1)
-            assert time.perf_counter() - t0 < 30.0
-        finally:
-            cluster.close()
-
-    def test_register_shim_drops_only_shm_rtype(self):
-        calls = []
-        register = _register_skipping_shm(
-            lambda name, rtype: calls.append((name, rtype))
-        )
-        register("/psm_deadbeef", "shared_memory")
-        register("/mp-sem", "semaphore")
-        assert calls == [("/mp-sem", "semaphore")]
-
-    def test_worker_sanitizer_error_reraised_in_parent(self, tiny_problem,
-                                                       monkeypatch):
-        """A numeric failure inside a worker process travels back to the
-        parent as the same typed SanitizerError, not a bare RuntimeError."""
+    def test_worker_sanitizer_error_reraised_in_parent(self, tiny_problem):
+        """A numeric failure inside a worker thread reaches the caller as
+        the same typed SanitizerError, naming the worker."""
         train = tiny_problem.train
         bad = RatingMatrix(
             rows=train.rows, cols=train.cols,
@@ -277,8 +261,8 @@ class TestProcessPoolFailureModes:
         )
         bad.vals[0] = np.float32("inf")  # poisons residuals immediately
         san = sanitizer_from_mode("numeric")
-        est = ProcessHogwild(
-            k=8, n_procs=2, lam=0.05, seed=0, workers=32, f=16
+        est = ThreadedHogwild(
+            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16
         )
         with activate_sanitizer(san):
             with pytest.raises(SanitizerError) as excinfo:
