@@ -19,11 +19,13 @@ cpu count) for the perf ledger:
 
 * **serial** — :class:`repro.core.hogwild.BatchHogwild`, the compiled-plan
   single-core path (the bench_hot_path.py subject);
-* **threads** — :class:`repro.parallel.ThreadedHogwild`, per-thread
-  replay of the same ``EpochPlan`` column shards over shared P/Q;
-* **threads_ooc** — the same executor streaming mmap'd
-  :class:`repro.data.BlockStore` shards through per-thread double-buffered
-  prefetchers, one ``serial_update`` call per block.
+* **threads** — ``CuMFSGD(n_threads=N)``, whose epochs run on
+  :class:`repro.parallel.ThreadedHogwild`: per-thread replay of the same
+  ``EpochPlan`` column shards over shared P/Q;
+* **threads_ooc** — ``CuMFSGD(n_threads=N, store=...)``, the same executor
+  streaming mmap'd :class:`repro.data.BlockStore` shards through
+  per-thread double-buffered prefetchers, one ``serial_update`` call per
+  block.
 
 Timing: shared runners show *multiplicative* noise, so each headline ratio
 is the median of per-round paired ratios — every round times one full run
@@ -35,14 +37,15 @@ problem size (:func:`repro.parallel.policy.choose_backend`: ``c`` where a
 C compiler is present and nnz amortizes loading it, else numpy), recorded
 as ``config.backend``; ``n_threads`` is capped at the core count, so the
 ratios measure capacity rather than oversubscription
-(:func:`effective_config`).
+(:func:`effective_config`), but not below 2: one thread without a store is
+the serial executor itself.
 
 Scaling expectations depend on physical cores: the emitted document records
 ``os.cpu_count()`` so a 1-core container's honest ~1x threads ratio is not
 mistaken for a regression. The cross-executor *correctness* contract —
-``ThreadedHogwild(n_threads=1)`` bit-identical to the serial compiled-plan
-loop — is asserted on a fixed tiny problem regardless of the timing config
-and recorded as ``bit_identical``.
+``ThreadedHogwild(n_threads=1)`` under :func:`repro.core.trainer.run_epochs`
+bit-identical to the serial compiled-plan loop — is asserted on a fixed tiny
+problem regardless of the timing config and recorded as ``bit_identical``.
 
 Run::
 
@@ -67,6 +70,7 @@ import numpy as np
 from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
+from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockStore
 from repro.data.synthetic import DatasetSpec, make_synthetic
 from repro.obs.ledger import PerfLedger, bench_meta
@@ -107,10 +111,11 @@ VARIANTS = ("serial", "threads", "threads_ooc")
 
 def effective_config(config: dict) -> dict:
     """``config`` as this host runs it: the thread count capped at the core
-    count and the policy-resolved kernel backend added."""
+    count (but at least 2, or the threads variant would be the serial
+    executor) and the policy-resolved kernel backend added."""
     cpus = os.cpu_count() or 1
     backend, _ = choose_backend(config["nnz"], config["k"])
-    return dict(config, n_threads=min(config["n_threads"], cpus),
+    return dict(config, n_threads=max(2, min(config["n_threads"], cpus)),
                 backend=backend)
 
 
@@ -136,17 +141,19 @@ def _run_serial(config: dict, train) -> None:
 
 def _run_threads(config: dict, train,
                  store: BlockStore | None = None) -> ThreadedHogwild:
-    est = ThreadedHogwild(
+    """``epochs`` epochs of ``CuMFSGD(n_threads=...)``, in core or
+    streaming ``store``; returns the fit's thread executor."""
+    est = CuMFSGD(
         k=config["k"], n_threads=config["n_threads"], lam=0.05,
         seed=config["seed"], workers=config["workers"], f=config["f"],
         backend=config["backend"], store=store,
     )
     est.fit(train if store is None else None, epochs=config["epochs"])
-    return est
+    return est.executor
 
 
 def _sanitized_probe(config: dict, mode: str) -> dict:
-    """One sanitized :class:`ThreadedHogwild` fit over the bench dataset.
+    """One sanitized threads fit over the bench dataset.
 
     Runs outside the timing loops (the sanitizer's cost is gated
     separately, by ``bench_hot_path``); the report — findings and the
@@ -169,8 +176,9 @@ def _bit_identity_check(backend: str) -> bool:
     """``ThreadedHogwild(n_threads=1)`` vs the serial compiled-plan loop.
 
     Fixed tiny problem (independent of the timing config): same seed, same
-    schedule, same backend, two epochs — the single-shard thread path must
-    reproduce the serial executor's factors bit for bit.
+    schedule, same backend, two epochs — the single-shard thread executor,
+    driven by the one epoch loop, must reproduce the serial executor's
+    factors bit for bit.
     """
     spec = DatasetSpec(name="bitcheck", m=120, n=80, k=8,
                        n_train=4_000, n_test=400)
@@ -183,12 +191,16 @@ def _bit_identity_check(backend: str) -> bool:
     for epoch in range(epochs):
         sched.run_epoch(ref, train, schedule(epoch), 0.05)
 
-    est = ThreadedHogwild(k=spec.k, n_threads=1, lam=0.05, seed=seed,
-                          workers=workers, f=f, backend=backend)
-    est.fit(train, epochs=epochs)
+    model = FactorModel.initialize(spec.m, spec.n, spec.k, seed=seed)
+    run_epochs(
+        ThreadedHogwild(n_threads=1, seed=seed, workers=workers, f=f,
+                        backend=backend),
+        model, train, epochs, schedule=schedule, lam=0.05,
+        scheme="batch_hogwild", k=spec.k,
+    )
     return (
-        est.model.p.tobytes() == ref.p.tobytes()
-        and est.model.q.tobytes() == ref.q.tobytes()
+        model.p.tobytes() == ref.p.tobytes()
+        and model.q.tobytes() == ref.q.tobytes()
     )
 
 
@@ -207,7 +219,7 @@ def run_config(config: dict) -> dict:
             train, config["grid"], config["grid"], tmp,
             seed=config["seed"],
         )
-        # keep the last fitted thread estimators: their StallReports (phase
+        # keep the last fits' thread executors: their StallReports (phase
         # accounting is always on, spans only under a tracer — no timing
         # skew) become the doc's stall_report / stall_report_ooc
         fitted: dict[str, ThreadedHogwild] = {}

@@ -14,11 +14,11 @@ Run:  python examples/scaling_study.py
 
 import time
 
+from repro.core.trainer import CuMFSGD
 from repro.data.synthetic import PAPER_DATASETS, DatasetSpec, make_synthetic
 from repro.gpusim.roofline import roofline_point
 from repro.gpusim.simulator import cumf_throughput, libmf_cpu_throughput
 from repro.gpusim.specs import MAXWELL_TITAN_X, PASCAL_P100, XEON_E5_2670_DUAL
-from repro.parallel.threads import ThreadedHogwild
 
 NETFLIX = PAPER_DATASETS["netflix"]
 
@@ -61,7 +61,7 @@ def main() -> None:
         seed=0,
     )
     for n_threads in (1, 2, 4):
-        est = ThreadedHogwild(k=16, n_threads=n_threads, lam=0.05, seed=0)
+        est = CuMFSGD(k=16, n_threads=n_threads, lam=0.05, seed=0)
         start = time.perf_counter()
         hist = est.fit(problem.train, epochs=5, test=problem.test)
         elapsed = time.perf_counter() - start

@@ -83,9 +83,10 @@ def detect_divergence(
     ``"diverging"``.
 
     * diverging — NaN appears, or RMSE rises for ``patience`` consecutive
-      epochs;
-    * stalled — the last ``patience`` epochs improved by less than
-      ``stall_tolerance`` in total;
+      epochs by at least ``stall_tolerance`` in total;
+    * stalled — the last ``patience`` epochs moved RMSE by less than
+      ``stall_tolerance`` in total, either way (a slow upward drift, the
+      mild overfitting of a long run at a decayed rate, is a stall);
     * converging — otherwise.
     """
     if patience < 1:
@@ -97,9 +98,10 @@ def detect_divergence(
         return "diverging"
     if len(curve) > patience:
         deltas = np.diff(curve)
-        if np.all(deltas[-patience:] > 0):
+        change = curve[-1] - curve[-patience - 1]
+        if np.all(deltas[-patience:] > 0) and change >= stall_tolerance:
             return "diverging"
-        if abs(curve[-patience - 1] - curve[-1]) < stall_tolerance:
+        if abs(change) < stall_tolerance:
             return "stalled"
     return "converging"
 

@@ -1,9 +1,10 @@
 """Public training API: the ``CuMFSGD`` estimator.
 
 Ties together model initialization (Algorithm 1 line 3), a scheduling scheme
-(§5), the Eq. 9 learning-rate schedule, optional half-precision storage
-(§4), and optional multi-device partitioning (§6), with per-epoch test-RMSE
-tracking — the measurement every RMSE-vs-time figure in the paper plots.
+(§5) with its worker threads, the Eq. 9 learning-rate schedule, optional
+half-precision storage (§4), and optional multi-device partitioning (§6),
+with per-epoch test-RMSE tracking — the measurement every RMSE-vs-time
+figure in the paper plots.
 
 :func:`run_epochs` is the one epoch loop behind every trainer — this
 estimator, the real-parallelism executors of :mod:`repro.parallel`, and
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from repro.core.wavefront import WavefrontScheduler
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
 from repro.obs.hooks import EpochEvent, TrainerHooks, resolve_hooks
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.data.blockstore import BlockStore
 
 __all__ = [
     "CuMFSGD",
@@ -182,7 +186,9 @@ class TrainHistory:
 
 
 class EpochExecutor(Protocol):
-    """One full pass over ``ratings`` — all an executor does per epoch."""
+    """One full pass over ``ratings`` — all an executor does per epoch.
+    An executor may add ``session(model, train)``, a context manager
+    around the whole run that yields the model the epochs update."""
 
     def run_epoch(
         self,
@@ -209,11 +215,6 @@ class EpochGuard(Protocol):
         """Epoch ``epoch`` passed :meth:`check` and was recorded."""
 
 
-#: a context around the whole run that yields the model the epochs update
-#: (a process pool's shared-memory copy, say) and tears down on exit
-Session = Callable[[FactorModel, RatingMatrix | None], AbstractContextManager]
-
-
 def run_epochs(
     executor: EpochExecutor,
     model: FactorModel,
@@ -231,7 +232,6 @@ def run_epochs(
     eval_train: bool = False,
     hooks: TrainerHooks | None = None,
     extras: Callable[[], dict] | None = None,
-    session: Session | None = None,
     guard: EpochGuard | None = None,
     verbose: bool = False,
 ) -> TrainHistory:
@@ -243,8 +243,8 @@ def run_epochs(
     :class:`~repro.obs.hooks.EpochEvent` into the returned history and
     ``hooks``, then early stop once ``target_rmse`` is reached on ``test``.
 
-    ``session(model, train)`` is entered around the epochs and yields the
-    model they update. ``guard`` may reject an epoch before it is
+    The executor's ``session(model, train)``, if it has one, is entered
+    around the epochs. ``guard`` may reject an epoch before it is
     recorded and rewind the run to a checkpoint. ``extras()`` supplies
     the events' executor diagnostics, asked only while ``hooks`` listen.
     ``nnz`` defaults to ``train.nnz``.
@@ -254,6 +254,7 @@ def run_epochs(
     hooks = resolve_hooks(hooks)
     nnz = train.nnz if nnz is None else nnz
     history = TrainHistory()
+    session = getattr(executor, "session", None)
     opened = session(model, train) if session is not None else nullcontext(model)
     with opened as model:
         epoch = 0
@@ -342,6 +343,14 @@ class CuMFSGD:
     backend:
         Kernel backend for ``scheme="batch_hogwild"`` wave updates (see
         :mod:`repro.backends`); ``None`` keeps the NumPy reference path.
+    n_threads, store:
+        OS threads racing lock-free on the shared factors (§5.1), and a
+        :class:`~repro.data.blockstore.BlockStore` to stream the ratings
+        from (``fit(None)`` then takes the shape from it). More than one
+        thread, or a store, runs the epochs on
+        :class:`~repro.parallel.threads.ThreadedHogwild`; otherwise one
+        thread is :class:`~repro.core.hogwild.BatchHogwild` itself. Both
+        need ``scheme="batch_hogwild"`` without an :class:`AdaGradSchedule`.
     """
 
     def __init__(
@@ -361,11 +370,22 @@ class CuMFSGD:
         strict_safety: bool = False,
         hooks: TrainerHooks | None = None,
         backend: object | None = None,
+        n_threads: int = 1,
+        store: BlockStore | None = None,
     ) -> None:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if n_threads <= 0:
+            raise ValueError(f"n_threads must be positive, got {n_threads}")
+        if (n_threads > 1 or store is not None) and (
+                scheme != "batch_hogwild"
+                or isinstance(schedule, AdaGradSchedule)):
+            what = (f"scheme {scheme!r}" if scheme != "batch_hogwild"
+                    else "AdaGradSchedule")
+            raise ValueError(f"{what} cannot run on threads or a BlockStore, "
+                             "which run batch_hogwild without AdaGrad")
         self.k = k
         self.scheme = scheme
         self.workers = workers
@@ -385,12 +405,24 @@ class CuMFSGD:
         #: BatchHogwild; the wavefront and multi-device simulators model
         #: schedules, not kernels, and ignore it.
         self.backend = backend
+        self.n_threads = n_threads
+        self.store = store
         self.model: FactorModel | None = None
         self.history: TrainHistory | None = None
+        #: the last fit's epoch executor, for its diagnostics
+        self.executor = None
         self.safety = None
 
     # ------------------------------------------------------------------
     def _make_executor(self):
+        if self.n_threads > 1 or self.store is not None:
+            from repro.parallel.threads import ThreadedHogwild
+
+            return ThreadedHogwild(
+                n_threads=self.n_threads, seed=self.seed,
+                workers=self.workers, f=self.f, backend=self.backend,
+                store=self.store,
+            )
         if self.scheme == "batch_hogwild":
             if isinstance(self.schedule, AdaGradSchedule):
                 from repro.core.adagrad import AdaGradHogwild
@@ -415,38 +447,50 @@ class CuMFSGD:
             seed=self.seed,
         )
 
-    def _check_safety(self, ratings: RatingMatrix) -> None:
-        if not np.all(np.isfinite(ratings.vals)):
-            bad = int(np.count_nonzero(~np.isfinite(ratings.vals)))
+    def _check_safety(self, train: RatingMatrix | None) -> None:
+        if train is not None and not np.all(np.isfinite(train.vals)):
+            bad = int(np.count_nonzero(~np.isfinite(train.vals)))
             raise ValueError(
                 f"ratings contain {bad} non-finite value(s) (NaN/inf); "
                 "a single poisoned sample corrupts every factor it touches — "
                 "clean the data (e.g. repro.data.preprocess) before training"
             )
+        shape = train if self.store is None else self.store
         i, j = self.grid if self.scheme == "multi_device" else (1, 1)
         self.safety = check_parallelism(
-            self.workers, ratings.n_rows, ratings.n_cols, i, j
+            self.workers, shape.n_rows, shape.n_cols, i, j
         )
         if self.strict_safety and not self.safety.safe:
             raise ValueError(f"unsafe parallelism: {self.safety}")
 
-    def _prepare(self, train: RatingMatrix, warm_start: bool) -> None:
-        """Pre-fit checks, then a fresh model unless warm-starting."""
+    def _prepare(self, train: RatingMatrix | None, warm_start: bool) -> int:
+        """Pre-fit checks, then a fresh model unless warm-starting; returns
+        the samples per epoch. Out of core the store sets the shape."""
+        if self.store is None:
+            if train is None:
+                raise ValueError("train is required without a BlockStore")
+            source = train
+        else:
+            source = self.store
+            if train is not None and train.shape != source.shape:
+                raise ValueError(f"train shape {train.shape} disagrees with "
+                                 f"store shape {source.shape}")
         self._check_safety(train)
         if self.model is None or not warm_start:
             self.model = FactorModel.initialize(
-                train.n_rows,
-                train.n_cols,
+                source.n_rows,
+                source.n_cols,
                 self.k,
                 seed=self.seed,
                 scale_factor=self.scale_factor,
                 half_precision=self.half_precision,
             )
+        return source.nnz
 
     # ------------------------------------------------------------------
     def fit(
         self,
-        train: RatingMatrix,
+        train: RatingMatrix | None,
         epochs: int = 20,
         test: RatingMatrix | None = None,
         target_rmse: float | None = None,
@@ -459,18 +503,19 @@ class CuMFSGD:
 
         Stops early when ``target_rmse`` is reached on the test set. Returns
         (and stores) the :class:`TrainHistory`. ``hooks`` overrides the
-        instance-level hooks for this call only.
+        instance-level hooks for this call only. With a ``store``,
+        ``train`` may be None.
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         if target_rmse is not None and test is None:
             raise ValueError("target_rmse requires a test set")
-        self._prepare(train, warm_start)
-        executor = self._make_executor()
+        nnz = self._prepare(train, warm_start)
+        self.executor = executor = self._make_executor()
         self.history = run_epochs(
             executor, self.model, train, epochs,
             schedule=self.schedule, lam=self.lam, scheme=self.scheme,
-            k=self.k, feature_bytes=2 if self.half_precision else 4,
+            k=self.k, nnz=nnz, feature_bytes=2 if self.half_precision else 4,
             test=test, target_rmse=target_rmse, eval_train=eval_train,
             hooks=hooks if hooks is not None else self.hooks,
             extras=lambda: self._executor_extras(executor), verbose=verbose,
@@ -482,7 +527,10 @@ class CuMFSGD:
     def _executor_extras(executor) -> dict:
         """Scheduler-specific diagnostics for the epoch event (hooks only)."""
         extra: dict = {}
-        if isinstance(executor, WavefrontScheduler):
+        if hasattr(executor, "thread_updates"):  # ThreadedHogwild
+            extra["n_threads"] = executor.n_threads
+            extra["thread_updates"] = list(executor.thread_updates)
+        elif isinstance(executor, WavefrontScheduler):
             prev = getattr(executor, "_obs_prev_waits", 0)
             extra["lock_wait_events"] = executor.wait_events - prev
             executor._obs_prev_waits = executor.wait_events

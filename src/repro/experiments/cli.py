@@ -8,6 +8,7 @@ Subcommands::
     cumf-sgd train netflix-syn --epochs 20 --scheme wavefront
     cumf-sgd train netflix-syn --executor auto            # policy picks (default)
     cumf-sgd train netflix-syn --executor threads --procs 4   # Hogwild! threads
+    cumf-sgd train netflix-syn --executor threads --half --fault-plan plan.json
     cumf-sgd train netflix-syn --backend c                # fused C kernel (local cc)
     cumf-sgd train netflix-syn --out-of-core              # stream blocks from disk
     cumf-sgd plan hugewiki --gpu pascal --devices 2
@@ -27,7 +28,12 @@ Subcommands::
 byte-identical metrics dump. ``train --fault-plan`` runs training under an
 injected :class:`repro.resilience.faults.FaultPlan` loaded from JSON, with
 checkpoint/rollback recovery via
-:class:`repro.resilience.trainer.ResilientTrainer`.
+:class:`repro.resilience.trainer.ResilientTrainer`, on any executor.
+
+``train`` builds one :class:`repro.core.trainer.CuMFSGD` for every
+executor: ``--executor serial`` is one thread, ``--executor threads``
+sets ``n_threads`` to ``--procs``, and ``--out-of-core`` hands it a
+temporary :class:`repro.data.blockstore.BlockStore`.
 
 ``train --trace PATH`` runs the training itself under telemetry and writes
 one merged multi-lane Chrome trace: the trainer's wall lane plus one
@@ -120,9 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=("auto", "serial", "threads"),
                          help="auto (default): pick per host/problem via "
                          "repro.parallel.policy (serial unless measured "
-                         "evidence says threads win); serial: "
-                         "deterministic simulated executor (--scheme "
-                         "applies); threads: ThreadedHogwild")
+                         "evidence says threads win); serial: one "
+                         "thread (--scheme applies); threads: --procs "
+                         "Hogwild! threads (batch_hogwild only)")
     train_p.add_argument("--backend", default="auto",
                          choices=("auto", "numpy", "c"),
                          help="kernel backend (repro.backends registry); "
@@ -134,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(default: the auto-policy's choice, else 4)")
     train_p.add_argument("--out-of-core", action="store_true",
                          help="stage ratings from a temporary on-disk "
-                         "BlockStore (runs on --executor threads)")
+                         "BlockStore (batch_hogwild; auto runs it on "
+                         "threads)")
     train_p.add_argument("--epochs", type=int, default=20)
     train_p.add_argument("--workers", type=int, default=64)
     train_p.add_argument("--k", type=int, default=None)
@@ -318,9 +325,9 @@ def _cmd_train_inner(args) -> int:
 def _resolve_executor(args, spec, problem) -> None:
     """Resolve ``--executor auto`` (the default) into a concrete executor.
 
-    Structural constraints first — ``--out-of-core`` only runs on threads;
-    ``--fault-plan`` and the non-hogwild schemes only run on the serial
-    simulators — then the measured-evidence policy of
+    Structural constraints first — ``--out-of-core`` streams on threads,
+    the non-hogwild schemes only run on the serial simulators — then the
+    measured-evidence policy of
     :mod:`repro.parallel.policy` (serial unless this host's perf ledger
     shows threads beating serial). Also resolves
     ``--backend auto`` to a concrete verified backend either way, and
@@ -347,11 +354,6 @@ def _resolve_executor(args, spec, problem) -> None:
             "threads", args.procs or 4, backend_name,
             "--out-of-core streams through the threads executor",
         )
-    elif args.fault_plan:
-        choice = ExecutorChoice(
-            "serial", 1, backend_name,
-            "--fault-plan recovery runs on the serial executor",
-        )
     elif args.scheme != "batch_hogwild":
         choice = ExecutorChoice(
             "serial", 1, backend_name,
@@ -374,10 +376,14 @@ def _resolve_executor(args, spec, problem) -> None:
 
 
 def _run_train(args) -> int:
+    import tempfile
+    from contextlib import ExitStack
+
     from repro.core.checkpoint import save_model
     from repro.core.lr_schedule import NomadSchedule
     from repro.core.trainer import CuMFSGD
     from repro.data.synthetic import SCALED_DATASETS, make_synthetic
+    from repro.metrics.throughput import ThroughputRecord
 
     if args.dataset not in SCALED_DATASETS:
         print(f"unknown data set {args.dataset!r}; choose from "
@@ -386,44 +392,60 @@ def _run_train(args) -> int:
     spec = SCALED_DATASETS[args.dataset]
     problem = make_synthetic(spec, seed=args.seed)
     _resolve_executor(args, spec, problem)
-    if args.executor != "serial":
-        return _train_parallel(args, spec, problem)
-    if args.out_of_core:
-        print("--out-of-core requires --executor threads", file=sys.stderr)
-        return 2
-    est = CuMFSGD(
-        k=args.k or spec.k,
-        scheme=args.scheme,
-        workers=args.workers,
-        lam=args.lam if args.lam is not None else spec.lam,
-        schedule=NomadSchedule(alpha=spec.alpha, beta=spec.beta),
-        half_precision=args.half,
-        n_devices=2 if args.scheme == "multi_device" else 1,
-        grid=(4, 4) if args.scheme == "multi_device" else (1, 1),
-        seed=args.seed,
-        backend=args.backend,
-    )
-    from repro.metrics.throughput import ThroughputRecord
-
+    n_threads = 1 if args.executor == "serial" else args.procs
     start = time.perf_counter()
     trainer = None
-    if args.fault_plan:
-        import tempfile
+    with ExitStack() as cleanup:
+        store = None
+        if args.out_of_core:
+            from repro.data.blockstore import BlockStore
 
-        from repro.resilience.faults import FaultPlan
-        from repro.resilience.trainer import ResilientTrainer
+            root = cleanup.enter_context(tempfile.TemporaryDirectory())
+            grid = max(2, n_threads)
+            store = BlockStore.create(problem.train, grid, grid, root,
+                                      seed=args.seed)
+            print(f"blockstore: {grid}x{grid} grid, "
+                  f"{store.max_block_nnz} max nnz/block -> {root}")
+        try:
+            est = CuMFSGD(
+                k=args.k or spec.k,
+                scheme=args.scheme,
+                workers=args.workers,
+                lam=args.lam if args.lam is not None else spec.lam,
+                schedule=NomadSchedule(alpha=spec.alpha, beta=spec.beta),
+                half_precision=args.half,
+                n_devices=2 if args.scheme == "multi_device" else 1,
+                grid=(4, 4) if args.scheme == "multi_device" else (1, 1),
+                seed=args.seed,
+                backend=args.backend,
+                n_threads=n_threads,
+                store=store,
+            )
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        if args.fault_plan:
+            from repro.resilience.faults import FaultPlan
+            from repro.resilience.trainer import ResilientTrainer
 
-        plan = FaultPlan.load(args.fault_plan)
-        with tempfile.TemporaryDirectory() as tmp_ckpt:
             trainer = ResilientTrainer(
-                est, args.checkpoint_dir or tmp_ckpt, fault_plan=plan
+                est,
+                args.checkpoint_dir
+                or cleanup.enter_context(tempfile.TemporaryDirectory()),
+                fault_plan=FaultPlan.load(args.fault_plan),
             )
             history = trainer.fit(problem.train, epochs=args.epochs,
                                   test=problem.test)
-    else:
-        history = est.fit(problem.train, epochs=args.epochs, test=problem.test,
-                          verbose=True)
+        else:
+            history = est.fit(problem.train, epochs=args.epochs,
+                              test=problem.test, verbose=True)
     elapsed = time.perf_counter() - start
+    executor = est.executor
+    stage = getattr(executor, "stage_stats", None)
+    if stage is not None:
+        print(f"staging: {stage.blocks_loaded} blocks, "
+              f"{stage.bytes_loaded / 1e6:.1f} MB loaded in "
+              f"{stage.load_seconds:.2f}s (stall {stage.wait_seconds:.2f}s)")
     record = ThroughputRecord.from_history(
         history, problem.train.nnz, elapsed_seconds=elapsed,
         solver=f"cuMF_SGD/{args.scheme}", dataset=args.dataset,
@@ -434,75 +456,13 @@ def _run_train(args) -> int:
           f"({record.musec:.1f} M updates/s Eq.7, "
           f"{record.bandwidth_gbs:.2f} GB/s effective)")
     print(f"parallelism: {est.safety}")
+    if getattr(executor, "stall_report", None) is not None:
+        print(f"per-worker updates (last epoch): {executor.thread_updates}")
+        print(executor.stall_report.format())
     if trainer is not None and trainer.events:
         counters = ", ".join(f"{k}={v:g}" for k, v in sorted(trainer.events.items()))
         print(f"resilience: {counters} (rollbacks {trainer.rollbacks}, "
               f"lr scale {trainer.lr_scale:g})")
-    if args.save:
-        from_path = save_model(args.save, est.model, epoch=len(history.epochs),
-                               metadata={"dataset": args.dataset})
-        print(f"checkpoint written to {from_path}")
-    return 0
-
-
-def _train_parallel(args, spec, problem) -> int:
-    """``train --executor threads``: the real-parallelism executor, in
-    core or streaming a temporary BlockStore (``--out-of-core``)."""
-    import tempfile
-
-    from repro.core.checkpoint import save_model
-    from repro.core.lr_schedule import NomadSchedule
-    from repro.metrics.throughput import ThroughputRecord
-    from repro.parallel.threads import ThreadedHogwild
-
-    if args.fault_plan:
-        print("--fault-plan is only supported with --executor serial",
-              file=sys.stderr)
-        return 2
-    if args.half:
-        print("note: --half is ignored by --executor threads "
-              "(fp32 factors)", file=sys.stderr)
-    k = args.k or spec.k
-    start = time.perf_counter()
-    tmp = tempfile.TemporaryDirectory() if args.out_of_core else None
-    try:
-        store = None
-        if tmp is not None:
-            from repro.data.blockstore import BlockStore
-
-            grid = max(2, args.procs)
-            store = BlockStore.create(problem.train, grid, grid, tmp.name,
-                                      seed=args.seed)
-            print(f"blockstore: {grid}x{grid} grid, "
-                  f"{store.max_block_nnz} max nnz/block -> {tmp.name}")
-        est = ThreadedHogwild(
-            k=k, n_threads=args.procs,
-            lam=args.lam if args.lam is not None else spec.lam,
-            schedule=NomadSchedule(alpha=spec.alpha, beta=spec.beta),
-            seed=args.seed, workers=args.workers, backend=args.backend,
-            store=store)
-        history = est.fit(problem.train, epochs=args.epochs, test=problem.test)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    if est.stage_stats is not None:
-        s = est.stage_stats
-        print(f"staging: {s.blocks_loaded} blocks, "
-              f"{s.bytes_loaded / 1e6:.1f} MB loaded in "
-              f"{s.load_seconds:.2f}s (stall {s.wait_seconds:.2f}s)")
-    elapsed = time.perf_counter() - start
-    record = ThroughputRecord.from_history(
-        history, problem.train.nnz, elapsed_seconds=elapsed,
-        solver=f"hogwild/{args.executor}", dataset=args.dataset,
-        workers=args.procs, k=k,
-    )
-    print(f"\nfinal test RMSE {history.final_test_rmse:.4f} "
-          f"(noise floor {problem.rmse_floor:.2f}) in {elapsed:.1f}s "
-          f"({record.musec:.1f} M updates/s Eq.7) "
-          f"across {args.procs} {args.executor}")
-    print(f"per-worker updates (last epoch): {est.thread_updates}")
-    if est.stall_report is not None:
-        print(est.stall_report.format())
     if args.save:
         path = save_model(args.save, est.model, epoch=len(history.epochs),
                           metadata={"dataset": args.dataset,

@@ -1,6 +1,7 @@
-"""Lock-free batch-Hogwild! on real OS threads.
+"""Lock-free batch-Hogwild! epochs on real OS threads.
 
-Each thread owns a column shard (:meth:`EpochPlan.shard`) of the plan the
+``CuMFSGD(n_threads=N)`` (or ``store=...``) runs its epochs here. Each
+thread owns a column shard (:meth:`EpochPlan.shard`) of the plan the
 serial executor replays (:meth:`BatchHogwild.compiled_plan`) and walks every
 wave, running only its lanes on the *shared* P and Q, unlocked: within a
 wave the threads race for real (§5.1; Hogwild! [44]). A shard is one
@@ -32,12 +33,10 @@ import numpy as np
 from repro.backends import get_backend, replay_waves
 from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import WaveWorkspace
-from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore, PrefetchStats
 from repro.data.container import RatingMatrix
-from repro.metrics.rmse import rmse
+from repro.metrics.rmse import rmse  # noqa: F401 -- perfbench/layers.py wraps threads.rmse
 from repro.obs.context import active_registry, active_tracer
 from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
 from repro.obs.profiler import StallReport, WorkerPhases
@@ -92,56 +91,46 @@ def _replay_blocks(ws, backend, prefetcher, p, q, lr, lam_p, lam_q,
 
 
 class ThreadedHogwild:
-    """Batch-Hogwild! SGD over ``n_threads`` OS threads, non-deterministic
+    """Batch-Hogwild! epochs over ``n_threads`` OS threads, non-deterministic
     for ``n_threads > 1``. ``workers``/``f`` shape the shared epoch plan.
     A ``store`` (:class:`~repro.data.blockstore.BlockStore`) streams the
     ratings from disk instead, each thread replaying its own blocks
-    serially (``f`` caps the NumPy reference's segments); ``fit`` then
-    needs no ``train``. One ``on_kernel`` event per thread per epoch;
-    ``repro.thread.*`` (and, out of core, ``repro.stage.*``) metrics go to
-    the ambient registry."""
+    serially (``f`` caps the NumPy reference's segments). One
+    ``on_kernel`` event per thread per epoch; ``repro.thread.*`` (and, out
+    of core, ``repro.stage.*``) metrics go to the ambient registry when
+    the :meth:`session` ends."""
 
     def __init__(
         self,
-        k: int = 32,
         n_threads: int = 4,
-        lam: float = 0.05,
-        schedule: LearningRateSchedule | None = None,
         seed: int = 0,
         workers: int = 128,
         f: int = 256,
-        scale_factor: float = 1.0,
         backend: object | None = None,
         store: BlockStore | None = None,
     ) -> None:
-        if min(k, n_threads, workers, f) <= 0:
-            raise ValueError("k, n_threads, workers, f must be positive")
+        if min(n_threads, workers, f) <= 0:
+            raise ValueError("n_threads, workers, f must be positive")
         if n_threads > workers and store is None:
             raise ValueError(f"n_threads={n_threads} exceeds the plan's "
                              f"{workers} worker lanes")
-        self.k = k
         self.n_threads = n_threads
-        self.lam = lam
-        self.schedule = schedule or NomadSchedule()
         self.seed = seed
         self.workers = workers
         self.f = f
-        self.scale_factor = scale_factor
         #: kernel backend (name / BackendType / instance; None = numpy)
         self.backend = backend
         self.store = store
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
         #: number of updates each thread performed in the last epoch
         self.thread_updates: list[int] = []
-        #: phase attribution of the last :meth:`fit`
+        #: phase attribution of the last session
         self.stall_report: StallReport | None = None
-        #: staging totals of the last out-of-core :meth:`fit`
+        #: staging totals of the last out-of-core session
         self.stage_stats: PrefetchStats | None = None
 
     @contextmanager
-    def _session(self, model: FactorModel, train: RatingMatrix | None):
-        """A fit's state: backend, plan source, per-thread workspaces,
+    def session(self, model: FactorModel, train: RatingMatrix | None):
+        """A run's state: backend, plan source, per-thread workspaces,
         telemetry; folded into tracer, stall report and registry at the end."""
         self._backend = get_backend(self.backend)
         self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
@@ -183,8 +172,8 @@ class ThreadedHogwild:
     def run_epoch(self, model: FactorModel, ratings: RatingMatrix | None,
                   lr: float, lam_p: float, lam_q: float | None = None,
                   hooks: TrainerHooks | None = None) -> int:
-        """One epoch inside :meth:`fit`: each thread replays its shard, or
-        out of core streams its blocks."""
+        """One epoch inside :meth:`session`: each thread replays its shard,
+        or out of core streams its blocks."""
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         self._epochs_run += 1
@@ -307,36 +296,3 @@ class ThreadedHogwild:
         for stats in staged:
             self.stage_stats.merge(stats)
         return counts
-
-    def fit(self, train: RatingMatrix | None, epochs: int = 10,
-            test: RatingMatrix | None = None, target_rmse: float | None = None,
-            hooks: TrainerHooks | None = None) -> TrainHistory:
-        """Train for ``epochs`` passes. Out of core, ``train`` may be
-        None: the shape and the samples come from the store."""
-        if self.store is None:
-            if train is None:
-                raise ValueError("train is required without a BlockStore")
-            m, n, nnz = train.n_rows, train.n_cols, train.nnz
-        else:
-            m, n, nnz = self.store.n_rows, self.store.n_cols, self.store.nnz
-            if train is not None and train.shape != self.store.shape:
-                raise ValueError(f"train shape {train.shape} disagrees with "
-                                 f"store shape {self.store.shape}")
-        self.model = FactorModel.initialize(
-            m, n, self.k, seed=self.seed, scale_factor=self.scale_factor,
-        )
-        self.history = run_epochs(
-            self, self.model, train, epochs, schedule=self.schedule,
-            lam=self.lam, scheme="threaded-hogwild", k=self.k, nnz=nnz,
-            test=test, target_rmse=target_rmse, hooks=hooks,
-            session=self._session,
-            extras=lambda: {"n_threads": self.n_threads,
-                            "thread_updates": list(self.thread_updates)},
-        )
-        return self.history
-
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)

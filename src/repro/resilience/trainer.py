@@ -85,8 +85,9 @@ class ResilientTrainer:
         RMSE larger than ``divergence_factor * best_so_far`` counts as
         divergence even while still finite.
     patience:
-        Consecutive rising epochs that count as divergence (the
-        :func:`detect_divergence` rule).
+        Consecutive rising epochs that count as divergence once their total
+        rise reaches the :func:`detect_divergence` tolerance (a smaller
+        rise is a stall, not a reason to roll back).
     fault_plan, retry:
         Optional :class:`FaultPlan` / :class:`RetryPolicy` attached to a
         multi-device executor, so simulated device loss and transfer
@@ -216,7 +217,7 @@ class ResilientTrainer:
     # ------------------------------------------------------------------
     def fit(
         self,
-        train: RatingMatrix,
+        train: RatingMatrix | None,
         epochs: int = 20,
         test: RatingMatrix | None = None,
         eval_train: bool = False,
@@ -227,13 +228,14 @@ class ResilientTrainer:
 
         The returned :class:`TrainHistory` holds only epochs that survived
         the divergence gate; rolled-back epochs appear in :attr:`log` and
-        the ``repro.resilience.*`` counters instead.
+        the ``repro.resilience.*`` counters instead. With a store,
+        ``train`` may be None.
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         est = self.estimator
-        est._prepare(train, warm_start)
-        executor = est._make_executor()
+        nnz = est._prepare(train, warm_start)
+        est.executor = executor = est._make_executor()
         if self.fault_plan is not None and isinstance(executor, MultiDeviceSGD):
             executor.attach_faults(self.fault_plan, self.retry)
         self.rollbacks = 0
@@ -245,7 +247,7 @@ class ResilientTrainer:
         history = run_epochs(
             executor, est.model, train, epochs,
             schedule=lambda epoch: est.schedule(epoch) * self.lr_scale,
-            lam=est.lam, scheme=est.scheme, k=est.k,
+            lam=est.lam, scheme=est.scheme, k=est.k, nnz=nnz,
             feature_bytes=2 if est.half_precision else 4,
             test=test, eval_train=eval_train,
             hooks=hooks if hooks is not None else est.hooks, guard=self,

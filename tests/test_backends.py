@@ -272,7 +272,6 @@ class TestCBackend:
         every sample is applied once per epoch and the racing fit still
         converges like the serial one."""
         from repro.core.trainer import CuMFSGD
-        from repro.parallel import ThreadedHogwild
 
         train, test = tiny_problem.train, tiny_problem.test
         serial = CuMFSGD(k=8, workers=32, f=16, seed=6, backend="c")
@@ -280,12 +279,12 @@ class TestCBackend:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            est = ThreadedHogwild(k=8, n_threads=4, workers=32, f=16, seed=6,
-                                  backend="c")
+            est = CuMFSGD(k=8, n_threads=4, workers=32, f=16, seed=6,
+                          backend="c")
             history = est.fit(train, epochs=4, test=test)
         finally:
             sys.setswitchinterval(interval)
-        assert sum(est.thread_updates) == train.nnz
+        assert sum(est.executor.thread_updates) == train.nnz
         assert abs(history.final_test_rmse
                    - serial.history.final_test_rmse) < 0.02
 

@@ -82,6 +82,13 @@ class TestDivergenceDetection:
     def test_stalled(self):
         assert detect_divergence(_history([0.9, 0.7, 0.7, 0.7, 0.7])) == "stalled"
 
+    def test_slight_rise_is_a_stall(self):
+        """A rising run whose total rise stays under the tolerance is the
+        mild overfitting of a long run (netflix-syn's epochs 14-18), not
+        a divergence to roll back."""
+        curve = [0.5451, 0.5452, 0.5455, 0.5457, 0.5458]
+        assert detect_divergence(_history(curve)) == "stalled"
+
     def test_diverging_rising(self):
         assert detect_divergence(_history([0.7, 0.6, 0.65, 0.7, 0.8])) == "diverging"
 

@@ -69,22 +69,74 @@ class TestTrainCommand:
 
 
 class TestTrainExecutors:
-    def test_out_of_core_rejected_on_serial(self, capsys):
+    @pytest.mark.slow
+    def test_serial_out_of_core_streams_on_one_thread(self, capsys):
+        """``--executor serial --out-of-core`` is the one-thread streaming
+        executor: one worker replays every block."""
         assert main([
             "train", "netflix-syn", "--executor", "serial", "--out-of-core",
-        ]) == 2
-        assert "--out-of-core requires --executor threads" in (
-            capsys.readouterr().err
-        )
+            "--epochs", "2", "--workers", "32", "--k", "8",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "blockstore: 2x2 grid" in out
+        assert "staging: 8 blocks" in out
+        assert "per-worker updates (last epoch): [400000]" in out
 
-    def test_fault_plan_rejected_with_parallel_executor(self, capsys, tmp_path):
+    @pytest.mark.slow
+    def test_fault_plan_runs_on_threads(self, capsys, tmp_path):
+        """``--fault-plan`` guards a racing run like a serial one."""
         plan = tmp_path / "plan.json"
         plan.write_text("{}")
         assert main([
-            "train", "netflix-syn", "--executor", "threads",
-            "--fault-plan", str(plan),
-        ]) == 2
-        assert "--fault-plan" in capsys.readouterr().err
+            "train", "netflix-syn", "--executor", "threads", "--procs", "2",
+            "--epochs", "3", "--fault-plan", str(plan),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "resilience: checkpoints_saved=4, epochs_completed=3" in out
+        assert "per-worker updates" in out
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("executor", [
+        ["--executor", "serial"],
+        ["--executor", "threads", "--procs", "2"],
+    ], ids=["serial", "threads"])
+    def test_default_epochs_fault_plan_never_rolls_back(self, capsys,
+                                                        tmp_path, executor):
+        """An empty plan over the default 20 epochs: the late, slight rise
+        of test RMSE (mild overfitting at a decayed rate) is a stall, not a
+        divergence, so a healthy run finishes with no rollback."""
+        plan = tmp_path / "plan.json"
+        plan.write_text("{}")
+        assert main([
+            "train", "netflix-syn", *executor, "--fault-plan", str(plan),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "epochs_completed=20" in out
+        assert "(rollbacks 0, lr scale 1)" in out
+
+    @pytest.mark.slow
+    def test_threads_half_saves_fp16_factors(self, capsys, tmp_path):
+        import numpy as np
+
+        ck = tmp_path / "model.npz"
+        assert main([
+            "train", "netflix-syn", "--executor", "threads", "--procs", "2",
+            "--epochs", "2", "--half", "--save", str(ck),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "ignored" not in captured.err
+        with np.load(ck) as z:
+            assert z["p"].dtype == z["q"].dtype == np.float16
+
+    @pytest.mark.parametrize("argv", [
+        ["--executor", "threads", "--scheme", "wavefront"],
+        ["--executor", "threads", "--scheme", "multi_device"],
+        ["--out-of-core", "--scheme", "wavefront"],
+    ], ids=["threads-wavefront", "threads-multi_device", "auto-ooc-wavefront"])
+    def test_threads_reject_other_schemes(self, capsys, argv):
+        assert main(["train", "netflix-syn", *argv]) == 2
+        scheme = argv[argv.index("--scheme") + 1]
+        assert repr(scheme) in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_train_threads(self, capsys):
@@ -164,6 +216,9 @@ class TestFreshInterpreter:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert "repro.data.synthetic" in loaded
         assert [name for name in loaded if _unused_by_train(name)] == []
+        # the estimator builds the thread executor only for threads
+        threads = "repro.parallel.threads" in loaded
+        assert threads == ("threads" in executor)
 
     def test_list_loads_every_experiment(self):
         proc = _fresh_python("-m", "repro.experiments.cli", "list")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.adagrad import AdaGradHogwild
+from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import CuMFSGD
@@ -57,27 +58,30 @@ class TestAdaGradHogwild:
 
 class TestThreadedHogwild:
     def test_converges_with_real_races(self, tiny_problem):
-        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0)
+        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0)
         hist = est.fit(tiny_problem.train, epochs=4, test=tiny_problem.test)
         assert hist.test_rmse[-1] < hist.test_rmse[0]
         assert hist.final_test_rmse < 0.75
 
     def test_all_threads_participate(self, tiny_problem):
-        est = ThreadedHogwild(k=8, n_threads=4, seed=0)
+        est = CuMFSGD(k=8, n_threads=4, seed=0)
         est.fit(tiny_problem.train, epochs=1)
-        assert len(est.thread_updates) == 4
-        assert all(c > 0 for c in est.thread_updates)
-        assert sum(est.thread_updates) == tiny_problem.train.nnz
+        counts = est.executor.thread_updates
+        assert len(counts) == 4
+        assert all(c > 0 for c in counts)
+        assert sum(counts) == tiny_problem.train.nnz
 
     def test_single_thread_equivalent_to_serial(self, tiny_problem):
-        est = ThreadedHogwild(k=8, n_threads=1, seed=0)
+        """One thread without a store is the serial executor itself."""
+        est = CuMFSGD(k=8, n_threads=1, seed=0)
         hist = est.fit(tiny_problem.train, epochs=3, test=tiny_problem.test)
+        assert type(est.executor) is BatchHogwild
         assert hist.test_rmse[-1] < hist.test_rmse[0]
 
     def test_score_and_validation(self, tiny_problem):
         with pytest.raises(ValueError):
             ThreadedHogwild(n_threads=0)
-        est = ThreadedHogwild(k=8, n_threads=2, seed=0)
+        est = CuMFSGD(k=8, n_threads=2, seed=0)
         with pytest.raises(RuntimeError):
             est.score(tiny_problem.test)
         est.fit(tiny_problem.train, epochs=1, test=tiny_problem.test)
@@ -88,7 +92,7 @@ class TestThreadedHogwild:
     def test_threaded_matches_simulated_convergence(self, tiny_problem):
         """Real races and simulated races land at comparable RMSE — the
         justification for the deterministic wave engine."""
-        threaded = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0)
+        threaded = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0)
         ht = threaded.fit(tiny_problem.train, epochs=5, test=tiny_problem.test)
         simulated = CuMFSGD(k=8, scheme="batch_hogwild", workers=4, lam=0.05, seed=0)
         hs = simulated.fit(tiny_problem.train, epochs=5, test=tiny_problem.test)

@@ -6,11 +6,12 @@ Covers the contracts the parallel layer is built on:
   lane exactly once, with ``live_width`` clipping padded tails;
 * ``BlockStore`` — the i x j mmap grid round-trips the COO multiset, and
   the double-buffered prefetcher stages every block with honest stats;
-* ``ThreadedHogwild`` — one thread is bit-identical to the serial
-  compiled-plan executor on the same kernel backend (same RNG stream, same
-  kernels, one shard), ``n_threads=4`` still converges despite real races,
-  and out of core one NumPy thread is bit-identical to a plain loop of
-  ``sgd_serial_update`` over its blocks;
+* ``ThreadedHogwild`` under :func:`run_epochs` — one thread is
+  bit-identical to the serial compiled-plan executor on the same kernel
+  backend (same RNG stream, same kernels, one shard);
+* ``CuMFSGD(n_threads=..., store=...)`` — four threads still converge
+  despite real races, and out of core one NumPy thread is bit-identical to
+  a plain loop of ``sgd_serial_update`` over its blocks;
 * the epoch loop — every executor's history times its epochs;
 * telemetry — the executor emits epoch and kernel events and publishes
   its ``repro.thread.*`` metrics into the ambient registry.
@@ -29,7 +30,7 @@ from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD
-from repro.core.trainer import CuMFSGD
+from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore
 from repro.data.container import RatingMatrix
 from repro.metrics.throughput import ThroughputRecord
@@ -38,6 +39,15 @@ from repro.obs.registry import M
 from repro.parallel import ThreadedHogwild
 from repro.san import Sanitizer, activate_sanitizer
 from repro.sched.plan import EpochPlan
+
+
+def _run_executor(executor, train, epochs, seed, k=8, lam=0.05):
+    """``epochs`` of ``executor`` through the one epoch loop, from
+    CuMFSGD's initial model and schedule; returns the model."""
+    model = FactorModel.initialize(train.n_rows, train.n_cols, k, seed=seed)
+    run_epochs(executor, model, train, epochs, schedule=NomadSchedule(),
+               lam=lam, scheme="batch_hogwild", k=k)
+    return model
 
 
 def _coo_multiset(rows, cols, vals):
@@ -175,11 +185,11 @@ class TestThreadedHogwild:
         ref = CuMFSGD(k=8, scheme="batch_hogwild", workers=workers, f=f,
                       lam=0.05, seed=seed, backend=backend)
         ref.fit(train, epochs=3)
-        est = ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=seed,
-                              workers=workers, f=f, backend=backend)
-        est.fit(train, epochs=3)
-        assert est.model.p.tobytes() == ref.model.p.tobytes()
-        assert est.model.q.tobytes() == ref.model.q.tobytes()
+        model = _run_executor(
+            ThreadedHogwild(n_threads=1, seed=seed, workers=workers, f=f,
+                            backend=backend), train, 3, seed)
+        assert model.p.tobytes() == ref.model.p.tobytes()
+        assert model.q.tobytes() == ref.model.q.tobytes()
 
     def test_single_thread_bit_identical_to_serial(self, tiny_problem):
         """One shard replays the serial compiled-plan schedule exactly: same
@@ -194,20 +204,19 @@ class TestThreadedHogwild:
         for epoch in range(epochs):
             sched.run_epoch(ref, train, schedule(epoch), 0.05)
 
-        est = ThreadedHogwild(
-            k=8, n_threads=1, lam=0.05, seed=seed, workers=workers, f=f
-        )
-        est.fit(train, epochs=epochs)
-        assert np.array_equal(est.model.p, ref.p)
-        assert np.array_equal(est.model.q, ref.q)
+        model = _run_executor(
+            ThreadedHogwild(n_threads=1, seed=seed, workers=workers, f=f),
+            train, epochs, seed)
+        assert np.array_equal(model.p, ref.p)
+        assert np.array_equal(model.q, ref.q)
 
     def test_four_threads_converge_and_account_updates(self, tiny_problem):
         train, test = tiny_problem.train, tiny_problem.test
-        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0, workers=64,
-                              f=16)
+        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0, workers=64, f=16)
         history = est.fit(train, epochs=5, test=test)
-        assert sum(est.thread_updates) == train.nnz  # last epoch, exact
-        assert len(est.thread_updates) == 4
+        assert isinstance(est.executor, ThreadedHogwild)
+        assert sum(est.executor.thread_updates) == train.nnz  # last epoch
+        assert len(est.executor.thread_updates) == 4
         final = history.final_test_rmse
         assert np.isfinite(final)
 
@@ -224,12 +233,13 @@ class TestThreadedHogwild:
     def test_out_of_core_stages_and_converges(self, tiny_problem, tmp_path):
         train = tiny_problem.train
         store = BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
-        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
         est.fit(None, epochs=2, test=tiny_problem.test)
-        assert sum(est.thread_updates) == train.nnz
-        assert est.stage_stats is not None
-        assert est.stage_stats.blocks_loaded == 2 * len(list(store.blocks()))
-        assert est.stage_stats.bytes_loaded > 0
+        stage = est.executor.stage_stats
+        assert sum(est.executor.thread_updates) == train.nnz
+        assert stage is not None
+        assert stage.blocks_loaded == 2 * len(list(store.blocks()))
+        assert stage.bytes_loaded > 0
         assert np.isfinite(est.history.final_test_rmse)
 
     def test_one_thread_out_of_core_bit_identical_to_reference_loop(
@@ -240,8 +250,7 @@ class TestThreadedHogwild:
         spec = tiny_problem.spec
         seed, lam, f, epochs = 5, 0.05, 16, 3
         store = BlockStore.create(train, 3, 2, tmp_path / "store", seed=1)
-        est = ThreadedHogwild(k=8, n_threads=1, lam=lam, seed=seed, f=f,
-                              store=store)
+        est = CuMFSGD(k=8, n_threads=1, lam=lam, seed=seed, f=f, store=store)
         est.fit(None, epochs=epochs)
 
         ref = FactorModel.initialize(spec.m, spec.n, 8, seed=seed)
@@ -265,7 +274,7 @@ class TestThreadedHogwild:
         train = tiny_problem.train
         store = BlockStore.create(train, 4, 4, tmp_path / "store", seed=0)
         san = Sanitizer("all")
-        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0, store=store)
+        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0, store=store)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -275,8 +284,8 @@ class TestThreadedHogwild:
             sys.setswitchinterval(interval)
         report = san.finalize(publish=False)
         assert report.clean, "\n".join(f.format() for f in report.findings)
-        assert sum(est.thread_updates) == train.nnz
-        assert est.stage_stats.blocks_loaded == 2 * store.n_blocks
+        assert sum(est.executor.thread_updates) == train.nnz
+        assert est.executor.stage_stats.blocks_loaded == 2 * store.n_blocks
         assert report.numeric["block_checks"] == 2 * store.n_blocks
         assert report.race_stats.samples == 2 * train.nnz
         lc = report.lifecycle
@@ -289,8 +298,8 @@ class TestThreadedHogwild:
                                   tmp_path / "store", seed=0)
         curves = {}
         for backend in ("numpy", "c"):
-            est = ThreadedHogwild(k=8, n_threads=1, lam=0.05, seed=4,
-                                  backend=backend, store=store)
+            est = CuMFSGD(k=8, n_threads=1, lam=0.05, seed=4,
+                          backend=backend, store=store)
             history = est.fit(None, epochs=3, test=tiny_problem.test)
             curves[backend] = np.array(history.test_rmse)
         assert len(curves["c"]) == 3
@@ -303,12 +312,21 @@ class TestThreadedHogwild:
     def test_validation(self, tiny_problem, tmp_path):
         with pytest.raises(ValueError):
             ThreadedHogwild(n_threads=0)
+        with pytest.raises(ValueError, match="n_threads"):
+            CuMFSGD(n_threads=0)
         with pytest.raises(ValueError, match="train is required"):
-            ThreadedHogwild(n_threads=1).fit(None, epochs=1)
+            CuMFSGD(n_threads=2).fit(None, epochs=1)
         train = tiny_problem.train
+        poisoned = RatingMatrix(rows=train.rows, cols=train.cols,
+                                vals=train.vals.copy(), n_rows=train.n_rows,
+                                n_cols=train.n_cols)
+        poisoned.vals[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            CuMFSGD(n_threads=2).fit(poisoned, epochs=1)
         store = BlockStore.create(train, 2, 2, tmp_path / "s", seed=0)
         # out of core the threads own blocks, not plan lanes
-        est = ThreadedHogwild(n_threads=8, workers=4, store=store)
+        ThreadedHogwild(n_threads=8, workers=4, store=store)
+        est = CuMFSGD(n_threads=8, workers=4, store=store)
         wider = RatingMatrix(rows=train.rows, cols=train.cols,
                              vals=train.vals, n_rows=train.n_rows + 1,
                              n_cols=train.n_cols)
@@ -318,12 +336,14 @@ class TestThreadedHogwild:
     def test_telemetry_and_hooks(self, tiny_problem):
         hooks = RecordingHooks()
         collector = TelemetryCollector()
-        est = ThreadedHogwild(k=8, n_threads=3, lam=0.05, seed=0)
+        est = CuMFSGD(k=8, n_threads=3, lam=0.05, seed=0)
         with activate(collector):
             est.fit(tiny_problem.train, epochs=2, hooks=hooks)
         assert len(hooks.epochs) == 2
-        assert all(e.scheme == "threaded-hogwild" for e in hooks.epochs)
+        assert all(e.scheme == "batch_hogwild" for e in hooks.epochs)
         assert hooks.epochs[0].extra["n_threads"] == 3
+        assert sum(hooks.epochs[0].extra["thread_updates"]) == (
+            tiny_problem.train.nnz)
         assert len(hooks.kernels) == 3 * 2  # one per thread shard per epoch
         assert sum(e.n_updates for e in hooks.kernels) == 2 * tiny_problem.train.nnz
         registry = collector.registry
@@ -341,11 +361,11 @@ class TestThreadedHogwild:
         store = BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
         hooks = RecordingHooks()
         collector = TelemetryCollector()
-        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
         with activate(collector):
             est.fit(None, epochs=2, hooks=hooks)
         assert len(hooks.epochs) == 2
-        assert all(e.scheme == "threaded-hogwild" for e in hooks.epochs)
+        assert all(e.scheme == "batch_hogwild" for e in hooks.epochs)
         assert hooks.epochs[0].extra["n_threads"] == 2
         assert [e.name for e in hooks.kernels] == ["threads.blocks"] * 2 * 2
         assert sum(e.n_waves for e in hooks.kernels) == 2 * store.n_blocks
@@ -368,8 +388,8 @@ class TestEpochLoop:
         store = BlockStore.create(train, 2, 2, tmp_path / "store", seed=0)
         for est in (
             CuMFSGD(k=8, workers=32, f=16, seed=0),
-            ThreadedHogwild(k=8, n_threads=2, seed=0, workers=32, f=16),
-            ThreadedHogwild(k=8, n_threads=2, seed=0, store=store),
+            CuMFSGD(k=8, n_threads=2, seed=0, workers=32, f=16),
+            CuMFSGD(k=8, n_threads=2, seed=0, store=store),
         ):
             history = est.fit(train, epochs=2)
             assert len(history.epoch_seconds) == 2, est

@@ -9,7 +9,7 @@ Covers the observability additions around the parallel executors:
   publication;
 * `repro.obs.ledger` — provenance stamps, config-matched baselines, and
   the >15% `perf-diff` regression gate (plus its CLI exit codes);
-* the executor wiring — a `ThreadedHogwild` fit under a collector, in
+* the executor wiring — a threaded `CuMFSGD` fit under a collector, in
   core or out of core, yields one schema-valid trace with a lane per
   thread and an embeddable stall report.
 """
@@ -229,13 +229,13 @@ class TestStallReport:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ooc_profiled_run(tiny_problem, tmp_path_factory):
+    from repro.core.trainer import CuMFSGD
     from repro.data.blockstore import BlockStore
-    from repro.parallel.threads import ThreadedHogwild
 
     store = BlockStore.create(tiny_problem.train, 3, 3,
                               tmp_path_factory.mktemp("store"), seed=0)
     collector = TelemetryCollector(run_label="profiled-threads-ooc")
-    est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+    est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
     with activate(collector):
         est.fit(None, epochs=2)
     return est, collector
@@ -263,7 +263,7 @@ class TestThreadsProfiling:
 
     def test_stall_report_fractions(self, ooc_profiled_run):
         est, _ = ooc_profiled_run
-        report = est.stall_report
+        report = est.executor.stall_report
         assert report is not None and report.executor == "threads_ooc"
         assert len(report.workers) == est.n_threads
         StallReport.validate_dict(report.as_dict())
@@ -271,15 +271,16 @@ class TestThreadsProfiling:
         assert report.aggregate_seconds()["compute"] > 0.0
 
     def test_threads_report_and_lanes(self, tiny_problem):
-        from repro.parallel.threads import ThreadedHogwild
+        from repro.core.trainer import CuMFSGD
 
         collector = TelemetryCollector(run_label="profiled-threads")
-        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0)
         with activate(collector):
             est.fit(tiny_problem.train, epochs=2)
-        assert est.stall_report is not None
-        assert est.stall_report.executor == "threads"
-        StallReport.validate_dict(est.stall_report.as_dict())
+        report = est.executor.stall_report
+        assert report is not None
+        assert report.executor == "threads"
+        StallReport.validate_dict(report.as_dict())
         trace = collector.tracer.to_chrome()
         validate_chrome_trace(trace)
         lanes = _lanes(trace)

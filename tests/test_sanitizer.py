@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hogwild import BatchHogwild
+from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
+from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore
 from repro.data.container import RatingMatrix
 from repro.parallel import ThreadedHogwild
@@ -73,7 +75,7 @@ class TestCleanRuns:
     def test_threads_clean(self, tiny_problem):
         train = tiny_problem.train
         san = Sanitizer("all")
-        est = ThreadedHogwild(k=8, n_threads=4, lam=0.05, seed=0)
+        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0)
         with activate_sanitizer(san):
             est.fit(train, epochs=2)
         report = san.finalize(publish=False)
@@ -92,7 +94,7 @@ class TestCleanRuns:
         store = (BlockStore.create(train, 3, 3, tmp_path / "store", seed=0)
                  if out_of_core else None)
         san = Sanitizer("all")
-        est = ThreadedHogwild(
+        est = CuMFSGD(
             k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16, store=store
         )
         with activate_sanitizer(san):
@@ -200,9 +202,7 @@ class TestSeededFaults:
 
         monkeypatch.setattr(EpochPlan, "shard", overlapping)
         san = Sanitizer("races")
-        est = ThreadedHogwild(
-            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16
-        )
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16)
         with activate_sanitizer(san):
             est.fit(train, epochs=1)
         report = san.finalize(publish=False)
@@ -242,7 +242,7 @@ class TestSeededFaults:
         rec = np.load(path)
         rec["r"][0] = np.nan
         np.save(path, rec)
-        est = ThreadedHogwild(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
         with activate_sanitizer(Sanitizer("numeric")):
             with pytest.raises(SanitizerError) as excinfo:
                 est.fit(None, epochs=1)
@@ -252,7 +252,9 @@ class TestSeededFaults:
 
     def test_worker_sanitizer_error_reraised_in_parent(self, tiny_problem):
         """A numeric failure inside a worker thread reaches the caller as
-        the same typed SanitizerError, naming the worker."""
+        the same typed SanitizerError, naming the worker. The executor
+        runs under the bare epoch loop: ``CuMFSGD.fit`` would reject the
+        poisoned ratings before any thread started."""
         train = tiny_problem.train
         bad = RatingMatrix(
             rows=train.rows, cols=train.cols,
@@ -261,11 +263,11 @@ class TestSeededFaults:
         )
         bad.vals[0] = np.float32("inf")  # poisons residuals immediately
         san = sanitizer_from_mode("numeric")
-        est = ThreadedHogwild(
-            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16
-        )
+        executor = ThreadedHogwild(n_threads=2, seed=0, workers=32, f=16)
+        model = FactorModel.initialize(bad.n_rows, bad.n_cols, 8, seed=0)
         with activate_sanitizer(san):
             with pytest.raises(SanitizerError) as excinfo:
-                est.fit(bad, epochs=1)
+                run_epochs(executor, model, bad, 1, schedule=NomadSchedule(),
+                           lam=0.05, scheme="batch_hogwild", k=8)
         assert excinfo.value.kind.startswith("numeric-")
         assert excinfo.value.worker is not None

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.convergence import ParallelismCheck
-from repro.core.lr_schedule import ConstantSchedule, NomadSchedule
+from repro.core.lr_schedule import (
+    AdaGradSchedule,
+    ConstantSchedule,
+    NomadSchedule,
+)
 from repro.core.trainer import CuMFSGD, TrainHistory
 
 
@@ -97,6 +101,17 @@ class TestCuMFSGDValidation:
         est = CuMFSGD(k=4, workers=10_000, strict_safety=True)
         with pytest.raises(ValueError, match="unsafe parallelism"):
             est.fit(tiny_problem.train, epochs=1)
+
+    @pytest.mark.parametrize("kw, named", [
+        ({"scheme": "wavefront"}, "'wavefront'"),
+        ({"scheme": "multi_device"}, "'multi_device'"),
+        ({"schedule": AdaGradSchedule()}, "AdaGradSchedule"),
+    ], ids=["wavefront", "multi_device", "adagrad"])
+    def test_threads_run_batch_hogwild_only(self, kw, named):
+        """Threads are a batch-Hogwild! worker count: another scheme or
+        AdaGrad's serial accumulators are rejected, not silently dropped."""
+        with pytest.raises(ValueError, match=named):
+            CuMFSGD(n_threads=2, **kw)
 
     def test_safety_recorded_without_strict(self, tiny_problem):
         est = CuMFSGD(k=4, workers=10_000, strict_safety=False)
