@@ -24,6 +24,14 @@ Build and cache
 ``cc -O3 -ffp-contract=off -fPIC -shared``, plus ``-mf16c`` when the CPU
 reports F16C, so fp16 storage converts in hardware (soft-float conversion
 is slower than NumPy; without F16C, fp16 models keep the NumPy kernel).
+The kernel converts fp16 rows through F16C intrinsics, eight features per
+instruction plus a scalar tail for ``k mod 8``. gcc 12 does not vectorise
+a plain C conversion loop with F16C alone, and one scalar conversion per
+feature cost 154–185 ns per update on a netflix-syn epoch (k = 32, 2-vCPU
+x86); the intrinsics take 24–40 ns, about the fp32 kernel's speed. The
+8-wide update keeps the reference's operation order and every narrowing
+rounds by MXCSR, so the stored factors are byte-identical to those of a
+kernel that converts one feature at a time.
 The shared object is cached under :func:`cache_dir` (outside the working
 tree), named by a hash of the source, the flags and the compiler's version,
 and published with an atomic :func:`os.replace`, so processes compiling

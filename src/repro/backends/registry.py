@@ -139,10 +139,12 @@ def _verification_problem():
     Rows/cols inside each wave are distinct (sliced from permutations), so
     scatter order cannot distinguish implementations — the gate then tests
     arithmetic, not duplicate-resolution policy (which Hogwild semantics
-    leave open for accelerated backends).
+    leave open for accelerated backends). ``k = 12`` is one 8-wide vector
+    body plus a 4-feature tail, so a kernel that splits its rows that way
+    is gated on both halves.
     """
     rng = np.random.default_rng(20260808)
-    m, n, k, w, n_waves = 48, 40, 8, 16, 4
+    m, n, k, w, n_waves = 48, 40, 12, 16, 4
     p = rng.standard_normal((m, k)).astype(np.float32)
     q = rng.standard_normal((n, k)).astype(np.float32)
     waves = []
@@ -158,8 +160,8 @@ def verify_backend(backend: KernelBackend) -> None:
     """Gate ``backend`` against the reference kernels; raises
     :class:`BackendVerificationError` on disagreement.
 
-    The per-wave kernel (:meth:`~KernelBackend.bind`) runs the problem's
-    waves with fp32 and with fp16 storage, and
+    With fp32 and with fp16 storage, the per-wave kernel
+    (:meth:`~KernelBackend.bind`) runs the problem's waves, and
     :meth:`~KernelBackend.serial_update` replays them as one worker's run.
     Exact backends must match :func:`sgd_wave_update` /
     :func:`sgd_serial_update` bit for bit; accelerated backends within
@@ -169,26 +171,27 @@ def verify_backend(backend: KernelBackend) -> None:
         return
     p0, q0, waves = _verification_problem()
     lr, lam = 0.05, 0.02
+    # serial replay: concatenate the waves into one worker-run sequence
+    rows = np.concatenate([wv[0] for wv in waves])
+    cols = np.concatenate([wv[1] for wv in waves])
+    vals = np.concatenate([wv[2] for wv in waves])
 
     for dtype in (np.float32, np.float16):
         ref_p, ref_q = p0.astype(dtype), q0.astype(dtype)
         got_p, got_q = p0.astype(dtype), q0.astype(dtype)
         bound = backend.bind(WaveWorkspace())
-        for rows, cols, vals in waves:
-            sgd_wave_update(ref_p, ref_q, rows, cols, vals, lr, lam, lam)
-            bound(got_p, got_q, rows, cols, vals, lr, lam, lam)
+        for wave in waves:
+            sgd_wave_update(ref_p, ref_q, *wave, lr, lam, lam)
+            bound(got_p, got_q, *wave, lr, lam, lam)
         _compare(backend, "wave_update", ref_p, got_p, ref_q, got_q)
 
-    # serial replay: concatenate the waves into one worker-run sequence
-    rows = np.concatenate([wv[0] for wv in waves])
-    cols = np.concatenate([wv[1] for wv in waves])
-    vals = np.concatenate([wv[2] for wv in waves])
-    ref_p, ref_q = p0.copy(), q0.copy()
-    got_p, got_q = p0.copy(), q0.copy()
-    sgd_serial_update(ref_p, ref_q, rows, cols, vals, lr, lam, lam, max_wave=16)
-    backend.serial_update(got_p, got_q, rows, cols, vals, lr, lam, lam,
+        ref_p, ref_q = p0.astype(dtype), q0.astype(dtype)
+        got_p, got_q = p0.astype(dtype), q0.astype(dtype)
+        sgd_serial_update(ref_p, ref_q, rows, cols, vals, lr, lam, lam,
                           max_wave=16)
-    _compare(backend, "serial_update", ref_p, got_p, ref_q, got_q)
+        backend.serial_update(got_p, got_q, rows, cols, vals, lr, lam, lam,
+                              max_wave=16)
+        _compare(backend, "serial_update", ref_p, got_p, ref_q, got_q)
     _verified.add(id(backend))
 
 

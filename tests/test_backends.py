@@ -181,6 +181,40 @@ class TestVerificationAndFallback:
         with pytest.raises(BackendVerificationError, match="bit identity"):
             verify_backend(BrokenBackend())
 
+    def test_fp16_serial_update_is_gated(self):
+        """The serial kernel is gated with fp16 storage too, not only the
+        per-wave one (out-of-core ``--half`` runs it)."""
+
+        class BrokenHalfSerial(NumpyBackend):
+            def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
+                              max_wave=64, workspace=None):
+                if p.dtype == np.float16:
+                    lr = lr * 1.5
+                super().serial_update(p, q, rows, cols, vals, lr, lam_p,
+                                      lam_q, max_wave, workspace)
+
+        with pytest.raises(BackendVerificationError,
+                           match=r"serial_update \(float16\)"):
+            verify_backend(BrokenHalfSerial())
+
+    def test_gate_reaches_features_past_the_first_eight(self):
+        """The gate's k runs a kernel's 8-wide body and its scalar tail, so
+        an error confined to features 8 and up is caught."""
+
+        class BrokenTail(NumpyBackend):
+            def bind(self, workspace):
+                kernel = workspace.wave_update
+
+                def tail_off_by_one(p, q, rows, cols, vals, lr, lam_p, lam_q):
+                    err = kernel(p, q, rows, cols, vals, lr, lam_p, lam_q)
+                    p[rows, 8:] += 1
+                    return err
+
+                return tail_off_by_one
+
+        with pytest.raises(BackendVerificationError, match="wave_update"):
+            verify_backend(BrokenTail())
+
     def test_missing_c_compiler_falls_back_with_single_warning(
         self, no_compiler
     ):
@@ -234,17 +268,23 @@ class TestCBackend:
         assert np.allclose(p_ref, p_got, rtol=1e-4, atol=1e-5)
         assert np.allclose(q_ref, q_got, rtol=1e-4, atol=1e-5)
 
-    def test_replay_matches_its_own_wave_kernel(self, tiny_problem):
+    @pytest.mark.parametrize("k", [8, 13], ids=["k8", "k13"])
+    @pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
+    def test_replay_matches_its_own_wave_kernel(self, tiny_problem, half, k):
         """One foreign call per shard is the per-wave kernel, wave after
-        wave: the two entry points agree bit for bit."""
+        wave: the two entry points agree bit for bit, through the 8-wide
+        body alone (k = 8) and with a scalar tail (k = 13)."""
         from repro.backends import replay_waves
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
 
         backend = get_backend("c")
+        if half and not backend.fp16:
+            pytest.skip("fp16 storage runs the c kernel only with F16C")
         train = tiny_problem.train
         plan = BatchHogwild(workers=32, f=16, seed=4).compiled_plan(train.nnz)
-        models = [FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=4)
+        models = [FactorModel.initialize(train.n_rows, train.n_cols, k,
+                                         seed=4, half_precision=half)
                   for _ in range(2)]
         args = (train.rows, train.cols, train.vals, 0.05, 0.02, 0.02)
         ws = WaveWorkspace()
@@ -327,6 +367,55 @@ class TestCBackend:
             for a, b in ((ref.p, got.p), (ref.q, got.q)):
                 assert np.allclose(a.astype(np.float32), b.astype(np.float32),
                                    rtol=rtol, atol=1e-5)
+
+    def test_fp16_rounding_matches_numpy_in_body_and_tail(self):
+        """With P zero, ``lam = 0`` and ``lr = 1`` each lane's error is its
+        rating and each stored p feature is ``fp16(fp32(rating * q))``.
+        Ratings and q values put ties to even, overflow to inf, subnormal
+        results, a tie down to zero and negatives in features 0-7 (the
+        8-wide body) and 8-12 (the scalar tail); every entry must store the
+        bits NumPy does."""
+        from repro.sched.plan import EpochPlan
+
+        backend = get_backend("c")
+        if not backend.fp16:
+            pytest.skip("fp16 storage runs the c kernel only with F16C")
+        tie = [1, -2.0**-14, 2.0**15, -4]
+        cases = [  # (rating, four q values, tiled over k = 13 features)
+            (1 + 2.0**-11, tie),  # ties down to even
+            (1 + 3 * 2.0**-11, tie),  # ties up to even
+            (-(1 + 2.0**-11), tie),
+            (2, [65504, -65504, 3, -0.5]),  # overflow to +-inf
+            (2.0**-10, [2.0**-14, -(2.0**-14), 3 * 2.0**-14, 2.0**-13]),
+            (2.0**-11, [2.0**-14, -(2.0**-14), 3 * 2.0**-14, 5 * 2.0**-14]),
+            (-(2.0**-11), [2.0**-14, 3 * 2.0**-14, -(2.0**-14), 1]),
+        ]
+        w, k = len(cases), 13
+        vals = np.array([r for r, _ in cases], np.float32)
+        q0 = np.array([np.resize(qs, k) for _, qs in cases], np.float16)
+        assert q0.astype(np.float64).tolist() == [np.resize(qs, k).tolist()
+                                                  for _, qs in cases]
+        ids = np.arange(w, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            want = (vals[:, None] * q0.astype(np.float32)).astype(np.float16)
+        assert np.isinf(want).any() and (want == 0).any()
+        assert (np.abs(want[want != 0]) < 2.0**-14).any()  # subnormals
+
+        def run(update):
+            p, q = np.zeros((w, k), np.float16), q0.copy()
+            with np.errstate(over="ignore"):
+                update(p, q)
+            return p.tobytes(), q.tobytes()
+
+        args = (ids, ids, vals, 1.0, 0.0, 0.0)
+        ref = run(lambda p, q: WaveWorkspace().wave_update(p, q, *args))
+        assert ref == (want.tobytes(), q0.tobytes())
+        plan = EpochPlan(np.arange(w), workers=w, f=1)
+        ws = WaveWorkspace()
+        bound = backend.bind(WaveWorkspace())
+        assert run(lambda p, q: bound(p, q, *args)) == ref
+        assert run(lambda p, q: backend.replay(ws, plan, p, q, *args)) == ref
+        assert run(lambda p, q: backend.serial_update(p, q, *args)) == ref
 
     def test_out_of_range_id_raises_before_any_update(self, tiny_problem):
         from repro.core.hogwild import BatchHogwild

@@ -3,8 +3,9 @@
 Threads are a setting of the one estimator (``CuMFSGD(n_threads=...)``), so
 one matrix covers every worker count: ``n_threads`` {1, 2, 3} x backend
 {numpy, c} x storage {fp32, fp16} x awkward shapes -- k = 5 (not a multiple
-of 8), fewer samples than worker lanes, a single row, a single column, and
-an empty row and column. Each case is a short ``CuMFSGD`` fit checked
+of 8), k = 13 (an 8-wide vector body plus a scalar tail), fewer samples
+than worker lanes, a single row, a single column, and an empty row and
+column. Each case is a short ``CuMFSGD`` fit checked
 against the NumPy serial reference (one thread, the numpy backend, the
 case's storage). The contract per case:
 
@@ -48,6 +49,7 @@ WORKERS, F, SEED = 16, 8, 1
 #: name -> (m, n, k, train nnz, test nnz, leave the last row and column empty)
 SHAPES = {
     "k5": (150, 100, 5, 6_000, 600, False),
+    "k13": (150, 100, 13, 6_000, 600, False),
     "nnz-below-lanes": (50, 40, 8, 12, 20, False),
     "m1": (1, 240, 8, 200, 40, False),
     "n1": (240, 1, 8, 200, 40, False),
