@@ -41,15 +41,14 @@ from repro.core.kernels import sgd_wave_update
 from repro.core.model import FactorModel
 from repro.data.synthetic import DatasetSpec, make_synthetic
 from repro.obs.ledger import PerfLedger, bench_meta
-from repro.obs.profiler import PhaseTimer
-from repro.obs.relay import WorkerTelemetry
+from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 
 # v2: +meta provenance stamp (bench_meta), +profiler_overhead budget gate
 # v3: +sanitizer_overhead budget gate (reprosan --sanitize all)
 SCHEMA_VERSION = 3
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_hot_path.json"
 
-#: Worker-side profiling (phase timer + telemetry span + drain per
+#: Worker-side profiling (one ``compute`` span appended to a tracer per
 #: epoch) must cost < 5% of a serial epoch — same budget discipline as
 #: ``bench_obs_overhead.py``. Enforced by :func:`validate_result`.
 MAX_PROFILER_OVERHEAD = 0.05
@@ -143,17 +142,15 @@ def _profiler_overhead(sched, model, train) -> float:
     """Relative cost of per-epoch profiling on the serial hot path.
 
     Interleaves bare epochs with epochs wrapped in exactly the worker-side
-    instrumentation the thread executor pays per epoch — a
-    :class:`PhaseTimer` compute phase and a :class:`WorkerTelemetry` span,
-    drained as the executor drains it — and compares the per-variant
-    *minima* (the bench_obs_overhead.py methodology: additive noise cannot
-    lower a minimum, so each variant's best shot converges to its true
-    cost). Sampling is adaptive: stops early once the bound is comfortably
-    met.
+    instrumentation the thread executor pays per epoch — one
+    :meth:`Tracer.add_span` of a ``compute`` span on a thread lane — and
+    compares the per-variant *minima* (the bench_obs_overhead.py
+    methodology: additive noise cannot lower a minimum, so each variant's
+    best shot converges to its true cost). Sampling is adaptive: stops
+    early once the bound is comfortably met.
     """
-    timer = PhaseTimer()
     base = prof = float("inf")
-    telemetry = WorkerTelemetry(0, origin=time.perf_counter())
+    tracer = Tracer()
 
     def bare() -> float:
         t0 = time.perf_counter()
@@ -162,11 +159,12 @@ def _profiler_overhead(sched, model, train) -> float:
 
     def profiled(epoch: int) -> float:
         t0 = time.perf_counter()
-        with timer.phase("compute"):
-            with telemetry.span(f"epoch {epoch} compute") as span_args:
-                n = sched.run_epoch(model, train, 0.05, 0.05)
-                span_args["updates"] = n
-        telemetry.drain()
+        n = sched.run_epoch(model, train, 0.05, 0.05)
+        t1 = time.perf_counter()
+        tracer.add_span(
+            f"epoch {epoch} compute", t0 - tracer.origin, t1 - t0,
+            pid=WALL_PID, tid=THREAD_TID_BASE, cat="compute",
+            args={"epoch": epoch, "updates": n, "spawn": 0.0})
         return time.perf_counter() - t0
 
     bare(), profiled(0)  # warm both paths

@@ -89,7 +89,9 @@ from repro.san import MODES, SanReport, activate_sanitizer, sanitizer_from_mode
 # v5: the process executor is gone: variants serial/threads/threads_ooc,
 # ooc_vs_threads replaces ooc_vs_procs, procs_vs_serial and config.n_procs
 # removed, stall reports come from threads
-SCHEMA_VERSION = 5
+# v6: the stall reports drop the never-recorded barrier phase (phases
+# compute/spawn/prefetch/replay) and are computed from the threads' spans
+SCHEMA_VERSION = 6
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 #: The acceptance configuration: nnz >= 1e6, k = 32, s = 128 workers.
@@ -219,9 +221,10 @@ def run_config(config: dict) -> dict:
             train, config["grid"], config["grid"], tmp,
             seed=config["seed"],
         )
-        # keep the last fits' thread executors: their StallReports (phase
-        # accounting is always on, spans only under a tracer — no timing
-        # skew) become the doc's stall_report / stall_report_ooc
+        # keep the last fits' thread executors: their StallReports, computed
+        # from the one span per thread and epoch each fit records (into a
+        # private tracer, as no collector is active here), become the
+        # doc's stall_report / stall_report_ooc
         fitted: dict[str, ThreadedHogwild] = {}
         runs = [
             ("serial", lambda: _run_serial(config, train)),

@@ -17,8 +17,6 @@ of exactly that contract:
   invoke wave by wave.  The NumPy backend returns the workspace's own bound
   method, so dispatching through the registry is *structurally* identical
   to the pre-registry code path — same callable, same bits;
-* :meth:`KernelBackend.wave_update` — one concurrent wave (all reads from
-  the pre-wave snapshot, racy write-back);
 * :meth:`KernelBackend.serial_update` — serial SGD over one worker's
   samples in order, the unit the out-of-core block loop launches per
   block (NumPy: conflict-free segments; ``c``: one foreign call).
@@ -92,12 +90,6 @@ class KernelBackend:
         is the caller's (thread-/process-private)
         :class:`~repro.core.kernels.WaveWorkspace`.
         """
-        raise NotImplementedError
-
-    def wave_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
-                    workspace=None):
-        """One concurrent wave with Hogwild race semantics (see
-        :func:`repro.core.kernels.sgd_wave_update`)."""
         raise NotImplementedError
 
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,

@@ -251,13 +251,6 @@ class CBackend(KernelBackend):
 
         return wave_update
 
-    def wave_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
-                    workspace=None):
-        """One wave in one foreign call; returns the error vector (a
-        workspace scratch view, overwritten by the next wave)."""
-        ws = workspace if workspace is not None else WaveWorkspace()
-        return self.bind(ws)(p, q, rows, cols, vals, lr, lam_p, lam_q)
-
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
                       max_wave=64, workspace=None):
         """Serial SGD over the samples in order, in one GIL-free foreign

@@ -12,7 +12,7 @@ operation order, same bits (the registry's verification gate pins this with
 from __future__ import annotations
 
 from repro.backends.base import BackendType, KernelBackend
-from repro.core.kernels import sgd_serial_update, sgd_wave_update
+from repro.core.kernels import sgd_serial_update
 
 __all__ = ["NumpyBackend"]
 
@@ -26,11 +26,6 @@ class NumpyBackend(KernelBackend):
     def bind(self, workspace):
         """The workspace's own bound wave kernel — zero dispatch overhead."""
         return workspace.wave_update
-
-    def wave_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
-                    workspace=None):
-        return sgd_wave_update(p, q, rows, cols, vals, lr, lam_p, lam_q,
-                               workspace=workspace)
 
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
                       max_wave=64, workspace=None):

@@ -131,6 +131,7 @@ class NOMADSolver:
         self.model = FactorModel.initialize(
             train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
         )
+        self.token_hops = 0
         index = self._index_by_node(train, rng)
         history = TrainHistory()
         for epoch in range(epochs):

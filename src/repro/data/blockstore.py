@@ -49,10 +49,16 @@ _STORE_VERSION = 1
 #: Shared names the prefetch loader thread may legitimately mutate, audited
 #: by the ``race-shared-write`` lint pass: ``stats`` fields are written by
 #: the loader and only read by the consumer after join(); ``ready`` /
-#: ``slots`` are internally locked :class:`queue.Queue` hand-off channels;
-#: ``telemetry`` buffers span records via GIL-atomic list appends and is
-#: only drained after the loader joins.
-SHARED_WRITE_OK = ("stats", "ready", "slots", "telemetry")
+#: ``slots`` are internally locked :class:`queue.Queue` hand-off channels.
+#: (``tracer.add_span`` is one GIL-atomic list append.)
+SHARED_WRITE_OK = ("stats", "ready", "slots")
+
+#: ``np.load`` parses a shard's header with ``ast.literal_eval``, and
+#: CPython 3.11 keeps the AST constructor's recursion depth in state that
+#: all threads share: two prefetch loaders parsing at once can raise
+#: ``SystemError: AST constructor recursion depth mismatch``. Shards are
+#: opened one at a time; their copies into staging buffers still overlap.
+_OPEN_LOCK = threading.Lock()
 
 #: Consumer stalls shorter than this render as noise, not signal — they
 #: still accumulate into :attr:`PrefetchStats.wait_seconds`, but no
@@ -242,9 +248,10 @@ class BlockStore:
         genuine pin (``lifecycle-mmap-leak``).
         """
         path = self.path(bi, bj)
-        if not mmap:
-            return np.load(path, allow_pickle=False)
-        rec = np.load(path, mmap_mode="r", allow_pickle=False)
+        with _OPEN_LOCK:
+            if not mmap:
+                return np.load(path, allow_pickle=False)
+            rec = np.load(path, mmap_mode="r", allow_pickle=False)
         from repro.san.core import active_sanitizer
 
         san = active_sanitizer()
@@ -395,13 +402,11 @@ class BlockPrefetcher:
     :attr:`PrefetchStats.wait_seconds`). The yielded record array is a view
     into a staging buffer, valid until the next iteration step.
 
-    ``telemetry`` (a :class:`repro.obs.relay.WorkerTelemetry`) additionally
-    records one ``stage.load`` span per shard read (loader side) and a
-    ``stage.stall`` span whenever the consumer blocks longer than
-    :data:`STALL_SPAN_MIN_S` — the visible form of the exposed-transfer
-    residue. Both sides append to the telemetry buffer under the GIL, and
-    the caller only drains it after iteration completes (the loader is
-    joined by then), so the hand-off needs no extra locking.
+    Under an ambient tracer (:func:`repro.obs.activate`) it also records,
+    on worker ``wid``'s thread lane, one ``stage.load`` span per shard read
+    (loader side) and a ``stage.stall`` span whenever the consumer blocks
+    longer than :data:`STALL_SPAN_MIN_S` — the visible form of the
+    exposed-transfer residue. Each is one list append under the GIL.
 
     The loader runs in a copy of the consumer's :mod:`contextvars`
     context, so its shard loads see the consumer's ambient sanitizer (the
@@ -417,7 +422,6 @@ class BlockPrefetcher:
         store: BlockStore,
         sequence: Iterable[tuple[int, int]],
         depth: int = 2,
-        telemetry=None,
         wid: int = 0,
     ) -> None:
         if depth < 1:
@@ -425,7 +429,6 @@ class BlockPrefetcher:
         self.store = store
         self.sequence = list(sequence)
         self.depth = depth
-        self.telemetry = telemetry
         self.wid = wid
         capacity = max(store.max_block_nnz, 1)
         self._buffers = [
@@ -434,12 +437,17 @@ class BlockPrefetcher:
         self.stats = PrefetchStats()
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+        # imported here: at module level they would load repro.obs from
+        # inside this module's own import
+        from repro.obs.context import active_tracer
+        from repro.obs.tracer import THREAD_TID_BASE, WALL_PID
         from repro.san.core import active_sanitizer
 
         san = active_sanitizer()
         sentry = san.numeric if san is not None and san.check_numeric else None
         stats = self.stats
-        telemetry = self.telemetry
+        tracer = active_tracer()
+        lane = THREAD_TID_BASE + self.wid
         slots: queue.Queue = queue.Queue()
         ready: queue.Queue = queue.Queue()
         stop = threading.Event()
@@ -459,10 +467,10 @@ class BlockPrefetcher:
                     stats.load_seconds += load_s
                     stats.blocks_loaded += 1
                     stats.bytes_loaded += n * SAMPLE_BYTES
-                    if telemetry is not None:
-                        telemetry.add_span(
-                            f"stage.load b({bi},{bj})",
-                            t0 - telemetry.origin, load_s, cat="stage",
+                    if tracer is not None:
+                        tracer.add_span(
+                            f"stage.load b({bi},{bj})", t0 - tracer.origin,
+                            load_s, pid=WALL_PID, tid=lane, cat="stage",
                             args={"bytes": n * SAMPLE_BYTES},
                         )
                     ready.put((slot, (bi, bj), n))
@@ -481,10 +489,10 @@ class BlockPrefetcher:
                 item = ready.get()
                 wait_s = time.perf_counter() - t0
                 stats.wait_seconds += wait_s
-                if telemetry is not None and wait_s >= STALL_SPAN_MIN_S:
-                    telemetry.add_span(
-                        "stage.stall", t0 - telemetry.origin, wait_s,
-                        cat="stage",
+                if tracer is not None and wait_s >= STALL_SPAN_MIN_S:
+                    tracer.add_span(
+                        "stage.stall", t0 - tracer.origin, wait_s,
+                        pid=WALL_PID, tid=lane, cat="stage",
                     )
                 if isinstance(item, _LoaderFailure):
                     raise item.exc

@@ -330,8 +330,9 @@ def _resolve_executor(args, spec, problem) -> None:
     measured-evidence policy of
     :mod:`repro.parallel.policy` (serial unless this host's perf ledger
     shows threads beating serial). Also resolves
-    ``--backend auto`` to a concrete verified backend either way, and
-    publishes the decision to any ambient metrics registry.
+    ``--backend auto`` to a concrete verified backend either way (``numpy``
+    for the non-hogwild schemes, which run no other), and publishes the
+    decision to any ambient metrics registry.
     """
     from repro.parallel.policy import (
         ExecutorChoice,
@@ -342,13 +343,17 @@ def _resolve_executor(args, spec, problem) -> None:
 
     k = args.k or spec.k
     nnz = problem.train.nnz
+    if args.scheme == "batch_hogwild":
+        backend_name, reason = choose_backend(nnz, k, args.backend)
+    else:
+        backend_name = "numpy"
+        reason = f"--scheme {args.scheme} runs only the numpy kernels"
     if args.executor != "auto":
-        args.backend, reason = choose_backend(nnz, k, args.backend)
+        args.backend = backend_name
         if args.procs is None:
             args.procs = 4
         print(f"kernel: backend={args.backend} ({reason})")
         return
-    backend_name, _ = choose_backend(nnz, k, args.backend)
     if args.out_of_core:
         choice = ExecutorChoice(
             "threads", args.procs or 4, backend_name,
@@ -357,7 +362,8 @@ def _resolve_executor(args, spec, problem) -> None:
     elif args.scheme != "batch_hogwild":
         choice = ExecutorChoice(
             "serial", 1, backend_name,
-            f"--scheme {args.scheme} runs on the serial simulators",
+            f"--scheme {args.scheme} runs on the serial simulators, "
+            "with the numpy kernels",
         )
     else:
         from repro.obs.ledger import DEFAULT_LEDGER_PATH, PerfLedger

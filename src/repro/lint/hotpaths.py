@@ -74,7 +74,6 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
     # compiled code the AST passes cannot see, so only its python-level
     # launchers are registered)
     "repro/backends/numpy_backend.py": {
-        "NumpyBackend.wave_update": _spec("rows", "cols"),
         "NumpyBackend.serial_update": _spec(),
     },
     "repro/backends/c_backend.py": {

@@ -40,9 +40,8 @@ from repro.obs.hooks import (
     resolve_kernel_stride,
 )
 from repro.obs.ledger import PerfLedger, bench_meta, perf_diff
-from repro.obs.profiler import PHASES, PhaseTimer, StallReport, WorkerPhases
+from repro.obs.profiler import PHASES, StallReport, WorkerPhases
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
-from repro.obs.relay import WorkerTelemetry, merge_records
 from repro.obs.trace_schema import TraceValidationError, validate_chrome_trace
 from repro.obs.tracer import Tracer
 
@@ -72,10 +71,7 @@ __all__ = [
     "active_hooks",
     "active_registry",
     "active_tracer",
-    "WorkerTelemetry",
-    "merge_records",
     "PHASES",
-    "PhaseTimer",
     "StallReport",
     "WorkerPhases",
     "PerfLedger",

@@ -55,10 +55,6 @@ class TelemetryCollector:
     ----------
     registry, tracer:
         Bring-your-own sinks; fresh ones are created by default.
-    trace_kernels:
-        Also emit one trace span per kernel wave. Off by default — a quick
-        training run launches thousands of waves, and epoch/batch spans are
-        usually the interesting granularity.
     run_label:
         Stamped on trace spans ("run" arg) so multi-run traces stay legible.
     kernel_sample_every:
@@ -77,13 +73,11 @@ class TelemetryCollector:
         self,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        trace_kernels: bool = False,
         run_label: str = "",
         kernel_sample_every: int = 128,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.trace_kernels = trace_kernels
         self.run_label = run_label
         if kernel_sample_every < 1:
             raise ValueError(
@@ -199,13 +193,6 @@ class TelemetryCollector:
         if event.rows is not None and event.cols is not None and event.n_updates:
             frac = collision_fraction(event.rows, event.cols)
             self._wave_collisions.observe(frac)
-        if self.trace_kernels and event.seconds:
-            end = self.tracer.now()
-            self.tracer.add_span(
-                event.name, end - event.seconds, event.seconds,
-                pid=WALL_PID, tid=1, cat="kernel",
-                args={"updates": event.n_updates},
-            )
 
     def on_transfer(self, event: TransferEvent) -> None:
         (self._h2d if event.direction == "h2d" else self._d2h).inc(event.n_bytes)

@@ -86,7 +86,6 @@ class BatchEvent:
     n_updates: int
     #: failed lock acquisitions this worker accumulated before the grant
     waits: int = 0
-    seconds: float = 0.0
 
 
 @dataclass(slots=True)
@@ -110,7 +109,6 @@ class KernelEvent:
     name: str
     #: exact update total across the n_waves launches this event covers
     n_updates: int
-    seconds: float = 0.0
     #: wave coordinates for Eq. 6 conflict accounting (may be None)
     rows: Sequence[int] | None = None
     cols: Sequence[int] | None = None
@@ -126,7 +124,6 @@ class TransferEvent:
     n_bytes: int
     device: int = 0
     block: tuple[int, int] = (0, 0)
-    seconds: float = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,10 @@ The parallel executors run at a fraction of serial throughput
 classifies every worker's wall time into a fixed stall taxonomy:
 
 ``compute``
-    inside the SGD wave kernels (the only phase that *earns* updates);
-``barrier``
-    blocked on the epoch dispatch/completion barriers — load imbalance and
-    parent-side latency show up here;
+    inside the SGD kernels (the only phase that *earns* updates);
 ``spawn``
-    thread launch and plan/buffer setup — the fixed cost HOGWILD!-style
-    executors amortize over epochs;
+    dispatch-to-entry latency of the worker threads — the fixed cost
+    HOGWILD!-style executors amortize over epochs;
 ``prefetch``
     consumer-side stalls waiting on the out-of-core
     :class:`~repro.data.blockstore.BlockPrefetcher` (the exposed, i.e.
@@ -22,57 +19,31 @@ classifies every worker's wall time into a fixed stall taxonomy:
     per-worker fractions sum to 1 by construction.
 
 :class:`StallReport` carries per-worker and aggregate phase seconds and
-fractions, serializes into ``BENCH_parallel.json``, and publishes as the
-``repro.profile.*`` metric family (manifest names on
+fractions, is computed from the worker threads' trace spans
+(:meth:`StallReport.from_trace`), serializes into ``BENCH_parallel.json``,
+and publishes as the ``repro.profile.*`` metric family (manifest names on
 :class:`repro.obs.registry.M`).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
+
+from repro.obs.tracer import THREAD_TID_BASE, WALL_PID
 
 __all__ = [
     "PHASES",
-    "PhaseTimer",
     "WorkerPhases",
     "StallReport",
 ]
 
 #: The stall taxonomy, in report order. ``replay`` is the residual phase —
 #: it absorbs whatever wall time the measured phases do not cover.
-PHASES = ("compute", "barrier", "spawn", "prefetch", "replay")
+PHASES = ("compute", "spawn", "prefetch", "replay")
 
 _MEASURED = tuple(p for p in PHASES if p != "replay")
-
-
-class PhaseTimer:
-    """Cheap per-worker phase accumulator (a dict of seconds + one clock).
-
-    Workers call :meth:`add` with durations they already measured around
-    the hot calls, or wrap cold sections in :meth:`phase`; either way the
-    hot loops themselves stay untouched and allocation-free.
-    """
-
-    __slots__ = ("seconds", "_clock")
-
-    def __init__(self, clock=time.perf_counter) -> None:
-        self.seconds = {p: 0.0 for p in _MEASURED}
-        self._clock = clock
-
-    def add(self, phase: str, seconds: float) -> None:
-        self.seconds[phase] += max(0.0, float(seconds))
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.add(name, self._clock() - start)
 
 
 @dataclass
@@ -165,6 +136,40 @@ class StallReport:
             for w in state["workers"]
         ]
         return cls(str(state["executor"]), workers)
+
+    @classmethod
+    def from_trace(cls, executor: str,
+                   events: Iterable[Mapping]) -> "StallReport":
+        """Fold worker threads' ``compute`` spans into a report.
+
+        A worker thread appends one ``compute`` span per epoch on lane
+        ``(WALL_PID, THREAD_TID_BASE + wid)``, its args carrying the
+        dispatch-to-entry ``spawn`` seconds and, out of core, the epoch's
+        prefetch ``stall`` seconds. Per worker, ``spawn`` and ``prefetch``
+        sum those args, ``compute`` sums ``dur − stall``, and the wall time
+        sums ``spawn + dur``. ``events`` is a ``traceEvents`` list, in
+        memory or read back from a written trace, so a trace reproduces
+        the report of the run that wrote it.
+        """
+        workers: dict[int, WorkerPhases] = {}
+        for ev in events:
+            if (ev.get("ph") != "X" or ev.get("cat") != "compute"
+                    or ev.get("pid") != WALL_PID
+                    or ev.get("tid", 0) < THREAD_TID_BASE):
+                continue
+            wid = ev["tid"] - THREAD_TID_BASE
+            w = workers.get(wid)
+            if w is None:
+                w = workers[wid] = WorkerPhases(
+                    wid, 0.0, dict.fromkeys(_MEASURED, 0.0))
+            dur = ev["dur"] / 1e6  # trace_event durations are µs
+            spawn = ev["args"]["spawn"]
+            stall = ev["args"].get("stall", 0.0)
+            w.seconds["spawn"] += spawn
+            w.seconds["prefetch"] += stall
+            w.seconds["compute"] += dur - stall
+            w.wall_seconds += spawn + dur
+        return cls(executor, [workers[wid] for wid in sorted(workers)])
 
     @staticmethod
     def validate_dict(state: Mapping, tolerance: float = 0.02) -> None:

@@ -27,11 +27,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Mapping
 
-__all__ = ["Tracer", "WALL_PID", "SIM_PID"]
+__all__ = ["Tracer", "WALL_PID", "SIM_PID", "THREAD_TID_BASE"]
 
 #: Default process rows: wall-clock instrumentation vs simulated timelines.
 WALL_PID = 1
 SIM_PID = 100
+#: Worker thread lanes share the trainer's pid and fan out as tids
+#: (``THREAD_TID_BASE + tid``), so they nest under it in Perfetto.
+THREAD_TID_BASE = 10
 
 
 class Tracer:
@@ -42,13 +45,12 @@ class Tracer:
         self._origin = clock()
         self.events: list[dict] = []
         self._named_threads: set[tuple[int, int]] = set()
-        self._named_processes: set[int] = set()
 
     @property
     def origin(self) -> float:
-        """The raw clock reading that is this tracer's t=0. Hand it to
-        worker-side clocks (:class:`repro.obs.relay.WorkerTelemetry`) so
-        their timestamps land on this tracer's timeline."""
+        """The raw clock reading that is this tracer's t=0. Code that reads
+        ``time.perf_counter`` itself (worker threads, the block prefetcher)
+        subtracts it so its spans land on this tracer's timeline."""
         return self._origin
 
     # -- low-level emitters --------------------------------------------
@@ -138,23 +140,6 @@ class Tracer:
                 "ts": 0,
                 "pid": pid,
                 "tid": tid,
-                "args": {"name": name},
-            }
-        )
-
-    def name_process(self, pid: int, name: str) -> None:
-        """Metadata event labelling a ``pid`` row, e.g. "proc 3"."""
-        if pid in self._named_processes:
-            return
-        self._named_processes.add(pid)
-        self.events.append(
-            {
-                "name": "process_name",
-                "cat": "__metadata",
-                "ph": "M",
-                "ts": 0,
-                "pid": pid,
-                "tid": 0,
                 "args": {"name": name},
             }
         )

@@ -39,19 +39,19 @@ from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse  # noqa: F401 -- perfbench/layers.py wraps threads.rmse
 from repro.obs.context import active_registry, active_tracer
 from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
-from repro.obs.profiler import StallReport, WorkerPhases
+from repro.obs.profiler import StallReport
 from repro.obs.registry import M
-from repro.obs.relay import WorkerTelemetry, merge_records
+from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 from repro.san.core import active_sanitizer
 from repro.sched.plan import PlanShard
 
 __all__ = ["ThreadedHogwild"]
 
 #: Shared names worker threads may mutate (``race-shared-write`` lint):
-#: ``counts``/``phases``/``staged`` are write-disjoint per thread id,
-#: ``errors.append`` is GIL-atomic. P and Q races are the point of Hogwild!
-#: (in the kernel).
-SHARED_WRITE_OK = ("counts", "errors", "phases", "staged")
+#: ``counts``/``staged`` are write-disjoint per thread id, ``errors.append``
+#: is GIL-atomic (as is ``tracer.add_span``, one list append). P and Q
+#: races are the point of Hogwild! (in the kernel).
+SHARED_WRITE_OK = ("counts", "errors", "staged")
 
 
 def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
@@ -96,9 +96,12 @@ class ThreadedHogwild:
     A ``store`` (:class:`~repro.data.blockstore.BlockStore`) streams the
     ratings from disk instead, each thread replaying its own blocks
     serially (``f`` caps the NumPy reference's segments). One
-    ``on_kernel`` event per thread per epoch; ``repro.thread.*`` (and, out
-    of core, ``repro.stage.*``) metrics go to the ambient registry when
-    the :meth:`session` ends."""
+    ``on_kernel`` event per thread per epoch. Each thread appends one
+    ``compute`` span per epoch to the ambient tracer (a private one when
+    none is active), the run's only timing record: when the
+    :meth:`session` ends its spans become :attr:`stall_report`, and
+    ``repro.thread.*`` (and, out of core, ``repro.stage.*``) metrics go to
+    the ambient registry."""
 
     def __init__(
         self,
@@ -130,11 +133,10 @@ class ThreadedHogwild:
 
     @contextmanager
     def session(self, model: FactorModel, train: RatingMatrix | None):
-        """A run's state: backend, plan source, per-thread workspaces,
-        telemetry; folded into tracer, stall report and registry at the end."""
+        """A run's state: backend, plan source, per-thread workspaces and
+        trace lanes; folded into stall report and registry at the end."""
         self._backend = get_backend(self.backend)
         self._workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
-        phases = {"spawn": 0.0, "compute": 0.0}
         if self.store is None:
             self._plans = BatchHogwild(workers=self.workers, f=self.f,
                                        seed=self.seed)
@@ -145,20 +147,20 @@ class ThreadedHogwild:
             self._rngs = [np.random.default_rng(s) for s in
                           np.random.SeedSequence(self.seed).spawn(self.n_threads)]
             self.stage_stats = PrefetchStats()
-            phases["prefetch"] = 0.0
+        # an empty Tracer is falsy (__len__), so test for None
         tracer = active_tracer()
-        self._tele = [] if tracer is None else [
-            WorkerTelemetry(t, origin=tracer.origin) for t in range(self.n_threads)]
-        self._phases = [WorkerPhases(tid, 0.0, dict(phases))
-                        for tid in range(self.n_threads)]
+        if tracer is None:
+            tracer = Tracer()
+        for tid in range(self.n_threads):  # once, before any thread runs
+            tracer.name_thread(WALL_PID, THREAD_TID_BASE + tid, f"thread:{tid}")
+        self._tracer = tracer
+        first = len(tracer)  # one collector can hold several fits
         self._totals = [0] * self.n_threads
         self._epochs_run = 0
         yield model
-        if self._tele:
-            merge_records(tracer, [r for wt in self._tele for r in wt.drain()],
-                          label="thread")
-        self.stall_report = StallReport(
-            "threads" if self.store is None else "threads_ooc", self._phases)
+        self.stall_report = StallReport.from_trace(
+            "threads" if self.store is None else "threads_ooc",
+            tracer.events[first:])
         registry = active_registry()
         if registry is not None:
             registry.gauge(M.THREAD_WORKERS).set(self.n_threads)
@@ -203,7 +205,8 @@ class ThreadedHogwild:
 
     def _epoch(self, model, vals, shards, lr, lam_p, lam_q) -> list[int]:
         """Dispatch one thread per shard and join them; per-thread updates."""
-        epoch, phases, tele = self._epochs_run, self._phases, self._tele
+        epoch, tracer = self._epochs_run, self._tracer
+        origin = tracer.origin
         counts = [0] * self.n_threads
         errors: list[BaseException] = []
         backend, workspaces = self._backend, self._workspaces
@@ -223,13 +226,11 @@ class ThreadedHogwild:
                     observer=observers[tid])
                 t1 = time.perf_counter()
                 # spawn = dispatch-to-entry latency, compute = gather + replay
-                phases[tid].seconds["spawn"] += t0 - dispatched
-                phases[tid].seconds["compute"] += t1 - t0
-                phases[tid].wall_seconds += t1 - dispatched
-                if tele:
-                    tele[tid].add_span(
-                        f"epoch {epoch} compute", t0 - tele[tid].origin, t1 - t0,
-                        cat="compute", args={"epoch": epoch, "updates": n})
+                tracer.add_span(
+                    f"epoch {epoch} compute", t0 - origin, t1 - t0,
+                    pid=WALL_PID, tid=THREAD_TID_BASE + tid, cat="compute",
+                    args={"epoch": epoch, "updates": n,
+                          "spawn": t0 - dispatched})
             except BaseException as exc:  # pragma: no cover - defensive
                 errors.append(exc)
 
@@ -246,7 +247,8 @@ class ThreadedHogwild:
     def _stream(self, model, lr, lam_p, lam_q) -> list[int]:
         """One out-of-core epoch: each thread streams its blocks, in its
         own fresh order, through its own prefetcher; per-thread updates."""
-        epoch, phases, tele = self._epochs_run, self._phases, self._tele
+        epoch, tracer = self._epochs_run, self._tracer
+        origin = tracer.origin
         counts = [0] * self.n_threads
         staged: list[PrefetchStats | None] = [None] * self.n_threads
         errors: list[BaseException] = []
@@ -262,22 +264,19 @@ class ThreadedHogwild:
                 own = blocks[tid]
                 prefetcher = BlockPrefetcher(
                     store, [own[i] for i in rngs[tid].permutation(len(own))],
-                    telemetry=tele[tid] if tele else None, wid=tid)
+                    wid=tid)
                 counts[tid] = n = _replay_blocks(
                     workspaces[tid], backend, prefetcher, p, q, lr, lam_p,
                     lam_q, max_wave, san=san, wid=tid, epoch=epoch)
                 t1 = time.perf_counter()
                 stats = staged[tid] = prefetcher.stats
                 # the block loop's wall time is prefetch stall plus compute
-                phases[tid].seconds["spawn"] += t0 - dispatched
-                phases[tid].seconds["prefetch"] += stats.wait_seconds
-                phases[tid].seconds["compute"] += max(
-                    0.0, t1 - t0 - stats.wait_seconds)
-                phases[tid].wall_seconds += t1 - dispatched
-                if tele:
-                    tele[tid].add_span(
-                        f"epoch {epoch} compute", t0 - tele[tid].origin, t1 - t0,
-                        cat="compute", args={"epoch": epoch, "updates": n})
+                tracer.add_span(
+                    f"epoch {epoch} compute", t0 - origin, t1 - t0,
+                    pid=WALL_PID, tid=THREAD_TID_BASE + tid, cat="compute",
+                    args={"epoch": epoch, "updates": n,
+                          "spawn": t0 - dispatched,
+                          "stall": stats.wait_seconds})
             except BaseException as exc:
                 errors.append(exc)
 

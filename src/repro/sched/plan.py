@@ -63,20 +63,18 @@ class PlanShard:
 
     The compiled ``(n_waves, s)`` matrix assigns one *logical* worker per
     column; a shard owns the contiguous run of columns ``[col_lo, col_hi)``.
-    Physical executors (OS processes, OS threads) each take one shard and
-    walk every wave, executing only their own lanes — so within a wave the
-    shards race for real, exactly the batch-Hogwild! concurrency the matrix
-    encodes, while each shard's intra-lane order stays the compiled serial
-    order. Padding only ever shortens a wave from the right, so the live
-    lane count of wave ``i`` inside this shard is
-    ``clip(lengths[i] - col_lo, 0, width)`` (:meth:`live_width`).
+    OS threads each take one shard and walk every wave, executing only
+    their own lanes — so within a wave the shards race for real, exactly
+    the batch-Hogwild! concurrency the matrix encodes, while each shard's
+    intra-lane order stays the compiled serial order. Padding only ever
+    shortens a wave from the right, so the live lane count of wave ``i``
+    inside this shard is ``clip(lengths[i] - col_lo, 0, width)``.
 
     A shard :meth:`cut` from a wave matrix is a plan in its own right for
     :meth:`~repro.core.kernels.WaveWorkspace.bind_plan`: ``matrix`` is the
     column view, ``lengths`` the shard's per-wave live widths, and
     ``version`` the plan version it was cut from. Cut afresh after the plan
-    is re-permuted; the bare edges (``matrix is None``) are what a process
-    worker receives.
+    is re-permuted.
     """
 
     index: int
@@ -93,13 +91,6 @@ class PlanShard:
     @property
     def n_waves(self) -> int:
         return len(self.lengths)
-
-    def live_width(self, wave_length: int) -> int:
-        """Live (non-padding) lanes of a wave with ``wave_length`` samples."""
-        live = wave_length - self.col_lo
-        if live <= 0:
-            return 0
-        return live if live < self.width else self.width
 
     def cut(
         self, matrix: np.ndarray, lengths: np.ndarray, version: int = 0

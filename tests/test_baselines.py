@@ -86,6 +86,12 @@ class TestNOMADNumeric:
         est.fit(tiny_problem.train, epochs=2)
         assert est.token_hops == 2 * 4 * tiny_problem.train.n_cols
 
+    def test_refit_counts_only_its_own_token_hops(self, tiny_problem):
+        est = NOMADSolver(k=8, nodes=4, seed=0)
+        est.fit(tiny_problem.train, epochs=2)
+        est.fit(tiny_problem.train, epochs=2)
+        assert est.token_hops == 2 * 4 * tiny_problem.train.n_cols
+
     def test_single_node_degenerates_to_serial(self, tiny_problem):
         est = NOMADSolver(k=8, nodes=1, seed=0)
         hist = est.fit(tiny_problem.train, epochs=3, test=tiny_problem.test)

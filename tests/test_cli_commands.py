@@ -138,6 +138,23 @@ class TestTrainExecutors:
         scheme = argv[argv.index("--scheme") + 1]
         assert repr(scheme) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor", ["auto", "serial"])
+    @pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
+    def test_non_hogwild_schemes_resolve_numpy(self, capsys, executor, scheme):
+        """Only batch_hogwild runs a backend's kernels, so the other
+        schemes report and run numpy whatever ``--backend`` asks for."""
+        from types import SimpleNamespace
+
+        from repro.experiments.cli import _resolve_executor
+
+        args = SimpleNamespace(executor=executor, scheme=scheme, backend="c",
+                               k=None, procs=None, out_of_core=False)
+        problem = SimpleNamespace(train=SimpleNamespace(nnz=400_000))
+        _resolve_executor(args, SimpleNamespace(k=32), problem)
+        assert args.backend == "numpy"
+        out = capsys.readouterr().out
+        assert "backend=numpy" in out and f"--scheme {scheme}" in out
+
     @pytest.mark.slow
     def test_train_threads(self, capsys):
         code = main([

@@ -3,7 +3,7 @@
 Covers the contracts the parallel layer is built on:
 
 * ``EpochPlan.shard`` — static column shards that tile every live worker
-  lane exactly once, with ``live_width`` clipping padded tails;
+  lane exactly once, their ``lengths`` clipping padded tails;
 * ``BlockStore`` — the i x j mmap grid round-trips the COO multiset, and
   the double-buffered prefetcher stages every block with honest stats;
 * ``ThreadedHogwild`` under :func:`run_epochs` — one thread is
@@ -62,30 +62,26 @@ def _coo_multiset(rows, cols, vals):
 
 class TestPlanShard:
     def test_shards_tile_every_lane_once(self, rng):
-        plan = EpochPlan(rng.permutation(1_000).astype(np.int64), workers=16, f=8)
-        shards = plan.shard(5)
-        assert [s.index for s in shards] == list(range(5))
-        assert shards[0].col_lo == 0 and shards[-1].col_hi == plan.width
-        for prev, cur in zip(shards, shards[1:]):
-            assert prev.col_hi == cur.col_lo  # contiguous, disjoint
-        assert sum(s.width for s in shards) == plan.width
-        # per wave: the live slices re-cover exactly the wave's samples
-        for i, length in enumerate(plan.lengths.tolist()):
-            seen = []
-            for s in shards:
-                live = s.live_width(length)
-                seen.append(plan.matrix[i, s.col_lo : s.col_lo + live])
-            wave = np.concatenate(seen)
-            assert np.array_equal(wave, plan.matrix[i, :length])
-
-    def test_live_width_clips_padded_tails(self, rng):
-        plan = EpochPlan(rng.permutation(100).astype(np.int64), workers=8, f=4)
-        shards = plan.shard(3)
-        for s in shards:
-            assert s.live_width(0) == 0
-            assert s.live_width(s.col_lo) == 0
-            assert s.live_width(plan.width) == s.width
-            assert s.live_width(s.col_lo + 1) == min(1, s.width)
+        # the second plan's one-sample tail waves leave two shards empty
+        for nnz, workers, f, n_shards in ((1_000, 16, 8, 5), (100, 8, 4, 3)):
+            plan = EpochPlan(rng.permutation(nnz).astype(np.int64),
+                             workers=workers, f=f)
+            shards = plan.shard(n_shards)
+            assert [s.index for s in shards] == list(range(n_shards))
+            assert shards[0].col_lo == 0 and shards[-1].col_hi == plan.width
+            for prev, cur in zip(shards, shards[1:]):
+                assert prev.col_hi == cur.col_lo  # contiguous, disjoint
+            assert sum(s.width for s in shards) == plan.width
+            # per wave: the live slices re-cover exactly the wave's samples
+            for i, length in enumerate(plan.lengths.tolist()):
+                seen = []
+                for s in shards:
+                    live = int(s.lengths[i])
+                    # padding trims from the right: clip to the shard's lanes
+                    assert live == min(max(length - s.col_lo, 0), s.width)
+                    seen.append(plan.matrix[i, s.col_lo : s.col_lo + live])
+                wave = np.concatenate(seen)
+                assert np.array_equal(wave, plan.matrix[i, :length])
 
     def test_single_shard_spans_full_width(self, rng):
         plan = EpochPlan(rng.permutation(64).astype(np.int64), workers=4, f=4)
@@ -103,10 +99,7 @@ class TestPlanShard:
         plan = EpochPlan(rng.permutation(100).astype(np.int64), workers=16, f=16)
         shards = plan.shard(4)
         assert shards[-1].col_hi == 7  # ceil(100 / 16) live lanes
-        per_shard = [
-            sum(s.live_width(length) for length in plan.lengths.tolist())
-            for s in shards
-        ]
+        per_shard = [int(s.lengths.sum()) for s in shards]
         assert all(n > 0 for n in per_shard), per_shard
         assert sum(per_shard) == 100
 

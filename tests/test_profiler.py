@@ -1,9 +1,7 @@
-"""Cross-worker profiling: trace relay, stall attribution, perf ledger.
+"""Cross-worker profiling: thread lanes, stall attribution, perf ledger.
 
 Covers the observability additions around the parallel executors:
 
-* `repro.obs.relay` — per-thread telemetry buffers and their deterministic
-  merge onto thread lanes of one Chrome trace;
 * `repro.obs.profiler` — the StallReport phase taxonomy (fractions sum to
   1 by construction), serialization round-trip, `repro.profile.*`
   publication;
@@ -11,7 +9,8 @@ Covers the observability additions around the parallel executors:
   the >15% `perf-diff` regression gate (plus its CLI exit codes);
 * the executor wiring — a threaded `CuMFSGD` fit under a collector, in
   core or out of core, yields one schema-valid trace with a lane per
-  thread and an embeddable stall report.
+  thread and an embeddable stall report that the written trace
+  reproduces.
 """
 
 from __future__ import annotations
@@ -32,97 +31,14 @@ from repro.obs.ledger import (
     git_sha,
     perf_diff,
 )
-from repro.obs.profiler import PHASES, PhaseTimer, StallReport, WorkerPhases
+from repro.obs.profiler import PHASES, StallReport, WorkerPhases
 from repro.obs.registry import METRIC_MANIFEST, M, MetricsRegistry
-from repro.obs.relay import THREAD_TID_BASE, WorkerTelemetry, merge_records
-from repro.obs.tracer import WALL_PID, Tracer
+from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 
 pytestmark = pytest.mark.obs
 
 
-# ---------------------------------------------------------------------------
-# relay: in-memory telemetry, merge
-# ---------------------------------------------------------------------------
-class TestWorkerTelemetry:
-    def test_drain_round_trips_record_kinds(self):
-        wt = WorkerTelemetry(3, origin=0.0)
-        wt.add_span("epoch 1 compute", 0.5, 0.25, args={"updates": 10})
-        wt.instant("mark", 0.6)
-        wt.counter("repro.test", {"v": 1.0}, ts_seconds=0.7)
-        records = wt.drain()
-        assert wt.records == []  # buffer cleared
-        assert [r["kind"] for r in records] == ["span", "instant", "counter"]
-        assert all(r["wid"] == 3 for r in records)
-        assert records[0]["dur"] == 0.25
-        assert records[0]["args"] == {"updates": 10}
-
-    def test_in_memory_mode_drain(self):
-        wt = WorkerTelemetry(1)
-        wt.add_span("x", 0.0, 0.1)
-        drained = wt.drain()
-        assert len(drained) == 1
-        assert wt.records == []
-
-
-class TestMergeRecords:
-    def _records(self):
-        return [
-            {"wid": 1, "kind": "span", "name": "late", "ts": 2.0, "dur": 0.5},
-            {"wid": 0, "kind": "span", "name": "early", "ts": 1.0, "dur": 0.5},
-            {"wid": 1, "kind": "span", "name": "first", "ts": 0.5, "dur": 0.1},
-        ]
-
-    def test_thread_layout_shares_parent_pid(self):
-        tracer = Tracer()
-        merge_records(tracer, self._records(), label="thread")
-        spans = [e for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "X"]
-        assert {e["pid"] for e in spans} == {WALL_PID}
-        assert {e["tid"] for e in spans} == {THREAD_TID_BASE, THREAD_TID_BASE + 1}
-
-    def test_thread_layout_lanes_and_ordering(self):
-        tracer = Tracer()
-        n = merge_records(tracer, self._records(), label="thread")
-        assert n == 3
-        events = tracer.to_chrome()["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
-        spans = [e for e in events if e["ph"] == "X"]
-        # lane metadata first (sorted wids), then events sorted by (ts, wid)
-        assert events[: len(meta)] == meta
-        assert {e["pid"] for e in spans} == {WALL_PID}
-        tids = [e["tid"] for e in spans]
-        assert tids == [THREAD_TID_BASE + 1, THREAD_TID_BASE,
-                        THREAD_TID_BASE + 1]
-        assert [e["name"] for e in spans] == ["first", "early", "late"]
-        named = {(e["tid"], e["args"]["name"]) for e in meta}
-        assert named == {(THREAD_TID_BASE, "thread:0"),
-                         (THREAD_TID_BASE + 1, "thread:1")}
-
-    def test_negative_timestamps_clamped(self):
-        tracer = Tracer()
-        merge_records(
-            tracer,
-            [{"wid": 0, "kind": "span", "name": "pre", "ts": -0.5, "dur": 0.1}],
-        )
-        trace = tracer.to_chrome()
-        validate_chrome_trace(trace)  # schema rejects ts < 0
-        span = [e for e in trace["traceEvents"] if e["ph"] == "X"][0]
-        assert span["ts"] == 0
-
-
 class TestTracerLaneNaming:
-    def test_name_process_emits_deduped_metadata(self):
-        tracer = Tracer()
-        tracer.name_process(200, "proc 0")
-        tracer.name_process(200, "proc 0")  # dedup
-        tracer.name_thread(200, 0, "proc:0")
-        meta = [
-            e for e in tracer.to_chrome()["traceEvents"]
-            if e["name"] == "process_name"
-        ]
-        assert len(meta) == 1
-        assert meta[0]["pid"] == 200 and meta[0]["args"]["name"] == "proc 0"
-        validate_chrome_trace(tracer.to_chrome())
-
     def test_origin_is_raw_clock_value(self):
         import time
 
@@ -140,9 +56,8 @@ class TestStallReport:
         return StallReport(
             "threads",
             [
-                WorkerPhases(0, 2.0, {"compute": 1.2, "barrier": 0.4,
-                                      "spawn": 0.2}),
-                WorkerPhases(1, 2.0, {"compute": 1.6, "barrier": 0.1,
+                WorkerPhases(0, 2.0, {"compute": 1.2, "spawn": 0.6}),
+                WorkerPhases(1, 2.0, {"compute": 1.6, "spawn": 0.1,
                                       "prefetch": 0.2}),
             ],
         )
@@ -164,7 +79,7 @@ class TestStallReport:
     def test_overcommitted_worker_stretches_denominator(self):
         """Measured > wall (overlapping instrumentation): fractions still
         sum to 1, replay clamps at 0."""
-        w = WorkerPhases(0, 1.0, {"compute": 0.9, "barrier": 0.4})
+        w = WorkerPhases(0, 1.0, {"compute": 0.9, "spawn": 0.4})
         att = w.attributed()
         assert att["replay"] == 0.0
         assert math.fsum(w.fractions().values()) == pytest.approx(1.0)
@@ -185,7 +100,7 @@ class TestStallReport:
         allowed to mask it."""
         report = StallReport(
             "threads",
-            [WorkerPhases(0, 1.0, {"compute": 1.3, "barrier": 0.2})],
+            [WorkerPhases(0, 1.0, {"compute": 1.3, "spawn": 0.2})],
         )
         # fractions still sum to 1 (stretched denominator) — only the
         # new wall-clock invariant catches the corruption
@@ -196,15 +111,30 @@ class TestStallReport:
         with pytest.raises(ValueError, match="exceed wall_seconds"):
             StallReport.validate_dict(state)
 
-    def test_phase_timer_accumulates(self):
-        ticks = iter([0.0, 1.0, 1.0, 1.5])
-        timer = PhaseTimer(clock=lambda: next(ticks))
-        with timer.phase("barrier"):
-            pass
-        with timer.phase("compute"):
-            pass
-        assert timer.seconds["barrier"] == pytest.approx(1.0)
-        assert timer.seconds["compute"] == pytest.approx(0.5)
+    def test_from_trace_folds_compute_spans(self):
+        """Per worker: spawn and prefetch sum the span args, compute is
+        dur − stall and wall is spawn + dur; stage spans and the trainer
+        lane are not worker time."""
+        tracer = Tracer()
+        lane = {"pid": WALL_PID, "cat": "compute"}
+        for epoch, (spawn, dur, stall) in enumerate([(0.1, 1.0, 0.25),
+                                                     (0.2, 2.0, 0.5)]):
+            tracer.add_span(f"epoch {epoch} compute", epoch, dur,
+                            tid=THREAD_TID_BASE + 1,
+                            args={"spawn": spawn, "stall": stall}, **lane)
+        tracer.add_span("epoch 1 compute", 0.0, 4.0, tid=THREAD_TID_BASE,
+                        args={"spawn": 0.5}, **lane)
+        tracer.add_span("stage.load b(0,0)", 0.0, 9.0, pid=WALL_PID,
+                        tid=THREAD_TID_BASE, cat="stage")
+        tracer.add_span("epoch 1", 0.0, 9.0, pid=WALL_PID, tid=0, cat="train")
+        w0, w1 = StallReport.from_trace("threads_ooc", tracer.events).workers
+        assert (w0.wid, w1.wid) == (0, 1)
+        assert w0.wall_seconds == pytest.approx(4.5)
+        assert w0.attributed() == pytest.approx(
+            {"compute": 4.0, "spawn": 0.5, "prefetch": 0.0, "replay": 0.0})
+        assert w1.wall_seconds == pytest.approx(3.3)
+        assert w1.attributed() == pytest.approx(
+            {"compute": 2.25, "spawn": 0.3, "prefetch": 0.75, "replay": 0.0})
 
     def test_publish_emits_profile_family(self):
         registry = MetricsRegistry()
@@ -286,6 +216,38 @@ class TestThreadsProfiling:
         lanes = _lanes(trace)
         for tid in range(est.n_threads):
             assert (WALL_PID, THREAD_TID_BASE + tid) in lanes
+
+    @pytest.mark.parametrize("out_of_core", [False, True],
+                             ids=["in_core", "out_of_core"])
+    def test_written_trace_reproduces_report(self, tiny_problem, tmp_path,
+                                             out_of_core):
+        """The threads' spans are the run's whole timing record: the
+        report recomputed from the written trace is the one the fit made."""
+        from repro.core.trainer import CuMFSGD
+        from repro.data.blockstore import BlockStore
+
+        store = None
+        if out_of_core:
+            store = BlockStore.create(tiny_problem.train, 3, 3,
+                                      tmp_path / "store", seed=0)
+        collector = TelemetryCollector(run_label="trace-reproduces-report")
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        with activate(collector):
+            est.fit(None if out_of_core else tiny_problem.train, epochs=2)
+        path = collector.tracer.write(tmp_path / "trace.json")
+        events = json.loads(path.read_text())["traceEvents"]
+        report = est.executor.stall_report
+        again = StallReport.from_trace(report.executor, events)
+        assert [w.wid for w in again.workers] == [0, 1]
+        assert [w.wid for w in report.workers] == [0, 1]
+        for got, want in zip(again.workers, report.workers):
+            assert got.wall_seconds == pytest.approx(want.wall_seconds,
+                                                     rel=1e-9)
+            assert got.attributed() == pytest.approx(want.attributed(),
+                                                     rel=1e-9)
+        if out_of_core:  # the spans' stall is every prefetcher wait
+            assert report.aggregate_seconds()["prefetch"] == pytest.approx(
+                est.executor.stage_stats.wait_seconds, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
