@@ -16,25 +16,32 @@ or 4 GPUs (Fig. 12).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.lr_schedule import ConstantSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix
 from repro.data.synthetic import DatasetSpec
 from repro.gpusim.specs import GPUSpec
-from repro.metrics.rmse import rmse
+from repro.obs.hooks import TrainerHooks
 
 __all__ = ["ALSSolver", "als_epoch_seconds", "als_epoch_flops"]
 
 
-class ALSSolver:
+class ALSSolver(EpochSolver):
     """Exact ALS for the Eq. 2 objective.
 
     Regularization uses the weighted-λ convention (λ scaled by each entity's
     rating count), matching cuMF_ALS and the Zhou et al. formulation.
     """
+
+    scheme = "als"
+    #: ALS has no learning rate; the history logs 0.0
+    schedule = ConstantSchedule(0.0)
 
     def __init__(
         self,
@@ -42,7 +49,6 @@ class ALSSolver:
         lam: float = 0.05,
         seed: int = 0,
         weighted_reg: bool = True,
-        scale_factor: float = 1.0,
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -52,10 +58,6 @@ class ALSSolver:
         self.lam = lam
         self.seed = seed
         self.weighted_reg = weighted_reg
-        self.scale_factor = scale_factor
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
-        self._indicator_cache: dict = {}
 
     # ------------------------------------------------------------------
     #: samples per scatter-accumulation chunk; bounds the (chunk, k²) outer-
@@ -63,16 +65,12 @@ class ALSSolver:
     GRAM_CHUNK = 200_000
 
     def _indicators(self, own_idx: np.ndarray, n_rows: int) -> list[sp.csr_matrix]:
-        """Chunked row-indicator CSR matrices (cached per index array).
+        """Chunked row-indicator CSR matrices.
 
         ``S[u, t] = 1`` iff chunk-sample ``t`` belongs to row ``u``; the
         grouped Gram/rhs sums then become sparse-dense matmuls, which beat
         ``np.add.at`` scatter by ~3x and dominate the ALS epoch cost.
         """
-        key = (id(own_idx), len(own_idx), n_rows)
-        cached = self._indicator_cache.get(key)
-        if cached is not None:
-            return cached
         chunks: list[sp.csr_matrix] = []
         for lo in range(0, len(own_idx), self.GRAM_CHUNK):
             idx = own_idx[lo : lo + self.GRAM_CHUNK]
@@ -85,7 +83,6 @@ class ALSSolver:
                     shape=(n_rows, len(idx)),
                 )
             )
-        self._indicator_cache[key] = chunks
         return chunks
 
     def _solve_side(
@@ -95,21 +92,20 @@ class ALSSolver:
         own_idx: np.ndarray,
         other_idx: np.ndarray,
         vals: np.ndarray,
+        indicators: list[sp.csr_matrix],
     ) -> None:
         """Solve the ridge normal equations for every row of ``target``.
 
         ``own_idx[t]`` is the target-row index of sample t, ``other_idx[t]``
-        the fixed-side row. Rows with no samples keep their current value.
+        the fixed-side row; ``indicators`` are ``own_idx``'s
+        :meth:`_indicators`. Rows with no samples keep their current value.
         """
         n_rows, k = target.shape
         fv = fixed[other_idx].astype(np.float32)
         weighted = vals.astype(np.float32)[:, None] * fv
         gram = np.zeros((n_rows, k * k), dtype=np.float32)
         rhs = np.zeros((n_rows, k), dtype=np.float32)
-        for chunk, indicator in zip(
-            range(0, len(own_idx), self.GRAM_CHUNK),
-            self._indicators(own_idx, n_rows),
-        ):
+        for chunk, indicator in zip(range(0, len(own_idx), self.GRAM_CHUNK), indicators):
             sl = slice(chunk, chunk + indicator.shape[1])
             fc = fv[sl]
             outer = (fc[:, :, None] * fc[:, None, :]).reshape(len(fc), k * k)
@@ -125,40 +121,24 @@ class ALSSolver:
         target[touched] = solved[touched]
 
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 10,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-        verbose: bool = False,
-    ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
-        )
-        p = self.model.p.astype(np.float32)
-        q = self.model.q.astype(np.float32)
-        history = TrainHistory()
-        for epoch in range(epochs):
-            self._solve_side(p, q, train.rows, train.cols, train.vals)
-            self._solve_side(q, p, train.cols, train.rows, train.vals)
-            self.model = FactorModel(p, q)
-            te = rmse(p, q, test) if test is not None else None
-            history.record(epoch + 1, 0.0, train.nnz, None, te)
-            if verbose:  # pragma: no cover
-                print(f"ALS epoch {epoch + 1}: test={te}")
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
+    @contextmanager
+    def session(self, model: FactorModel, train: RatingMatrix):
+        """Per-fit state: both sides' row indicators, built once."""
+        self._row_indicators = self._indicators(train.rows, train.n_rows)
+        self._col_indicators = self._indicators(train.cols, train.n_cols)
+        yield model
 
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
+        """Two exact half-steps: every ``p_u`` with Q fixed, then every
+        ``q_v``; updates ``model`` in place."""
+        p, q = model.p, model.q
+        self._solve_side(p, q, ratings.rows, ratings.cols, ratings.vals,
+                         self._row_indicators)
+        self._solve_side(q, p, ratings.cols, ratings.rows, ratings.vals,
+                         self._col_indicators)
+        return ratings.nnz
 
 
 # ----------------------------------------------------------------------

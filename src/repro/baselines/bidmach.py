@@ -16,21 +16,29 @@ Table 5.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
+from repro.core.lr_schedule import ConstantSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix
 from repro.data.synthetic import DatasetSpec
 from repro.gpusim.specs import GPUSpec
 from repro.metrics.flops import bytes_per_update
-from repro.metrics.rmse import rmse
+from repro.obs.hooks import TrainerHooks
 
 __all__ = ["BIDMachSGD", "bidmach_throughput"]
 
+#: ADAGRAD's denominator floor
+ADAGRAD_EPS = 1e-6
 
-class BIDMachSGD:
+
+class BIDMachSGD(EpochSolver):
     """Mini-batch ADAGRAD matrix factorization."""
+
+    scheme = "bidmach"
 
     def __init__(
         self,
@@ -38,9 +46,7 @@ class BIDMachSGD:
         batch: int = 4096,
         lam: float = 0.05,
         base_rate: float = 0.2,
-        eps: float = 1e-6,
         seed: int = 0,
-        scale_factor: float = 1.0,
     ) -> None:
         if k <= 0 or batch <= 0:
             raise ValueError("k and batch must be positive")
@@ -50,11 +56,9 @@ class BIDMachSGD:
         self.batch = batch
         self.lam = lam
         self.base_rate = base_rate
-        self.eps = eps
+        #: ADAGRAD adapts the rate per element; the history logs the base
+        self.schedule = ConstantSchedule(base_rate)
         self.seed = seed
-        self.scale_factor = scale_factor
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
         self._accum_p: np.ndarray | None = None
         self._accum_q: np.ndarray | None = None
 
@@ -87,51 +91,31 @@ class BIDMachSGD:
         assert self._accum_p is not None and self._accum_q is not None
         self._accum_p += grad_p**2
         self._accum_q += grad_q**2
-        step_p = self.base_rate / np.sqrt(self._accum_p + self.eps)
-        step_q = self.base_rate / np.sqrt(self._accum_q + self.eps)
+        step_p = self.base_rate / np.sqrt(self._accum_p + ADAGRAD_EPS)
+        step_q = self.base_rate / np.sqrt(self._accum_q + ADAGRAD_EPS)
         p += (step_p * grad_p).astype(p.dtype, copy=False)
         q += (step_q * grad_q).astype(q.dtype, copy=False)
 
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 20,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-        verbose: bool = False,
-    ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        rng = np.random.default_rng(self.seed)
-        self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
-        )
-        self._accum_p = np.zeros_like(self.model.p, dtype=np.float32)
-        self._accum_q = np.zeros_like(self.model.q, dtype=np.float32)
-        history = TrainHistory()
-        for epoch in range(epochs):
-            order = rng.permutation(train.nnz)
-            for lo in range(0, train.nnz, self.batch):
-                sel = order[lo : lo + self.batch]
-                self._minibatch_step(
-                    self.model, train.rows[sel], train.cols[sel], train.vals[sel]
-                )
-            p, q = self.model.as_float32()
-            te = rmse(p, q, test) if test is not None else None
-            history.record(epoch + 1, self.base_rate, train.nnz, None, te)
-            if verbose:  # pragma: no cover
-                print(f"BIDMach epoch {epoch + 1}: test={te}")
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
+    @contextmanager
+    def session(self, model: FactorModel, train: RatingMatrix):
+        """Per-fit state: the batch-order rng and both ADAGRAD accumulators."""
+        self._rng = np.random.default_rng(self.seed)
+        self._accum_p = np.zeros_like(model.p, dtype=np.float32)
+        self._accum_q = np.zeros_like(model.q, dtype=np.float32)
+        yield model
 
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
+        """One shuffled pass of ``batch``-sample ADAGRAD steps."""
+        order = self._rng.permutation(ratings.nnz)
+        for lo in range(0, ratings.nnz, self.batch):
+            sel = order[lo : lo + self.batch]
+            self._minibatch_step(
+                model, ratings.rows[sel], ratings.cols[sel], ratings.vals[sel]
+            )
+        return ratings.nnz
 
 
 # ----------------------------------------------------------------------

@@ -20,21 +20,23 @@ on large data) lives in :mod:`repro.gpusim`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import ConstantSchedule, LearningRateSchedule
 from repro.core.model import FactorModel
 from repro.core.partition import GridPartition
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix
-from repro.metrics.rmse import rmse
+from repro.obs.hooks import TrainerHooks
 from repro.sched.table import GlobalScheduleTable
 
 __all__ = ["LIBMFSolver"]
 
 
-class LIBMFSolver:
+class LIBMFSolver(EpochSolver):
     """Blocked SGD with LIBMF's global-table scheduling.
 
     Parameters
@@ -47,10 +49,9 @@ class LIBMFSolver:
         Grid dimension; R is split into ``a x a`` blocks. The paper selects
         100 for Netflix after sweeping 40-160; Fig. 14 shows what happens
         when ``a`` approaches ``threads``.
-    policy:
-        ``"table"`` = LIBMF's O(a²) scan, ``"rowcol"`` = the O(a) GPU-port
-        variant. Numerically identical; kept for the contention bench.
     """
+
+    scheme = "libmf"
 
     def __init__(
         self,
@@ -59,9 +60,7 @@ class LIBMFSolver:
         a: int = 32,
         lam: float = 0.05,
         schedule: LearningRateSchedule | None = None,
-        policy: str = "table",
         seed: int = 0,
-        scale_factor: float = 1.0,
     ) -> None:
         if k <= 0 or threads <= 0 or a <= 0:
             raise ValueError("k, threads, a must all be positive")
@@ -70,29 +69,29 @@ class LIBMFSolver:
         self.a = a
         self.lam = lam
         self.schedule = schedule or ConstantSchedule(0.1)
-        self.policy = policy
         self.seed = seed
-        self.scale_factor = scale_factor
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
+        #: the last fit's global scheduling table, for its grant/scan counters
         self.table: GlobalScheduleTable | None = None
 
-    # ------------------------------------------------------------------
-    def _run_epoch(
-        self,
-        model: FactorModel,
-        partition: GridPartition,
-        ratings: RatingMatrix,
-        table: GlobalScheduleTable,
-        rng: np.random.Generator,
-        lr: float,
-    ) -> int:
+    @contextmanager
+    def session(self, model: FactorModel, train: RatingMatrix):
+        """Per-fit state: the block-choice rng, the grid, the table."""
+        self._rng = np.random.default_rng(self.seed)
+        self._partition = GridPartition(train, self.a, self.a)
+        self.table = GlobalScheduleTable(self.a, seed=self.seed)
+        yield model
+
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
         """One epoch: grant blocks until N samples have been processed.
 
         Mirrors LIBMF: workers cycle release→acquire→process; an epoch ends
         when the number of processed samples reaches nnz. With balanced
         grids this visits each block about once.
         """
+        table, rng = self.table, self._rng
+        table.reset_epoch()
         s = min(self.threads, table.a)  # more workers than rows can never run
         # initial acquisition, in worker order
         held: dict[int, tuple[int, int]] = {}
@@ -108,11 +107,12 @@ class LIBMFSolver:
         while processed < target and held:
             w = int(rng.choice(sorted(held)))
             bi, bj = held[w]
-            idx = partition.block(bi, bj).sample_index
+            idx = self._partition.block(bi, bj).sample_index
             if len(idx):
                 idx = idx[rng.permutation(len(idx))]
                 sgd_serial_update(
-                    model.p, model.q, rows[idx], cols[idx], vals[idx], lr, self.lam
+                    model.p, model.q, rows[idx], cols[idx], vals[idx],
+                    lr, lam_p, lam_q,
                 )
                 processed += len(idx)
             table.release(w)
@@ -124,41 +124,3 @@ class LIBMFSolver:
         for w in list(held):
             table.release(w)
         return processed
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 20,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-        verbose: bool = False,
-    ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        rng = np.random.default_rng(self.seed)
-        self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
-        )
-        partition = GridPartition(train, self.a, self.a)
-        self.table = GlobalScheduleTable(self.a, policy=self.policy, seed=self.seed)
-        history = TrainHistory()
-        for epoch in range(epochs):
-            lr = self.schedule(epoch)
-            self.table.reset_epoch()
-            n = self._run_epoch(self.model, partition, train, self.table, rng, lr)
-            p, q = self.model.as_float32()
-            te = rmse(p, q, test) if test is not None else None
-            history.record(epoch + 1, lr, n, None, te)
-            if verbose:  # pragma: no cover
-                print(f"LIBMF epoch {epoch + 1}: test={te}")
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
-
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)

@@ -23,22 +23,26 @@ is heaviest).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory
+from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix, SAMPLE_BYTES
 from repro.data.synthetic import DatasetSpec
 from repro.gpusim.specs import ClusterSpec, NOMAD_HPC_CLUSTER
-from repro.metrics.rmse import rmse
+from repro.obs.hooks import TrainerHooks
 
 __all__ = ["NOMADSolver", "nomad_epoch_seconds", "nomad_memory_efficiency"]
 
 
-class NOMADSolver:
+class NOMADSolver(EpochSolver):
     """Column-token decentralized SGD (numeric path)."""
+
+    scheme = "nomad"
 
     def __init__(
         self,
@@ -47,7 +51,6 @@ class NOMADSolver:
         lam: float = 0.05,
         schedule: LearningRateSchedule | None = None,
         seed: int = 0,
-        scale_factor: float = 1.0,
     ) -> None:
         if k <= 0 or nodes <= 0:
             raise ValueError("k and nodes must be positive")
@@ -56,9 +59,6 @@ class NOMADSolver:
         self.lam = lam
         self.schedule = schedule or NomadSchedule()
         self.seed = seed
-        self.scale_factor = scale_factor
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
         #: token hops performed in the last fit (network-traffic accounting)
         self.token_hops = 0
 
@@ -73,14 +73,18 @@ class NOMADSolver:
         bounds = np.searchsorted(node[order], np.arange(self.nodes + 1))
         return [order[bounds[nd] : bounds[nd + 1]] for nd in range(self.nodes)]
 
-    def _run_epoch(
-        self,
-        model: FactorModel,
-        train: RatingMatrix,
-        index: list[list[np.ndarray]],
-        rng: np.random.Generator,
-        lr: float,
-    ) -> int:
+    @contextmanager
+    def session(self, model: FactorModel, train: RatingMatrix):
+        """Per-fit state: the rng, the hop count and the row partition,
+        drawn from the rng before any epoch."""
+        self._rng = np.random.default_rng(self.seed)
+        self.token_hops = 0
+        self._index = self._index_by_node(train, self._rng)
+        yield model
+
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
         """One epoch of ring-style token circulation.
 
         Tokens circulate in a ring: node order is permuted per epoch, and
@@ -91,12 +95,13 @@ class NOMADSolver:
         to per-token processing, since each column is exclusive to one node
         at a time and row partitions are disjoint.
         """
+        rng = self._rng
         updates = 0
-        rows, cols, vals = train.rows, train.cols, train.vals
-        col_rank = rng.permutation(train.n_cols).astype(np.int64)
+        rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
+        col_rank = rng.permutation(ratings.n_cols).astype(np.int64)
         for nd in rng.permutation(self.nodes):
-            node_idx = index[nd]
-            self.token_hops += train.n_cols
+            node_idx = self._index[nd]
+            self.token_hops += ratings.n_cols
             if not len(node_idx):
                 continue
             # Round-robin across the node's resident tokens: sample t of
@@ -108,50 +113,14 @@ class NOMADSolver:
             order_by_col = np.argsort(c, kind="stable")
             sorted_c = c[order_by_col]
             within = np.arange(len(sorted_c)) - np.searchsorted(sorted_c, sorted_c)
-            key = within.astype(np.int64) * train.n_cols + sorted_c
+            key = within.astype(np.int64) * ratings.n_cols + sorted_c
             idx = node_idx[order_by_col][np.argsort(key, kind="stable")]
             sgd_serial_update(
-                model.p, model.q, rows[idx], cols[idx], vals[idx], lr, self.lam
+                model.p, model.q, rows[idx], cols[idx], vals[idx],
+                lr, lam_p, lam_q,
             )
             updates += len(idx)
         return updates
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 20,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-        verbose: bool = False,
-    ) -> TrainHistory:
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        rng = np.random.default_rng(self.seed)
-        self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed, scale_factor=self.scale_factor
-        )
-        self.token_hops = 0
-        index = self._index_by_node(train, rng)
-        history = TrainHistory()
-        for epoch in range(epochs):
-            lr = self.schedule(epoch)
-            n = self._run_epoch(self.model, train, index, rng, lr)
-            p, q = self.model.as_float32()
-            te = rmse(p, q, test) if test is not None else None
-            history.record(epoch + 1, lr, n, None, te)
-            if verbose:  # pragma: no cover
-                print(f"NOMAD epoch {epoch + 1}: test={te}")
-            if target_rmse is not None and te is not None and te <= target_rmse:
-                break
-        self.history = history
-        return history
-
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)
 
 
 # ----------------------------------------------------------------------

@@ -202,46 +202,21 @@ class MultiDeviceSGD:
     def _device_pass(
         self,
         model: FactorModel,
-        ratings: RatingMatrix,
-        idx: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
         lr: float,
         lam_p: float,
         lam_q: float,
     ) -> int:
-        """Single-device batch-Hogwild! pass over one block's samples."""
-        if not len(idx):
-            return 0
-        idx = idx[self._rng.permutation(len(idx))]
-        rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
-        for lo in range(0, len(idx), self.workers):
-            wave = idx[lo : lo + self.workers]
-            sgd_wave_update(
-                model.p, model.q, rows[wave], cols[wave], vals[wave],
-                lr, lam_p, lam_q, workspace=self.workspace,
-            )
-        return len(idx)
-
-    def _device_pass_records(
-        self,
-        model: FactorModel,
-        rec: np.ndarray,
-        lr: float,
-        lam_p: float,
-        lam_q: float,
-    ) -> int:
-        """Single-device pass over one staged block's COO records.
-
-        Same update schedule as :meth:`_device_pass` (one permutation draw,
-        waves of ``workers``), sourced from a store shard's packed records
-        instead of in-memory sample indices.
-        """
-        n = len(rec)
+        """Single-device batch-Hogwild! pass over one block's samples: one
+        permutation draw, then waves of ``workers``."""
+        n = len(rows)
         if not n:
             return 0
-        idx = self._rng.permutation(n)
-        rows, cols, vals = rec["u"], rec["v"], rec["r"]
+        order = self._rng.permutation(n)
         for lo in range(0, n, self.workers):
-            wave = idx[lo : lo + self.workers]
+            wave = order[lo : lo + self.workers]
             sgd_wave_update(
                 model.p, model.q, rows[wave], cols[wave], vals[wave],
                 lr, lam_p, lam_q, workspace=self.workspace,
@@ -322,13 +297,12 @@ class MultiDeviceSGD:
                                            feature_bytes)
                 self.ledger.charge_dispatch(view, model.k, feature_bytes)
                 if store is not None:
-                    n = self._device_pass_records(
-                        model, store.load(bi, bj), lr, lam_p, lam_q
-                    )
+                    rec = store.load(bi, bj)
+                    block = rec["u"], rec["v"], rec["r"]
                 else:
-                    n = self._device_pass(
-                        model, ratings, view.sample_index, lr, lam_p, lam_q
-                    )
+                    idx = view.sample_index
+                    block = ratings.rows[idx], ratings.cols[idx], ratings.vals[idx]
+                n = self._device_pass(model, *block, lr, lam_p, lam_q)
                 updates += n
                 pending.discard((bi, bj))
                 if injector is not None:

@@ -17,7 +17,28 @@ import numpy as np
 
 from repro.data.container import RatingMatrix, SAMPLE_BYTES
 
-__all__ = ["GridPartition", "BlockView"]
+__all__ = ["GridPartition", "BlockView", "grid_block_index"]
+
+
+def grid_edges(n: int, parts: int) -> np.ndarray:
+    """Boundaries of ``parts`` near-equal segments of ``range(n)``."""
+    return np.linspace(0, n, parts + 1).astype(np.int64)
+
+
+def grid_block_index(ratings: RatingMatrix, i: int, j: int) -> list[np.ndarray]:
+    """Sample positions of every block of the even ``i x j`` grid over
+    ``ratings``, flat in row-major order: block ``(bi, bj)`` is entry
+    ``bi * j + bj``, its positions ascending.
+
+    The shape is not checked: a grid finer than the matrix leaves some
+    blocks empty.
+    """
+    bi = np.searchsorted(grid_edges(ratings.n_rows, i), ratings.rows, side="right") - 1
+    bj = np.searchsorted(grid_edges(ratings.n_cols, j), ratings.cols, side="right") - 1
+    flat = bi.astype(np.int64) * j + bj
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(i * j + 1))
+    return [order[bounds[b] : bounds[b + 1]] for b in range(i * j)]
 
 
 @dataclass(frozen=True)
@@ -64,17 +85,9 @@ class GridPartition:
         self.ratings = ratings
         self.i = i
         self.j = j
-        self.row_edges = np.linspace(0, ratings.n_rows, i + 1).astype(np.int64)
-        self.col_edges = np.linspace(0, ratings.n_cols, j + 1).astype(np.int64)
-
-        bi = np.searchsorted(self.row_edges, ratings.rows, side="right") - 1
-        bj = np.searchsorted(self.col_edges, ratings.cols, side="right") - 1
-        flat = bi.astype(np.int64) * j + bj
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(i * j + 1))
-        self._sample_index = [
-            order[bounds[b] : bounds[b + 1]] for b in range(i * j)
-        ]
+        self.row_edges = grid_edges(ratings.n_rows, i)
+        self.col_edges = grid_edges(ratings.n_cols, j)
+        self._sample_index = grid_block_index(ratings, i, j)
 
     # ------------------------------------------------------------------
     @property

@@ -7,11 +7,12 @@ with per-epoch test-RMSE tracking — the measurement every RMSE-vs-time
 figure in the paper plots.
 
 :func:`run_epochs` is the one epoch loop behind every trainer — this
-estimator, the real-parallelism executors of :mod:`repro.parallel`, and
-:class:`repro.resilience.trainer.ResilientTrainer`. Executors only run
-epochs (:class:`EpochExecutor`); the loop owns the learning-rate
-schedule, per-epoch timing, evaluation, history/event emission and early
-stopping.
+estimator, the baselines and the threaded wavefront (each an
+:class:`EpochSolver`), the real-parallelism executors of
+:mod:`repro.parallel`, and :class:`repro.resilience.trainer.ResilientTrainer`.
+Executors only run epochs (:class:`EpochExecutor`); the loop owns the
+learning-rate schedule, per-epoch timing, evaluation, history/event
+emission and early stopping.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "CuMFSGD",
     "EpochExecutor",
     "EpochGuard",
+    "EpochSolver",
     "TrainHistory",
     "run_epochs",
 ]
@@ -308,7 +310,51 @@ def run_epochs(
     return history
 
 
-class CuMFSGD:
+class EpochSolver:
+    """Estimator shell: :meth:`fit` draws a fresh :class:`FactorModel` and
+    hands ``self`` to :func:`run_epochs`, the one fit loop; :meth:`score`
+    is every estimator's test RMSE.
+
+    A subclass sets ``k``, ``lam``, ``seed``, ``schedule`` and its
+    ``scheme`` label and is its own :class:`EpochExecutor`: it keeps only
+    ``run_epoch`` plus, for per-fit state, a ``session(model, train)``
+    context manager. :class:`CuMFSGD` keeps its own ``fit``, which builds
+    a separate executor, and inherits only :meth:`score`.
+    """
+
+    model: FactorModel | None = None
+    history: TrainHistory | None = None
+
+    def fit(
+        self,
+        train: RatingMatrix,
+        epochs: int = 20,
+        test: RatingMatrix | None = None,
+        target_rmse: float | None = None,
+        verbose: bool = False,
+    ) -> TrainHistory:
+        """Train a fresh model for up to ``epochs`` passes, stopping early
+        once ``target_rmse`` is reached on ``test``. Returns (and stores)
+        the :class:`TrainHistory`."""
+        self.model = FactorModel.initialize(
+            train.n_rows, train.n_cols, self.k, seed=self.seed
+        )
+        self.history = run_epochs(
+            self, self.model, train, epochs,
+            schedule=self.schedule, lam=self.lam, scheme=self.scheme,
+            k=self.k, test=test, target_rmse=target_rmse, verbose=verbose,
+        )
+        return self.history
+
+    def score(self, ratings: RatingMatrix) -> float:
+        """Test RMSE of the fitted model on a rating set."""
+        if self.model is None:
+            raise RuntimeError("fit() the model before scoring")
+        p, q = self.model.as_float32()
+        return rmse(p, q, ratings)
+
+
+class CuMFSGD(EpochSolver):
     """SGD-based matrix factorization with cuMF_SGD's scheduling schemes.
 
     Parameters
@@ -366,7 +412,6 @@ class CuMFSGD:
         n_devices: int = 1,
         grid: tuple[int, int] = (1, 1),
         seed: int = 0,
-        scale_factor: float = 1.0,
         strict_safety: bool = False,
         hooks: TrainerHooks | None = None,
         backend: object | None = None,
@@ -397,7 +442,6 @@ class CuMFSGD:
         self.n_devices = n_devices
         self.grid = grid
         self.seed = seed
-        self.scale_factor = scale_factor
         self.strict_safety = strict_safety
         self.hooks = hooks
         #: kernel backend for the batch-Hogwild! wave updates (name /
@@ -407,8 +451,6 @@ class CuMFSGD:
         self.backend = backend
         self.n_threads = n_threads
         self.store = store
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
         #: the last fit's epoch executor, for its diagnostics
         self.executor = None
         self.safety = None
@@ -482,7 +524,6 @@ class CuMFSGD:
                 source.n_cols,
                 self.k,
                 seed=self.seed,
-                scale_factor=self.scale_factor,
                 half_precision=self.half_precision,
             )
         return source.nnz
@@ -560,10 +601,3 @@ class CuMFSGD:
         if self.model is None:
             raise RuntimeError("fit() the model before predicting")
         return self.model.predict(np.asarray(rows), np.asarray(cols))
-
-    def score(self, ratings: RatingMatrix) -> float:
-        """Test RMSE on a rating set."""
-        if self.model is None:
-            raise RuntimeError("fit() the model before scoring")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)

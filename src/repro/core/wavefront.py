@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.kernels import WaveWorkspace, sgd_serial_update
 from repro.core.model import FactorModel
+from repro.core.partition import grid_block_index
 from repro.data.container import RatingMatrix
 from repro.obs.hooks import BatchEvent, TrainerHooks, resolve_hooks
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
@@ -45,15 +46,11 @@ class WavefrontScheduler:
         Parallel workers ``s``; also the number of grid rows.
     col_blocks:
         Grid columns ``c``; defaults to ``2 * workers`` as in Fig. 6.
-    intra_wave:
-        Max sub-wave width used to execute a block's samples
-        serial-equivalently (see :func:`repro.core.kernels.sgd_serial_update`).
     """
 
     workers: int
     col_blocks: int | None = None
     seed: int = 0
-    intra_wave: int = 64
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -62,8 +59,8 @@ class WavefrontScheduler:
         if self.col_blocks < 1:
             raise ValueError(f"col_blocks must be positive, got {self.col_blocks}")
         self._rng = np.random.default_rng(self.seed)
-        self._block_index: list[list[np.ndarray]] | None = None
-        self._prepared_for: tuple[int, int] | None = None
+        self._block_index: list[np.ndarray] | None = None
+        self._prepared_for: RatingMatrix | None = None
         #: retry events observed (a worker found its next column held)
         self.wait_events = 0
         #: rounds needed by the last epoch (load-imbalance diagnostic)
@@ -76,26 +73,14 @@ class WavefrontScheduler:
     # ------------------------------------------------------------------
     def prepare(self, ratings: RatingMatrix) -> None:
         """Index samples by grid block; call once per data set."""
-        s, c = self.workers, int(self.col_blocks)
-        row_edges = np.linspace(0, ratings.n_rows, s + 1).astype(np.int64)
-        col_edges = np.linspace(0, ratings.n_cols, c + 1).astype(np.int64)
-        bi = np.searchsorted(row_edges, ratings.rows, side="right") - 1
-        bj = np.searchsorted(col_edges, ratings.cols, side="right") - 1
-        flat = bi.astype(np.int64) * c + bj
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
-        bounds = np.searchsorted(sorted_flat, np.arange(s * c + 1))
-        self._block_index = [
-            [order[bounds[i * c + j] : bounds[i * c + j + 1]] for j in range(c)]
-            for i in range(s)
-        ]
-        self._prepared_for = (id(ratings), ratings.nnz)
+        self._block_index = grid_block_index(ratings, self.workers, int(self.col_blocks))
+        self._prepared_for = ratings
 
     def block_samples(self, worker: int, col_block: int) -> np.ndarray:
         """Sample positions of grid block ``(worker, col_block)``."""
         if self._block_index is None:
             raise RuntimeError("call prepare(ratings) first")
-        return self._block_index[worker][col_block]
+        return self._block_index[worker * int(self.col_blocks) + col_block]
 
     # ------------------------------------------------------------------
     def run_epoch(
@@ -115,7 +100,7 @@ class WavefrontScheduler:
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         observe = hooks.active
-        if self._block_index is None or self._prepared_for != (id(ratings), ratings.nnz):
+        if self._prepared_for is not ratings:
             self.prepare(ratings)
         s, c = self.workers, int(self.col_blocks)
         locks = ColumnLockArray(c)
@@ -143,7 +128,7 @@ class WavefrontScheduler:
                     "wavefront deadlock: no worker could acquire a column"
                 )
             for w, col in granted:
-                idx = self._block_index[w][col]
+                idx = self.block_samples(w, col)
                 if len(idx):
                     # shuffle within the block; the worker then runs serially
                     idx = idx[self._rng.permutation(len(idx))]
@@ -156,7 +141,6 @@ class WavefrontScheduler:
                         lr,
                         lam_p,
                         lam_q,
-                        max_wave=self.intra_wave,
                         workspace=self.workspace,
                     )
                     updates += len(idx)

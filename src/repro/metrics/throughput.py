@@ -68,8 +68,8 @@ class ThroughputRecord:
         """Eq. 7 over a recorded :class:`repro.core.trainer.TrainHistory`.
 
         ``iterations`` is the number of recorded epochs; ``elapsed_seconds``
-        defaults to the history's own per-epoch wall times (populated by the
-        hook-instrumented trainer), so experiments no longer recompute
+        defaults to the history's own per-epoch wall times (which every
+        solver's ``fit`` records), so experiments no longer recompute
         ``iterations * nnz / elapsed`` inline.
         """
         iterations = len(history.epochs)
@@ -78,7 +78,8 @@ class ThroughputRecord:
             if elapsed_seconds <= 0:
                 raise ValueError(
                     "history carries no epoch wall times; pass elapsed_seconds "
-                    "(epoch_seconds is only populated by the instrumented trainer)"
+                    "(every solver's fit records them; only a history built "
+                    "by hand lacks them)"
                 )
         return cls(
             solver=solver,

@@ -159,6 +159,7 @@ class TelemetryCollector:
                 "test_rmse": event.test_rmse,
                 "updates_per_sec": ups,
                 "run": self.run_label,
+                "scheme": event.scheme,
                 **{k: v for k, v in event.extra.items()},
             },
         )

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.trainer import TrainHistory, run_epochs
+from repro.core.partition import grid_block_index
+from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix
-from repro.metrics.rmse import rmse
 from repro.obs.hooks import TrainerHooks
 from repro.sched.column_lock import ColumnLockArray
 
@@ -38,9 +39,14 @@ __all__ = ["ThreadedWavefront"]
 #: synchronization protocol (Fig. 6).
 SHARED_WRITE_OK = ("counts", "errors", "locks")
 
+#: seconds a worker sleeps between tries at a held column lock
+SPIN_SLEEP = 1e-5
 
-class ThreadedWavefront:
+
+class ThreadedWavefront(EpochSolver):
     """Wavefront-update executor with one OS thread per grid row."""
+
+    scheme = "threaded-wavefront"
 
     def __init__(
         self,
@@ -50,8 +56,6 @@ class ThreadedWavefront:
         lam: float = 0.05,
         schedule: LearningRateSchedule | None = None,
         seed: int = 0,
-        spin_sleep: float = 1e-5,
-        scale_factor: float = 1.0,
     ) -> None:
         if k <= 0 or workers <= 0:
             raise ValueError("k and workers must be positive")
@@ -63,46 +67,27 @@ class ThreadedWavefront:
         self.lam = lam
         self.schedule = schedule or NomadSchedule()
         self.seed = seed
-        self.spin_sleep = spin_sleep
-        self.scale_factor = scale_factor
-        self.model: FactorModel | None = None
-        self.history: TrainHistory | None = None
         self.locks: ColumnLockArray | None = None
 
     # ------------------------------------------------------------------
-    def _index_blocks(self, train: RatingMatrix) -> list[list[np.ndarray]]:
-        s, c = self.workers, self.col_blocks
-        row_edges = np.linspace(0, train.n_rows, s + 1).astype(np.int64)
-        col_edges = np.linspace(0, train.n_cols, c + 1).astype(np.int64)
-        bi = np.searchsorted(row_edges, train.rows, side="right") - 1
-        bj = np.searchsorted(col_edges, train.cols, side="right") - 1
-        flat = bi.astype(np.int64) * c + bj
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(s * c + 1))
-        return [
-            [order[bounds[i * c + j] : bounds[i * c + j + 1]] for j in range(c)]
-            for i in range(s)
-        ]
+    @contextmanager
+    def session(self, model: FactorModel, train: RatingMatrix):
+        """Per-fit state: the column-order rng and the grid index."""
+        self._rng = np.random.default_rng(self.seed)
+        self._index = grid_block_index(train, self.workers, self.col_blocks)
+        yield model
 
-    def run_epoch(
-        self,
-        model: FactorModel,
-        ratings: RatingMatrix,
-        lr: float,
-        lam_p: float,
-        lam_q: float | None = None,
-        hooks: TrainerHooks | None = None,
-    ) -> int:
+    def run_epoch(self, model: FactorModel, ratings: RatingMatrix, lr: float,
+                  lam_p: float, lam_q: float | None = None,
+                  hooks: TrainerHooks | None = None) -> int:
         """One epoch: every row thread visits every column block once."""
         lam_q = lam_p if lam_q is None else lam_q
-        index = self._index
-        locks = ColumnLockArray(self.col_blocks)
+        index, c = self._index, self.col_blocks
+        locks = ColumnLockArray(c)
         self.locks = locks
         counts = [0] * self.workers
         errors: list[BaseException] = []
-        sequences = [
-            self._rng.permutation(self.col_blocks) for _ in range(self.workers)
-        ]
+        sequences = [self._rng.permutation(c) for _ in range(self.workers)]
         rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
 
         def work(wid: int) -> None:
@@ -111,9 +96,9 @@ class ThreadedWavefront:
                     col = int(col)
                     # spin on the column lock, as the GPU worker does
                     while not locks.try_acquire(col, wid):
-                        time.sleep(self.spin_sleep)
+                        time.sleep(SPIN_SLEEP)
                     try:
-                        idx = index[wid][col]
+                        idx = index[wid * c + col]
                         if len(idx):
                             sgd_serial_update(
                                 model.p, model.q,
@@ -139,31 +124,3 @@ class ThreadedWavefront:
         if not locks.all_free():
             raise RuntimeError("column locks leaked after the epoch")
         return sum(counts)
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        train: RatingMatrix,
-        epochs: int = 10,
-        test: RatingMatrix | None = None,
-        target_rmse: float | None = None,
-    ) -> TrainHistory:
-        self._rng = np.random.default_rng(self.seed)
-        self.model = FactorModel.initialize(
-            train.n_rows, train.n_cols, self.k, seed=self.seed,
-            scale_factor=self.scale_factor,
-        )
-        self._index = self._index_blocks(train)
-        self.history = run_epochs(
-            self, self.model, train, epochs,
-            schedule=self.schedule, lam=self.lam,
-            scheme="threaded-wavefront", k=self.k,
-            test=test, target_rmse=target_rmse,
-        )
-        return self.history
-
-    def score(self, ratings: RatingMatrix) -> float:
-        if self.model is None:
-            raise RuntimeError("fit() first")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)

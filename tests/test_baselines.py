@@ -203,6 +203,22 @@ class TestALS:
         p2, q2 = est2.model.as_float32()
         assert r1 <= rmse(p2, q2, tiny_problem.train) + 1e-6
 
+    def test_refit_on_refilled_buffers_matches_fresh_solver(self, tiny_spec):
+        """A refit trains on the data it is given, even when that data
+        arrives in the buffers of an earlier fit's training set."""
+        from repro.data.synthetic import make_synthetic
+
+        prob = make_synthetic(tiny_spec, seed=42)
+        train = prob.train
+        est = ALSSolver(k=8, seed=0)
+        est.fit(train, epochs=1)
+        perm = np.random.default_rng(0).permutation(train.nnz)
+        for buf in (train.rows, train.cols, train.vals):
+            buf[:] = buf[perm]
+        refit = est.fit(train, epochs=2, test=prob.test)
+        fresh = ALSSolver(k=8, seed=0).fit(train, epochs=2, test=prob.test)
+        assert refit == fresh
+
     def test_epoch_flops_formula(self):
         f = als_epoch_flops(NETFLIX)
         assert f == pytest.approx(

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import ALSSolver, BIDMachSGD, LIBMFSolver, NOMADSolver
 from repro.core.trainer import CuMFSGD
 from repro.metrics.throughput import ThroughputRecord
 from repro.obs import (
@@ -23,6 +24,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.tracer import SIM_PID, WALL_PID
+from repro.parallel.wavefront_threads import ThreadedWavefront
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
 from repro.sched.conflict import ConflictCounter, count_conflicts
 
@@ -279,6 +281,32 @@ class TestNullCollectorIdentity:
         assert summary["updates_per_sec"] > 0
         assert summary["effective_bandwidth_gbs"] > 0
         assert 0.0 <= summary["conflict_rate"] < 1.0
+
+
+#: every solver whose fit hands itself to run_epochs, by scheme label
+EPOCH_SOLVERS = {
+    "libmf": lambda: LIBMFSolver(k=8, threads=4, a=8, seed=0),
+    "nomad": lambda: NOMADSolver(k=8, nodes=4, seed=0),
+    "bidmach": lambda: BIDMachSGD(k=8, batch=1024, seed=0),
+    "als": lambda: ALSSolver(k=8, seed=0),
+    "threaded-wavefront": lambda: ThreadedWavefront(k=8, workers=4, seed=0),
+}
+
+
+@pytest.mark.parametrize("scheme", EPOCH_SOLVERS)
+def test_every_solver_epoch_reaches_the_collector(tiny_problem, scheme):
+    """Each solver's fit runs the one epoch loop: its epochs are timed,
+    counted by an ambient collector, and traced under its own name."""
+    collector = TelemetryCollector()
+    with activate(collector):
+        hist = EPOCH_SOLVERS[scheme]().fit(
+            tiny_problem.train, epochs=2, test=tiny_problem.test
+        )
+    assert all(seconds > 0 for seconds in hist.epoch_seconds)
+    assert collector.registry.value("repro.train.updates") == sum(hist.updates)
+    spans = [ev for ev in collector.tracer.events if ev.get("cat") == "train"]
+    assert [span["name"] for span in spans] == ["epoch 1", "epoch 2"]
+    assert [span["args"]["scheme"] for span in spans] == [scheme, scheme]
 
 
 class TestThroughputFromHistory:
