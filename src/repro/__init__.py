@@ -18,21 +18,15 @@ The package is organised as:
 * :mod:`repro.experiments` — one module per paper table/figure.
 """
 
-from repro.core.trainer import CuMFSGD, TrainHistory
-from repro.core.model import FactorModel
-from repro.data.container import RatingMatrix
-from repro.data.synthetic import scaled_dataset, make_synthetic
-from repro.metrics.rmse import rmse
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CuMFSGD",
-    "TrainHistory",
-    "FactorModel",
-    "RatingMatrix",
-    "scaled_dataset",
-    "make_synthetic",
-    "rmse",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "core.trainer": ("CuMFSGD", "TrainHistory"),
+    "core.model": ("FactorModel",),
+    "data.container": ("RatingMatrix",),
+    "data.synthetic": ("scaled_dataset", "make_synthetic"),
+    "metrics.rmse": ("rmse",),
+})
+__all__ += ["__version__"]

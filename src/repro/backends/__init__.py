@@ -14,30 +14,12 @@ See ``docs/PERFORMANCE.md`` (backend matrix) and
 per problem size.
 """
 
-from repro.backends.base import (
-    BackendType,
-    KernelBackend,
-    estimate_memory_bytes,
-    replay_waves,
-)
-from repro.backends.registry import (
-    BackendUnavailable,
-    BackendVerificationError,
-    available_backends,
-    backend_status,
-    get_backend,
-    verify_backend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackendType",
-    "KernelBackend",
-    "estimate_memory_bytes",
-    "replay_waves",
-    "BackendUnavailable",
-    "BackendVerificationError",
-    "available_backends",
-    "backend_status",
-    "get_backend",
-    "verify_backend",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "base": ("BackendType", "KernelBackend", "estimate_memory_bytes",
+             "replay_waves"),
+    "registry": ("BackendUnavailable", "BackendVerificationError",
+                 "available_backends", "backend_status", "get_backend",
+                 "verify_backend"),
+})

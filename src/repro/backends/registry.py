@@ -29,7 +29,6 @@ import warnings
 import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend
-from repro.backends.numpy_backend import NumpyBackend
 from repro.core.kernels import WaveWorkspace, sgd_serial_update, sgd_wave_update
 
 __all__ = [
@@ -95,10 +94,11 @@ def _count_fallback(btype: BackendType) -> None:
     """Every fallback lands in the ambient registry (warning is once-only,
     the counter is not); no-op without an active collector."""
     from repro.obs.context import active_registry
-    from repro.obs.registry import M
 
     registry = active_registry()
     if registry is not None:
+        from repro.obs.registry import M
+
         registry.counter(M.BACKEND_FALLBACKS, {"backend": btype.value}).inc()
 
 
@@ -112,6 +112,8 @@ def _instantiate(btype: BackendType) -> KernelBackend:
     if inst is not None:
         return inst
     if btype is BackendType.NUMPY:
+        from repro.backends.numpy_backend import NumpyBackend
+
         inst = NumpyBackend()
     else:
         needs, present, factory = _OPTIONAL[btype]

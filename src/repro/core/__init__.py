@@ -13,48 +13,20 @@
   together.
 """
 
-from repro.core.adagrad import AdaGradHogwild
-from repro.core.checkpoint import Checkpoint, load_model, save_model
-from repro.core.convergence import hogwild_safety_bound, is_safe_parallelism
-from repro.core.hogwild import BatchHogwild
-from repro.core.kernels import (
-    WaveWorkspace,
-    sgd_wave_update,
-    sgd_serial_update,
-    single_update,
-)
-from repro.core.lr_schedule import (
-    AdaGradSchedule,
-    ConstantSchedule,
-    LearningRateSchedule,
-    NomadSchedule,
-)
-from repro.core.model import FactorModel
-from repro.core.partition import GridPartition
-from repro.core.multi_gpu import MultiDeviceSGD
-from repro.core.trainer import CuMFSGD, TrainHistory
-from repro.core.wavefront import WavefrontScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "sgd_wave_update",
-    "sgd_serial_update",
-    "single_update",
-    "WaveWorkspace",
-    "LearningRateSchedule",
-    "ConstantSchedule",
-    "NomadSchedule",
-    "AdaGradSchedule",
-    "FactorModel",
-    "BatchHogwild",
-    "WavefrontScheduler",
-    "GridPartition",
-    "MultiDeviceSGD",
-    "CuMFSGD",
-    "TrainHistory",
-    "hogwild_safety_bound",
-    "is_safe_parallelism",
-    "AdaGradHogwild",
-    "Checkpoint",
-    "save_model",
-    "load_model",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "kernels": ("sgd_wave_update", "sgd_serial_update", "single_update",
+                "WaveWorkspace"),
+    "lr_schedule": ("LearningRateSchedule", "ConstantSchedule",
+                    "NomadSchedule", "AdaGradSchedule"),
+    "model": ("FactorModel",),
+    "hogwild": ("BatchHogwild",),
+    "wavefront": ("WavefrontScheduler",),
+    "partition": ("GridPartition",),
+    "multi_gpu": ("MultiDeviceSGD",),
+    "trainer": ("CuMFSGD", "TrainHistory"),
+    "convergence": ("hogwild_safety_bound", "is_safe_parallelism"),
+    "adagrad": ("AdaGradHogwild",),
+    "checkpoint": ("Checkpoint", "save_model", "load_model"),
+})

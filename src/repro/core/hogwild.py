@@ -42,7 +42,6 @@ from repro.obs.hooks import (
     resolve_kernel_stride,
 )
 from repro.san.core import active_sanitizer
-from repro.sched.conflict import collision_fraction
 from repro.sched.plan import EpochPlan, PlanStats
 
 __all__ = ["BatchHogwild"]
@@ -199,6 +198,8 @@ class BatchHogwild:
         lengths = plan.lengths.tolist()
         width = plan.width
         track = self.track_collisions
+        if track:
+            from repro.sched.conflict import collision_fraction
         # registry dispatch: numpy resolves to ws.wave_update itself, so the
         # default path is the historical one, bit for bit
         wave_update = backend.bind(ws)

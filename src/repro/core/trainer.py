@@ -34,8 +34,6 @@ from repro.core.lr_schedule import (
     NomadSchedule,
 )
 from repro.core.model import FactorModel
-from repro.core.multi_gpu import MultiDeviceSGD
-from repro.core.wavefront import WavefrontScheduler
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
 from repro.obs.hooks import EpochEvent, TrainerHooks, resolve_hooks
@@ -422,8 +420,13 @@ class CuMFSGD(EpochSolver):
             raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if workers <= 0:
+            raise ValueError(f"workers must be positive, got {workers}")
         if n_threads <= 0:
             raise ValueError(f"n_threads must be positive, got {n_threads}")
+        if n_threads > workers and store is None:
+            raise ValueError(f"n_threads={n_threads} exceeds the plan's "
+                             f"{workers} worker lanes")
         if (n_threads > 1 or store is not None) and (
                 scheme != "batch_hogwild"
                 or isinstance(schedule, AdaGradSchedule)):
@@ -478,9 +481,13 @@ class CuMFSGD(EpochSolver):
                 backend=self.backend,
             )
         if self.scheme == "wavefront":
+            from repro.core.wavefront import WavefrontScheduler
+
             return WavefrontScheduler(
                 workers=self.workers, col_blocks=self.col_blocks, seed=self.seed
             )
+        from repro.core.multi_gpu import MultiDeviceSGD
+
         return MultiDeviceSGD(
             n_devices=self.n_devices,
             i=self.grid[0],
@@ -571,15 +578,8 @@ class CuMFSGD(EpochSolver):
         if hasattr(executor, "thread_updates"):  # ThreadedHogwild
             extra["n_threads"] = executor.n_threads
             extra["thread_updates"] = list(executor.thread_updates)
-        elif isinstance(executor, WavefrontScheduler):
-            prev = getattr(executor, "_obs_prev_waits", 0)
-            extra["lock_wait_events"] = executor.wait_events - prev
-            executor._obs_prev_waits = executor.wait_events
-            prev_attempts = getattr(executor, "_obs_prev_attempts", 0)
-            extra["lock_attempts"] = executor.lock_stats.attempts - prev_attempts
-            executor._obs_prev_attempts = executor.lock_stats.attempts
-            extra["sched_rounds"] = executor.last_epoch_rounds
-        elif isinstance(executor, BatchHogwild):
+            return extra
+        if isinstance(executor, BatchHogwild):
             if executor.track_collisions and executor.collision_history:
                 extra["conflict_rate"] = executor.collision_history[-1]
             # cumulative plan-compilation and workspace counters (the hot
@@ -590,6 +590,19 @@ class CuMFSGD(EpochSolver):
             extra["workspace_plan_binds"] = ws.plan_binds
             extra["workspace_waves"] = ws.waves
             extra["workspace_bytes"] = ws.nbytes
+            return extra
+        # the other schemes' modules: _make_executor has imported them
+        from repro.core.multi_gpu import MultiDeviceSGD
+        from repro.core.wavefront import WavefrontScheduler
+
+        if isinstance(executor, WavefrontScheduler):
+            prev = getattr(executor, "_obs_prev_waits", 0)
+            extra["lock_wait_events"] = executor.wait_events - prev
+            executor._obs_prev_waits = executor.wait_events
+            prev_attempts = getattr(executor, "_obs_prev_attempts", 0)
+            extra["lock_attempts"] = executor.lock_stats.attempts - prev_attempts
+            executor._obs_prev_attempts = executor.lock_stats.attempts
+            extra["sched_rounds"] = executor.last_epoch_rounds
         elif isinstance(executor, MultiDeviceSGD):
             extra["transfer_rounds"] = executor.ledger.rounds
             extra["transfer_bytes"] = executor.ledger.total_bytes

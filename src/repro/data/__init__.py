@@ -8,47 +8,17 @@ and :data:`repro.data.synthetic.PAPER_DATASETS` retains the paper-scale shape
 parameters for the performance model.
 """
 
-from repro.data.blockstore import BlockPrefetcher, BlockStore
-from repro.data.container import RatingMatrix
-from repro.data.io import load_coo, save_coo
-from repro.data.preprocess import (
-    BiasModel,
-    ScaleNormalizer,
-    compact_ids,
-    filter_min_counts,
-    remove_biases,
-)
-from repro.data.shuffle import model_shuffle, random_shuffle
-from repro.data.split import train_test_split
-from repro.data.synthetic import (
-    PAPER_DATASETS,
-    SCALED_DATASETS,
-    DatasetSpec,
-    SyntheticProblem,
-    dataset_registry,
-    make_synthetic,
-    scaled_dataset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RatingMatrix",
-    "BlockStore",
-    "BlockPrefetcher",
-    "load_coo",
-    "save_coo",
-    "ScaleNormalizer",
-    "BiasModel",
-    "remove_biases",
-    "filter_min_counts",
-    "compact_ids",
-    "random_shuffle",
-    "model_shuffle",
-    "train_test_split",
-    "DatasetSpec",
-    "SyntheticProblem",
-    "PAPER_DATASETS",
-    "SCALED_DATASETS",
-    "dataset_registry",
-    "make_synthetic",
-    "scaled_dataset",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "container": ("RatingMatrix",),
+    "blockstore": ("BlockStore", "BlockPrefetcher"),
+    "io": ("load_coo", "save_coo"),
+    "preprocess": ("ScaleNormalizer", "BiasModel", "remove_biases",
+                   "filter_min_counts", "compact_ids"),
+    "shuffle": ("random_shuffle", "model_shuffle"),
+    "split": ("train_test_split",),
+    "synthetic": ("DatasetSpec", "SyntheticProblem", "PAPER_DATASETS",
+                  "SCALED_DATASETS", "dataset_registry", "make_synthetic",
+                  "scaled_dataset"),
+})

@@ -341,7 +341,7 @@ def _resolve_executor(args, spec, problem) -> None:
         publish_choice,
     )
 
-    k = args.k or spec.k
+    k = spec.k if args.k is None else args.k
     nnz = problem.train.nnz
     if args.scheme == "batch_hogwild":
         backend_name, reason = choose_backend(nnz, k, args.backend)
@@ -413,8 +413,10 @@ def _run_train(args) -> int:
             print(f"blockstore: {grid}x{grid} grid, "
                   f"{store.max_block_nnz} max nnz/block -> {root}")
         try:
+            if args.epochs <= 0:
+                raise ValueError(f"epochs must be positive, got {args.epochs}")
             est = CuMFSGD(
-                k=args.k or spec.k,
+                k=spec.k if args.k is None else args.k,
                 scheme=args.scheme,
                 workers=args.workers,
                 lam=args.lam if args.lam is not None else spec.lam,

@@ -29,39 +29,15 @@ Entry points: ``repro lint`` / ``cumf-sgd lint`` (main CLI),
 tier-1 gate ``tests/test_lint_clean.py``. See ``docs/STATIC_ANALYSIS.md``.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-#: public name -> the submodule defining it; imported on first access
-#: (PEP 562), so mounting the ``lint`` subcommand on the main CLI through
-#: :mod:`repro.lint.cli` loads none of the passes
-_EXPORTS = {
-    "FileContext": "core",
-    "Finding": "core",
-    "LintPass": "core",
-    "DEFAULT_PASSES": "driver",
-    "LintReport": "driver",
-    "iter_python_files": "driver",
-    "load_baseline": "driver",
-    "run_lint": "driver",
-    "write_baseline": "driver",
-    "HOT_FUNCTIONS": "hotpaths",
-    "HotSpec": "hotpaths",
-    "hot_path": "hotpaths",
-    "check_epoch_plan": "races",
-    "check_round_grants": "races",
-    "check_serial_plan": "races",
-    "check_wavefront_sequences": "races",
-    "schedule_selfcheck": "races",
-    "simulate_wavefront_rounds": "races",
-    "to_human": "report",
-    "to_json": "report",
-    "to_json_dict": "report",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+__getattr__, __all__ = lazy_exports(__name__, {
+    "core": ("FileContext", "Finding", "LintPass"),
+    "driver": ("DEFAULT_PASSES", "LintReport", "iter_python_files",
+               "load_baseline", "run_lint", "write_baseline"),
+    "hotpaths": ("HOT_FUNCTIONS", "HotSpec", "hot_path"),
+    "races": ("check_epoch_plan", "check_round_grants", "check_serial_plan",
+              "check_wavefront_sequences", "schedule_selfcheck",
+              "simulate_wavefront_rounds"),
+    "report": ("to_human", "to_json", "to_json_dict"),
+})

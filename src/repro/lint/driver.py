@@ -165,6 +165,8 @@ def run_lint(
 # baseline workflow
 # ---------------------------------------------------------------------------
 def load_baseline(path: Path | str) -> set[tuple[str, str, str]]:
+    """The ``(rule, path, symbol)`` keys a :func:`write_baseline` file
+    grandfathers, the ``baseline`` argument of :func:`run_lint`."""
     data = json.loads(Path(path).read_text())
     return {
         (entry["rule"], entry["path"], entry["symbol"])

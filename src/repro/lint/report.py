@@ -14,6 +14,8 @@ __all__ = ["to_human", "to_json_dict", "to_json"]
 
 
 def to_human(report: LintReport) -> str:
+    """One line per finding and error, then a one-line verdict with the
+    suppressed/baselined counts, file count and pass roster."""
     lines: list[str] = [f.format() for f in report.findings]
     lines.extend(f"error: {err}" for err in report.errors)
     n, s, b = len(report.findings), len(report.suppressed), len(report.baselined)
@@ -32,6 +34,8 @@ def to_human(report: LintReport) -> str:
 
 
 def to_json_dict(report: LintReport) -> dict:
+    """The report as the stable JSON shape CI parses: verdict, counts,
+    passes, and the finding dicts of each list."""
     return {
         "clean": report.clean,
         "counts": {
@@ -50,4 +54,5 @@ def to_json_dict(report: LintReport) -> dict:
 
 
 def to_json(report: LintReport, indent: int | None = 2) -> str:
+    """:func:`to_json_dict` serialized with sorted keys."""
     return json.dumps(to_json_dict(report), indent=indent, sort_keys=True)

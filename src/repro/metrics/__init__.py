@@ -6,42 +6,19 @@
 * effective memory bandwidth (Figs. 2, 10, 11).
 """
 
-from repro.metrics.flops import (
-    FLOPS_PER_UPDATE,
-    BYTES_PER_UPDATE,
-    flops_byte_ratio,
-    flops_per_update,
-    bytes_per_update,
-)
-from repro.metrics.ranking import (
-    hit_rate,
-    ndcg_at_n,
-    precision_at_n,
-    recall_at_n,
-    top_n,
-)
-from repro.metrics.rmse import predict, rmse, rmse_objective
-from repro.metrics.throughput import (
-    ThroughputRecord,
-    effective_bandwidth,
-    updates_per_second,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "rmse",
-    "predict",
-    "top_n",
-    "hit_rate",
-    "precision_at_n",
-    "recall_at_n",
-    "ndcg_at_n",
-    "rmse_objective",
-    "updates_per_second",
-    "effective_bandwidth",
-    "ThroughputRecord",
-    "flops_byte_ratio",
-    "flops_per_update",
-    "bytes_per_update",
-    "FLOPS_PER_UPDATE",
-    "BYTES_PER_UPDATE",
-]
+# eager: ``rmse`` is also a submodule, whose import would bind the module
+# over a lazy name
+from repro.metrics.rmse import rmse
+
+__getattr__, __all__ = lazy_exports(__name__, {
+    "rmse": ("predict", "rmse_objective"),
+    "ranking": ("top_n", "hit_rate", "precision_at_n", "recall_at_n",
+                "ndcg_at_n"),
+    "throughput": ("updates_per_second", "effective_bandwidth",
+                   "ThroughputRecord"),
+    "flops": ("flops_byte_ratio", "flops_per_update", "bytes_per_update",
+              "FLOPS_PER_UPDATE", "BYTES_PER_UPDATE"),
+})
+__all__ = ["rmse", *__all__]

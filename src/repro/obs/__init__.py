@@ -18,63 +18,19 @@ Perfetto walkthrough, and the ``cumf-sgd trace`` / ``cumf-sgd metrics-dump``
 CLI subcommands for the artifact path.
 """
 
-from repro.obs.collector import TelemetryCollector
-from repro.obs.context import (
-    activate,
-    active_collector,
-    active_hooks,
-    active_registry,
-    active_tracer,
-)
-from repro.obs.hooks import (
-    NULL_HOOKS,
-    BatchEvent,
-    CompositeHooks,
-    EpochEvent,
-    KernelEvent,
-    NullHooks,
-    RecordingHooks,
-    TrainerHooks,
-    TransferEvent,
-    resolve_hooks,
-    resolve_kernel_stride,
-)
-from repro.obs.ledger import PerfLedger, bench_meta, perf_diff
-from repro.obs.profiler import PHASES, StallReport, WorkerPhases
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
-from repro.obs.trace_schema import TraceValidationError, validate_chrome_trace
-from repro.obs.tracer import Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Series",
-    "Tracer",
-    "TelemetryCollector",
-    "TraceValidationError",
-    "validate_chrome_trace",
-    "TrainerHooks",
-    "NullHooks",
-    "NULL_HOOKS",
-    "CompositeHooks",
-    "RecordingHooks",
-    "EpochEvent",
-    "BatchEvent",
-    "KernelEvent",
-    "TransferEvent",
-    "resolve_hooks",
-    "resolve_kernel_stride",
-    "activate",
-    "active_collector",
-    "active_hooks",
-    "active_registry",
-    "active_tracer",
-    "PHASES",
-    "StallReport",
-    "WorkerPhases",
-    "PerfLedger",
-    "bench_meta",
-    "perf_diff",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "registry": ("MetricsRegistry", "Counter", "Gauge", "Histogram",
+                 "Series"),
+    "tracer": ("Tracer",),
+    "collector": ("TelemetryCollector",),
+    "trace_schema": ("TraceValidationError", "validate_chrome_trace"),
+    "hooks": ("TrainerHooks", "NullHooks", "NULL_HOOKS", "CompositeHooks",
+              "RecordingHooks", "EpochEvent", "BatchEvent", "KernelEvent",
+              "TransferEvent", "resolve_hooks", "resolve_kernel_stride"),
+    "context": ("activate", "active_collector", "active_hooks",
+                "active_registry", "active_tracer"),
+    "profiler": ("PHASES", "StallReport", "WorkerPhases"),
+    "ledger": ("PerfLedger", "bench_meta", "perf_diff"),
+})

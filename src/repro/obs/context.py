@@ -68,10 +68,15 @@ def active_hooks() -> TrainerHooks:
 
 
 def active_registry() -> "MetricsRegistry | None":
+    """The ambient collector's metrics registry, or None outside any
+    activation."""
     collector = _current.get()
     return None if collector is None else collector.registry
 
 
 def active_tracer() -> "Tracer | None":
+    """The ambient collector's tracer, or None outside any activation.
+    An empty :class:`~repro.obs.tracer.Tracer` is falsy, so test the
+    result with ``is None``."""
     collector = _current.get()
     return None if collector is None else collector.tracer

@@ -216,12 +216,13 @@ class StallReport:
         """Emit ``repro.profile.*`` into ``registry`` (default: the ambient
         one; no-op when none is active)."""
         from repro.obs.context import active_registry
-        from repro.obs.registry import M
 
         if registry is None:
             registry = active_registry()
         if registry is None:
             return
+        from repro.obs.registry import M
+
         scopes = [
             (str(w.wid), w.wall_seconds, w.attributed(), w.fractions())
             for w in self.workers

@@ -200,13 +200,14 @@ def choose_executor(
 def publish_choice(choice: ExecutorChoice) -> None:
     """Record the decision in the ambient metrics registry (no-op without
     an active collector)."""
-    from repro.backends import available_backends
     from repro.obs.context import active_registry
-    from repro.obs.registry import M
 
     registry = active_registry()
     if registry is None:
         return
+    from repro.backends import available_backends
+    from repro.obs.registry import M
+
     registry.counter(
         M.POLICY_EXECUTOR_SELECTED, {"executor": choice.executor}
     ).inc()

@@ -27,6 +27,7 @@ import contextvars
 import threading
 import time
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,16 +35,17 @@ from repro.backends import get_backend, replay_waves
 from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
-from repro.data.blockstore import BlockPrefetcher, BlockStore, PrefetchStats
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse  # noqa: F401 -- perfbench/layers.py wraps threads.rmse
 from repro.obs.context import active_registry, active_tracer
 from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
 from repro.obs.profiler import StallReport
-from repro.obs.registry import M
 from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 from repro.san.core import active_sanitizer
 from repro.sched.plan import PlanShard
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.data.blockstore import BlockStore, PrefetchStats
 
 __all__ = ["ThreadedHogwild"]
 
@@ -143,6 +145,8 @@ class ThreadedHogwild:
             # one intp cast shared by every workspace (each would cache its own)
             self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
         else:
+            from repro.data.blockstore import PrefetchStats
+
             self._blocks = self.store.assign(self.n_threads)
             self._rngs = [np.random.default_rng(s) for s in
                           np.random.SeedSequence(self.seed).spawn(self.n_threads)]
@@ -163,6 +167,8 @@ class ThreadedHogwild:
             tracer.events[first:])
         registry = active_registry()
         if registry is not None:
+            from repro.obs.registry import M
+
             registry.gauge(M.THREAD_WORKERS).set(self.n_threads)
             for tid, count in enumerate(self._totals):
                 labels = {"thread": tid}
@@ -247,6 +253,8 @@ class ThreadedHogwild:
     def _stream(self, model, lr, lam_p, lam_q) -> list[int]:
         """One out-of-core epoch: each thread streams its blocks, in its
         own fresh order, through its own prefetcher; per-thread updates."""
+        from repro.data.blockstore import BlockPrefetcher
+
         epoch, tracer = self._epochs_run, self._tracer
         origin = tracer.origin
         counts = [0] * self.n_threads

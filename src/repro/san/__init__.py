@@ -24,33 +24,14 @@ Usage::
 ``benchmarks/bench_hot_path.py``.
 """
 
-from repro.san.core import (
-    MODES,
-    SanFinding,
-    Sanitizer,
-    SanitizerError,
-    activate_sanitizer,
-    active_sanitizer,
-    instrument_kernel,
-    sanitizer_from_mode,
-)
-from repro.san.lifecycle import LifecycleTracker
-from repro.san.numeric import NumericSentry
-from repro.san.races import AccessLog, analyze_log
-from repro.san.report import SanReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MODES",
-    "AccessLog",
-    "LifecycleTracker",
-    "NumericSentry",
-    "SanFinding",
-    "SanReport",
-    "Sanitizer",
-    "SanitizerError",
-    "activate_sanitizer",
-    "active_sanitizer",
-    "analyze_log",
-    "instrument_kernel",
-    "sanitizer_from_mode",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "core": ("MODES", "Sanitizer", "activate_sanitizer", "active_sanitizer",
+             "instrument_kernel", "sanitizer_from_mode"),
+    "errors": ("SanFinding", "SanitizerError"),
+    "races": ("AccessLog", "analyze_log"),
+    "lifecycle": ("LifecycleTracker",),
+    "numeric": ("NumericSentry",),
+    "report": ("SanReport",),
+})

@@ -34,21 +34,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import TYPE_CHECKING
 
-from repro.san.errors import SanFinding, SanitizerError
-from repro.san.lifecycle import LifecycleTracker
-from repro.san.numeric import (
-    DEFAULT_ERR_LIMIT,
-    DEFAULT_SAMPLE_STRIDE,
-    NumericSentry,
-)
-from repro.san.races import KIND_WAVE, AccessLog, analyze_log
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.san.errors import SanFinding
 
 __all__ = [
     "MODES",
-    "SanFinding",
     "Sanitizer",
-    "SanitizerError",
     "activate_sanitizer",
     "active_sanitizer",
     "instrument_kernel",
@@ -112,6 +105,8 @@ def instrument_kernel(inner, san, wid: int, epoch: int):
     the first call and a residual check one call in ``sample_stride``.
     Per-worker state (the wave counter) lives in the closure, unshared.
     """
+    from repro.san.races import KIND_WAVE
+
     entries = san.race_log.entries if san.check_races else None
     sentry = san.numeric if san.check_numeric else None
     kind_code = KIND_WAVE
@@ -159,16 +154,20 @@ class Sanitizer:
     Cheap to carry: executors call :meth:`wave_kernel` to wrap their
     bound kernels, :meth:`epoch_end` after each epoch, and the driver
     calls :meth:`finalize` once after fit to run the post-hoc analyses
-    and obtain the :class:`~repro.san.report.SanReport`.
+    and obtain the :class:`~repro.san.report.SanReport`. Keyword
+    arguments (``err_limit``, ``sample_stride``) configure the
+    :class:`~repro.san.numeric.NumericSentry`.
+
+    The check machinery is imported here, not with the module: every
+    executor reads :func:`active_sanitizer`, and only a sanitized run
+    builds one of these.
     """
 
-    def __init__(
-        self,
-        mode: str = "all",
-        *,
-        err_limit: float = DEFAULT_ERR_LIMIT,
-        sample_stride: int = DEFAULT_SAMPLE_STRIDE,
-    ) -> None:
+    def __init__(self, mode: str = "all", **numeric) -> None:
+        from repro.san.lifecycle import LifecycleTracker
+        from repro.san.numeric import NumericSentry
+        from repro.san.races import AccessLog
+
         if mode not in MODES or mode == "off":
             raise ValueError(
                 f"invalid sanitizer mode {mode!r}; expected one of "
@@ -181,9 +180,7 @@ class Sanitizer:
         # parallel machinery rather than the numerics
         self.check_lifecycle = self.check_races
         self.race_log = AccessLog()
-        self.numeric = NumericSentry(
-            err_limit=err_limit, sample_stride=sample_stride
-        )
+        self.numeric = NumericSentry(**numeric)
         self.lifecycle = LifecycleTracker()
         self.findings: list[SanFinding] = []
         self.report = None
@@ -268,7 +265,7 @@ class Sanitizer:
         call it once after fit. Publishes ``repro.san.*`` to the ambient
         metric registry unless ``publish=False``.
         """
-        from repro.san.races import RaceStats
+        from repro.san.races import RaceStats, analyze_log
         from repro.san.report import SanReport
 
         findings = list(self.findings)

@@ -13,34 +13,14 @@
   segmentation behind per-worker replay.
 """
 
-from repro.sched.column_lock import ColumnLockArray
-from repro.sched.conflict import (
-    collision_fraction,
-    count_conflicts,
-    expected_collision_fraction,
-    independent,
-    wave_is_conflict_free,
-)
-from repro.sched.plan import EpochPlan, PlanStats, SerialPlan
-from repro.sched.ordering import (
-    count_feasible_orders,
-    enumerate_feasible_orders,
-    feasible_order_fraction,
-)
-from repro.sched.table import GlobalScheduleTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "independent",
-    "count_conflicts",
-    "collision_fraction",
-    "expected_collision_fraction",
-    "wave_is_conflict_free",
-    "GlobalScheduleTable",
-    "ColumnLockArray",
-    "EpochPlan",
-    "SerialPlan",
-    "PlanStats",
-    "enumerate_feasible_orders",
-    "count_feasible_orders",
-    "feasible_order_fraction",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "conflict": ("independent", "count_conflicts", "collision_fraction",
+                 "expected_collision_fraction", "wave_is_conflict_free"),
+    "table": ("GlobalScheduleTable",),
+    "column_lock": ("ColumnLockArray",),
+    "plan": ("EpochPlan", "SerialPlan", "PlanStats"),
+    "ordering": ("enumerate_feasible_orders", "count_feasible_orders",
+                 "feasible_order_fraction"),
+})

@@ -67,6 +67,21 @@ class TestTrainCommand:
         assert "final test RMSE" in out
         assert (tmp_path / "model.npz").exists()
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["--k", "0"], "k must be positive, got 0"),
+        (["--executor", "threads", "--procs", "100"],
+         "n_threads=100 exceeds the plan's 64 worker lanes"),
+        (["--workers", "0"], "workers must be positive, got 0"),
+        (["--epochs", "0"], "epochs must be positive, got 0"),
+    ], ids=["k0", "procs-over-workers", "workers0", "epochs0"])
+    def test_out_of_range_option_exits_2(self, capsys, argv, problem):
+        """Rejected before ``fit``, with a message instead of a traceback
+        or a silent default."""
+        assert main(["train", "netflix-syn", *argv]) == 2
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "Traceback" not in err
+
 
 class TestTrainExecutors:
     @pytest.mark.slow
@@ -202,9 +217,24 @@ sys.exit(rc)
 """
 
 
+#: modules a serial, fp16 or in-core threads ``train`` never runs: the
+#: sanitizer's analyses, the collector, the perf ledger (and its
+#: ``socket``), the block store, the other schemes and the ranking metrics
+_NEVER_LOADED_BY_TRAIN = {
+    *(f"repro.san.{m}" for m in ("races", "lifecycle", "numeric", "report")),
+    *(f"repro.obs.{m}" for m in ("collector", "ledger", "registry")),
+    *(f"repro.data.{m}" for m in ("blockstore", "io", "preprocess", "shuffle")),
+    *(f"repro.core.{m}" for m in ("wavefront", "multi_gpu", "adagrad",
+                                  "partition")),
+    *(f"repro.sched.{m}" for m in ("table", "ordering", "column_lock")),
+    "repro.metrics.ranking",
+    "socket",
+}
+
+
 def _unused_by_train(name: str) -> bool:
     """Modules ``train`` does not run: the experiments, baselines, scipy,
-    the lint passes and multiprocessing."""
+    the lint passes, multiprocessing and :data:`_NEVER_LOADED_BY_TRAIN`."""
     return (
         name.split(".")[0] == "scipy"
         or name.startswith("repro.baselines")
@@ -212,6 +242,7 @@ def _unused_by_train(name: str) -> bool:
             and name not in ("repro.experiments.base", "repro.experiments.cli"))
         or (name.startswith("repro.lint.") and name != "repro.lint.cli")
         or name.split(".")[0] == "multiprocessing"
+        or name in _NEVER_LOADED_BY_TRAIN
     )
 
 
@@ -222,8 +253,9 @@ class TestFreshInterpreter:
 
     @pytest.mark.parametrize("executor", [
         ["--executor", "serial"],
+        ["--executor", "serial", "--half"],
         ["--executor", "threads", "--procs", "2"],
-    ], ids=["serial", "threads"])
+    ], ids=["serial", "half", "threads"])
     def test_train_imports_only_what_it_runs(self, executor):
         proc = _fresh_python(
             "-c", _TRAIN_THEN_LIST_MODULES,
@@ -236,6 +268,19 @@ class TestFreshInterpreter:
         # the estimator builds the thread executor only for threads
         threads = "repro.parallel.threads" in loaded
         assert threads == ("threads" in executor)
+
+    def test_metrics_rmse_stays_the_function(self):
+        """``rmse`` is both a function and a submodule of
+        ``repro.metrics``: importing the submodule must not rebind the
+        package's name to the module."""
+        proc = _fresh_python("-c", (
+            "import repro.metrics.rmse\n"
+            "from repro.metrics import rmse\n"
+            "import repro\n"
+            "print(callable(rmse), rmse is repro.rmse)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     def test_list_loads_every_experiment(self):
         proc = _fresh_python("-m", "repro.experiments.cli", "list")

@@ -17,6 +17,10 @@ PACKAGES = [
     "repro.analysis",
     "repro.experiments",
     "repro.resilience",
+    "repro.obs",
+    "repro.san",
+    "repro.backends",
+    "repro.lint",
 ]
 
 
