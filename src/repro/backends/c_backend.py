@@ -8,7 +8,11 @@ the local C compiler on first use and calls it through :mod:`ctypes`, which
 releases the GIL for the length of every call:
 
 * :meth:`CBackend.replay` runs a whole plan shard — every wave of one
-  worker's epoch — in one foreign call;
+  worker's epoch — in one foreign call. The kernel stages one group of
+  ``workers·f`` positions at a time straight from the plan's shuffled
+  ``order`` and the :class:`~repro.data.container.RatingMatrix`'s own
+  int32/fp32 arrays into small workspace scratch, so no wave-major plan
+  matrix and no gathered copy of the ids or ratings is built;
 * :meth:`CBackend.bind` returns a per-wave callable for the observed paths
   (sanitizer wrappers, kernel hooks, collision tracking);
 * :meth:`CBackend.serial_update` runs one worker's samples as plain serial
@@ -45,9 +49,11 @@ The kernel trusts what it is given, so every launch first rejects factors
 that are not C-contiguous fp32 (or fp16 with F16C) and ratings that are
 not fp32 (:class:`ValueError`), and row/column ids outside the model
 (:class:`IndexError`).  :meth:`CBackend.replay` checks the ids once per
-bound data array (:meth:`~repro.core.kernels.WaveWorkspace.check_ids`);
-the per-wave and serial entries get new id arrays every call, so the
-kernel checks those itself before it writes anything.
+data array pair (:meth:`~repro.core.kernels.WaveWorkspace.check_ids`),
+and the kernel checks every ``order`` entry of the shard against the data
+length before its first update (:class:`IndexError`); the per-wave and
+serial entries get new id arrays every call, so the kernel checks those
+itself before it writes anything.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend, replay_waves
 from repro.core.kernels import WaveWorkspace, sgd_serial_update
+from repro.sched.plan import EpochPlan
 
 __all__ = ["CBackend", "build_library", "cache_dir", "find_compiler"]
 
@@ -75,8 +82,8 @@ CACHE_ENV = "REPRO_C_CACHE"
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float
 _WAVE_ARGS = [_P, _P, ctypes.c_int, _I, _I, _I, _P, _P, _P, _I, _P, _P, _P,
               _F, _F, _F]
-_REPLAY_ARGS = [_P, _P, ctypes.c_int, _I, _P, _P, _P, _I, _I, _P, _I,
-                _P, _P, _P, _F, _F, _F]
+_REPLAY_ARGS = [_P, _P, ctypes.c_int, _I, _P, _P, _P, _I, _P, _I, _I, _I,
+                _I, _I, _P, _P, _P, _P, _P, _P, _F, _F, _F]
 
 
 def find_compiler() -> str | None:
@@ -148,6 +155,13 @@ def _check_vals(vals: np.ndarray) -> None:
         raise ValueError(f"the c backend needs fp32 ratings, got {vals.dtype}")
 
 
+def _coo_layout(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> bool:
+    """True for contiguous int32 ids and ratings, the layout the replay
+    kernel reads in place."""
+    return (rows.dtype == cols.dtype == np.int32 and rows.flags.c_contiguous
+            and cols.flags.c_contiguous and vals.flags.c_contiguous)
+
+
 class CBackend(KernelBackend):
     """The fused C kernel; tolerance-gated against the reference."""
 
@@ -188,29 +202,43 @@ class CBackend(KernelBackend):
 
     # ------------------------------------------------------------------
     def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
-        """Every wave of ``shard`` in one GIL-free foreign call."""
+        """Every wave of ``shard`` in one GIL-free foreign call, staged
+        group by group from its plan's shuffled ``order`` and the data
+        arrays themselves. A shard with no plan behind it (one
+        :meth:`~repro.sched.plan.PlanShard.cut` from a hand-built matrix)
+        or data not in :class:`~repro.data.container.RatingMatrix` layout
+        (contiguous int32 ids) replays wave by wave through :meth:`bind`."""
         half = self._storage(p, q)
         if half is None:
             return replay_waves(ws, ws.wave_update, shard, p, q, rows, cols,
                                 vals, lr, lam_p, lam_q)
         _check_vals(vals)
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals differ in length")
         ws.check_ids(rows, cols, p.shape[0], q.shape[0])
-        # three views of one (n_waves, width) shape: one row stride for all
-        rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
-        lengths = shard.lengths
-        if (lengths.dtype != np.int64 or not lengths.flags.c_contiguous
-                or len(lengths) != len(rows_w)):
-            raise ValueError("plan lengths must be one int64 per wave")
+        if isinstance(shard, EpochPlan):
+            plan, lo, hi = shard, 0, shard.width
+        else:
+            plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
+        if plan is None or not _coo_layout(rows, cols, vals):
+            return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
+                                vals, lr, lam_p, lam_q)
         k = p.shape[1]
-        pu, qv, err = ws.kernel_scratch(shard.width, k)
+        pu, qv, err = ws.kernel_scratch(hi - lo, k)
+        srows, scols, svals = ws.stage_scratch(hi - lo, plan.f)
         updates = self._replay(
             p.ctypes.data, q.ctypes.data, half, k,
-            rows_w.ctypes.data, cols_w.ctypes.data, vals_w.ctypes.data,
-            rows_w.strides[0] // rows_w.itemsize, shard.width,
-            lengths.ctypes.data, len(lengths),
+            rows.ctypes.data, cols.ctypes.data, vals.ctypes.data, len(rows),
+            plan.order.ctypes.data, plan.nnz, plan.workers, plan.f, lo, hi,
+            srows.ctypes.data, scols.ctypes.data, svals.ctypes.data,
             pu.ctypes.data, qv.ctypes.data, err.ctypes.data, lr, lam_p, lam_q,
         )
-        ws.waves += int(np.count_nonzero(lengths))
+        if updates < 0:
+            raise IndexError(
+                f"plan order entries span [{plan.order.min()}, "
+                f"{plan.order.max()}], outside the data's [0, {len(rows)})"
+            )
+        ws.waves += int(np.count_nonzero(shard.lengths))
         return updates
 
     def bind(self, workspace):

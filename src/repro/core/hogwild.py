@@ -17,11 +17,14 @@ every worker's current chunk concurrently — one call to the wave kernel of
 :mod:`repro.core.kernels` with full race semantics. After ``f`` waves all
 workers advance to the next group of chunks.
 
-Hot-path structure: the epoch's wave schedule is compiled once into an
-:class:`~repro.sched.plan.EpochPlan` (a padded ``(n_waves, s)`` index matrix,
-cached across epochs and re-permuted in place under ``shuffle_each_epoch``),
-and the kernel runs through a :class:`~repro.core.kernels.WaveWorkspace` of
-preallocated scratch, so steady-state epochs are allocation-free. Both layers
+Hot-path structure: the epoch's wave schedule is an
+:class:`~repro.sched.plan.EpochPlan` over the shuffled order (cached across
+epochs and re-shuffled in place under ``shuffle_each_epoch``; the compiled
+``c`` kernel stages waves from the order itself, and the padded
+``(n_waves, s)`` index matrix the Python wave loops walk is filled on first
+read), and the kernel runs through a
+:class:`~repro.core.kernels.WaveWorkspace` of preallocated scratch, so
+steady-state epochs are allocation-free. Both layers
 are numerically invisible: update order, RNG draws, and every fp32 bit match
 the uncompiled per-wave schedule (pinned by ``tests/test_plan.py``).
 """

@@ -107,7 +107,10 @@ class WaveWorkspace:
     * **wave-major gathers** — :meth:`bind_plan` materializes an
       :class:`~repro.sched.plan.EpochPlan`'s per-wave row/col/value arrays as
       three ``(n_waves, s)`` matrices with one vectorized ``take`` each, so
-      the epoch loop slices views instead of gathering per wave.
+      the Python epoch loops slice views instead of gathering per wave;
+    * **staging scratch** — :meth:`stage_scratch`, one group's waves, into
+      which a compiled kernel copies a plan shard's samples from the
+      shuffled order as it replays (no epoch-sized gather at all).
 
     Counters (surfaced as ``repro.train.extra.workspace_*`` via the trainer):
     ``allocations`` buffer (re)allocations, ``waves`` kernel launches served,
@@ -122,7 +125,7 @@ class WaveWorkspace:
         "_err", "_err2", "_views",
         "_pu16", "_qv16",
         "_rows_w", "_cols_w", "_vals_w", "_bound_shape", "_bound_key",
-        "_cast_cache", "_checked_ids",
+        "_cast_cache", "_checked_ids", "_stage",
     )
 
     def __init__(self) -> None:
@@ -140,6 +143,7 @@ class WaveWorkspace:
         self._bound_key: tuple | None = None
         self._cast_cache: tuple | None = None
         self._checked_ids: tuple | None = None
+        self._stage: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -150,6 +154,8 @@ class WaveWorkspace:
             buf = getattr(self, name)
             if buf is not None:
                 total += buf.nbytes
+        if self._stage is not None:
+            total += sum(buf.nbytes for buf in self._stage)
         return total
 
     def reserve(self, capacity: int, k: int, half_precision: bool = False) -> None:
@@ -185,6 +191,18 @@ class WaveWorkspace:
         :meth:`reserve` — the scratch a compiled kernel writes in place."""
         self.reserve(capacity, k)
         return self._pu, self._qv, self._err
+
+    def stage_scratch(self, width: int, f: int) -> tuple:
+        """Row ids, column ids (intp) and ratings (fp32) for one group of
+        ``f`` waves of ``width`` lanes, wave-major — where a compiled
+        kernel stages a plan shard from its order. Grows, never shrinks."""
+        stage = self._stage
+        if stage is None or len(stage[0]) < width * f:
+            n = width * f
+            self._stage = stage = (np.empty(n, np.intp), np.empty(n, np.intp),
+                                   np.empty(n, np.float32))
+            self.allocations += 1
+        return stage
 
     def check_ids(self, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> None:
         """Raise :class:`IndexError` unless every row id is in ``[0, m)``

@@ -399,6 +399,12 @@ def _run_train(args) -> int:
     problem = make_synthetic(spec, seed=args.seed)
     _resolve_executor(args, spec, problem)
     n_threads = 1 if args.executor == "serial" else args.procs
+    if args.out_of_core and not 0 < n_threads <= args.workers:
+        # the block grid is sized by the thread count, so reject here,
+        # before any block file is written
+        print(f"--procs {n_threads} must lie in [1, --workers {args.workers}]",
+              file=sys.stderr)
+        return 2
     start = time.perf_counter()
     trainer = None
     with ExitStack() as cleanup:

@@ -58,7 +58,7 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
         "WaveWorkspace._views_for": _spec(),
     },
     "repro/sched/plan.py": {
-        "EpochPlan.refill": _spec(),
+        "EpochPlan._fill": _spec(),
         "EpochPlan.repermute": _spec(),
         "EpochPlan.wave": _spec(),
     },

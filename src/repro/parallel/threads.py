@@ -142,8 +142,6 @@ class ThreadedHogwild:
         if self.store is None:
             self._plans = BatchHogwild(workers=self.workers, f=self.f,
                                        seed=self.seed)
-            # one intp cast shared by every workspace (each would cache its own)
-            self._ids = (train.rows.astype(np.intp), train.cols.astype(np.intp))
         else:
             from repro.data.blockstore import PrefetchStats
 
@@ -187,7 +185,7 @@ class ThreadedHogwild:
         self._epochs_run += 1
         if self.store is None:
             shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
-            counts = self._epoch(model, ratings.vals, shards, np.float32(lr),
+            counts = self._epoch(model, ratings, shards, np.float32(lr),
                                  np.float32(lam_p), np.float32(lam_q))
         else:
             counts = self._stream(model, np.float32(lr), np.float32(lam_p),
@@ -209,7 +207,7 @@ class ThreadedHogwild:
         self._totals = [a + b for a, b in zip(self._totals, counts)]
         return sum(counts)
 
-    def _epoch(self, model, vals, shards, lr, lam_p, lam_q) -> list[int]:
+    def _epoch(self, model, ratings, shards, lr, lam_p, lam_q) -> list[int]:
         """Dispatch one thread per shard and join them; per-thread updates."""
         epoch, tracer = self._epochs_run, self._tracer
         origin = tracer.origin
@@ -221,7 +219,8 @@ class ThreadedHogwild:
         if san is not None:  # log every wave at (worker, epoch, wave)
             observers = [san.wave_kernel(backend.bind(ws), wid=tid, epoch=epoch)
                          for tid, ws in enumerate(workspaces)]
-        args = (model.p, model.q, *self._ids, vals, lr, lam_p, lam_q)
+        args = (model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
+                lr, lam_p, lam_q)
         dispatched = time.perf_counter()
 
         def work(tid: int) -> None:

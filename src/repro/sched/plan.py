@@ -5,11 +5,13 @@ host spends building Python lists of wave indices is an update not spent in
 the kernel. This module compiles one epoch's wave schedule *once* into flat
 NumPy buffers that are cached across epochs:
 
-* :class:`EpochPlan` — the batch-Hogwild! layout (§5.1). One epoch is a
-  single padded ``(n_waves, s)`` int64 matrix built by a vectorized
-  reshape/transpose of the sample permutation, instead of a per-wave Python
-  list. Under ``shuffle_each_epoch`` the underlying permutation is
-  re-shuffled **in place** and the matrix refilled without reallocating.
+* :class:`EpochPlan` — the batch-Hogwild! layout (§5.1). One epoch is the
+  shuffled sample permutation plus arithmetic: a compiled kernel stages
+  its waves straight from the permutation, and the padded ``(n_waves, s)``
+  int64 wave matrix the Python wave loops walk is built by a vectorized
+  reshape/transpose on first read. Under ``shuffle_each_epoch`` the
+  permutation is re-shuffled **in place**; the matrix, when read again, is
+  refilled without reallocating.
 * :class:`SerialPlan` — the serial-equivalent layout used inside one
   worker's chunk (wavefront grid blocks, LIBMF/NOMAD baselines): the greedy
   conflict-free segmentation of a sample sequence, materialized as
@@ -26,6 +28,7 @@ executors surface it through ``repro.obs`` as per-epoch extras.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +41,11 @@ class PlanStats:
     """Plan-compilation counters, surfaced as ``repro.train.extra.plan_*``.
 
     ``compiles``
-        full plan materializations (O(nnz) reshape + buffer allocation);
+        plans built over a new order (the wave matrix waits for a read);
     ``repermutes``
-        in-place epoch re-shuffles (O(nnz) refill, no allocation);
+        in-place epoch re-shuffles (O(nnz), no allocation);
     ``cache_hits``
-        epochs served by the cached matrix with no work at all.
+        epochs served by the cached plan with no work at all.
     """
 
     compiles: int = 0
@@ -61,28 +64,34 @@ class PlanStats:
 class PlanShard:
     """One executor's static slice of an :class:`EpochPlan`'s worker lanes.
 
-    The compiled ``(n_waves, s)`` matrix assigns one *logical* worker per
-    column; a shard owns the contiguous run of columns ``[col_lo, col_hi)``.
-    OS threads each take one shard and walk every wave, executing only
-    their own lanes — so within a wave the shards race for real, exactly
-    the batch-Hogwild! concurrency the matrix encodes, while each shard's
-    intra-lane order stays the compiled serial order. Padding only ever
-    shortens a wave from the right, so the live lane count of wave ``i``
-    inside this shard is ``clip(lengths[i] - col_lo, 0, width)``.
+    The plan assigns one *logical* worker per lane (a column of its
+    ``(n_waves, s)`` wave matrix); a shard owns the contiguous run of lanes
+    ``[col_lo, col_hi)``. OS threads each take one shard and walk every
+    wave, executing only their own lanes — so within a wave the shards
+    race for real, exactly the batch-Hogwild! concurrency the plan encodes,
+    while each shard's intra-lane order stays the plan's serial order.
+    Padding only ever shortens a wave from the right, so the live lane
+    count of wave ``i`` inside this shard is
+    ``clip(lengths[i] - col_lo, 0, width)``.
 
-    A shard :meth:`cut` from a wave matrix is a plan in its own right for
-    :meth:`~repro.core.kernels.WaveWorkspace.bind_plan`: ``matrix`` is the
-    column view, ``lengths`` the shard's per-wave live widths, and
-    ``version`` the plan version it was cut from. Cut afresh after the plan
-    is re-permuted.
+    A shard is a plan in its own right for
+    :meth:`~repro.core.kernels.WaveWorkspace.bind_plan`: ``matrix`` is its
+    columns of the wave matrix, ``lengths`` its per-wave live widths, and
+    ``version`` the plan version it was cut for. A shard of an
+    :class:`EpochPlan` keeps the ``plan`` itself, whose ``order`` a
+    compiled kernel replays without any matrix; one :meth:`cut` from a
+    hand-built matrix has no plan. Cut afresh after the plan is
+    re-permuted.
     """
 
     index: int
     col_lo: int
     col_hi: int
-    matrix: np.ndarray | None = field(default=None, repr=False)
     lengths: np.ndarray | None = field(default=None, repr=False)
     version: int = 0
+    #: the plan whose lanes these are; None for a shard cut from a matrix
+    plan: "EpochPlan | None" = field(default=None, repr=False)
+    cut_matrix: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def width(self) -> int:
@@ -92,36 +101,65 @@ class PlanShard:
     def n_waves(self) -> int:
         return len(self.lengths)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """This shard's columns of the ``(n_waves, s)`` wave matrix."""
+        if self.plan is None:
+            return self.cut_matrix
+        return self.plan.matrix[:, self.col_lo : self.col_hi]
+
     def cut(
         self, matrix: np.ndarray, lengths: np.ndarray, version: int = 0
     ) -> "PlanShard":
         """This shard's lanes of a compiled ``(n_waves, s)`` wave matrix."""
         lo, hi = self.col_lo, self.col_hi
         return PlanShard(
-            self.index, lo, hi, matrix[:, lo:hi],
-            np.clip(lengths - lo, 0, hi - lo), version,
+            self.index, lo, hi, np.clip(lengths - lo, 0, hi - lo), version,
+            cut_matrix=matrix[:, lo:hi],
         )
 
 
+def _wave_lengths(nnz: int, workers: int, f: int) -> np.ndarray:
+    """Live lanes of every non-empty wave of a batch-Hogwild! epoch.
+
+    Full groups run ``workers`` lanes in each of their ``f`` waves. In the
+    tail group of ``rem`` samples, lane ``l`` holds ``l*f + [0, f)``, so
+    wave ``t`` is live on the first ``ceil((rem - t) / f)`` lanes and
+    waves ``t >= rem`` are empty (and dropped).
+    """
+    full, rem = divmod(nnz, workers * f)
+    tail = min(rem, f)
+    lengths = np.full(full * f + tail, workers, dtype=np.int64)
+    lengths[full * f :] = (rem - np.arange(tail) + f - 1) // f
+    return lengths
+
+
 class EpochPlan:
-    """One epoch's batch-Hogwild! wave schedule as a padded index matrix.
+    """One epoch's batch-Hogwild! wave schedule over a shuffled order.
 
     Wave ``t`` of group ``g`` holds sample position ``order[g*s*f + w*f + t]``
     for every worker ``w`` — each worker walks ``f`` consecutive samples of
     the shuffled order (Eq. 8 locality) while waves cut across workers. The
-    whole epoch is one ``(n_waves, s)`` int64 matrix (row = wave), built with
-    a single reshape/transpose; ``-1`` pads the tail group and every padded
-    slot is a *trailing* slot of its row, so ``matrix[i, :lengths[i]]`` is
-    wave ``i`` exactly as the legacy per-wave list builder produced it.
+    schedule is fully defined by ``(order, workers, f)``: ``lengths`` (live
+    lanes per wave; the tail group only shortens waves from the right) is
+    arithmetic, and a compiled kernel stages each group straight from
+    ``order`` (:meth:`~repro.backends.c_backend.CBackend.replay`).
 
-    The plan shares ``order`` with its owner: after the owner shuffles the
-    permutation in place, :meth:`repermute` / :meth:`refill` rebuild the
-    matrix into the existing buffers (no allocation in steady state).
+    :attr:`matrix` is the same schedule as one ``(n_waves, s)`` int64 matrix
+    (row = wave, ``-1`` pads trailing slots, so ``matrix[i, :lengths[i]]``
+    is wave ``i`` exactly as the legacy per-wave list builder produced it)
+    for the consumers that walk waves in Python. It is filled from
+    ``order`` on its first read after each :meth:`repermute`, under a lock,
+    since several worker threads may read their shards' columns at once,
+    and always into the same buffer.
+
+    The plan shares ``order`` with its owner, who shuffles it through
+    :meth:`repermute`.
     """
 
     __slots__ = (
-        "workers", "f", "nnz", "order", "stats", "version",
-        "_padded", "_grid", "_full", "matrix", "lengths", "n_waves", "width",
+        "workers", "f", "nnz", "order", "stats", "version", "lengths",
+        "n_waves", "width", "_full", "_filled", "_lock",
     )
 
     def __init__(
@@ -141,48 +179,57 @@ class EpochPlan:
         self.nnz = len(order)
         self.order = order
         self.stats = stats if stats is not None else PlanStats()
-        span = self.workers * self.f
-        n_groups = -(-self.nnz // span) if self.nnz else 0
-        #: flat padded copy of the order; slots beyond nnz stay -1 forever
-        self._padded = np.full(n_groups * span, -1, dtype=np.int64)
-        #: (groups, workers, f) view of the padded order — chunk-major
-        self._grid = self._padded.reshape(n_groups, self.workers, self.f)
-        #: (groups * f, workers) wave-major matrix — the compiled schedule
-        self._full = np.empty((n_groups * self.f, self.workers), dtype=np.int64)
         self.width = self.workers
-        self.version = 0
-        self.refill()
-        lengths = np.count_nonzero(self._full >= 0, axis=1).astype(np.int64)
-        # padding only ever shortens the *trailing* waves of the tail group,
-        # so empty waves form a suffix and non-empty rows are a prefix view
-        self.n_waves = int(np.count_nonzero(lengths))
-        self.matrix = self._full[: self.n_waves]
-        self.lengths = lengths[: self.n_waves]
+        self.lengths = _wave_lengths(self.nnz, self.workers, self.f)
+        self.n_waves = len(self.lengths)
+        self.version = 1
+        #: the wave matrix, allocated on first read
+        self._full: np.ndarray | None = None
+        #: the version the wave matrix holds (0: none yet)
+        self._filled = 0
+        self._lock = threading.Lock()
         self.stats.compiles += 1
 
     # ------------------------------------------------------------------
-    def refill(self) -> None:
-        """Rebuild the wave matrix from (a possibly re-shuffled) ``order``.
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``(n_waves, s)`` wave matrix of the current :attr:`version`."""
+        if self._filled != self.version:
+            with self._lock:
+                if self._filled != self.version:
+                    self._fill()
+        return self._full
 
-        Pure buffer traffic: one copy into the padded layout, one strided
-        transpose copy into the wave-major matrix. Lengths are invariant —
-        shuffling permutes values, never the padding pattern.
-        """
-        self._padded[: self.nnz] = self.order
+    def _fill(self) -> None:
+        """Lay ``order`` out wave-major: one strided transpose copy of the
+        full groups, and the tail group's lanes with ``-1`` padding."""
+        if self._full is None:
+            self._full = np.empty((self.n_waves, self.workers), np.int64)  # lint: hotpath-alloc -- grow-once: allocated on first read, refilled in place
+        s, f = self.workers, self.f
+        groups, rem = divmod(self.nnz, s * f)
+        body = groups * s * f
         np.copyto(
-            self._full.reshape(self._grid.shape[0], self.f, self.workers),
-            self._grid.transpose(0, 2, 1),
+            self._full[: groups * f].reshape(groups, f, s),
+            self.order[:body].reshape(groups, s, f).transpose(0, 2, 1),
         )
-        self.version += 1
+        if rem:
+            tail = self._full[groups * f :]
+            tail.fill(-1)
+            lanes, part = divmod(rem, f)
+            if lanes:  # then the tail spans all f waves
+                np.copyto(tail[:, :lanes], self.order[body : body + lanes * f]
+                          .reshape(lanes, f).T)
+            tail[:part, lanes] = self.order[body + lanes * f :]
+        self._filled = self.version
 
     def repermute(self, rng: np.random.Generator) -> None:
-        """Shuffle the shared ``order`` in place and refill the matrix.
+        """Shuffle the shared ``order`` in place: a new :attr:`version`.
 
         Draws exactly one ``rng.shuffle(order)`` — the same single draw the
         uncompiled schedule made per epoch, keeping RNG streams bit-identical.
         """
         rng.shuffle(self.order)
-        self.refill()
+        self.version += 1
         self.stats.repermutes += 1
 
     def note_cache_hit(self) -> None:
@@ -198,13 +245,14 @@ class EpochPlan:
         return self.nnz
 
     def wave(self, i: int) -> np.ndarray:
-        """Wave ``i`` as an index view (no copy) into the compiled matrix."""
+        """Wave ``i`` as an index view (no copy) into the wave matrix."""
         return self.matrix[i, : self.lengths[i]]
 
     def iter_waves(self):
         """Yield every wave as an int64 index view, in execution order."""
+        matrix = self.matrix
         for i, length in enumerate(self.lengths.tolist()):
-            yield self.matrix[i, :length]
+            yield matrix[i, :length]
 
     def wave_arrays(self) -> list[np.ndarray]:
         """Materialize the schedule as independent per-wave arrays (copies)."""
@@ -229,7 +277,8 @@ class EpochPlan:
         live = int(self.lengths.max()) if self.n_waves else 0
         edges = np.linspace(0, live, n_shards + 1).astype(np.int64).tolist()
         return [
-            PlanShard(i, lo, hi).cut(self.matrix, self.lengths, self.version)
+            PlanShard(i, lo, hi, np.clip(self.lengths - lo, 0, hi - lo),
+                      self.version, plan=self)
             for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
         ]
 

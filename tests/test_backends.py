@@ -271,29 +271,43 @@ class TestCBackend:
     @pytest.mark.parametrize("k", [8, 13], ids=["k8", "k13"])
     @pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
     def test_replay_matches_its_own_wave_kernel(self, tiny_problem, half, k):
-        """One foreign call per shard is the per-wave kernel, wave after
-        wave: the two entry points agree bit for bit, through the 8-wide
-        body alone (k = 8) and with a scalar tail (k = 13)."""
+        """One foreign call per shard, staged from the plan's order, is the
+        per-wave kernel, wave after wave: the two entry points agree bit
+        for bit, through the 8-wide body alone (k = 8) and with a scalar
+        tail (k = 13). Inputs: a whole plan and each of its three thread
+        shards; a plan whose last group is partial (twelve full lanes and
+        one of eight samples); one of 100 samples, which fills 7 of its 32
+        lanes and leaves the rest empty in every wave; and a shard cut
+        from the wave matrix, with no order behind it, which replays wave
+        by wave."""
         from repro.backends import replay_waves
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
+        from repro.sched.plan import EpochPlan, PlanShard
 
         backend = get_backend("c")
         if half and not backend.fp16:
             pytest.skip("fp16 storage runs the c kernel only with F16C")
         train = tiny_problem.train
         plan = BatchHogwild(workers=32, f=16, seed=4).compiled_plan(train.nnz)
-        models = [FactorModel.initialize(train.n_rows, train.n_cols, k,
-                                         seed=4, half_precision=half)
-                  for _ in range(2)]
+        order = np.random.default_rng(4).permutation(train.nnz)
+        ragged = EpochPlan(order[: 5 * 32 * 16 + 12 * 16 + 8], 32, 16)
+        small = EpochPlan(order[:100], 32, 16)
+        assert int(small.lengths.max()) == 7
         args = (train.rows, train.cols, train.vals, 0.05, 0.02, 0.02)
-        ws = WaveWorkspace()
-        n = backend.replay(ws, plan, models[0].p, models[0].q, *args)
-        m = replay_waves(ws, backend.bind(ws), plan,
-                         models[1].p, models[1].q, *args)
-        assert n == m == train.nnz
-        assert models[0].p.tobytes() == models[1].p.tobytes()
-        assert models[0].q.tobytes() == models[1].q.tobytes()
+        cut = PlanShard(0, 5, 29).cut(ragged.matrix, ragged.lengths)
+        for shard in (plan, *plan.shard(3), ragged, *ragged.shard(3),
+                      small, *small.shard(2), cut):
+            models = [FactorModel.initialize(train.n_rows, train.n_cols, k,
+                                             seed=4, half_precision=half)
+                      for _ in range(2)]
+            ws = WaveWorkspace()
+            n = backend.replay(ws, shard, models[0].p, models[0].q, *args)
+            m = replay_waves(ws, backend.bind(ws), shard,
+                             models[1].p, models[1].q, *args)
+            assert n == m == int(shard.lengths.sum())
+            assert models[0].p.tobytes() == models[1].p.tobytes()
+            assert models[0].q.tobytes() == models[1].q.tobytes()
 
     def test_fit_rmse_matches_numpy_per_epoch(self, tiny_problem):
         from repro.core.trainer import CuMFSGD
@@ -420,6 +434,7 @@ class TestCBackend:
     def test_out_of_range_id_raises_before_any_update(self, tiny_problem):
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
+        from repro.sched.plan import EpochPlan
 
         backend = get_backend("c")
         train = tiny_problem.train
@@ -432,6 +447,18 @@ class TestCBackend:
             backend.replay(WaveWorkspace(), plan, model.p, model.q, rows,
                            train.cols, train.vals, 0.05, 0.02, 0.02)
         assert model.p.tobytes() == before.tobytes()
+        # an order entry outside the data, in the last group or the first:
+        # the kernel checks the whole order before its first update
+        before_q = model.q.copy()
+        for at, entry in ((-1, train.nnz), (0, -1)):
+            order = np.arange(train.nnz, dtype=np.int64)
+            order[at] = entry
+            with pytest.raises(IndexError, match="outside the data"):
+                backend.replay(WaveWorkspace(), EpochPlan(order, 32, 16),
+                               model.p, model.q, train.rows, train.cols,
+                               train.vals, 0.05, 0.02, 0.02)
+            assert model.p.tobytes() == before.tobytes()
+            assert model.q.tobytes() == before_q.tobytes()
         cols = np.array([0, -1], np.intp)
         with pytest.raises(IndexError, match="leave the 300 x 200 model"):
             backend.bind(WaveWorkspace())(

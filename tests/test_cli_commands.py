@@ -82,6 +82,23 @@ class TestTrainCommand:
         assert problem in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("procs", ["65", "0"])
+    def test_out_of_core_procs_rejected_before_any_block(self, capsys,
+                                                         monkeypatch, procs):
+        """Out of core the block grid is sized by the thread count, so an
+        out-of-range ``--procs`` exits 2 before the store is created."""
+        from repro.data.blockstore import BlockStore
+
+        def create(*args, **kwargs):
+            pytest.fail(f"BlockStore.create ran for --procs {procs}")
+
+        monkeypatch.setattr(BlockStore, "create", create)
+        code = main(["train", "netflix-syn", "--out-of-core", "--procs", procs])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--procs {procs} must lie in [1, --workers 64]" in err
+        assert "Traceback" not in err
+
 
 class TestTrainExecutors:
     @pytest.mark.slow

@@ -10,6 +10,10 @@ executors can never drift away from them unnoticed.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -145,6 +149,76 @@ class TestEpochPlan:
         matrix_before = plan.matrix
         plan.repermute(np.random.default_rng(9))
         assert plan.matrix is matrix_before  # refilled in place, no realloc
+
+    def test_concurrent_first_reads_fill_once(self, monkeypatch):
+        """Worker threads read their shards' columns at once, from a new
+        plan or after a reshuffle. The first read allocates and fills the
+        matrix while the others wait for it: one fill per version, never
+        two at once, and every reader sees the complete schedule (tail
+        padding included). Each fill is held open for 2 ms, so a second
+        reader always arrives during it; eight threads on fewer cores,
+        switching every microsecond."""
+        rng = np.random.default_rng(5)
+        order = rng.permutation(5 * 128 * 256 + 30_000).astype(np.int64)
+        n_threads, rounds = 8, 12
+        fill = EpochPlan._fill
+        guard = threading.Lock()
+        filling: list = []
+        fills: list = []  # (plan, version) per fill; holds every plan alive
+        overlaps: list[int] = []
+
+        def held_fill(self) -> None:
+            with guard:
+                overlaps.extend([self.version] * len(filling))
+                filling.append(self)
+            time.sleep(0.002)
+            try:
+                fill(self)
+            finally:
+                with guard:
+                    filling.remove(self)
+                    fills.append((self, self.version))
+
+        monkeypatch.setattr(EpochPlan, "_fill", held_fill)
+        start = threading.Barrier(n_threads + 1, timeout=20)
+        done = threading.Barrier(n_threads + 1, timeout=20)
+        now: dict = {}
+        wrong: list[tuple[int, int]] = []
+
+        def read(tid: int) -> None:
+            for r in range(rounds):
+                start.wait()
+                shard = now["shards"][tid]
+                got = shard.matrix.copy()
+                want = now["want"][:, shard.col_lo : shard.col_hi]
+                if not np.array_equal(got, want):
+                    wrong.append((r, tid))
+                done.wait()
+
+        threads = [threading.Thread(target=read, args=(tid,))
+                   for tid in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for r in range(rounds):
+                if r % 2:
+                    plan.repermute(rng)
+                else:  # a new plan: its first read also allocates
+                    plan = EpochPlan(order, 128, 256)
+                now["want"] = EpochPlan(order.copy(), 128, 256).matrix
+                now["shards"] = plan.shard(n_threads)
+                start.wait()
+                done.wait()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert overlaps == []
+        assert len({(id(p), v) for p, v in fills}) == len(fills)
+        assert wrong == []
 
     def test_stats_accounting(self):
         stats = PlanStats()
