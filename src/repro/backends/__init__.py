@@ -17,8 +17,7 @@ per problem size.
 from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "base": ("BackendType", "KernelBackend", "estimate_memory_bytes",
-             "replay_waves"),
+    "base": ("BackendType", "KernelBackend", "replay_waves"),
     "registry": ("BackendUnavailable", "BackendVerificationError",
                  "available_backends", "backend_status", "get_backend",
                  "verify_backend"),

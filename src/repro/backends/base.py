@@ -8,15 +8,15 @@ of exactly that contract:
 
 * :meth:`KernelBackend.replay` — one epoch of one worker's plan shard (or a
   whole :class:`~repro.sched.plan.EpochPlan`), the unit every executor
-  launches when no per-wave observer is attached.  The base implementation
+  launches when nothing observes single waves.  The base implementation
   is :func:`replay_waves`, the Python wave loop over :meth:`bind`; the
   compiled ``c`` backend replaces it with one GIL-free foreign call;
 * :meth:`KernelBackend.bind` — given the caller's
-  :class:`~repro.core.kernels.WaveWorkspace`, the per-wave callable the
-  observed paths (sanitizer wrappers, kernel hooks, collision tracking)
-  invoke wave by wave.  The NumPy backend returns the workspace's own bound
-  method, so dispatching through the registry is *structurally* identical
-  to the pre-registry code path — same callable, same bits;
+  :class:`~repro.core.kernels.WaveWorkspace`, the per-wave callable
+  :func:`replay_waves` invokes when kernel hooks or a sanitizer observe
+  the epoch.  The NumPy backend returns the workspace's own bound method,
+  so dispatching through the registry is *structurally* identical to the
+  pre-registry code path — same callable, same bits;
 * :meth:`KernelBackend.serial_update` — serial SGD over one worker's
   samples in order, the unit the out-of-core block loop launches per
   block (NumPy: conflict-free segments; ``c``: one foreign call).
@@ -26,9 +26,6 @@ reference kernels bit for bit (``tobytes`` equality); accelerated backends
 (different summation order, fused arithmetic) are held to a numerical
 tolerance instead.  :func:`repro.backends.registry.get_backend` runs the
 gate before handing a backend out.
-
-:func:`estimate_memory_bytes` is the shared sizing model the auto-policy
-and device-backed backends consult before committing to a configuration.
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ from enum import Enum
 import numpy as np
 
 from repro.core.kernels import UPDATE_ERRSTATE
+from repro.obs.hooks import KernelEvent, resolve_kernel_stride
 
-__all__ = ["BackendType", "KernelBackend", "estimate_memory_bytes",
-           "replay_waves"]
+__all__ = ["BackendType", "KernelBackend", "replay_waves"]
 
 
 class BackendType(str, Enum):
@@ -83,7 +80,7 @@ class KernelBackend:
                             vals, lr, lam_p, lam_q)
 
     def bind(self, workspace):
-        """Return the per-wave callable the observed epoch loops invoke.
+        """Return the per-wave callable :func:`replay_waves` invokes.
 
         The callable's signature is
         ``f(p, q, rows, cols, vals, lr, lam_p, lam_q) -> err``. ``workspace``
@@ -104,57 +101,63 @@ class KernelBackend:
 
 
 def replay_waves(ws, wave_update, shard, p, q, rows, cols, vals,
-                 lr, lam_p, lam_q) -> int:
+                 lr, lam_p, lam_q, *, hooks=None, name: str = "hogwild.wave",
+                 san=None, wid: int = 0, epoch: int = 0) -> int:
     """One epoch of a plan shard through a per-wave kernel; returns the
-    updates made. One ``bind_plan`` gather, then one ``wave_update`` launch
-    per wave over its live lanes (padding only trims from the right) — the
-    base :meth:`KernelBackend.replay` and the loop observed executors run
-    with a wrapped kernel.
+    updates made. The only Python loop over an epoch's waves: one
+    ``bind_plan`` gather, then one ``wave_update`` launch per wave over its
+    live lanes (padding only trims from the right).
+
+    The observers are optional, and each costs one branch per wave:
+
+    * ``hooks`` (active :class:`~repro.obs.hooks.TrainerHooks`) receive one
+      :class:`~repro.obs.hooks.KernelEvent` called ``name`` per
+      ``kernel_stride`` waves, with the exact updates and waves it stands
+      for and the last wave's coordinates (the Eq. 6 sample), plus one for
+      the tail the stride left over;
+    * a sanitizer ``san`` checks worker ``wid``'s epoch ``epoch``: in
+      numeric mode the fp64-leak probe on the first wave and a residual
+      check on one wave in ``sample_stride``; in race mode one O(1) record
+      of the bound views after the loop (the caller seals the log before
+      the next bind regathers them).
     """
     rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
     width = shard.width
+    observe = hooks is not None and hooks.active
+    stride = resolve_kernel_stride(hooks) if observe else 1
+    pending_waves = pending_updates = 0
+    sentry = san.numeric if san is not None and san.check_numeric else None
+    san_stride = sentry.sample_stride if sentry is not None else 1
     updates = 0
     with np.errstate(**UPDATE_ERRSTATE):
-        for wr, wc, wv, w in zip(rows_w, cols_w, vals_w, shard.lengths.tolist()):
+        for i, (wr, wc, wv, w) in enumerate(
+            zip(rows_w, cols_w, vals_w, shard.lengths.tolist())
+        ):
             if w != width:
                 if not w:
                     continue
                 wr = wr[:w]
                 wc = wc[:w]
                 wv = wv[:w]
-            wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
+            err = wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
             updates += w
+            if sentry is not None and not i % san_stride:
+                if not i:
+                    sentry.check_dtypes(p, q, err, wid, epoch)
+                sentry.check_wave(err, wid, epoch, i)
+            if observe:
+                pending_waves += 1
+                pending_updates += w
+                if pending_waves == stride:
+                    hooks.on_kernel(KernelEvent(
+                        name=name, n_updates=pending_updates,
+                        rows=wr.copy(), cols=wc.copy(),  # lint: hotpath-alloc -- one copy per kernel_stride waves, only while a collector listens
+                        n_waves=pending_waves,
+                    ))
+                    pending_waves = pending_updates = 0
+    if pending_waves:  # tail waves the stride window did not flush
+        hooks.on_kernel(KernelEvent(name=name, n_updates=pending_updates,
+                                    n_waves=pending_waves))
+    if san is not None:
+        san.epoch_executed(rows_w, cols_w, shard.lengths, wid=wid, epoch=epoch)
     return updates
-
-
-def estimate_memory_bytes(
-    m: int,
-    n: int,
-    k: int,
-    nnz: int,
-    *,
-    workers: int = 128,
-    n_workers: int = 1,
-    half_precision: bool = False,
-) -> int:
-    """Working-set estimate (bytes) for one training run.
-
-    Counts the factor matrices, the COO rating arrays, the compiled epoch
-    plan (padded index matrix + the wave-major gather buffers each worker's
-    workspace materializes), and per-worker kernel scratch. Intentionally a
-    ceiling-flavoured estimate: the auto-policy and device backends use it
-    to *decline* configurations, so overcounting a few percent is the safe
-    direction.
-    """
-    itemsize = 2 if half_precision else 4
-    factors = (m + n) * k * itemsize
-    # COO arrays: int32 row + int32 col + float32 value
-    data = nnz * (4 + 4 + 4)
-    span = workers * 256  # plan padding rounds nnz up to a chunk-group
-    padded = -(-max(nnz, 1) // span) * span
-    plan = padded * 8  # int64 index matrix
-    # wave-major gathers (intp rows + intp cols + f32 vals) per workspace
-    gathers = padded * (np.dtype(np.intp).itemsize * 2 + 4)
-    # kernel scratch: 5 (w, k) fp32 temporaries + the error vector
-    scratch = workers * (5 * k + 1) * 4
-    return int(factors + data + plan + max(1, n_workers) * (gathers + scratch))

@@ -13,8 +13,9 @@ releases the GIL for the length of every call:
   ``order`` and the :class:`~repro.data.container.RatingMatrix`'s own
   int32/fp32 arrays into small workspace scratch, so no wave-major plan
   matrix and no gathered copy of the ids or ratings is built;
-* :meth:`CBackend.bind` returns a per-wave callable for the observed paths
-  (sanitizer wrappers, kernel hooks, collision tracking);
+* :meth:`CBackend.bind` returns a per-wave callable for
+  :func:`~repro.backends.base.replay_waves`, which runs when kernel hooks
+  or a sanitizer observe the epoch;
 * :meth:`CBackend.serial_update` runs one worker's samples as plain serial
   SGD, in order, in one foreign call (an out-of-core block, say).
 
@@ -70,7 +71,6 @@ import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend, replay_waves
 from repro.core.kernels import WaveWorkspace, sgd_serial_update
-from repro.sched.plan import EpochPlan
 
 __all__ = ["CBackend", "build_library", "cache_dir", "find_compiler"]
 
@@ -204,10 +204,9 @@ class CBackend(KernelBackend):
     def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
         """Every wave of ``shard`` in one GIL-free foreign call, staged
         group by group from its plan's shuffled ``order`` and the data
-        arrays themselves. A shard with no plan behind it (one
-        :meth:`~repro.sched.plan.PlanShard.cut` from a hand-built matrix)
-        or data not in :class:`~repro.data.container.RatingMatrix` layout
-        (contiguous int32 ids) replays wave by wave through :meth:`bind`."""
+        arrays themselves. Data not in
+        :class:`~repro.data.container.RatingMatrix` layout (contiguous
+        int32 ids) replays wave by wave through :meth:`bind`."""
         half = self._storage(p, q)
         if half is None:
             return replay_waves(ws, ws.wave_update, shard, p, q, rows, cols,
@@ -216,13 +215,10 @@ class CBackend(KernelBackend):
         if not len(rows) == len(cols) == len(vals):
             raise ValueError("rows, cols and vals differ in length")
         ws.check_ids(rows, cols, p.shape[0], q.shape[0])
-        if isinstance(shard, EpochPlan):
-            plan, lo, hi = shard, 0, shard.width
-        else:
-            plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
-        if plan is None or not _coo_layout(rows, cols, vals):
+        if not _coo_layout(rows, cols, vals):
             return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
                                 vals, lr, lam_p, lam_q)
+        plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
         k = p.shape[1]
         pu, qv, err = ws.kernel_scratch(hi - lo, k)
         srows, scols, svals = ws.stage_scratch(hi - lo, plan.f)

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends.base import replay_waves
 from repro.core.hogwild import BatchHogwild
-from repro.core.kernels import UPDATE_ERRSTATE, wave_gradients
+from repro.core.kernels import wave_gradients
 from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
-from repro.obs.hooks import (
-    KernelEvent,
-    TrainerHooks,
-    resolve_hooks,
-    resolve_kernel_stride,
-)
+from repro.obs.hooks import TrainerHooks, resolve_hooks
 
 __all__ = ["AdaGradHogwild"]
 
@@ -52,6 +48,17 @@ class AdaGradHogwild(BatchHogwild):
             self.schedule.reset(model.p.shape, model.q.shape)
             self._initialized_for = shape
 
+    def _wave(self, p, q, wr, wc, wv, lr, lam_p, lam_q) -> None:
+        """One ADAGRAD wave: accumulate, then step each element at its own
+        rate (``lr`` is unused)."""
+        _, gp, gq = wave_gradients(p, q, wr, wc, wv, lam_p, lam_q)
+        self.schedule.accumulate(wr, wc, gp, gq)
+        rate_p, rate_q = self.schedule.elementwise_rate(wr, wc)
+        new_p = p[wr].astype(np.float32) + rate_p * gp
+        new_q = q[wc].astype(np.float32) + rate_q * gq
+        p[wr] = new_p if p.dtype == np.float32 else new_p.astype(p.dtype)
+        q[wc] = new_q if q.dtype == np.float32 else new_q.astype(q.dtype)
+
     def run_epoch(
         self,
         model: FactorModel,
@@ -64,60 +71,15 @@ class AdaGradHogwild(BatchHogwild):
         """One epoch; ``lr`` is ignored (ADAGRAD supplies per-element rates).
 
         The epoch runs off the compiled :class:`~repro.sched.plan.EpochPlan`
-        shared with :class:`BatchHogwild`; each flushed ``KernelEvent``
-        carries the exact update total of the waves in its stride window.
+        shared with :class:`BatchHogwild`, through the same
+        :func:`~repro.backends.base.replay_waves` loop with the ADAGRAD
+        wave as its kernel; each flushed ``adagrad.wave`` event carries the
+        exact update total of the waves in its stride window.
         """
         lam_q = lam_p if lam_q is None else lam_q
-        hooks = resolve_hooks(hooks)
-        observe = hooks.active
-        stride = resolve_kernel_stride(hooks) if observe else 1
-        pending_waves = 0
-        pending_updates = 0
         self._ensure_state(model)
-        assert self.schedule is not None
-        updates = 0
-        plan = self.compiled_plan(ratings.nnz)
-        rows_w, cols_w, vals_w = self.workspace.bind_plan(
-            plan, ratings.rows, ratings.cols, ratings.vals
+        return replay_waves(
+            self.workspace, self._wave, self.compiled_plan(ratings.nnz),
+            model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
+            lr, lam_p, lam_q, hooks=resolve_hooks(hooks), name="adagrad.wave",
         )
-        lengths = plan.lengths.tolist()
-        width = plan.width
-        p, q = model.p, model.q
-        i = 0
-        with np.errstate(**UPDATE_ERRSTATE):
-            for wr, wc, wv in zip(rows_w, cols_w, vals_w):
-                w = lengths[i]
-                i += 1
-                if w != width:
-                    wr = wr[:w]
-                    wc = wc[:w]
-                    wv = wv[:w]
-                _, gp, gq = wave_gradients(p, q, wr, wc, wv, lam_p, lam_q)
-                self.schedule.accumulate(wr, wc, gp, gq)
-                rate_p, rate_q = self.schedule.elementwise_rate(wr, wc)
-                new_p = p[wr].astype(np.float32) + rate_p * gp
-                new_q = q[wc].astype(np.float32) + rate_q * gq
-                p[wr] = new_p if p.dtype == np.float32 else new_p.astype(p.dtype)
-                q[wc] = new_q if q.dtype == np.float32 else new_q.astype(q.dtype)
-                updates += w
-                if observe:
-                    pending_waves += 1
-                    pending_updates += w
-                    if pending_waves == stride:
-                        hooks.on_kernel(
-                            KernelEvent(
-                                name="adagrad.wave", n_updates=pending_updates,
-                                rows=wr.copy(), cols=wc.copy(),
-                                n_waves=pending_waves,
-                            )
-                        )
-                        pending_waves = 0
-                        pending_updates = 0
-        if pending_waves:  # tail waves the stride window did not flush
-            hooks.on_kernel(
-                KernelEvent(
-                    name="adagrad.wave", n_updates=pending_updates,
-                    n_waves=pending_waves,
-                )
-            )
-        return updates

@@ -20,9 +20,8 @@ workers advance to the next group of chunks.
 Hot-path structure: the epoch's wave schedule is an
 :class:`~repro.sched.plan.EpochPlan` over the shuffled order (cached across
 epochs and re-shuffled in place under ``shuffle_each_epoch``; the compiled
-``c`` kernel stages waves from the order itself, and the padded
-``(n_waves, s)`` index matrix the Python wave loops walk is filled on first
-read), and the kernel runs through a
+``c`` kernel stages waves from the order itself, and the Python wave loop
+lays them out into its workspace), and the kernel runs through a
 :class:`~repro.core.kernels.WaveWorkspace` of preallocated scratch, so
 steady-state epochs are allocation-free. Both layers
 are numerically invisible: update order, RNG draws, and every fp32 bit match
@@ -31,19 +30,15 @@ the uncompiled per-wave schedule (pinned by ``tests/test_plan.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import UPDATE_ERRSTATE, WaveWorkspace
+from repro.backends.base import replay_waves
+from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
-from repro.obs.hooks import (
-    KernelEvent,
-    TrainerHooks,
-    resolve_hooks,
-    resolve_kernel_stride,
-)
+from repro.obs.hooks import TrainerHooks, resolve_hooks
 from repro.san.core import active_sanitizer
 from repro.sched.plan import EpochPlan, PlanStats
 
@@ -65,9 +60,6 @@ class BatchHogwild:
         Re-shuffle the sample order before every epoch. The paper shuffles
         once in preprocessing; per-epoch shuffling adds randomness at no
         modelled cost and is the default here.
-    track_collisions:
-        Record the mean wave collision fraction per epoch (diagnostics for
-        the §7.5 convergence analysis).
     backend:
         Kernel backend for the wave updates — a name, a
         :class:`~repro.backends.base.BackendType`, or a constructed
@@ -80,9 +72,7 @@ class BatchHogwild:
     f: int = 256
     seed: int = 0
     shuffle_each_epoch: bool = True
-    track_collisions: bool = False
     backend: object | None = None
-    collision_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -111,7 +101,7 @@ class BatchHogwild:
         the legacy per-wave builder did (one permutation on first use, one
         in-place shuffle per epoch under ``shuffle_each_epoch``)."""
         if self._order is None or len(self._order) != nnz:
-            self._order = self._rng.permutation(nnz).astype(np.int64)
+            self._order = self._rng.permutation(nnz)  # int64 already
             self._plan = EpochPlan(
                 self._order, self.workers, self.f, stats=self.plan_stats
             )
@@ -135,8 +125,8 @@ class BatchHogwild:
         Wave ``t`` of a group holds sample positions
         ``{w*f + t : w in workers}`` relative to the group start, i.e. each
         worker walks its own chunk of ``f`` consecutive samples while waves
-        cut across workers. Returns independent copies; the executor itself
-        runs straight off the compiled plan's matrix.
+        cut across workers. Returns arrays independent of the plan, laid
+        out by :meth:`~repro.sched.plan.EpochPlan.positions`.
         """
         return self.compiled_plan(nnz).wave_arrays()
 
@@ -155,101 +145,33 @@ class BatchHogwild:
         ``hooks`` receives one ``on_kernel`` event per ``kernel_stride``
         waves; each event carries the exact number of updates and waves the
         window covered (plus the last wave's coordinates as the Eq. 6
-        conflict sample). With no collector attached the per-wave cost is a
-        single attribute check.
+        conflict sample). With no collector and no sanitizer attached the
+        backend replays the whole plan (numpy wave by wave, bit for bit;
+        ``c`` in one foreign call); otherwise the epoch runs through
+        :func:`~repro.backends.base.replay_waves` over the backend's
+        per-wave kernel, which the sanitizer observes as worker 0.
         """
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
-        observe = hooks.active
         plan = self.compiled_plan(ratings.nnz)
         san = active_sanitizer()
         ws = self.workspace
         p, q = model.p, model.q
-        # pre-coerced scalars: the kernel skips its per-call conversions
-        lr = np.float32(lr)
-        lam_p = np.float32(lam_p)
-        lam_q = np.float32(lam_q)
         ws.reserve(plan.width, p.shape[1],
                    half_precision=p.dtype != np.float32)
         backend = self.resolved_backend()
-        if not (observe or self.track_collisions or san is not None):
-            # nothing watches single waves: the backend replays the whole
-            # plan (numpy wave by wave, bit for bit; c in one foreign call)
-            return backend.replay(ws, plan, p, q, ratings.rows, ratings.cols,
-                                  ratings.vals, lr, lam_p, lam_q)
-        stride = resolve_kernel_stride(hooks) if observe else 1
-        pending_waves = 0
-        pending_updates = 0
-        updates = 0
-        collision_acc = 0.0
-        n_waves = 0
-        # inline sanitizer hooks: the epoch's coverage is captured in one
-        # O(1) record after the loop (the bound wave matrices ARE the
-        # coverage), so the hot loop pays one branch per wave plus a
-        # sampled residual check — begin_epoch seals the previous
-        # epoch's recorded views before bind_plan regathers them
-        sentry = None
-        san_stride = san_epoch = 0
+        # pre-coerced scalars: the kernel skips its per-call conversions
+        args = (p, q, ratings.rows, ratings.cols, ratings.vals,
+                np.float32(lr), np.float32(lam_p), np.float32(lam_q))
+        if not hooks.active and san is None:
+            return backend.replay(ws, plan, *args)
+        # begin_epoch seals the previous epoch's recorded views before
+        # bind_plan regathers them
+        epoch = san.begin_epoch() if san is not None else 0
+        # registry dispatch: numpy binds ws.wave_update itself, so the
+        # observed path is the historical one, bit for bit
+        updates = replay_waves(ws, backend.bind(ws), plan, *args,
+                               hooks=hooks, san=san, epoch=epoch)
         if san is not None:
-            san_epoch = san.begin_epoch(wid=0)
-            if san.check_numeric:
-                sentry = san.numeric
-                san_stride = sentry.sample_stride
-        rows_w, cols_w, vals_w = ws.bind_plan(
-            plan, ratings.rows, ratings.cols, ratings.vals
-        )
-        lengths = plan.lengths.tolist()
-        width = plan.width
-        track = self.track_collisions
-        if track:
-            from repro.sched.conflict import collision_fraction
-        # registry dispatch: numpy resolves to ws.wave_update itself, so the
-        # default path is the historical one, bit for bit
-        wave_update = backend.bind(ws)
-        if sentry is not None:
-            sentry.check_dtypes(p, q, None, 0, san_epoch)
-        i = 0
-        with np.errstate(**UPDATE_ERRSTATE):
-            for wr, wc, wv in zip(rows_w, cols_w, vals_w):
-                w = lengths[i]
-                i += 1
-                if w != width:
-                    wr = wr[:w]
-                    wc = wc[:w]
-                    wv = wv[:w]
-                if track:
-                    collision_acc += collision_fraction(wr, wc)
-                    n_waves += 1
-                err = wave_update(p, q, wr, wc, wv, lr, lam_p, lam_q)
-                updates += w
-                if sentry is not None and not (i - 1) % san_stride:
-                    sentry.check_wave(err, 0, san_epoch, i - 1)
-                if observe:
-                    pending_waves += 1
-                    pending_updates += w
-                    if pending_waves == stride:
-                        hooks.on_kernel(
-                            KernelEvent(
-                                name="hogwild.wave", n_updates=pending_updates,
-                                rows=wr.copy(), cols=wc.copy(),
-                                n_waves=pending_waves,
-                            )
-                        )
-                        pending_waves = 0
-                        pending_updates = 0
-        if pending_waves:  # tail waves the stride window did not flush
-            hooks.on_kernel(
-                KernelEvent(
-                    name="hogwild.wave", n_updates=pending_updates,
-                    n_waves=pending_waves,
-                )
-            )
-        if self.track_collisions and n_waves:
-            self.collision_history.append(collision_acc / n_waves)
-        if san is not None:
-            san.epoch_executed(
-                rows_w, cols_w, plan.lengths, wid=0, epoch=san_epoch
-            )
-            # seals immediately, while the bound views are still live
-            san.epoch_end(p, q, wid=0, epoch=san_epoch)
+            san.epoch_end(p, q, epoch=epoch)
         return updates

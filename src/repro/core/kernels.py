@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sched.plan import SerialPlan, prev_occurrence
+from repro.sched.plan import SerialPlan
 
 try:  # np.einsum(optimize=False) forwards verbatim to this C entry point;
     # calling it directly skips ~1.5us of wrapper per wave (identical bits)
@@ -104,10 +104,11 @@ class WaveWorkspace:
 
     * **kernel scratch** — the gathered ``p_u``/``q_v`` snapshots, the error
       vector, and two gradient temporaries consumed by :meth:`wave_update`;
-    * **wave-major gathers** — :meth:`bind_plan` materializes an
-      :class:`~repro.sched.plan.EpochPlan`'s per-wave row/col/value arrays as
-      three ``(n_waves, s)`` matrices with one vectorized ``take`` each, so
-      the Python epoch loops slice views instead of gathering per wave;
+    * **wave-major gathers** — :meth:`bind_plan` lays a plan shard's lanes
+      out into a positions buffer and materializes its per-wave
+      row/col/value arrays as three ``(n_waves, width)`` matrices with one
+      vectorized ``take`` each, so the Python wave loop slices views
+      instead of gathering per wave;
     * **staging scratch** — :meth:`stage_scratch`, one group's waves, into
       which a compiled kernel copies a plan shard's samples from the
       shuffled order as it replays (no epoch-sized gather at all).
@@ -124,7 +125,7 @@ class WaveWorkspace:
         "_capacity", "_k", "_pu", "_qv", "_t1", "_t2", "_t3",
         "_err", "_err2", "_views",
         "_pu16", "_qv16",
-        "_rows_w", "_cols_w", "_vals_w", "_bound_shape", "_bound_key",
+        "_pos", "_rows_w", "_cols_w", "_vals_w", "_bound_shape", "_bound_key",
         "_cast_cache", "_checked_ids", "_stage",
     )
 
@@ -138,7 +139,7 @@ class WaveWorkspace:
         self._err = self._err2 = None
         self._pu16 = self._qv16 = None
         self._views: dict[int, tuple] = {}
-        self._rows_w = self._cols_w = self._vals_w = None
+        self._pos = self._rows_w = self._cols_w = self._vals_w = None
         self._bound_shape: tuple[int, int] | None = None
         self._bound_key: tuple | None = None
         self._cast_cache: tuple | None = None
@@ -150,7 +151,8 @@ class WaveWorkspace:
     def nbytes(self) -> int:
         total = 0
         for name in ("_pu", "_qv", "_t1", "_t2", "_t3", "_err",
-                     "_pu16", "_qv16", "_rows_w", "_cols_w", "_vals_w"):
+                     "_pu16", "_qv16", "_pos", "_rows_w", "_cols_w",
+                     "_vals_w"):
             buf = getattr(self, name)
             if buf is not None:
                 total += buf.nbytes
@@ -238,29 +240,37 @@ class WaveWorkspace:
     # ------------------------------------------------------------------
     def bind_plan(
         self,
-        plan,
+        shard,
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather an epoch plan's wave-major row/col/value matrices.
+        """Gather a plan shard's wave-major row/col/value matrices.
 
-        One vectorized ``take`` per array replaces one small gather per wave.
-        ``-1`` padding indexes the last sample — harmless, as consumers only
-        read the first ``plan.lengths[i]`` entries of each row. Returned
-        arrays are views into workspace buffers, valid until the next bind.
-        A bind is skipped entirely when the plan (same version — i.e. not
-        re-permuted since) and data arrays are unchanged.
+        ``shard`` is a :class:`~repro.sched.plan.PlanShard` or a whole
+        :class:`~repro.sched.plan.EpochPlan`. Its lanes are laid out into
+        this workspace's positions buffer
+        (:meth:`~repro.sched.plan.EpochPlan.positions`), then one
+        vectorized ``take`` per array replaces one small gather per wave.
+        ``-1`` padding indexes the last sample — harmless, as consumers
+        only read the first ``shard.lengths[i]`` entries of each row.
+        Returned arrays are views into workspace buffers, valid until the
+        next bind. A bind is skipped entirely when the plan (same version
+        — i.e. not re-permuted since), the lanes and the data arrays are
+        unchanged.
         """
-        shape = (plan.n_waves, plan.width)
+        plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
+        shape = (shard.n_waves, hi - lo)
         bk = self._bound_key
         if (
             bk is not None
             and bk[0] is plan
             and bk[1] == plan.version
-            and bk[2] is rows
-            and bk[3] is cols
-            and bk[4] is vals
+            and bk[2] == lo
+            and bk[3] == hi
+            and bk[4] is rows
+            and bk[5] is cols
+            and bk[6] is vals
         ):
             return (
                 self._rows_w[: shape[0], : shape[1]],
@@ -277,6 +287,7 @@ class WaveWorkspace:
             # row/col IDs are gathered as intp: per-wave take/scatter then
             # skips the index-cast numpy performs for narrower dtypes
             # (~4us/wave), and the IDs themselves are dtype-agnostic values
+            self._pos = np.empty(alloc[0] * alloc[1], np.int64)  # lint: hotpath-alloc -- grow-once branch, amortized across epochs
             self._rows_w = np.empty(alloc, np.intp)  # lint: hotpath-alloc -- grow-once branch, amortized across epochs
             self._cols_w = np.empty(alloc, np.intp)  # lint: hotpath-alloc -- grow-once branch, amortized across epochs
             self._vals_w = np.empty(alloc, vals.dtype)  # lint: hotpath-alloc -- grow-once branch, amortized across epochs
@@ -287,13 +298,16 @@ class WaveWorkspace:
             rows64 = rows if rows.dtype == np.intp else rows.astype(np.intp)  # lint: hotpath-alloc -- once per data array, cached below
             cols64 = cols if cols.dtype == np.intp else cols.astype(np.intp)  # lint: hotpath-alloc -- once per data array, cached below
             self._cast_cache = cast = (rows, rows64, cols, cols64)
+        pos = plan.positions(
+            lo, hi, self._pos[: shape[0] * shape[1]].reshape(shape)
+        )
         rw = self._rows_w[: shape[0], : shape[1]]
         cw = self._cols_w[: shape[0], : shape[1]]
         vw = self._vals_w[: shape[0], : shape[1]]
-        np.take(cast[1], plan.matrix, out=rw)
-        np.take(cast[3], plan.matrix, out=cw)
-        np.take(vals, plan.matrix, out=vw)
-        self._bound_key = (plan, plan.version, rows, cols, vals)
+        np.take(cast[1], pos, out=rw)
+        np.take(cast[3], pos, out=cw)
+        np.take(vals, pos, out=vw)
+        self._bound_key = (plan, plan.version, lo, hi, rows, cols, vals)
         self.plan_binds += 1
         return rw, cw, vw
 
@@ -476,9 +490,6 @@ def single_update(
         p[u] = new_p if p.dtype == np.float32 else new_p.astype(p.dtype)
         q[v] = new_q if q.dtype == np.float32 else new_q.astype(q.dtype)
     return float(err)
-
-
-_prev_occurrence = prev_occurrence  # kept under the historical private name
 
 
 def conflict_free_segments(

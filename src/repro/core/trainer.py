@@ -136,11 +136,6 @@ class TrainHistory:
         del self.test_epochs[kept:]
 
     @property
-    def total_seconds(self) -> float:
-        """Total executor wall time across recorded epochs."""
-        return float(sum(self.epoch_seconds))
-
-    @property
     def final_test_rmse(self) -> float:
         if not self.test_rmse:
             raise ValueError("no test RMSE was recorded")
@@ -580,8 +575,6 @@ class CuMFSGD(EpochSolver):
             extra["thread_updates"] = list(executor.thread_updates)
             return extra
         if isinstance(executor, BatchHogwild):
-            if executor.track_collisions and executor.collision_history:
-                extra["conflict_rate"] = executor.collision_history[-1]
             # cumulative plan-compilation and workspace counters (the hot
             # path should show cache hits / repermutes, not fresh compiles)
             extra.update(executor.plan_stats.as_extra())

@@ -179,26 +179,6 @@ def qualname_index(tree: ast.Module) -> dict[ast.AST, str]:
     return index
 
 
-def enclosing_symbol(
-    ctx: FileContext, node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> str:
-    """Qualname of the innermost def/class containing ``node``."""
-    cur = parents.get(node)
-    while cur is not None:
-        if cur in ctx.qualnames:
-            return ctx.qualnames[cur]
-        cur = parents.get(cur)
-    return ""
-
-
-def parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
-    return {
-        child: parent
-        for parent in ast.walk(tree)
-        for child in ast.iter_child_nodes(parent)
-    }
-
-
 def load_file_context(path: Path, rel: str | None = None) -> FileContext:
     """Read + parse one file into a :class:`FileContext` (raises SyntaxError)."""
     source = path.read_text()

@@ -58,9 +58,8 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
         "WaveWorkspace._views_for": _spec(),
     },
     "repro/sched/plan.py": {
-        "EpochPlan._fill": _spec(),
+        "EpochPlan.positions": _spec(),
         "EpochPlan.repermute": _spec(),
-        "EpochPlan.wave": _spec(),
     },
     "repro/parallel/threads.py": {
         "_replay_shard": _spec("rows", "cols"),

@@ -12,9 +12,9 @@ first principles, given a concrete schedule object:
 * :func:`check_serial_plan` — every :class:`~repro.sched.plan.SerialPlan`
   segment is contiguous, covers the sequence exactly, respects ``max_wave``,
   and contains no repeated row and no repeated column (Eq. 6 pairwise);
-* :func:`check_epoch_plan` — an :class:`~repro.sched.plan.EpochPlan` matrix
-  schedules every sample of its order exactly once, with padding confined
-  to trailing slots;
+* :func:`check_epoch_plan` — an :class:`~repro.sched.plan.EpochPlan`'s
+  wave-major layout schedules every sample of its order exactly once,
+  with padding confined to trailing slots;
 * :func:`check_wavefront_sequences` / :func:`check_round_grants` — every
   worker's column walk is a full permutation (column-lock coverage is
   total) and every granted round is row- and column-disjoint;
@@ -113,10 +113,12 @@ def check_serial_plan(plan, rows: np.ndarray, cols: np.ndarray) -> list[str]:
 
 
 def check_epoch_plan(plan) -> list[str]:
-    """Violations of the EpochPlan exactly-once/padding contract."""
+    """Violations of the EpochPlan exactly-once/padding contract, read from
+    the layout of all its lanes (:meth:`~repro.sched.plan.EpochPlan.positions`)."""
     violations: list[str] = []
-    matrix = np.asarray(plan.matrix)
     lengths = np.asarray(plan.lengths)
+    matrix = np.asarray(plan.positions(
+        0, plan.width, np.empty((len(lengths), plan.width), np.int64)))
     if matrix.shape[0] != len(lengths):
         return [f"{matrix.shape[0]} waves but {len(lengths)} lengths"]
     scheduled: list[np.ndarray] = []

@@ -15,12 +15,11 @@ repro.train.updates_per_sec               gauge      Eq. 7 host rate (last epoch
 repro.train.effective_bandwidth_gbs      gauge      footnote-2 bytes/s at that rate
 repro.train.rmse                          series     per-epoch RMSE (label split=)
 repro.train.lr                            series     Eq. 9 learning-rate per epoch
-repro.sched.conflict.rate                 series     Eq. 6 wave conflict fraction
 repro.sched.lock.attempts|waits|aborts    counter    column-lock contention
 repro.sched.rounds                        counter    wavefront scheduling rounds
 repro.kernel.waves                        counter    kernel-equivalent launches
 repro.kernel.updates                      counter    updates via kernel events (exact)
-repro.kernel.wave_collision_fraction      histogram  per-wave Eq. 6 fraction
+repro.kernel.wave_collision_fraction      histogram  Eq. 6 fraction, sampled waves
 repro.transfer.h2d_bytes|d2h_bytes        counter    modelled interconnect traffic
 repro.perf.updates_per_sec                gauge      modelled Eq. 7 rate (labels)
 repro.perf.effective_bandwidth_gbs        gauge      modelled bandwidth (labels)
@@ -135,10 +134,6 @@ class TelemetryCollector:
         for key, value in event.extra.items():
             if isinstance(value, (int, float)):
                 reg.series(f"repro.train.extra.{key}").append(event.epoch, value)
-        if "conflict_rate" in event.extra:
-            reg.series(M.SCHED_CONFLICT_RATE).append(
-                event.epoch, event.extra["conflict_rate"]
-            )
         if "lock_attempts" in event.extra:
             self._lock_attempts.inc(event.extra["lock_attempts"])
         if "sched_rounds" in event.extra:
@@ -210,13 +205,11 @@ class TelemetryCollector:
 
     @property
     def conflict_rate(self) -> float | None:
-        """Mean Eq. 6 collision fraction across observed waves/epochs."""
+        """Mean Eq. 6 collision fraction over the sampled waves (every
+        wave at ``kernel_sample_every=1``); None before any."""
         hist = self.registry.get(M.KERNEL_WAVE_COLLISION_FRACTION)
         if hist is not None and hist.total:
             return hist.mean
-        series = self.registry.get(M.SCHED_CONFLICT_RATE)
-        if series is not None and len(series):
-            return sum(series.values) / len(series)
         return None
 
     def summary(self) -> dict:

@@ -391,7 +391,6 @@ class M:
     SCHED_ROUNDS = "repro.sched.rounds"
     SCHED_BATCHES = "repro.sched.batches"
     SCHED_BATCH_UPDATES = "repro.sched.batch_updates"
-    SCHED_CONFLICT_RATE = "repro.sched.conflict.rate"
     # modelled transfers and throughput
     TRANSFER_H2D_BYTES = "repro.transfer.h2d_bytes"
     TRANSFER_D2H_BYTES = "repro.transfer.d2h_bytes"

@@ -57,18 +57,20 @@ SHARED_WRITE_OK = ("counts", "errors", "staged")
 
 
 def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
-                  lr, lam_p, lam_q, observer=None) -> int:
-    """One epoch of one worker's plan shard, the kernel entry of both
-    parallel executors; returns the updates made. Unobserved, the backend
-    replays the whole shard (``c``: one GIL-free foreign call); a per-wave
-    ``observer`` (the sanitizer's wrapper of ``backend.bind(ws)``) replays
-    it wave by wave, as ``BatchHogwild.run_epoch`` does when observed.
+                  lr, lam_p, lam_q, san=None, wid: int = 0,
+                  epoch: int = 0) -> int:
+    """One epoch of one worker's plan shard, the kernel entry of the
+    threads executor; returns the updates made. Unobserved, the backend
+    replays the whole shard (``c``: one GIL-free foreign call); under a
+    sanitizer the shard runs through
+    :func:`~repro.backends.base.replay_waves` over ``backend.bind(ws)``
+    as worker ``wid``, as ``BatchHogwild.run_epoch`` does when observed.
     """
-    if observer is None:
+    if san is None:
         return backend.replay(ws, shard, p, q, rows, cols, vals,
                               lr, lam_p, lam_q)
-    return replay_waves(ws, observer, shard, p, q, rows, cols, vals,
-                        lr, lam_p, lam_q)
+    return replay_waves(ws, backend.bind(ws), shard, p, q, rows, cols, vals,
+                        lr, lam_p, lam_q, san=san, wid=wid, epoch=epoch)
 
 
 def _replay_blocks(ws, backend, prefetcher, p, q, lr, lam_p, lam_q,
@@ -214,11 +216,9 @@ class ThreadedHogwild:
         counts = [0] * self.n_threads
         errors: list[BaseException] = []
         backend, workspaces = self._backend, self._workspaces
-        observers = [None] * self.n_threads
         san = active_sanitizer()
-        if san is not None:  # log every wave at (worker, epoch, wave)
-            observers = [san.wave_kernel(backend.bind(ws), wid=tid, epoch=epoch)
-                         for tid, ws in enumerate(workspaces)]
+        if san is not None:  # seal last epoch's views before the rebinds
+            san.begin_epoch(epoch=epoch)
         args = (model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
                 lr, lam_p, lam_q)
         dispatched = time.perf_counter()
@@ -227,8 +227,8 @@ class ThreadedHogwild:
             try:
                 t0 = time.perf_counter()
                 counts[tid] = n = _replay_shard(
-                    workspaces[tid], backend, shards[tid], *args,
-                    observer=observers[tid])
+                    workspaces[tid], backend, shards[tid], *args, san=san,
+                    wid=tid, epoch=epoch)
                 t1 = time.perf_counter()
                 # spawn = dispatch-to-entry latency, compute = gather + replay
                 tracer.add_span(

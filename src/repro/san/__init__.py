@@ -2,12 +2,12 @@
 
 reprolint (:mod:`repro.lint`) proves the *compiled schedules* conflict-free
 statically; reprosan verifies the *execution*. When activated (ambiently,
-like the tracer), the Hogwild executors route their wave kernels through a
-thin instrumented wrapper that records per-worker shadow access logs and
-runs sampled numeric checks; a post-fit checker then detects within-wave
-write overlaps, cross-shard ownership violations, non-finite factors, and
-leaked BlockStore mmaps — and quantifies the benign
-cross-worker race rate the HOGWILD! argument tolerates.
+like the tracer), the Hogwild executors run their waves through the one
+Python wave loop, which records one shadow access-log entry per
+worker-epoch and runs sampled numeric checks; a post-fit checker then
+detects within-wave write overlaps, cross-shard ownership violations,
+non-finite factors, and leaked BlockStore mmaps — and quantifies the
+benign cross-worker race rate the HOGWILD! argument tolerates.
 
 Usage::
 
@@ -28,7 +28,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "core": ("MODES", "Sanitizer", "activate_sanitizer", "active_sanitizer",
-             "instrument_kernel", "sanitizer_from_mode"),
+             "sanitizer_from_mode"),
     "errors": ("SanFinding", "SanitizerError"),
     "races": ("AccessLog", "analyze_log"),
     "lifecycle": ("LifecycleTracker",),

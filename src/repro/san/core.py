@@ -1,4 +1,4 @@
-"""reprosan core: the Sanitizer, ambient activation, kernel instrumentation.
+"""reprosan core: the Sanitizer and its ambient activation.
 
 A :class:`Sanitizer` is activated ambiently (contextvar, mirroring
 ``repro.obs.context``) so the executors — serial
@@ -14,12 +14,14 @@ without plumbing a parameter through every constructor:
 Three check families, toggled by mode:
 
 ``races``
-    Every instrumented kernel call appends (worker, epoch, wave,
-    row-range) to a shadow :class:`~repro.san.races.AccessLog`; a
-    post-fit :func:`~repro.san.races.analyze_log` pass detects
-    within-wave write overlaps, cross-shard ownership violations and
-    quantifies the benign cross-worker race rate. Also enables the
-    BlockStore mmap lifecycle ledger.
+    Every worker-epoch of waves (:func:`~repro.backends.base.replay_waves`)
+    is one record of its bound ``(n_waves, width)`` index views, and
+    every out-of-core block one record of its ids, in a shadow
+    :class:`~repro.san.races.AccessLog`; a post-fit
+    :func:`~repro.san.races.analyze_log` pass detects within-wave write
+    overlaps, cross-shard ownership violations and quantifies the benign
+    cross-worker race rate. Also enables the BlockStore mmap lifecycle
+    ledger.
 
 ``numeric``
     Sampled NaN/Inf/overflow checks on kernel residuals, an fp64-leak
@@ -44,7 +46,6 @@ __all__ = [
     "Sanitizer",
     "activate_sanitizer",
     "active_sanitizer",
-    "instrument_kernel",
     "sanitizer_from_mode",
 ]
 
@@ -88,74 +89,16 @@ def sanitizer_from_mode(mode: str | None):
     return Sanitizer(mode)
 
 
-def instrument_kernel(inner, san, wid: int, epoch: int):
-    """Wrap a bound wave-update kernel for one worker's epoch.
-
-    Mirrors the kernel calling convention exactly
-    (``(p, q, rows, cols, vals, lr, lam_p, lam_q) -> err``) so executors
-    can substitute the wrapper for the callable ``backend.bind(ws)``
-    returned. Returns a mode-specialized closure — closure-cell loads
-    beat attribute lookups and the dead mode's branch disappears
-    entirely, which matters at one Python-level call per (wave, lane).
-
-    Race mode does one list append of *views* per call (the index
-    buffers are bundled into copies at the next epoch-boundary
-    :meth:`~repro.san.races.AccessLog.seal`, one vectorized pass instead
-    of two copies per wave); numeric mode runs the fp64-leak probe on
-    the first call and a residual check one call in ``sample_stride``.
-    Per-worker state (the wave counter) lives in the closure, unshared.
-    """
-    from repro.san.races import KIND_WAVE
-
-    entries = san.race_log.entries if san.check_races else None
-    sentry = san.numeric if san.check_numeric else None
-    kind_code = KIND_WAVE
-    stride = san.numeric.sample_stride
-    wave = 0
-
-    if sentry is None:
-        def wrapped(p, q, rows, cols, vals, lr, lam_p, lam_q):
-            nonlocal wave
-            err = inner(p, q, rows, cols, vals, lr, lam_p, lam_q)
-            entries.append((wid, epoch, wave, kind_code, rows, cols))
-            wave += 1
-            return err
-    elif entries is None:
-        def wrapped(p, q, rows, cols, vals, lr, lam_p, lam_q):
-            nonlocal wave
-            err = inner(p, q, rows, cols, vals, lr, lam_p, lam_q)
-            if not wave % stride:
-                if not wave:
-                    sentry.check_dtypes(p, q, err, wid, epoch)
-                sentry.check_wave(err, wid, epoch, wave)
-            wave += 1
-            return err
-    else:
-        def wrapped(p, q, rows, cols, vals, lr, lam_p, lam_q):
-            nonlocal wave
-            err = inner(p, q, rows, cols, vals, lr, lam_p, lam_q)
-            entries.append((wid, epoch, wave, kind_code, rows, cols))
-            if not wave % stride:
-                if not wave:
-                    sentry.check_dtypes(p, q, err, wid, epoch)
-                sentry.check_wave(err, wid, epoch, wave)
-            wave += 1
-            return err
-
-    wrapped.san = san
-    wrapped.wid = wid
-    wrapped.epoch = epoch
-    return wrapped
-
-
 class Sanitizer:
     """Runtime race/numeric/lifecycle sanitizer for the Hogwild executors.
 
-    Cheap to carry: executors call :meth:`wave_kernel` to wrap their
-    bound kernels, :meth:`epoch_end` after each epoch, and the driver
-    calls :meth:`finalize` once after fit to run the post-hoc analyses
-    and obtain the :class:`~repro.san.report.SanReport`. Keyword
-    arguments (``err_limit``, ``sample_stride``) configure the
+    Cheap to carry: executors call :meth:`begin_epoch` before they bind
+    an epoch's waves, hand it to :func:`~repro.backends.base.replay_waves`
+    (sampled checks plus one :meth:`epoch_executed` record per worker),
+    call :meth:`epoch_end` after each epoch, and whoever ran the fit
+    calls :meth:`finalize` once after it to run the post-hoc analyses and
+    obtain the :class:`~repro.san.report.SanReport`. Keyword arguments
+    (``err_limit``, ``sample_stride``) configure the
     :class:`~repro.san.numeric.NumericSentry`.
 
     The check machinery is imported here, not with the module: every
@@ -187,35 +130,18 @@ class Sanitizer:
         self._epoch_by_wid: dict[int, int] = {}
 
     # -- executor hooks --------------------------------------------------
-    def wave_kernel(self, inner, wid: int = 0, epoch: int | None = None):
-        """Wrap a bound kernel for one worker's epoch
-        (:func:`instrument_kernel`).
+    def begin_epoch(self, wid: int = 0, epoch: int | None = None) -> int:
+        """Seal the log and set this worker's epoch (default: advance it).
 
-        When ``epoch`` is omitted it auto-increments per worker, matching
-        executors that rebind kernels once per epoch. Seals the access
-        log first: kernels append views of the executor's index buffers,
-        which the upcoming epoch's re-gather would overwrite.
+        Call before binding an epoch's waves, and only while no worker
+        runs: the previous epoch's recorded views must be bundled before
+        a regather rewrites them. A threaded executor calls it once, from
+        its dispatching thread, with the epoch all its workers share.
         """
         if self.check_races:
             self.race_log.seal()
         if epoch is None:
             epoch = self._epoch_by_wid.get(wid, 0) + 1
-        self._epoch_by_wid[wid] = epoch
-        return instrument_kernel(inner, self, wid, epoch)
-
-    def begin_epoch(self, wid: int = 0) -> int:
-        """Seal the log and advance this worker's epoch counter.
-
-        The entry hook for executors that instrument *inline* (sampled
-        checks in their own wave loop plus one
-        :meth:`~repro.san.races.AccessLog.record_epoch` capture) rather
-        than routing kernels through :meth:`wave_kernel`. Call before
-        re-binding workspace buffers: the previous epoch's recorded
-        views must be bundled before a regather rewrites them.
-        """
-        if self.check_races:
-            self.race_log.seal()
-        epoch = self._epoch_by_wid.get(wid, 0) + 1
         self._epoch_by_wid[wid] = epoch
         return epoch
 
@@ -223,11 +149,10 @@ class Sanitizer:
         self, rows_w, cols_w, lengths, *, wid: int = 0,
         epoch: int | None = None, kind: str = "wave",
     ) -> None:
-        """Record a whole epoch's wave-major coverage (race mode).
+        """Record one worker's whole epoch of waves (race mode).
 
-        O(1) capture for executors whose epoch coverage already exists
-        as one ``(n_waves, width)`` gather — the serial hot path's
-        zero-per-wave-cost alternative to :meth:`wave_kernel`.
+        O(1): the ``(n_waves, width)`` gather the worker's waves ran from
+        *is* its write set, so the wave loop pays nothing per wave.
         """
         if self.check_races:
             if epoch is None:

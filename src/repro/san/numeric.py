@@ -6,12 +6,12 @@ than crash. That contract makes silent corruption possible everywhere
 else — which is exactly what this sentry, opt-in via ``--sanitize``,
 turns back into a hard, located error:
 
-* every ``sample_stride``-th instrumented kernel call checks the wave's
-  error vector for non-finite values and overflow-risk magnitudes;
+* one wave in every ``sample_stride`` of each worker's epoch has its
+  error vector checked for non-finite values and overflow-risk magnitudes;
 * at each epoch end the executors hand the full P/Q matrices over for a
   deterministic non-finite sweep (so an injected NaN is caught on the
   epoch it appears, regardless of sampling);
-* the first call per (worker, epoch) verifies no fp64 leaked into the
+* the first wave per (worker, epoch) verifies no fp64 leaked into the
   fp32 kernel path (factors and error vector dtype);
 * out-of-core staging verifies each block's ratings are finite before
   compute consumes them.
@@ -43,7 +43,7 @@ class NumericSentry:
     """Sampled numeric checks over kernel outputs and gradient magnitudes.
 
     Thread-safe by construction: per-wave state lives in each worker's
-    :func:`~repro.san.core.instrument_kernel` closure; this object only
+    own :func:`~repro.backends.base.replay_waves` frame; this object only
     accumulates counters under a lock on the (sampled) slow path.
     """
 

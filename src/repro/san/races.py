@@ -1,10 +1,12 @@
 """Race sanitizer: shadow access logs + the post-fit overlap checker.
 
-Every instrumented kernel call appends one compact entry — ``(worker,
-epoch, wave, rows, cols)`` — to an :class:`AccessLog`. After the fit the
-checker replays the log and verifies the batch-Hogwild! execution
-contract the static schedule checks (:mod:`repro.lint.races`) can only
-prove about the *compiled plan*, not about what the workers actually ran:
+Each worker-epoch of waves appends one record of its bound
+``(n_waves, width)`` row/column views, and each out-of-core block one
+``(worker, epoch, block, rows, cols)`` entry, to an :class:`AccessLog`.
+After the fit the checker replays the log and verifies the
+batch-Hogwild! execution contract the static schedule checks
+(:mod:`repro.lint.races`) can only prove about the *compiled plan*, not
+about what the workers actually ran:
 
 * **exactly-once / ownership** — every ``(row, col)`` sample executes
   exactly once per epoch, by exactly one worker. A sample seen under two
@@ -50,11 +52,12 @@ _MAX_EXAMPLES = 3
 
 
 class AccessLog:
-    """Per-worker shadow log of P/Q row writes, one entry per kernel call.
+    """Per-worker shadow log of P/Q row writes: one record per worker-epoch
+    of waves, one entry per out-of-core block.
 
-    Appends are O(copy of the wave's index arrays) and GIL-atomic, so
-    thread executors share one log without locking (each thread appends
-    its own entries; the list itself is the only shared structure).
+    Appends are GIL-atomic, so thread executors share one log without
+    locking (each thread appends its own records; the lists themselves
+    are the only shared structure).
     """
 
     __slots__ = ("entries", "_epoch_entries", "_sealed")
@@ -63,7 +66,7 @@ class AccessLog:
         #: (wid, epoch, wave, kind_code, rows_i32, cols_i32) tuples
         self.entries: list[tuple] = []
         #: (wid, epoch, kind_code, rows_w, cols_w, lengths) whole-epoch
-        #: records from inline executors (:meth:`record_epoch`)
+        #: records (:meth:`record_epoch`)
         self._epoch_entries: list[tuple] = []
         #: flat bundles of the entries :meth:`seal` has flattened
         self._sealed: list[dict] = []
@@ -77,8 +80,9 @@ class AccessLog:
         cols: np.ndarray,
         kind: str = "wave",
     ) -> None:
-        """Append one kernel call's write set (copies — safe for callers
-        whose index buffers recycle immediately, e.g. staging slots)."""
+        """Append one kernel call's write set, such as an out-of-core
+        block's (copies — safe for callers whose index buffers recycle
+        immediately, e.g. staging slots)."""
         self.entries.append(
             (
                 wid, epoch, wave, _KIND_CODES[kind],
@@ -99,12 +103,10 @@ class AccessLog:
         """Record one executor epoch's full wave-major coverage in O(1).
 
         ``rows_w``/``cols_w`` are the ``(n_waves, width)`` gathered index
-        matrices the serial executor feeds its kernels (views into
-        workspace buffers — the caller must :meth:`seal` before the next
-        bind regathers them) and ``lengths`` the per-wave live widths:
-        wave ``t``'s write set is ``rows_w[t, :lengths[t]]``. This is the
-        zero-per-wave-cost capture path for executors whose epoch
-        coverage already exists as one matrix.
+        matrices a worker's wave loop fed its kernel (views into its
+        workspace — the caller must :meth:`seal` before the next bind
+        regathers them) and ``lengths`` the per-wave live widths: wave
+        ``t``'s write set is ``rows_w[t, :lengths[t]]``.
         """
         self._epoch_entries.append(
             (
@@ -114,19 +116,18 @@ class AccessLog:
         )
 
     def seal(self) -> None:
-        """Flatten pending entries into immutable bundles.
+        """Flatten pending records into immutable bundles.
 
-        The hot paths (:func:`~repro.san.core.instrument_kernel`,
-        :meth:`record_epoch`) append *views* of the executor's gathered
-        index buffers — near-free per wave. Those buffers are rewritten
-        when the next epoch re-gathers, so the coordinator must
-        ``seal()`` at every epoch boundary (the ``Sanitizer`` hooks do):
-        one vectorized pass per epoch replaces two small copies per
-        wave. Not thread-safe — call only while no worker is appending.
+        :meth:`record_epoch` keeps *views* of each worker's gathered index
+        buffers, which its next bind rewrites, so the coordinator must
+        ``seal()`` at every epoch boundary, before the workers rebind
+        (:meth:`~repro.san.core.Sanitizer.begin_epoch` and ``epoch_end``
+        do): one vectorized pass per worker-epoch instead of two small
+        copies per wave. Not thread-safe — call only while no worker is
+        appending.
         """
         if self.entries:
             self._sealed.append(self._bundle_entries())
-            # in place: live instrumented kernels cache a reference
             self.entries.clear()
         if self._epoch_entries:
             for entry in self._epoch_entries:
@@ -156,12 +157,9 @@ class AccessLog:
 
     # -- flattening -----------------------------------------------------
     def _bundle_entries(self) -> dict:
-        """Pending entries as one flat bundle (one vectorized pass).
-
-        Hot by proxy: runs once per epoch over every wave the epoch
-        executed, so it transposes the entry tuples in a single
-        ``zip`` pass and lets ``np.concatenate(dtype=...)`` coerce the
-        index buffers in one C call instead of per-entry ``asarray``.
+        """Pending entries as one flat bundle (one vectorized pass): the
+        entry tuples transposed in a single ``zip`` pass, the index
+        buffers coerced by one ``np.concatenate(dtype=...)`` call.
         """
         wids, epochs, waves, kinds, rows, cols = zip(*self.entries)
         widths = np.fromiter(map(len, rows), np.int64, len(rows))

@@ -9,8 +9,8 @@
 * :mod:`repro.sched.ordering` — feasible block-update-order enumeration,
   reproducing the 8-of-24 example of Fig. 15.
 * :mod:`repro.sched.plan` — compiled epoch plans: the batch-Hogwild! wave
-  schedule as one cached index matrix, and the conflict-free serial
-  segmentation behind per-worker replay.
+  schedule over one shuffled order (laid out wave-major on request), and
+  the conflict-free serial segmentation behind per-worker replay.
 """
 
 from repro._lazy import lazy_exports

@@ -7,11 +7,11 @@ NumPy buffers that are cached across epochs:
 
 * :class:`EpochPlan` — the batch-Hogwild! layout (§5.1). One epoch is the
   shuffled sample permutation plus arithmetic: a compiled kernel stages
-  its waves straight from the permutation, and the padded ``(n_waves, s)``
-  int64 wave matrix the Python wave loops walk is built by a vectorized
-  reshape/transpose on first read. Under ``shuffle_each_epoch`` the
-  permutation is re-shuffled **in place**; the matrix, when read again, is
-  refilled without reallocating.
+  its waves straight from the permutation, and
+  :meth:`EpochPlan.positions` lays any lane range out wave-major into a
+  buffer its caller owns, for the consumers that walk waves in Python.
+  Under ``shuffle_each_epoch`` the permutation is re-shuffled **in
+  place**.
 * :class:`SerialPlan` — the serial-equivalent layout used inside one
   worker's chunk (wavefront grid blocks, LIBMF/NOMAD baselines): the greedy
   conflict-free segmentation of a sample sequence, materialized as
@@ -28,7 +28,6 @@ executors surface it through ``repro.obs`` as per-epoch extras.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,7 @@ class PlanStats:
     """Plan-compilation counters, surfaced as ``repro.train.extra.plan_*``.
 
     ``compiles``
-        plans built over a new order (the wave matrix waits for a read);
+        plans built over a new order;
     ``repermutes``
         in-place epoch re-shuffles (O(nnz), no allocation);
     ``cache_hits``
@@ -64,34 +63,29 @@ class PlanStats:
 class PlanShard:
     """One executor's static slice of an :class:`EpochPlan`'s worker lanes.
 
-    The plan assigns one *logical* worker per lane (a column of its
-    ``(n_waves, s)`` wave matrix); a shard owns the contiguous run of lanes
-    ``[col_lo, col_hi)``. OS threads each take one shard and walk every
-    wave, executing only their own lanes — so within a wave the shards
-    race for real, exactly the batch-Hogwild! concurrency the plan encodes,
-    while each shard's intra-lane order stays the plan's serial order.
-    Padding only ever shortens a wave from the right, so the live lane
-    count of wave ``i`` inside this shard is
-    ``clip(lengths[i] - col_lo, 0, width)``.
+    The plan assigns one *logical* worker per lane; a shard owns the
+    contiguous run of lanes ``[col_lo, col_hi)``. OS threads each take one
+    shard and walk every wave, executing only their own lanes — so within
+    a wave the shards race for real, exactly the batch-Hogwild!
+    concurrency the plan encodes, while each shard's intra-lane order
+    stays the plan's serial order. Padding only ever shortens a wave from
+    the right, so the live lane count of wave ``i`` inside this shard is
+    ``lengths[i] = clip(plan.lengths[i] - col_lo, 0, width)``.
 
     A shard is a plan in its own right for
-    :meth:`~repro.core.kernels.WaveWorkspace.bind_plan`: ``matrix`` is its
-    columns of the wave matrix, ``lengths`` its per-wave live widths, and
-    ``version`` the plan version it was cut for. A shard of an
-    :class:`EpochPlan` keeps the ``plan`` itself, whose ``order`` a
-    compiled kernel replays without any matrix; one :meth:`cut` from a
-    hand-built matrix has no plan. Cut afresh after the plan is
-    re-permuted.
+    :meth:`~repro.core.kernels.WaveWorkspace.bind_plan` and the backends'
+    ``replay``: they read its ``plan``'s ``order`` (a compiled kernel) or
+    lay its lanes out with :meth:`EpochPlan.positions`. ``version`` is the
+    plan version it was cut for; cut afresh after the plan is re-permuted.
     """
 
     index: int
     col_lo: int
     col_hi: int
-    lengths: np.ndarray | None = field(default=None, repr=False)
-    version: int = 0
-    #: the plan whose lanes these are; None for a shard cut from a matrix
-    plan: "EpochPlan | None" = field(default=None, repr=False)
-    cut_matrix: np.ndarray | None = field(default=None, repr=False)
+    lengths: np.ndarray = field(repr=False)
+    version: int
+    #: the plan whose lanes these are
+    plan: "EpochPlan" = field(repr=False)
 
     @property
     def width(self) -> int:
@@ -100,23 +94,6 @@ class PlanShard:
     @property
     def n_waves(self) -> int:
         return len(self.lengths)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """This shard's columns of the ``(n_waves, s)`` wave matrix."""
-        if self.plan is None:
-            return self.cut_matrix
-        return self.plan.matrix[:, self.col_lo : self.col_hi]
-
-    def cut(
-        self, matrix: np.ndarray, lengths: np.ndarray, version: int = 0
-    ) -> "PlanShard":
-        """This shard's lanes of a compiled ``(n_waves, s)`` wave matrix."""
-        lo, hi = self.col_lo, self.col_hi
-        return PlanShard(
-            self.index, lo, hi, np.clip(lengths - lo, 0, hi - lo), version,
-            cut_matrix=matrix[:, lo:hi],
-        )
 
 
 def _wave_lengths(nnz: int, workers: int, f: int) -> np.ndarray:
@@ -144,23 +121,22 @@ class EpochPlan:
     lanes per wave; the tail group only shortens waves from the right) is
     arithmetic, and a compiled kernel stages each group straight from
     ``order`` (:meth:`~repro.backends.c_backend.CBackend.replay`).
+    :meth:`positions` lays lanes out wave-major for the consumers that walk
+    waves in Python, into a buffer each of them owns.
 
-    :attr:`matrix` is the same schedule as one ``(n_waves, s)`` int64 matrix
-    (row = wave, ``-1`` pads trailing slots, so ``matrix[i, :lengths[i]]``
-    is wave ``i`` exactly as the legacy per-wave list builder produced it)
-    for the consumers that walk waves in Python. It is filled from
-    ``order`` on its first read after each :meth:`repermute`, under a lock,
-    since several worker threads may read their shards' columns at once,
-    and always into the same buffer.
-
-    The plan shares ``order`` with its owner, who shuffles it through
-    :meth:`repermute`.
+    A plan is also its own full-width shard (``plan``, ``col_lo`` and
+    ``col_hi`` as on :class:`PlanShard`), so executors hand either to a
+    backend. The plan shares ``order`` with its owner, who shuffles it
+    through :meth:`repermute`.
     """
 
     __slots__ = (
         "workers", "f", "nnz", "order", "stats", "version", "lengths",
-        "n_waves", "width", "_full", "_filled", "_lock",
+        "n_waves", "width",
     )
+
+    #: first lane of the plan as a shard
+    col_lo = 0
 
     def __init__(
         self,
@@ -183,44 +159,52 @@ class EpochPlan:
         self.lengths = _wave_lengths(self.nnz, self.workers, self.f)
         self.n_waves = len(self.lengths)
         self.version = 1
-        #: the wave matrix, allocated on first read
-        self._full: np.ndarray | None = None
-        #: the version the wave matrix holds (0: none yet)
-        self._filled = 0
-        self._lock = threading.Lock()
         self.stats.compiles += 1
 
-    # ------------------------------------------------------------------
     @property
-    def matrix(self) -> np.ndarray:
-        """The ``(n_waves, s)`` wave matrix of the current :attr:`version`."""
-        if self._filled != self.version:
-            with self._lock:
-                if self._filled != self.version:
-                    self._fill()
-        return self._full
+    def plan(self) -> "EpochPlan":
+        return self
 
-    def _fill(self) -> None:
-        """Lay ``order`` out wave-major: one strided transpose copy of the
-        full groups, and the tail group's lanes with ``-1`` padding."""
-        if self._full is None:
-            self._full = np.empty((self.n_waves, self.workers), np.int64)  # lint: hotpath-alloc -- grow-once: allocated on first read, refilled in place
-        s, f = self.workers, self.f
+    @property
+    def col_hi(self) -> int:
+        return self.width
+
+    # ------------------------------------------------------------------
+    def positions(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Lay lanes ``[lo, hi)`` of the current :attr:`version` out
+        wave-major into ``out`` and return it.
+
+        ``out`` is a C-contiguous ``(n_waves, hi - lo)`` int64 array; row
+        ``i`` receives wave ``i``'s sample positions in those lanes and
+        ``-1`` in the slots past its live lanes (padding only trims a wave
+        from the right). The full groups are one strided transpose copy;
+        the tail group's whole lanes one more, its partial lane a slice.
+        """
+        s, f, width = self.workers, self.f, hi - lo
+        if not (0 <= lo <= hi <= s and out.shape == (self.n_waves, width)
+                and out.flags.c_contiguous):
+            raise ValueError(
+                f"lanes [{lo}, {hi}) of a {s}-lane plan need a C-contiguous "
+                f"({self.n_waves}, {max(width, 0)}) buffer, got {out.shape}"
+            )
         groups, rem = divmod(self.nnz, s * f)
         body = groups * s * f
         np.copyto(
-            self._full[: groups * f].reshape(groups, f, s),
-            self.order[:body].reshape(groups, s, f).transpose(0, 2, 1),
+            out[: groups * f].reshape(groups, f, width),
+            self.order[:body].reshape(groups, s, f)[:, lo:hi].transpose(0, 2, 1),
         )
         if rem:
-            tail = self._full[groups * f :]
+            tail = out[groups * f :]
             tail.fill(-1)
             lanes, part = divmod(rem, f)
-            if lanes:  # then the tail spans all f waves
-                np.copyto(tail[:, :lanes], self.order[body : body + lanes * f]
-                          .reshape(lanes, f).T)
-            tail[:part, lanes] = self.order[body + lanes * f :]
-        self._filled = self.version
+            whole = min(lanes, hi)  # then the tail spans all f waves
+            if whole > lo:
+                np.copyto(tail[:, : whole - lo],
+                          self.order[body + lo * f : body + whole * f]
+                          .reshape(whole - lo, f).T)
+            if part and lo <= lanes < hi:
+                tail[:part, lanes - lo] = self.order[body + lanes * f :]
+        return out
 
     def repermute(self, rng: np.random.Generator) -> None:
         """Shuffle the shared ``order`` in place: a new :attr:`version`.
@@ -244,19 +228,13 @@ class EpochPlan:
     def n_samples(self) -> int:
         return self.nnz
 
-    def wave(self, i: int) -> np.ndarray:
-        """Wave ``i`` as an index view (no copy) into the wave matrix."""
-        return self.matrix[i, : self.lengths[i]]
-
-    def iter_waves(self):
-        """Yield every wave as an int64 index view, in execution order."""
-        matrix = self.matrix
-        for i, length in enumerate(self.lengths.tolist()):
-            yield matrix[i, :length]
-
     def wave_arrays(self) -> list[np.ndarray]:
-        """Materialize the schedule as independent per-wave arrays (copies)."""
-        return [self.wave(i).copy() for i in range(self.n_waves)]
+        """The schedule as per-wave position arrays, independent of the
+        plan (views into one fresh layout)."""
+        layout = self.positions(
+            0, self.width, np.empty((self.n_waves, self.width), np.int64)
+        )
+        return [row[:n] for row, n in zip(layout, self.lengths.tolist())]
 
     def shard(self, n_shards: int) -> list[PlanShard]:
         """Partition the plan's *live* worker lanes into ``n_shards`` shards.

@@ -32,7 +32,6 @@ from repro.backends import (
     BackendVerificationError,
     available_backends,
     backend_status,
-    estimate_memory_bytes,
     get_backend,
     verify_backend,
 )
@@ -108,14 +107,6 @@ class TestRegistryResolution:
         registry dispatch adds literally nothing to the hot loop."""
         ws = WaveWorkspace()
         assert get_backend("numpy").bind(ws) == ws.wave_update
-
-    def test_estimate_memory_scales_sanely(self):
-        small = estimate_memory_bytes(1000, 800, 16, 10_000)
-        big = estimate_memory_bytes(1000, 800, 16, 1_000_000)
-        assert 0 < small < big
-        assert estimate_memory_bytes(
-            1000, 800, 16, 10_000, n_workers=4
-        ) > small
 
 
 class TestNumpyBitIdentity:
@@ -276,14 +267,12 @@ class TestCBackend:
         for bit, through the 8-wide body alone (k = 8) and with a scalar
         tail (k = 13). Inputs: a whole plan and each of its three thread
         shards; a plan whose last group is partial (twelve full lanes and
-        one of eight samples); one of 100 samples, which fills 7 of its 32
-        lanes and leaves the rest empty in every wave; and a shard cut
-        from the wave matrix, with no order behind it, which replays wave
-        by wave."""
+        one of eight samples); and one of 100 samples, which fills 7 of
+        its 32 lanes and leaves the rest empty in every wave."""
         from repro.backends import replay_waves
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
-        from repro.sched.plan import EpochPlan, PlanShard
+        from repro.sched.plan import EpochPlan
 
         backend = get_backend("c")
         if half and not backend.fp16:
@@ -295,9 +284,8 @@ class TestCBackend:
         small = EpochPlan(order[:100], 32, 16)
         assert int(small.lengths.max()) == 7
         args = (train.rows, train.cols, train.vals, 0.05, 0.02, 0.02)
-        cut = PlanShard(0, 5, 29).cut(ragged.matrix, ragged.lengths)
         for shard in (plan, *plan.shard(3), ragged, *ragged.shard(3),
-                      small, *small.shard(2), cut):
+                      small, *small.shard(2)):
             models = [FactorModel.initialize(train.n_rows, train.n_cols, k,
                                              seed=4, half_precision=half)
                       for _ in range(2)]

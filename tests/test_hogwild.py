@@ -6,6 +6,19 @@ import pytest
 from repro.core.hogwild import BatchHogwild
 from repro.core.model import FactorModel
 from repro.metrics.rmse import rmse
+from repro.obs import TelemetryCollector
+from repro.obs.registry import M
+
+
+def _epoch_collision_rate(sched, problem) -> float:
+    """Mean Eq. 6 wave collision fraction of one epoch, every wave
+    sampled."""
+    model = FactorModel.initialize(problem.spec.m, problem.spec.n, 8, seed=0)
+    collector = TelemetryCollector(kernel_sample_every=1)
+    sched.run_epoch(model, problem.train, 0.05, 0.05, hooks=collector)
+    hist = collector.registry.get(M.KERNEL_WAVE_COLLISION_FRACTION)
+    assert hist.total == sched.compiled_plan(problem.train.nnz).n_waves
+    return collector.conflict_rate
 
 
 class TestWaveConstruction:
@@ -85,23 +98,16 @@ class TestEpoch:
         assert rmse(p, q, tiny_problem.test) < before
 
     def test_collision_tracking(self, tiny_problem):
-        sched = BatchHogwild(workers=64, f=16, seed=0, track_collisions=True)
-        model = FactorModel.initialize(
-            tiny_problem.spec.m, tiny_problem.spec.n, 8, seed=0
-        )
-        sched.run_epoch(model, tiny_problem.train, 0.05, 0.05)
-        assert len(sched.collision_history) == 1
-        assert 0.0 <= sched.collision_history[0] < 0.5
+        sched = BatchHogwild(workers=64, f=16, seed=0)
+        rate = _epoch_collision_rate(sched, tiny_problem)
+        assert 0.0 <= rate < 0.5
 
     def test_more_workers_more_collisions(self, tiny_problem):
-        fracs = []
-        for workers in (8, 128):
-            sched = BatchHogwild(workers=workers, f=16, seed=0, track_collisions=True)
-            model = FactorModel.initialize(
-                tiny_problem.spec.m, tiny_problem.spec.n, 8, seed=0
-            )
-            sched.run_epoch(model, tiny_problem.train, 0.05, 0.05)
-            fracs.append(sched.collision_history[0])
+        fracs = [
+            _epoch_collision_rate(BatchHogwild(workers=workers, f=16, seed=0),
+                                  tiny_problem)
+            for workers in (8, 128)
+        ]
         assert fracs[1] > fracs[0]
 
     def test_f_insensitive_convergence(self, tiny_problem):

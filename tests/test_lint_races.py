@@ -9,6 +9,8 @@ Two directions, both load-bearing:
   strategy here is constructed to guarantee a genuine violation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +99,7 @@ def test_oversized_segment_is_caught():
 
 
 # ---------------------------------------------------------------------------
-# EpochPlan: compiled plans verify; corrupted matrices are caught
+# EpochPlan: compiled plans verify; corrupted layouts are caught
 # ---------------------------------------------------------------------------
 @given(
     nnz=st.integers(1, 400),
@@ -113,25 +115,44 @@ def test_compiled_epoch_plans_schedule_exactly_once(nnz, workers, seed):
     assert check_epoch_plan(plan) == []
 
 
+def _tampered(plan, edit):
+    """A stand-in for ``plan`` whose layout is ``plan``'s with ``edit``
+    applied to it."""
+    matrix = plan.positions(
+        0, plan.width, np.empty((plan.n_waves, plan.width), np.int64))
+    edit(matrix)
+    return SimpleNamespace(
+        order=plan.order, lengths=plan.lengths, width=plan.width,
+        n_waves=plan.n_waves, nnz=plan.nnz,
+        positions=lambda lo, hi, out: matrix[:, lo:hi],
+    )
+
+
 @given(nnz=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_corrupted_epoch_plan_is_caught(nnz, seed):
     rng = np.random.default_rng(seed)
     plan = EpochPlan(rng.permutation(nnz).astype(np.int64), workers=4, f=3)
-    plan.matrix[0, 0] = -1  # padding where a live sample belongs
-    violations = check_epoch_plan(plan)
+
+    def pad_live_slot(matrix):  # padding where a live sample belongs
+        matrix[0, 0] = -1
+
+    violations = check_epoch_plan(_tampered(plan, pad_live_slot))
     assert any("padding inside" in v for v in violations)
 
 
 def test_duplicated_epoch_sample_is_caught():
     rng = np.random.default_rng(0)
     plan = EpochPlan(rng.permutation(20).astype(np.int64), workers=4, f=3)
-    live = plan.matrix[0, : int(plan.lengths[0])]
-    other = plan.matrix[-1, 0]
-    if other == live[0]:  # pragma: no cover - layout-dependent guard
-        other = plan.matrix[-1, int(plan.lengths[-1]) - 1]
-    plan.matrix[0, 0] = other  # sample applied twice, another dropped
-    violations = check_epoch_plan(plan)
+
+    def duplicate(matrix):  # sample applied twice, another dropped
+        live = matrix[0, : int(plan.lengths[0])]
+        other = matrix[-1, 0]
+        if other == live[0]:  # pragma: no cover - layout-dependent guard
+            other = matrix[-1, int(plan.lengths[-1]) - 1]
+        matrix[0, 0] = other
+
+    violations = check_epoch_plan(_tampered(plan, duplicate))
     assert any("multiset mismatch" in v for v in violations)
 
 

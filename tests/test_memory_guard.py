@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 from repro.backends import c_backend, get_backend
+from repro.core.hogwild import BatchHogwild
 from repro.core.trainer import CuMFSGD
 from repro.data.synthetic import SCALED_DATASETS, make_synthetic
 
@@ -34,6 +35,17 @@ def _traced_peak(fn) -> int:
 @pytest.fixture(scope="module")
 def netflix_syn():
     return make_synthetic(SPEC, seed=0)
+
+
+def test_first_plan_holds_one_order(netflix_syn):
+    """A fit's first plan draws the shuffled order and keeps it: one int64
+    per sample, not a second copy of the draw."""
+    nnz = netflix_syn.train.nnz
+    sched = BatchHogwild(workers=128, f=256, seed=0)
+    plans = []
+    peak = _traced_peak(lambda: plans.append(sched.compiled_plan(nnz)))
+    assert plans[0].order.nbytes == 8 * nnz
+    assert peak < 1.25 * 8 * nnz
 
 
 def test_generator_peak_per_sample():

@@ -212,7 +212,10 @@ class _PoisonShardOnce(NumpyBackend):
         if shard.index == 1:
             self.shard1_calls += 1
             if self.shard1_calls == 2:
-                p[rows[shard.matrix[shard.matrix >= 0]]] = np.nan
+                lanes = shard.plan.positions(
+                    shard.col_lo, shard.col_hi,
+                    np.empty((shard.n_waves, shard.width), np.int64))
+                p[rows[lanes[lanes >= 0]]] = np.nan
         return updates
 
 

@@ -73,15 +73,17 @@ class TestPlanShard:
                 assert prev.col_hi == cur.col_lo  # contiguous, disjoint
             assert sum(s.width for s in shards) == plan.width
             # per wave: the live slices re-cover exactly the wave's samples
+            matrix = plan.positions(
+                0, plan.width, np.empty((plan.n_waves, plan.width), np.int64))
             for i, length in enumerate(plan.lengths.tolist()):
                 seen = []
                 for s in shards:
                     live = int(s.lengths[i])
                     # padding trims from the right: clip to the shard's lanes
                     assert live == min(max(length - s.col_lo, 0), s.width)
-                    seen.append(plan.matrix[i, s.col_lo : s.col_lo + live])
+                    seen.append(matrix[i, s.col_lo : s.col_lo + live])
                 wave = np.concatenate(seen)
-                assert np.array_equal(wave, plan.matrix[i, :length])
+                assert np.array_equal(wave, matrix[i, :length])
 
     def test_single_shard_spans_full_width(self, rng):
         plan = EpochPlan(rng.permutation(64).astype(np.int64), workers=4, f=4)

@@ -1,7 +1,7 @@
 """Tests for repro.sched.plan: compiled epoch plans and workspace kernels.
 
 The contract under test is *numerical invisibility*: compiling an epoch's
-wave schedule into an :class:`EpochPlan` matrix and running the kernels
+wave schedule into an :class:`EpochPlan` and running the kernels
 through a :class:`WaveWorkspace` must reproduce the legacy per-wave
 implementation bit for bit — same RNG draws, same update order, same fp32
 results. The legacy reference loops are embedded here verbatim so the
@@ -10,12 +10,10 @@ executors can never drift away from them unnoticed.
 
 from __future__ import annotations
 
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adagrad import AdaGradHogwild
 from repro.core.hogwild import BatchHogwild
@@ -83,6 +81,12 @@ class LegacyBatchHogwild:
         return updates
 
 
+def layout(plan, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Lanes ``[lo, hi)`` (default: all) of ``plan``, wave-major."""
+    hi = plan.width if hi is None else hi
+    return plan.positions(lo, hi, np.empty((plan.n_waves, hi - lo), np.int64))
+
+
 # ----------------------------------------------------------------------
 # EpochPlan structure
 # ----------------------------------------------------------------------
@@ -96,11 +100,11 @@ class TestEpochPlan:
         plan = EpochPlan(order, workers, f)
         legacy = legacy_wave_indices(order, workers, f)
         assert plan.n_waves == len(legacy)
+        matrix = layout(plan)
         for i, wave in enumerate(legacy):
-            assert np.array_equal(plan.wave(i), wave)
-        for got, want in zip(plan.iter_waves(), legacy):
-            assert np.array_equal(got, want)
+            assert np.array_equal(matrix[i, : plan.lengths[i]], wave)
         arrays = plan.wave_arrays()
+        assert len(arrays) == len(legacy)
         assert all(np.array_equal(a, w) for a, w in zip(arrays, legacy))
 
     def test_covers_every_sample_once(self):
@@ -121,8 +125,9 @@ class TestEpochPlan:
             assert short[0] == plan.n_waves - len(short)
             assert np.all(np.diff(lengths[short[0]:]) <= 0) or True
             # every padded slot is trailing within its row
+            matrix = layout(plan)
             for i in short:
-                row = plan.matrix[i]
+                row = matrix[i]
                 assert np.all(row[: lengths[i]] >= 0)
                 assert np.all(row[lengths[i]:] == -1)
 
@@ -140,85 +145,26 @@ class TestEpochPlan:
         assert plan.version == v0 + 1
         legacy = legacy_wave_indices(twin, 4, 8)
         assert all(
-            np.array_equal(plan.wave(i), w) for i, w in enumerate(legacy)
+            np.array_equal(a, w) for a, w in zip(plan.wave_arrays(), legacy)
         )
 
     def test_repermute_reuses_buffers(self):
-        order = np.random.default_rng(4).permutation(128).astype(np.int64)
+        """A rebind after repermute lays the new order out into the same
+        workspace buffers: nothing is allocated."""
+        rng = np.random.default_rng(4)
+        order = rng.permutation(128).astype(np.int64)
         plan = EpochPlan(order, 4, 8)
-        matrix_before = plan.matrix
+        data = (rng.integers(0, 10, 128), rng.integers(0, 10, 128),
+                rng.standard_normal(128).astype(np.float32))
+        ws = WaveWorkspace()
+        first = ws.bind_plan(plan, *data)
+        allocations, nbytes = ws.allocations, ws.nbytes
         plan.repermute(np.random.default_rng(9))
-        assert plan.matrix is matrix_before  # refilled in place, no realloc
-
-    def test_concurrent_first_reads_fill_once(self, monkeypatch):
-        """Worker threads read their shards' columns at once, from a new
-        plan or after a reshuffle. The first read allocates and fills the
-        matrix while the others wait for it: one fill per version, never
-        two at once, and every reader sees the complete schedule (tail
-        padding included). Each fill is held open for 2 ms, so a second
-        reader always arrives during it; eight threads on fewer cores,
-        switching every microsecond."""
-        rng = np.random.default_rng(5)
-        order = rng.permutation(5 * 128 * 256 + 30_000).astype(np.int64)
-        n_threads, rounds = 8, 12
-        fill = EpochPlan._fill
-        guard = threading.Lock()
-        filling: list = []
-        fills: list = []  # (plan, version) per fill; holds every plan alive
-        overlaps: list[int] = []
-
-        def held_fill(self) -> None:
-            with guard:
-                overlaps.extend([self.version] * len(filling))
-                filling.append(self)
-            time.sleep(0.002)
-            try:
-                fill(self)
-            finally:
-                with guard:
-                    filling.remove(self)
-                    fills.append((self, self.version))
-
-        monkeypatch.setattr(EpochPlan, "_fill", held_fill)
-        start = threading.Barrier(n_threads + 1, timeout=20)
-        done = threading.Barrier(n_threads + 1, timeout=20)
-        now: dict = {}
-        wrong: list[tuple[int, int]] = []
-
-        def read(tid: int) -> None:
-            for r in range(rounds):
-                start.wait()
-                shard = now["shards"][tid]
-                got = shard.matrix.copy()
-                want = now["want"][:, shard.col_lo : shard.col_hi]
-                if not np.array_equal(got, want):
-                    wrong.append((r, tid))
-                done.wait()
-
-        threads = [threading.Thread(target=read, args=(tid,))
-                   for tid in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for r in range(rounds):
-                if r % 2:
-                    plan.repermute(rng)
-                else:  # a new plan: its first read also allocates
-                    plan = EpochPlan(order, 128, 256)
-                now["want"] = EpochPlan(order.copy(), 128, 256).matrix
-                now["shards"] = plan.shard(n_threads)
-                start.wait()
-                done.wait()
-            for t in threads:
-                t.join(timeout=20)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert overlaps == []
-        assert len({(id(p), v) for p, v in fills}) == len(fills)
-        assert wrong == []
+        again = ws.bind_plan(plan, *data)
+        assert ws.plan_binds == 2
+        assert (ws.allocations, ws.nbytes) == (allocations, nbytes)
+        assert all(a.base is b.base for a, b in zip(first, again))
+        assert np.array_equal(again[0], data[0][layout(plan)])
 
     def test_stats_accounting(self):
         stats = PlanStats()
@@ -240,10 +186,6 @@ class TestEpochPlan:
         assert not plan.matches(plan.order, 8, 4)
         assert not plan.matches(plan.order, 4, 8)
 
-    def test_wave_is_view(self):
-        plan = EpochPlan(np.arange(64, dtype=np.int64), 4, 4)
-        assert plan.wave(0).base is not None
-
     def test_empty_order(self):
         plan = EpochPlan(np.empty(0, dtype=np.int64), 4, 4)
         assert plan.n_waves == 0 and plan.wave_arrays() == []
@@ -254,6 +196,42 @@ class TestEpochPlan:
             EpochPlan(order, 0, 4)
         with pytest.raises(ValueError, match="f must be"):
             EpochPlan(order, 4, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nnz=st.integers(0, 700),
+        workers=st.integers(1, 24),
+        f=st.integers(1, 12),
+        n_shards=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shard_layouts_are_columns_of_the_whole(self, nnz, workers, f,
+                                                    n_shards, seed):
+        """Laying out one shard's lanes gives exactly those columns of the
+        whole plan's layout, and every ``-1`` is trailing padding: slot
+        ``j`` of wave ``i`` is live iff ``j < lengths[i]``."""
+        rng = np.random.default_rng(seed)
+        plan = EpochPlan(rng.permutation(nnz), workers, f)
+        plan.repermute(rng)
+        whole = layout(plan)
+        live = np.arange(plan.width) < plan.lengths[:, None]
+        assert np.all(whole[live] >= 0) and np.all(whole[~live] == -1)
+        assert np.array_equal(np.sort(whole[live]), np.arange(nnz))
+        for shard in plan.shard(n_shards):
+            got = layout(plan, shard.col_lo, shard.col_hi)
+            assert np.array_equal(got, whole[:, shard.col_lo : shard.col_hi])
+            own = np.arange(shard.width) < shard.lengths[:, None]
+            assert np.all(got[own] >= 0) and np.all(got[~own] == -1)
+
+    def test_positions_rejects_a_mismatched_buffer(self):
+        plan = EpochPlan(np.arange(40, dtype=np.int64), 4, 4)
+        wide = np.empty((plan.n_waves, 4), np.int64)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            plan.positions(0, 2, wide)  # wrong width
+        with pytest.raises(ValueError, match="C-contiguous"):
+            plan.positions(1, 3, wide[:, :2])  # a strided view
+        with pytest.raises(ValueError, match="C-contiguous"):
+            plan.positions(3, 5, wide[:, :2].copy())  # past the last lane
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +326,7 @@ class TestWaveWorkspace:
         plan.repermute(rng)
         rw, cw, vw = ws.bind_plan(plan, rows, cols, vals)  # version bumped
         assert ws.plan_binds == binds + 1
-        for i in range(plan.n_waves):
-            wave = plan.wave(i)
+        for i, wave in enumerate(plan.wave_arrays()):
             w = len(wave)
             assert np.array_equal(rw[i, :w], rows[wave])
             assert np.array_equal(cw[i, :w], cols[wave])

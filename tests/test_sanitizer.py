@@ -18,6 +18,8 @@ The sanitizer's acceptance bar has two sides, and both are tested here:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,28 @@ class TestCleanRuns:
         assert len(report.race_stats.workers) == 4
         assert 0.0 < report.race_stats.race_rate <= 1.0
 
+    def test_oversubscribed_threads_log_every_worker_epoch(self,
+                                                           tiny_problem):
+        """Six threads on two or fewer cores, switching often, append
+        their epoch records to one shared log: none is lost, so the
+        report covers every sample of every epoch under six workers."""
+        train = tiny_problem.train
+        san = Sanitizer("all")
+        est = CuMFSGD(k=8, n_threads=6, lam=0.05, seed=0, workers=32, f=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with activate_sanitizer(san):
+                est.fit(train, epochs=3)
+        finally:
+            sys.setswitchinterval(interval)
+        report = san.finalize(publish=False)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert report.race_stats.samples == 3 * train.nnz
+        assert report.race_stats.epochs == 3
+        assert len(report.race_stats.workers) == 6
+        assert report.numeric["model_checks"] == 3
+
     @pytest.mark.parametrize("out_of_core", [False, True],
                              ids=["in-core", "out-of-core"])
     def test_threads_clean_with_full_accounting(self, tiny_problem, tmp_path,
@@ -126,6 +150,32 @@ class TestCleanRuns:
         assert staged == tiny_problem.train.nnz
         lc = san.finalize(publish=False).lifecycle
         assert lc["mmaps_opened"] == lc["mmaps_released"] == 9
+
+    def test_serial_and_one_thread_log_the_same_accesses(self, tiny_problem):
+        """Serial and one racing thread run one capture path: a seeded
+        fit on each logs the same (worker, epoch, wave, kind, row, col)
+        accesses and ends with the same factors."""
+        train = tiny_problem.train
+        runs = []
+        for executor in (BatchHogwild(workers=32, f=16, seed=7),
+                         ThreadedHogwild(n_threads=1, seed=7, workers=32,
+                                         f=16)):
+            model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
+                                           seed=7)
+            san = Sanitizer("races")
+            with activate_sanitizer(san):
+                run_epochs(executor, model, train, 3,
+                           schedule=NomadSchedule(), lam=0.05,
+                           scheme="batch_hogwild", k=8)
+            runs.append((san.race_log.flatten(), model))
+        (serial_log, serial), (thread_log, threaded) = runs
+        assert len(serial_log["row"]) == 3 * train.nnz
+        assert serial_log.keys() == thread_log.keys()
+        for key, column in serial_log.items():
+            assert column.dtype == thread_log[key].dtype, key
+            assert np.array_equal(column, thread_log[key]), key
+        assert serial.p.tobytes() == threaded.p.tobytes()
+        assert serial.q.tobytes() == threaded.q.tobytes()
 
     def test_report_round_trips_and_validates(self, tiny_problem):
         san = Sanitizer("all")
@@ -176,7 +226,7 @@ class TestSeededFaults:
         sched = BatchHogwild(workers=8, f=8, seed=3,
                              shuffle_each_epoch=False)
         plan = sched.compiled_plan(train.nnz)
-        plan.matrix[0, 1] = plan.matrix[0, 0]  # duplicate a wave lane
+        plan.order[plan.f] = plan.order[0]  # lane 1 of wave 0 repeats lane 0
         san = Sanitizer("races")
         with activate_sanitizer(san):
             sched.run_epoch(model, train, 0.008, 0.05)
@@ -195,9 +245,9 @@ class TestSeededFaults:
         def overlapping(self, n_shards):
             shards = original(self, n_shards)
             last = shards[-1]
-            shards[-1] = PlanShard(index=last.index, col_lo=0,
-                                   col_hi=last.col_hi).cut(
-                self.matrix, self.lengths, self.version)
+            shards[-1] = PlanShard(last.index, 0, last.col_hi,
+                                   np.clip(self.lengths, 0, last.col_hi),
+                                   self.version, plan=self)
             return shards
 
         monkeypatch.setattr(EpochPlan, "shard", overlapping)
