@@ -26,6 +26,7 @@ from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
 from repro.obs.hooks import TrainerHooks, resolve_hooks
+from repro.san.core import active_sanitizer
 
 __all__ = ["AdaGradHogwild"]
 
@@ -48,16 +49,18 @@ class AdaGradHogwild(BatchHogwild):
             self.schedule.reset(model.p.shape, model.q.shape)
             self._initialized_for = shape
 
-    def _wave(self, p, q, wr, wc, wv, lr, lam_p, lam_q) -> None:
+    def _wave(self, p, q, wr, wc, wv, lr, lam_p, lam_q) -> np.ndarray:
         """One ADAGRAD wave: accumulate, then step each element at its own
-        rate (``lr`` is unused)."""
-        _, gp, gq = wave_gradients(p, q, wr, wc, wv, lam_p, lam_q)
+        rate (``lr`` is unused). Returns the wave's residuals, which a
+        numeric sanitizer checks."""
+        err, gp, gq = wave_gradients(p, q, wr, wc, wv, lam_p, lam_q)
         self.schedule.accumulate(wr, wc, gp, gq)
         rate_p, rate_q = self.schedule.elementwise_rate(wr, wc)
         new_p = p[wr].astype(np.float32) + rate_p * gp
         new_q = q[wc].astype(np.float32) + rate_q * gq
         p[wr] = new_p if p.dtype == np.float32 else new_p.astype(p.dtype)
         q[wc] = new_q if q.dtype == np.float32 else new_q.astype(q.dtype)
+        return err
 
     def run_epoch(
         self,
@@ -74,12 +77,22 @@ class AdaGradHogwild(BatchHogwild):
         shared with :class:`BatchHogwild`, through the same
         :func:`~repro.backends.base.replay_waves` loop with the ADAGRAD
         wave as its kernel; each flushed ``adagrad.wave`` event carries the
-        exact update total of the waves in its stride window.
+        exact update total of the waves in its stride window. An active
+        sanitizer observes the epoch as worker 0, as on
+        :meth:`BatchHogwild.run_epoch`'s observed path.
         """
         lam_q = lam_p if lam_q is None else lam_q
         self._ensure_state(model)
-        return replay_waves(
+        san = active_sanitizer()
+        # begin_epoch seals the previous epoch's recorded views before
+        # bind_plan regathers them
+        epoch = san.begin_epoch() if san is not None else 0
+        updates = replay_waves(
             self.workspace, self._wave, self.compiled_plan(ratings.nnz),
             model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
             lr, lam_p, lam_q, hooks=resolve_hooks(hooks), name="adagrad.wave",
+            san=san, epoch=epoch,
         )
+        if san is not None:
+            san.epoch_end(model.p, model.q, epoch=epoch)
+        return updates

@@ -258,10 +258,10 @@ def run_epochs(
             t0 = time.perf_counter()
             n_updates = executor.run_epoch(model, train, lr, lam, lam, hooks)
             t1 = time.perf_counter()
-            p, q = model.as_float32()
+            # rmse widens fp16 rows a block at a time: no fp32 model copy
             with np.errstate(**UPDATE_ERRSTATE):
-                tr = rmse(p, q, train) if eval_train else None
-                te = rmse(p, q, test) if test is not None else None
+                tr = rmse(model.p, model.q, train) if eval_train else None
+                te = rmse(model.p, model.q, test) if test is not None else None
             eval_seconds = time.perf_counter() - t1
             if guard is not None:
                 rewind = guard.check(
@@ -343,8 +343,7 @@ class EpochSolver:
         """Test RMSE of the fitted model on a rating set."""
         if self.model is None:
             raise RuntimeError("fit() the model before scoring")
-        p, q = self.model.as_float32()
-        return rmse(p, q, ratings)
+        return rmse(self.model.p, self.model.q, ratings)
 
 
 class CuMFSGD(EpochSolver):

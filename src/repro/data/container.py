@@ -138,12 +138,17 @@ class RatingMatrix:
     # reordering and selection
     # ------------------------------------------------------------------
     def take(self, index: np.ndarray, name: str | None = None) -> "RatingMatrix":
-        """Select samples by position, keeping the logical shape."""
+        """Select samples by position, keeping the logical shape.
+
+        ``index`` holds positions; a boolean mask selects its True ones.
+        """
         index = np.asarray(index)
+        if index.dtype == np.bool_:
+            index = np.flatnonzero(index)
         return RatingMatrix(
-            rows=self.rows[index],
-            cols=self.cols[index],
-            vals=self.vals[index],
+            rows=self.rows.take(index),
+            cols=self.cols.take(index),
+            vals=self.vals.take(index),
             n_rows=self.n_rows,
             n_cols=self.n_cols,
             name=name or self.name,

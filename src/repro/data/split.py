@@ -3,6 +3,11 @@
 The paper's Netflix and Yahoo!Music come with a test set; for Hugewiki the
 authors "randomly sample and extract out 1% of the data as the test set"
 (§2.2). :func:`train_test_split` implements exactly that sampling.
+
+The split gathers each field once, in permuted order
+(:meth:`RatingMatrix.take`). The test set is the first ``n_test`` samples
+of those arrays and the train set the rest: both are slices of one
+permuted copy of the input.
 """
 
 from __future__ import annotations
@@ -32,7 +37,11 @@ def train_test_split(
         raise ValueError(
             f"test_fraction={test_fraction} leaves an empty split for nnz={ratings.nnz}"
         )
-    perm = rng.permutation(ratings.nnz)
-    test = ratings.take(perm[:n_test], name=f"{ratings.name}-test")
-    train = ratings.take(perm[n_test:], name=f"{ratings.name}-train")
-    return train, test
+    mixed = ratings.take(rng.permutation(ratings.nnz))
+
+    def part(sl: slice, suffix: str) -> RatingMatrix:
+        return RatingMatrix(mixed.rows[sl], mixed.cols[sl], mixed.vals[sl],
+                            ratings.n_rows, ratings.n_cols,
+                            name=f"{ratings.name}-{suffix}")
+
+    return part(slice(n_test, None), "train"), part(slice(n_test), "test")

@@ -183,8 +183,8 @@ class SyntheticProblem:
         return self.noise_sigma
 
 
-#: samples per block of the clean-rating gather in :func:`make_synthetic`
-_CLEAN_BLOCK = 1 << 16
+#: samples per block of the rating computation in :func:`make_synthetic`
+_RATING_BLOCK = 1 << 16
 
 
 def _sample_coordinates(
@@ -199,24 +199,29 @@ def _sample_coordinates(
     The dedup sorts and drops repeats by hand. It returns exactly
     ``np.unique``'s sorted keys, but numpy >= 2.3 finds integer uniques
     through a hash table, which at these sizes is some 30x slower than one
-    sort.
+    sort. The draw is sorted and the kept keys are shuffled in place
+    (``shuffle`` makes the same draws as ``permutation``), then divided
+    straight into the int32 ids: the dedup keeps the only copy of the keys.
     """
     total = m * n
     if count > total:
         raise ValueError(f"cannot draw {count} unique cells from a {m}x{n} grid")
     keys = np.empty(0, dtype=np.int64)
-    want = count
     while len(keys) < count:
-        draw = rng.integers(0, total, size=int(want * 1.2) + 16, dtype=np.int64)
-        merged = np.concatenate([keys, draw])
-        merged.sort()
-        first = np.empty(len(merged), dtype=bool)
+        draw = rng.integers(0, total, size=int((count - len(keys)) * 1.2) + 16,
+                            dtype=np.int64)
+        if len(keys):
+            draw = np.concatenate([keys, draw])
+        draw.sort()
+        first = np.empty(len(draw), dtype=bool)
         first[:1] = True
-        np.not_equal(merged[1:], merged[:-1], out=first[1:])
-        keys = merged[first]
-        want = count - len(keys)
-    keys = rng.permutation(keys)[:count]
-    return (keys // n).astype(np.int32), (keys % n).astype(np.int32)
+        np.not_equal(draw[1:], draw[:-1], out=first[1:])
+        keys = draw[first]
+        del draw, first
+    rng.shuffle(keys)
+    rows, cols = np.empty(count, np.int32), np.empty(count, np.int32)
+    np.divmod(keys[:count], n, out=(rows, cols), casting="unsafe")
+    return rows, cols
 
 
 def make_synthetic(
@@ -241,16 +246,19 @@ def make_synthetic(
     q_true = rng.normal(0.0, scale, size=(spec.n, k_true)).astype(np.float32)
 
     rows, cols = _sample_coordinates(rng, spec.m, spec.n, spec.n_samples)
-    # p_true[rows] . q_true[cols], gathered a block at a time: two whole
-    # (nnz, k_true) gathers were the launch's largest buffers (netflix-syn:
-    # 13.4 MB each). take() gathers the same rows as fancy indexing, in
-    # about a third of the time.
-    clean = np.empty(len(rows), np.float32)
-    for lo in range(0, len(rows), _CLEAN_BLOCK):
-        hi = lo + _CLEAN_BLOCK
+    # p_true[rows] . q_true[cols] + noise, a block at a time into one fp32
+    # array: no whole-array gather or fp64 noise draw is held. take()
+    # gathers the same rows as fancy indexing, in about a third of the
+    # time. Per-block normal draws continue one stream, so they equal one
+    # whole-array draw, and `+=` adds each fp64 draw to the fp32 dot
+    # product in fp64, rounding once.
+    vals = np.empty(len(rows), np.float32)
+    for lo in range(0, len(rows), _RATING_BLOCK):
+        hi = lo + _RATING_BLOCK
+        block = vals[lo:hi]
         np.einsum("ij,ij->i", p_true.take(rows[lo:hi], axis=0),
-                  q_true.take(cols[lo:hi], axis=0), out=clean[lo:hi])
-    vals = (clean + rng.normal(0.0, noise_sigma, size=len(rows))).astype(np.float32)
+                  q_true.take(cols[lo:hi], axis=0), out=block)
+        block += rng.normal(0.0, noise_sigma, size=len(block))
 
     full = RatingMatrix(rows, cols, vals, spec.m, spec.n, name=spec.name)
     train, test = train_test_split(full, test_fraction=spec.n_test / spec.n_samples, rng=rng)

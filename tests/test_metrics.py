@@ -1,5 +1,7 @@
 """Tests for repro.metrics (rmse, flops, throughput)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,29 @@ from repro.metrics.throughput import (
     effective_bandwidth,
     updates_per_second,
 )
+
+# the module, not the `rmse` function that `repro.metrics` exports under
+# the same name
+rmse_module = importlib.import_module("repro.metrics.rmse")
+
+
+def _one_gather_predict(p, q, rows, cols):
+    """The reference: widen the whole model, gather every pair's rows at
+    once, one ``einsum``."""
+    pu = np.asarray(p, dtype=np.float32)[rows]
+    qv = np.asarray(q, dtype=np.float32)[cols]
+    return np.einsum("ij,ij->i", pu, qv)
+
+
+def _one_gather_rmse(p, q, ratings, chunk):
+    """The reference RMSE: ``rmse``'s chunked sum over whole-chunk gathers."""
+    sse = 0.0
+    for lo in range(0, ratings.nnz, chunk):
+        hi = min(lo + chunk, ratings.nnz)
+        diff = ratings.vals[lo:hi] - _one_gather_predict(
+            p, q, ratings.rows[lo:hi], ratings.cols[lo:hi])
+        sse += float(np.dot(diff, diff))
+    return float(np.sqrt(sse / ratings.nnz))
 
 
 class TestRMSE:
@@ -48,18 +73,32 @@ class TestRMSE:
         assert got[0] == pytest.approx(float(p[2] @ q[3]), rel=1e-6)
         assert got[1] == pytest.approx(float(p[0] @ q[1]), rel=1e-6)
 
-    def test_chunked_equals_direct(self, small_problem, monkeypatch):
-        import sys
-
-        import repro.metrics.rmse  # noqa: F401 - ensure module is loaded
-
-        m = sys.modules["repro.metrics.rmse"]
-
-        p = np.zeros((small_problem.spec.m, 4), dtype=np.float32)
-        q = np.zeros((small_problem.spec.n, 4), dtype=np.float32)
-        full = rmse(p, q, small_problem.test)
-        monkeypatch.setattr(m, "_EVAL_CHUNK", 1000)
-        assert m.rmse(p, q, small_problem.test) == pytest.approx(full, rel=1e-6)
+    def test_chunked_equals_direct(self, rng, monkeypatch):
+        """``predict`` gathers a block of rows at a time and ``rmse`` also
+        chunks the set: both equal one whole gather per chunk plus
+        ``einsum``, bit for bit, in fp32 and fp16 storage, for a set
+        under one block, one spanning several blocks, and one crossing
+        ``_EVAL_CHUNK`` (made small here) off a block boundary."""
+        block = rmse_module._PREDICT_BLOCK
+        default_chunk = rmse_module._EVAL_CHUNK
+        cases = {"under one block": (block // 3, default_chunk),
+                 "several blocks": (3 * block + 7, default_chunk),
+                 "several chunks": (5 * block + 11, 2 * block + 37)}
+        m, n, k = 300, 200, 13
+        for dtype in (np.float32, np.float16):
+            p = rng.normal(size=(m, k)).astype(dtype)
+            q = rng.normal(size=(n, k)).astype(dtype)
+            for case, (nnz, chunk) in cases.items():
+                monkeypatch.setattr(rmse_module, "_EVAL_CHUNK", chunk)
+                ratings = RatingMatrix(rng.integers(0, m, nnz),
+                                       rng.integers(0, n, nnz),
+                                       rng.normal(size=nnz), m, n)
+                got = predict(p, q, ratings.rows, ratings.cols)
+                want = _one_gather_predict(p, q, ratings.rows, ratings.cols)
+                assert got.dtype == want.dtype == np.float32, case
+                assert got.tobytes() == want.tobytes(), case
+                assert rmse(p, q, ratings) == _one_gather_rmse(
+                    p, q, ratings, chunk), case
 
     def test_objective_decreases_with_better_fit(self, tiny_problem):
         bad_p = np.zeros_like(tiny_problem.p_true)

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hogwild import BatchHogwild
-from repro.core.lr_schedule import NomadSchedule
+from repro.core.lr_schedule import AdaGradSchedule, NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore
@@ -71,6 +71,22 @@ class TestCleanRuns:
         assert report.race_stats.epochs == 2
         # one serial worker cannot race with itself
         assert report.race_stats.race_rate == 0.0
+        assert report.numeric["wave_checks"] > 0
+        assert report.numeric["model_checks"] == 2
+
+    def test_adagrad_epochs_are_observed(self, tiny_problem):
+        """AdaGrad's epochs run the serial wave loop, and the sanitizer
+        observes them as it does serial ones: a clean report means every
+        sample was logged and waves were checked, not that nothing was."""
+        train = tiny_problem.train
+        san = Sanitizer("all")
+        est = CuMFSGD(k=8, schedule=AdaGradSchedule(0.1), lam=0.05, seed=0)
+        with activate_sanitizer(san):
+            est.fit(train, epochs=2)
+        report = san.finalize(publish=False)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert report.race_stats.samples == 2 * train.nnz
+        assert report.race_stats.epochs == 2
         assert report.numeric["wave_checks"] > 0
         assert report.numeric["model_checks"] == 2
 

@@ -114,6 +114,59 @@ class TestGeneration:
             make_synthetic(spec, seed=0)
 
 
+def _whole_array_make_synthetic(spec, seed, noise_sigma=0.5):
+    """The reference: ``make_synthetic`` with whole-array draws and copies.
+
+    It concatenates, sorts and dedupes the coordinate draws, permutes the
+    kept keys with ``rng.permutation``, draws all the noise in one
+    ``rng.normal`` call, and splits with fancy indexing. Returns
+    ``(train, test, p_true, q_true)`` with each part a (rows, cols, vals)
+    triple.
+    """
+    rng = np.random.default_rng(seed)
+    k_true = max(4, spec.k // 4)
+    scale = 1.0 / np.sqrt(k_true)
+    p_true = rng.normal(0.0, scale, size=(spec.m, k_true)).astype(np.float32)
+    q_true = rng.normal(0.0, scale, size=(spec.n, k_true)).astype(np.float32)
+    count = spec.n_samples
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < count:
+        draw = rng.integers(0, spec.m * spec.n,
+                            size=int((count - len(keys)) * 1.2) + 16,
+                            dtype=np.int64)
+        merged = np.sort(np.concatenate([keys, draw]))
+        keys = merged[np.r_[True, merged[1:] != merged[:-1]]]
+    keys = rng.permutation(keys)[:count]
+    rows = (keys // spec.n).astype(np.int32)
+    cols = (keys % spec.n).astype(np.int32)
+    clean = np.einsum("ij,ij->i", p_true[rows], q_true[cols])
+    vals = (clean + rng.normal(0.0, noise_sigma, size=count)).astype(np.float32)
+    perm = rng.permutation(count)
+    n_test = int(round(count * (spec.n_test / spec.n_samples)))
+    test, train = perm[:n_test], perm[n_test:]
+    return ((rows[train], cols[train], vals[train]),
+            (rows[test], cols[test], vals[test]), p_true, q_true)
+
+
+class TestGeneratorMatchesWholeArrayReference:
+    """``make_synthetic`` draws, blocks and gathers without whole-array
+    copies, and must return the reference's bytes for every scaled set
+    (about 2.5 s for the nine cases)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", list(SCALED_DATASETS))
+    def test_same_bytes(self, name, seed):
+        got = make_synthetic(SCALED_DATASETS[name], seed=seed)
+        train, test, p_true, q_true = _whole_array_make_synthetic(
+            SCALED_DATASETS[name], seed)
+        pairs = [(got.p_true, p_true), (got.q_true, q_true)]
+        for part, ref in ((got.train, train), (got.test, test)):
+            pairs += zip((part.rows, part.cols, part.vals), ref)
+        for ours, want in pairs:
+            assert ours.dtype == want.dtype and ours.shape == want.shape
+            assert ours.tobytes() == want.tobytes()
+
+
 def _np_unique_sample_coordinates(rng, m, n, count):
     """The reference: ``_sample_coordinates`` as it was with ``np.unique``."""
     total = m * n
