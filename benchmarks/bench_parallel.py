@@ -198,7 +198,7 @@ def _bit_identity_check(backend: str) -> bool:
         ThreadedHogwild(n_threads=1, seed=seed, workers=workers, f=f,
                         backend=backend),
         model, train, epochs, schedule=schedule, lam=0.05,
-        scheme="batch_hogwild", k=spec.k,
+        scheme="batch_hogwild",
     )
     return (
         model.p.tobytes() == ref.p.tobytes()

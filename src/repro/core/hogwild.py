@@ -119,6 +119,19 @@ class BatchHogwild:
             plan.note_cache_hit()
         return plan
 
+    def epoch_extras(self) -> dict:
+        """Cumulative plan-compilation and workspace counters for the
+        epoch event: the hot path should show cache hits and
+        repermutes, not fresh compiles."""
+        ws = self.workspace
+        return {
+            **self.plan_stats.as_extra(),
+            "workspace_allocations": ws.allocations,
+            "workspace_plan_binds": ws.plan_binds,
+            "workspace_waves": ws.waves,
+            "workspace_bytes": ws.nbytes,
+        }
+
     def wave_indices(self, nnz: int) -> list[np.ndarray]:
         """Partition one epoch into wave index arrays (testing hook).
 

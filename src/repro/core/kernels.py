@@ -113,7 +113,8 @@ class WaveWorkspace:
       which a compiled kernel copies a plan shard's samples from the
       shuffled order as it replays (no epoch-sized gather at all).
 
-    Counters (surfaced as ``repro.train.extra.workspace_*`` via the trainer):
+    Counters (surfaced as ``repro.train.extra.workspace_*`` through
+    :meth:`~repro.core.hogwild.BatchHogwild.epoch_extras`):
     ``allocations`` buffer (re)allocations, ``waves`` kernel launches served,
     ``plan_binds`` epoch gathers, ``nbytes`` bytes currently held.
 

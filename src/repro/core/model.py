@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.metrics.rmse import predict
+
 __all__ = ["FactorModel"]
 
 
@@ -109,6 +111,6 @@ class FactorModel:
         return FactorModel(self.p.copy(), self.q.copy())
 
     def predict(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Predicted ratings for (u, v) index arrays, computed in fp32."""
-        p, q = self.as_float32()
-        return np.einsum("ij,ij->i", p[rows], q[cols])
+        """Predicted ratings for (u, v) index arrays, computed in fp32
+        from the stored factors (:func:`repro.metrics.rmse.predict`)."""
+        return predict(self.p, self.q, rows, cols)

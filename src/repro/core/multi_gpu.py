@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kernels import WaveWorkspace, sgd_wave_update
+from repro.backends.base import replay_waves
+from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.core.partition import BlockView, GridPartition
 from repro.data.container import RatingMatrix
@@ -44,6 +45,8 @@ from repro.obs.hooks import (
     TransferEvent,
     resolve_hooks,
 )
+from repro.san.core import active_sanitizer
+from repro.sched.plan import EpochPlan
 
 __all__ = ["MultiDeviceSGD", "TransferLedger"]
 
@@ -210,18 +213,15 @@ class MultiDeviceSGD:
         lam_q: float,
     ) -> int:
         """Single-device batch-Hogwild! pass over one block's samples: one
-        permutation draw, then waves of ``workers``."""
+        permutation draw, then waves of ``workers`` consecutive samples of
+        it -- the layout of ``EpochPlan(order, workers, 1)``."""
         n = len(rows)
         if not n:
             return 0
-        order = self._rng.permutation(n)
-        for lo in range(0, n, self.workers):
-            wave = order[lo : lo + self.workers]
-            sgd_wave_update(
-                model.p, model.q, rows[wave], cols[wave], vals[wave],
-                lr, lam_p, lam_q, workspace=self.workspace,
-            )
-        return n
+        plan = EpochPlan(self._rng.permutation(n), self.workers, 1)
+        ws = self.workspace
+        return replay_waves(ws, ws.wave_update, plan, model.p, model.q,
+                            rows, cols, vals, lr, lam_p, lam_q)
 
     # ------------------------------------------------------------------
     def run_epoch(
@@ -249,10 +249,15 @@ class MultiDeviceSGD:
         still processes every block exactly once. Losing the *last* device
         with blocks pending raises
         :class:`~repro.resilience.faults.DeviceLostError`.
+
+        An active sanitizer records each executed block under its device
+        and sweeps the model at the epoch's end.
         """
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         observe = hooks.active
+        san = active_sanitizer()
+        epoch = san.begin_epoch() if san is not None else 0
         store = self._store
         if store is None:
             if ratings is None:
@@ -303,6 +308,9 @@ class MultiDeviceSGD:
                     idx = view.sample_index
                     block = ratings.rows[idx], ratings.cols[idx], ratings.vals[idx]
                 n = self._device_pass(model, *block, lr, lam_p, lam_q)
+                if san is not None:
+                    san.block_executed(device, epoch, self.ledger.rounds,
+                                       block[0], block[1])
                 updates += n
                 pending.discard((bi, bj))
                 if injector is not None:
@@ -333,7 +341,16 @@ class MultiDeviceSGD:
                     )
             if injector is not None:
                 alive = [d for d in alive if injector.alive(d)]
+        if san is not None:
+            san.epoch_end(model.p, model.q, epoch=epoch)
         return updates
+
+    def epoch_extras(self) -> dict:
+        """Cumulative transfer rounds and bytes for the epoch event."""
+        return {
+            "transfer_rounds": self.ledger.rounds,
+            "transfer_bytes": self.ledger.total_bytes,
+        }
 
     # ------------------------------------------------------------------
     def _stage_with_retry(

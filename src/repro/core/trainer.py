@@ -182,8 +182,11 @@ class TrainHistory:
 
 class EpochExecutor(Protocol):
     """One full pass over ``ratings`` — all an executor does per epoch.
-    An executor may add ``session(model, train)``, a context manager
-    around the whole run that yields the model the epochs update."""
+    :func:`run_epochs` looks up two optional methods by name:
+    ``session(model, train)``, a context manager around the whole run
+    that yields the model the epochs update, and ``epoch_extras()``, the
+    executor's diagnostics for the epoch just run (the event's
+    ``extra``, asked only while hooks listen)."""
 
     def run_epoch(
         self,
@@ -219,14 +222,11 @@ def run_epochs(
     schedule: Callable[[int], float],
     lam: float,
     scheme: str,
-    k: int,
     nnz: int | None = None,
-    feature_bytes: int = 4,
     test: RatingMatrix | None = None,
     target_rmse: float | None = None,
     eval_train: bool = False,
     hooks: TrainerHooks | None = None,
-    extras: Callable[[], dict] | None = None,
     guard: EpochGuard | None = None,
     verbose: bool = False,
 ) -> TrainHistory:
@@ -239,9 +239,10 @@ def run_epochs(
     ``hooks``, then early stop once ``target_rmse`` is reached on ``test``.
 
     The executor's ``session(model, train)``, if it has one, is entered
-    around the epochs. ``guard`` may reject an epoch before it is
-    recorded and rewind the run to a checkpoint. ``extras()`` supplies
-    the events' executor diagnostics, asked only while ``hooks`` listen.
+    around the epochs, and its ``epoch_extras()``, if it has one,
+    supplies each event's diagnostics while ``hooks`` listen. ``guard``
+    may reject an epoch before it is recorded and rewind the run to a
+    checkpoint. The events' ``k`` and feature bytes are the model's;
     ``nnz`` defaults to ``train.nnz``.
     """
     if epochs <= 0:
@@ -250,6 +251,7 @@ def run_epochs(
     nnz = train.nnz if nnz is None else nnz
     history = TrainHistory()
     session = getattr(executor, "session", None)
+    extras = getattr(executor, "epoch_extras", None)
     opened = session(model, train) if session is not None else nullcontext(model)
     with opened as model:
         epoch = 0
@@ -280,8 +282,8 @@ def run_epochs(
                 seconds=t1 - t0,
                 eval_seconds=eval_seconds,
                 nnz=nnz,
-                k=k,
-                feature_bytes=feature_bytes,
+                k=model.k,
+                feature_bytes=model.p.itemsize,
                 scheme=scheme,
                 extra=extras() if extras is not None and hooks.active else {},
             )
@@ -335,7 +337,7 @@ class EpochSolver:
         self.history = run_epochs(
             self, self.model, train, epochs,
             schedule=self.schedule, lam=self.lam, scheme=self.scheme,
-            k=self.k, test=test, target_rmse=target_rmse, verbose=verbose,
+            test=test, target_rmse=target_rmse, verbose=verbose,
         )
         return self.history
 
@@ -553,52 +555,15 @@ class CuMFSGD(EpochSolver):
         if target_rmse is not None and test is None:
             raise ValueError("target_rmse requires a test set")
         nnz = self._prepare(train, warm_start)
-        self.executor = executor = self._make_executor()
+        self.executor = self._make_executor()
         self.history = run_epochs(
-            executor, self.model, train, epochs,
+            self.executor, self.model, train, epochs,
             schedule=self.schedule, lam=self.lam, scheme=self.scheme,
-            k=self.k, nnz=nnz, feature_bytes=2 if self.half_precision else 4,
-            test=test, target_rmse=target_rmse, eval_train=eval_train,
+            nnz=nnz, test=test, target_rmse=target_rmse,
+            eval_train=eval_train, verbose=verbose,
             hooks=hooks if hooks is not None else self.hooks,
-            extras=lambda: self._executor_extras(executor), verbose=verbose,
         )
         return self.history
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _executor_extras(executor) -> dict:
-        """Scheduler-specific diagnostics for the epoch event (hooks only)."""
-        extra: dict = {}
-        if hasattr(executor, "thread_updates"):  # ThreadedHogwild
-            extra["n_threads"] = executor.n_threads
-            extra["thread_updates"] = list(executor.thread_updates)
-            return extra
-        if isinstance(executor, BatchHogwild):
-            # cumulative plan-compilation and workspace counters (the hot
-            # path should show cache hits / repermutes, not fresh compiles)
-            extra.update(executor.plan_stats.as_extra())
-            ws = executor.workspace
-            extra["workspace_allocations"] = ws.allocations
-            extra["workspace_plan_binds"] = ws.plan_binds
-            extra["workspace_waves"] = ws.waves
-            extra["workspace_bytes"] = ws.nbytes
-            return extra
-        # the other schemes' modules: _make_executor has imported them
-        from repro.core.multi_gpu import MultiDeviceSGD
-        from repro.core.wavefront import WavefrontScheduler
-
-        if isinstance(executor, WavefrontScheduler):
-            prev = getattr(executor, "_obs_prev_waits", 0)
-            extra["lock_wait_events"] = executor.wait_events - prev
-            executor._obs_prev_waits = executor.wait_events
-            prev_attempts = getattr(executor, "_obs_prev_attempts", 0)
-            extra["lock_attempts"] = executor.lock_stats.attempts - prev_attempts
-            executor._obs_prev_attempts = executor.lock_stats.attempts
-            extra["sched_rounds"] = executor.last_epoch_rounds
-        elif isinstance(executor, MultiDeviceSGD):
-            extra["transfer_rounds"] = executor.ledger.rounds
-            extra["transfer_bytes"] = executor.ledger.total_bytes
-        return extra
 
     # ------------------------------------------------------------------
     def predict(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

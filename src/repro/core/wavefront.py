@@ -31,6 +31,7 @@ from repro.core.model import FactorModel
 from repro.core.partition import grid_block_index
 from repro.data.container import RatingMatrix
 from repro.obs.hooks import BatchEvent, TrainerHooks, resolve_hooks
+from repro.san.core import active_sanitizer
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
 
 __all__ = ["WavefrontScheduler"]
@@ -67,6 +68,8 @@ class WavefrontScheduler:
         self.last_epoch_rounds = 0
         #: cumulative column-lock contention across all epochs run
         self.lock_stats = LockContentionStats()
+        #: the last epoch's column-lock contention
+        self.last_epoch_locks = LockContentionStats()
         #: scratch reused by every block's serial-equivalent replay
         self.workspace = WaveWorkspace()
 
@@ -96,10 +99,14 @@ class WavefrontScheduler:
 
         ``hooks`` receives one ``on_batch`` event per executed grid block,
         carrying the lock waits the worker accumulated before the grant.
+        An active sanitizer records each executed block under its
+        grid-row worker and sweeps the model at the epoch's end.
         """
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         observe = hooks.active
+        san = active_sanitizer()
+        epoch = san.begin_epoch() if san is not None else 0
         if self._prepared_for is not ratings:
             self.prepare(ratings)
         s, c = self.workers, int(self.col_blocks)
@@ -132,17 +139,21 @@ class WavefrontScheduler:
                 if len(idx):
                     # shuffle within the block; the worker then runs serially
                     idx = idx[self._rng.permutation(len(idx))]
+                    block_rows, block_cols = rows[idx], cols[idx]
                     sgd_serial_update(
                         model.p,
                         model.q,
-                        rows[idx],
-                        cols[idx],
+                        block_rows,
+                        block_cols,
                         vals[idx],
                         lr,
                         lam_p,
                         lam_q,
                         workspace=self.workspace,
                     )
+                    if san is not None:
+                        san.block_executed(w, epoch, int(position[w]),
+                                           block_rows, block_cols)
                     updates += len(idx)
                 locks.release(col, w)
                 if observe:
@@ -160,5 +171,16 @@ class WavefrontScheduler:
                 if position[w] == c:
                     remaining.discard(w)
         self.last_epoch_rounds = rounds
-        self.lock_stats = self.lock_stats + locks.stats()
+        self.last_epoch_locks = locks.stats()
+        self.lock_stats = self.lock_stats + self.last_epoch_locks
+        if san is not None:
+            san.epoch_end(model.p, model.q, epoch=epoch)
         return updates
+
+    def epoch_extras(self) -> dict:
+        """The last epoch's lock waits, lock attempts and rounds."""
+        return {
+            "lock_wait_events": self.last_epoch_locks.waits,
+            "lock_attempts": self.last_epoch_locks.attempts,
+            "sched_rounds": self.last_epoch_rounds,
+        }

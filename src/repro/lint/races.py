@@ -25,14 +25,15 @@ During ``repro lint`` the pass runs these checkers once against freshly
 compiled plans (:meth:`ScheduleRacePass.check_tree`), so a regression in the
 plan compilers fails lint even before the test suite runs.
 
-**Static lock-discipline audit** — files that spawn ``threading.Thread``
-workers (``repro/parallel/threads.py``, ``wavefront_threads.py``) must
-declare which closure names a worker may mutate, in a module-level
-``SHARED_WRITE_OK`` tuple. Inside a worker function, any store to — or
-mutating call on — shared state outside that declaration is flagged
-(``race-shared-write``). The allowed discipline today: per-thread slots of a
-preallocated ``counts`` list, GIL-atomic ``errors.append``, and the
-internally-locked ``ColumnLockArray``.
+**Static lock-discipline audit** — files that run worker threads, either
+through ``threading.Thread`` or by handing a function to
+:func:`repro.parallel.threads.run_threads` (``repro/parallel/threads.py``,
+``wavefront_threads.py``), must declare which closure names a worker may
+mutate, in a module-level ``SHARED_WRITE_OK`` tuple. Inside a worker
+function, any store to — or mutating call on — shared state outside that
+declaration is flagged (``race-shared-write``). The allowed discipline
+today: per-thread slots of a preallocated ``counts`` list, GIL-atomic
+``errors.append``, and the internally-locked ``ColumnLockArray``.
 """
 
 from __future__ import annotations
@@ -260,17 +261,20 @@ def _shared_write_allowlist(tree: ast.Module) -> set[str]:
 
 
 def _thread_target_names(tree: ast.Module) -> set[str]:
-    """Function names a ``threading.Thread(...)`` runs: its ``target=``,
-    or the function a ``target=<context>.run`` runs (``args=(fn, ...)``)."""
+    """Function names worker threads run: a ``threading.Thread(...)``'s
+    ``target=``, the function a ``target=<context>.run`` runs
+    (``args=(fn, ...)``), or the work handed to ``run_threads(n, fn, …)``."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        is_thread = (
-            isinstance(func, ast.Attribute) and func.attr == "Thread"
-        ) or (isinstance(func, ast.Name) and func.id == "Thread")
-        if not is_thread:
+        called = (func.attr if isinstance(func, ast.Attribute)
+                  else getattr(func, "id", None))
+        if (called == "run_threads" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Name)):
+            out.add(node.args[1].id)
+        if called != "Thread":
             continue
         kws = {kw.arg: kw.value for kw in node.keywords}
         target, args = kws.get("target"), kws.get("args")

@@ -26,11 +26,11 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "tracer": ("Tracer",),
     "collector": ("TelemetryCollector",),
     "trace_schema": ("TraceValidationError", "validate_chrome_trace"),
-    "hooks": ("TrainerHooks", "NullHooks", "NULL_HOOKS", "CompositeHooks",
-              "RecordingHooks", "EpochEvent", "BatchEvent", "KernelEvent",
-              "TransferEvent", "resolve_hooks", "resolve_kernel_stride"),
-    "context": ("activate", "active_collector", "active_hooks",
-                "active_registry", "active_tracer"),
+    "hooks": ("TrainerHooks", "NullHooks", "NULL_HOOKS", "RecordingHooks",
+              "EpochEvent", "BatchEvent", "KernelEvent", "TransferEvent",
+              "resolve_hooks", "resolve_kernel_stride"),
+    "context": ("activate", "active_hooks", "active_registry",
+                "active_tracer"),
     "profiler": ("PHASES", "StallReport", "WorkerPhases"),
     "ledger": ("PerfLedger", "bench_meta", "perf_diff"),
 })

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "activate",
-    "active_collector",
     "active_hooks",
     "active_registry",
     "active_tracer",
@@ -54,11 +53,6 @@ def activate(collector: "TelemetryCollector") -> Iterator["TelemetryCollector"]:
         yield collector
     finally:
         _current.reset(token)
-
-
-def active_collector() -> "TelemetryCollector | None":
-    """The ambient collector, or None outside any activation."""
-    return _current.get()
 
 
 def active_hooks() -> TrainerHooks:

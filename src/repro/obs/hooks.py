@@ -35,7 +35,6 @@ __all__ = [
     "TrainerHooks",
     "NullHooks",
     "NULL_HOOKS",
-    "CompositeHooks",
     "RecordingHooks",
     "resolve_hooks",
     "resolve_kernel_stride",
@@ -188,33 +187,6 @@ def resolve_kernel_stride(hooks: "TrainerHooks") -> int:
     waves in between.
     """
     return max(1, int(getattr(hooks, "kernel_stride", 1)))
-
-
-class CompositeHooks:
-    """Fan one event stream out to several consumers."""
-
-    def __init__(self, *hooks: TrainerHooks) -> None:
-        self.hooks = [h for h in hooks if h is not None and h is not NULL_HOOKS]
-
-    @property
-    def active(self) -> bool:
-        return any(h.active for h in self.hooks)
-
-    def on_epoch(self, event: EpochEvent) -> None:
-        for h in self.hooks:
-            h.on_epoch(event)
-
-    def on_batch(self, event: BatchEvent) -> None:
-        for h in self.hooks:
-            h.on_batch(event)
-
-    def on_kernel(self, event: KernelEvent) -> None:
-        for h in self.hooks:
-            h.on_kernel(event)
-
-    def on_transfer(self, event: TransferEvent) -> None:
-        for h in self.hooks:
-            h.on_transfer(event)
 
 
 class RecordingHooks:

@@ -19,6 +19,10 @@ stream, and streams them through its own double-buffered
 while this one computes (§6.2). Each block is one
 ``backend.serial_update`` call, the worker updating its samples serially
 (§5.1) -- on ``c``, one GIL-free foreign call per block.
+
+:func:`run_threads` is the one place worker threads start: this executor
+and :class:`~repro.parallel.wavefront_threads.ThreadedWavefront` hand it
+their per-thread work every epoch.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import contextvars
 import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -47,13 +51,41 @@ from repro.sched.plan import PlanShard
 if TYPE_CHECKING:  # pragma: no cover
     from repro.data.blockstore import BlockStore, PrefetchStats
 
-__all__ = ["ThreadedHogwild"]
+__all__ = ["ThreadedHogwild", "run_threads"]
 
 #: Shared names worker threads may mutate (``race-shared-write`` lint):
 #: ``counts``/``staged`` are write-disjoint per thread id, ``errors.append``
 #: is GIL-atomic (as is ``tracer.add_span``, one list append). P and Q
 #: races are the point of Hogwild! (in the kernel).
 SHARED_WRITE_OK = ("counts", "errors", "staged")
+
+
+def run_threads(n: int, work: Callable[[int], None], name: str) -> None:
+    """Run ``work(tid)`` for ``tid`` in ``range(n)`` on ``n`` OS threads
+    named ``{name}-{tid}``, join them all, then re-raise the first failure.
+
+    Each thread runs in its own copy of the caller's context (a Context
+    admits one thread at a time), so the caller's sanitizer, collector
+    and tracer reach its work. Threads start afresh every call; a thread
+    pool would replace them here.
+    """
+    errors: list[BaseException] = []
+
+    def guarded(tid: int) -> None:
+        try:
+            work(tid)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(guarded, tid), name=f"{name}-{tid}")
+               for tid in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
@@ -185,16 +217,11 @@ class ThreadedHogwild:
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         self._epochs_run += 1
+        shards = None
         if self.store is None:
             shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
-            counts = self._epoch(model, ratings, shards, np.float32(lr),
-                                 np.float32(lam_p), np.float32(lam_q))
-        else:
-            counts = self._stream(model, np.float32(lr), np.float32(lam_p),
-                                  np.float32(lam_q))
-        san = active_sanitizer()
-        if san is not None:
-            san.epoch_end(model.p, model.q, epoch=self._epochs_run)
+        counts = self._epoch(model, ratings, shards, np.float32(lr),
+                             np.float32(lam_p), np.float32(lam_q))
         if hooks.active:
             for tid, count in enumerate(counts):
                 if self.store is None:  # one launch per live wave
@@ -209,96 +236,67 @@ class ThreadedHogwild:
         self._totals = [a + b for a, b in zip(self._totals, counts)]
         return sum(counts)
 
+    def epoch_extras(self) -> dict:
+        """The thread count and each thread's updates in the last epoch."""
+        return {"n_threads": self.n_threads,
+                "thread_updates": list(self.thread_updates)}
+
     def _epoch(self, model, ratings, shards, lr, lam_p, lam_q) -> list[int]:
-        """Dispatch one thread per shard and join them; per-thread updates."""
+        """Run one thread per shard, or out of core per block set, through
+        :func:`run_threads`, between the active sanitizer's epoch bracket;
+        returns the per-thread updates. Each thread appends its one
+        ``compute`` span: ``spawn`` is its dispatch-to-entry latency and,
+        out of core, ``stall`` the part of its block loop spent waiting on
+        its prefetcher."""
         epoch, tracer = self._epochs_run, self._tracer
         origin = tracer.origin
         counts = [0] * self.n_threads
-        errors: list[BaseException] = []
         backend, workspaces = self._backend, self._workspaces
+        p, q = model.p, model.q
         san = active_sanitizer()
         if san is not None:  # seal last epoch's views before the rebinds
             san.begin_epoch(epoch=epoch)
-        args = (model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
-                lr, lam_p, lam_q)
-        dispatched = time.perf_counter()
+        if self.store is None:
+            data = (ratings.rows, ratings.cols, ratings.vals)
 
-        def work(tid: int) -> None:
-            try:
-                t0 = time.perf_counter()
-                counts[tid] = n = _replay_shard(
-                    workspaces[tid], backend, shards[tid], *args, san=san,
-                    wid=tid, epoch=epoch)
-                t1 = time.perf_counter()
-                # spawn = dispatch-to-entry latency, compute = gather + replay
-                tracer.add_span(
-                    f"epoch {epoch} compute", t0 - origin, t1 - t0,
-                    pid=WALL_PID, tid=THREAD_TID_BASE + tid, cat="compute",
-                    args={"epoch": epoch, "updates": n,
-                          "spawn": t0 - dispatched})
-            except BaseException as exc:  # pragma: no cover - defensive
-                errors.append(exc)
+            def replay(tid: int) -> tuple[int, dict]:
+                return _replay_shard(
+                    workspaces[tid], backend, shards[tid], p, q, *data, lr,
+                    lam_p, lam_q, san=san, wid=tid, epoch=epoch), {}
+        else:
+            from repro.data.blockstore import BlockPrefetcher
 
-        threads = [threading.Thread(target=work, args=(tid,), name=f"hogwild-{tid}")
-                   for tid in range(self.n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:  # pragma: no cover - defensive
-            raise errors[0]
-        return counts
+            store, blocks, rngs = self.store, self._blocks, self._rngs
+            staged: list[PrefetchStats | None] = [None] * self.n_threads
 
-    def _stream(self, model, lr, lam_p, lam_q) -> list[int]:
-        """One out-of-core epoch: each thread streams its blocks, in its
-        own fresh order, through its own prefetcher; per-thread updates."""
-        from repro.data.blockstore import BlockPrefetcher
-
-        epoch, tracer = self._epochs_run, self._tracer
-        origin = tracer.origin
-        counts = [0] * self.n_threads
-        staged: list[PrefetchStats | None] = [None] * self.n_threads
-        errors: list[BaseException] = []
-        backend, workspaces, store = self._backend, self._workspaces, self.store
-        blocks, rngs, max_wave = self._blocks, self._rngs, self.f
-        p, q = model.p, model.q
-        san = active_sanitizer()
-        dispatched = time.perf_counter()
-
-        def stream(tid: int) -> None:
-            try:
-                t0 = time.perf_counter()
+            def replay(tid: int) -> tuple[int, dict]:
                 own = blocks[tid]
                 prefetcher = BlockPrefetcher(
                     store, [own[i] for i in rngs[tid].permutation(len(own))],
                     wid=tid)
-                counts[tid] = n = _replay_blocks(
-                    workspaces[tid], backend, prefetcher, p, q, lr, lam_p,
-                    lam_q, max_wave, san=san, wid=tid, epoch=epoch)
-                t1 = time.perf_counter()
+                n = _replay_blocks(workspaces[tid], backend, prefetcher, p, q,
+                                   lr, lam_p, lam_q, self.f, san=san, wid=tid,
+                                   epoch=epoch)
                 stats = staged[tid] = prefetcher.stats
-                # the block loop's wall time is prefetch stall plus compute
-                tracer.add_span(
-                    f"epoch {epoch} compute", t0 - origin, t1 - t0,
-                    pid=WALL_PID, tid=THREAD_TID_BASE + tid, cat="compute",
-                    args={"epoch": epoch, "updates": n,
-                          "spawn": t0 - dispatched,
-                          "stall": stats.wait_seconds})
-            except BaseException as exc:
-                errors.append(exc)
+                return n, {"stall": stats.wait_seconds}
 
-        # one context copy per thread (a Context admits one thread at a
-        # time): the caller's sanitizer and tracer reach each thread's
-        # block checks, shard loads and stage spans
-        threads = [threading.Thread(target=contextvars.copy_context().run,
-                                    args=(stream, tid), name=f"hogwild-{tid}")
-                   for tid in range(self.n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        for stats in staged:
-            self.stage_stats.merge(stats)
+        dispatched = time.perf_counter()
+
+        def work(tid: int) -> None:
+            t0 = time.perf_counter()
+            n, extra = replay(tid)
+            t1 = time.perf_counter()
+            counts[tid] = n
+            tracer.add_span(
+                f"epoch {epoch} compute", t0 - origin, t1 - t0,
+                pid=WALL_PID, tid=THREAD_TID_BASE + tid, cat="compute",
+                args={"epoch": epoch, "updates": n,
+                      "spawn": t0 - dispatched, **extra})
+
+        run_threads(self.n_threads, work, "hogwild")
+        if san is not None:
+            san.epoch_end(p, q, epoch=epoch)
+        if self.store is not None:
+            for stats in staged:
+                self.stage_stats.merge(stats)
         return counts

@@ -15,7 +15,6 @@ is numerically race-free even under true parallelism (though the update
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 
@@ -28,16 +27,16 @@ from repro.core.partition import grid_block_index
 from repro.core.trainer import EpochSolver
 from repro.data.container import RatingMatrix
 from repro.obs.hooks import TrainerHooks
+from repro.parallel.threads import run_threads
 from repro.sched.column_lock import ColumnLockArray
 
 __all__ = ["ThreadedWavefront"]
 
 #: Shared names worker threads may legitimately mutate, audited by the
 #: ``race-shared-write`` lint pass. ``counts`` is write-disjoint (one slot per
-#: worker id), ``errors`` relies on list.append being atomic under the GIL,
-#: and ``locks`` is the ColumnLockArray whose CAS discipline *is* the
-#: synchronization protocol (Fig. 6).
-SHARED_WRITE_OK = ("counts", "errors", "locks")
+#: worker id), and ``locks`` is the ColumnLockArray whose CAS discipline *is*
+#: the synchronization protocol (Fig. 6).
+SHARED_WRITE_OK = ("counts", "locks")
 
 #: seconds a worker sleeps between tries at a held column lock
 SPIN_SLEEP = 1e-5
@@ -86,41 +85,28 @@ class ThreadedWavefront(EpochSolver):
         locks = ColumnLockArray(c)
         self.locks = locks
         counts = [0] * self.workers
-        errors: list[BaseException] = []
         sequences = [self._rng.permutation(c) for _ in range(self.workers)]
         rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
 
         def work(wid: int) -> None:
-            try:
-                for col in sequences[wid]:
-                    col = int(col)
-                    # spin on the column lock, as the GPU worker does
-                    while not locks.try_acquire(col, wid):
-                        time.sleep(SPIN_SLEEP)
-                    try:
-                        idx = index[wid * c + col]
-                        if len(idx):
-                            sgd_serial_update(
-                                model.p, model.q,
-                                rows[idx], cols[idx], vals[idx],
-                                lr, lam_p, lam_q,
-                            )
-                            counts[wid] += len(idx)
-                    finally:
-                        locks.release(col, wid)
-            except BaseException as exc:  # pragma: no cover - defensive
-                errors.append(exc)
+            for col in sequences[wid]:
+                col = int(col)
+                # spin on the column lock, as the GPU worker does
+                while not locks.try_acquire(col, wid):
+                    time.sleep(SPIN_SLEEP)
+                try:
+                    idx = index[wid * c + col]
+                    if len(idx):
+                        sgd_serial_update(
+                            model.p, model.q,
+                            rows[idx], cols[idx], vals[idx],
+                            lr, lam_p, lam_q,
+                        )
+                        counts[wid] += len(idx)
+                finally:
+                    locks.release(col, wid)
 
-        threads = [
-            threading.Thread(target=work, args=(wid,), name=f"wavefront-{wid}")
-            for wid in range(self.workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:  # pragma: no cover - defensive
-            raise errors[0]
+        run_threads(self.workers, work, "wavefront")
         if not locks.all_free():
             raise RuntimeError("column locks leaked after the epoch")
         return sum(counts)

@@ -143,9 +143,9 @@ class ResilientTrainer:
 
     # ------------------------------------------------------------------
     def _diverged(self, model: FactorModel, guard: list[float], metric: float | None) -> bool:
-        """The per-epoch safety gate: non-finite factors or a bad curve."""
-        p, q = model.as_float32()
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        """The per-epoch safety gate: non-finite factors or a bad curve.
+        Finiteness is tested on the stored dtype: fp16 needs no widening."""
+        if not (np.isfinite(model.p).all() and np.isfinite(model.q).all()):
             return True
         if metric is None:
             return False
@@ -247,8 +247,7 @@ class ResilientTrainer:
         history = run_epochs(
             executor, est.model, train, epochs,
             schedule=lambda epoch: est.schedule(epoch) * self.lr_scale,
-            lam=est.lam, scheme=est.scheme, k=est.k, nnz=nnz,
-            feature_bytes=2 if est.half_precision else 4,
+            lam=est.lam, scheme=est.scheme, nnz=nnz,
             test=test, eval_train=eval_train,
             hooks=hooks if hooks is not None else est.hooks, guard=self,
         )

@@ -9,8 +9,6 @@ convergence (§7.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -19,7 +17,6 @@ __all__ = [
     "collision_fraction",
     "expected_collision_fraction",
     "wave_is_conflict_free",
-    "ConflictCounter",
 ]
 
 
@@ -50,36 +47,24 @@ def count_conflicts(rows: np.ndarray, cols: np.ndarray) -> int:
     return conflicts
 
 
-def _count_conflicts_vectorized(rows: np.ndarray, cols: np.ndarray) -> int:
-    """Exact number of conflicting samples in a wave, O(s log s).
-
-    Same quantity as :func:`count_conflicts` (samples whose row duplicates an
-    earlier row or whose column duplicates an earlier column), computed from
-    first-occurrence masks instead of a Python loop.
-    """
-    s = len(rows)
-    if s == 0:
-        return 0
-    first_row = np.zeros(s, dtype=bool)
-    first_col = np.zeros(s, dtype=bool)
-    first_row[np.unique(rows, return_index=True)[1]] = True
-    first_col[np.unique(cols, return_index=True)[1]] = True
-    return int(np.count_nonzero(~(first_row & first_col)))
-
-
 def collision_fraction(rows: np.ndarray, cols: np.ndarray) -> float:
     """Fraction of the wave's updates that conflict (vectorized).
 
     Counts samples whose row is a duplicate of an earlier row or whose column
     duplicates an earlier column — identical to
-    ``count_conflicts / len(wave)`` but O(s log s).
+    ``count_conflicts / len(wave)`` but O(s log s), from first-occurrence
+    masks instead of a Python loop.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     s = len(rows)
     if s == 0:
         return 0.0
-    return _count_conflicts_vectorized(rows, cols) / s
+    first_row = np.zeros(s, dtype=bool)
+    first_col = np.zeros(s, dtype=bool)
+    first_row[np.unique(rows, return_index=True)[1]] = True
+    first_col[np.unique(cols, return_index=True)[1]] = True
+    return int(np.count_nonzero(~(first_row & first_col))) / s
 
 
 def expected_collision_fraction(s: int, m: int, n: int) -> float:
@@ -104,66 +89,3 @@ def wave_is_conflict_free(rows: np.ndarray, cols: np.ndarray) -> bool:
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     return len(np.unique(rows)) == len(rows) and len(np.unique(cols)) == len(cols)
-
-
-@dataclass
-class ConflictCounter:
-    """Running Eq. 6 conflict accounting across many waves.
-
-    The §7.5 convergence argument is about a *rate* — how often concurrent
-    updates touch the same feature row as ``s`` approaches ``min(m, n)``.
-    This counter accumulates it over an epoch (or a whole run) instead of
-    one wave at a time:
-
-    ``attempts``
-        samples observed (each sample in a wave is one attempted update);
-    ``conflicts``
-        samples whose row or column duplicated an earlier sample in the
-        same wave — the updates lost or stale under racing execution;
-    ``aborts``
-        waves abandoned wholesale (a scheduler may drop a wave rather than
-        execute it when the conflict check fails).
-    """
-
-    attempts: int = 0
-    conflicts: int = 0
-    aborts: int = 0
-    waves: int = 0
-
-    def observe_wave(self, rows: np.ndarray, cols: np.ndarray) -> float:
-        """Accumulate one wave; returns its collision fraction.
-
-        The conflict *count* is computed exactly (vectorized) and the
-        fraction derived from it — never reconstructed from a rounded
-        float, so ``conflicts`` always equals the sum of per-wave
-        :func:`count_conflicts` values.
-        """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        n = len(rows)
-        conflicts = _count_conflicts_vectorized(rows, cols)
-        self.attempts += n
-        self.conflicts += conflicts
-        self.waves += 1
-        return conflicts / n if n else 0.0
-
-    def abort_wave(self, n_samples: int) -> None:
-        """Record a wave dropped before execution (its samples count as
-        attempts but not conflicts)."""
-        if n_samples < 0:
-            raise ValueError(f"n_samples must be non-negative, got {n_samples}")
-        self.attempts += n_samples
-        self.aborts += 1
-        self.waves += 1
-
-    @property
-    def conflict_rate(self) -> float:
-        """Conflicting fraction of all attempted updates."""
-        return self.conflicts / self.attempts if self.attempts else 0.0
-
-    def merge(self, other: "ConflictCounter") -> "ConflictCounter":
-        self.attempts += other.attempts
-        self.conflicts += other.conflicts
-        self.aborts += other.aborts
-        self.waves += other.waves
-        return self

@@ -114,6 +114,30 @@ def test_worker_run_in_a_context_copy_is_audited(tmp_path):
             if f.rule == "race-shared-write"] == ["run.work"]
 
 
+def test_worker_handed_to_run_threads_is_audited(tmp_path):
+    target = tmp_path / "mod.py"
+    target.write_text(
+        "from repro.parallel.threads import run_threads\n"
+        "\n"
+        "SHARED_WRITE_OK = ('counts',)\n"
+        "\n"
+        "def run(n):\n"
+        "    counts = [0] * n\n"
+        "    results = []\n"
+        "\n"
+        "    def work(tid):\n"
+        "        counts[tid] += 1\n"
+        "        results.append(tid)\n"
+        "\n"
+        "    run_threads(n, work, 'probe')\n"
+        "    return results\n"
+    )
+    report = run_lint([target])
+    findings = [f for f in report.findings if f.rule == "race-shared-write"]
+    assert [f.symbol for f in findings] == ["run.work"]
+    assert "results.append()" in findings[0].message
+
+
 def test_bad_shm_names_both_missing_calls():
     report = run_lint([FIXTURES / "bad_shm.py"])
     messages = [f.message for f in report.findings if f.rule == "shm-lifecycle"]

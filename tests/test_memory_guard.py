@@ -20,6 +20,12 @@ phase holds at its peak on ``netflix-syn``:
   per sample (4 B) and one block of gathered rows, widened to fp32 a
   block at a time. Gathering every test sample's rows at once, after an
   fp32 copy of the model, held 5.4 MB.
+
+Off the launch path, the fp16 model (0.42 MB) is read in place as well:
+scoring one user's 1,780 items holds one block of widened rows (0.34 MB,
+against 1.31 MB through an fp32 model copy and whole-array gathers), and
+the recovery guard's finiteness test one boolean per factor (0.15 MB,
+against 1.0 MB through an fp32 copy).
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ import pytest
 
 from repro.backends import c_backend, get_backend
 from repro.core.hogwild import BatchHogwild
+from repro.core.model import FactorModel
 from repro.core.trainer import CuMFSGD
 from repro.data.synthetic import SCALED_DATASETS, make_synthetic
 from repro.metrics.rmse import rmse
+from repro.resilience.trainer import ResilientTrainer
 
 SPEC = SCALED_DATASETS["netflix-syn"]
 
@@ -91,3 +99,41 @@ def test_fp16_eval_peak(netflix_syn):
     p = rng.normal(size=(SPEC.m, SPEC.k)).astype(np.float16)
     q = rng.normal(size=(SPEC.n, SPEC.k)).astype(np.float16)
     assert _traced_peak(lambda: rmse(p, q, netflix_syn.test)) < 1.5e6
+
+
+@pytest.fixture(scope="module")
+def fp16_model():
+    return FactorModel.initialize(SPEC.m, SPEC.n, SPEC.k, seed=0,
+                                  half_precision=True)
+
+
+def test_fp16_scoring_reads_the_stored_factors(fp16_model):
+    """Scoring one user's every item widens one block of rows at a time,
+    and each prediction equals a whole-array fp32 gather's, bit for bit."""
+    est = CuMFSGD(k=SPEC.k, half_precision=True)
+    est.model = fp16_model
+    users = np.zeros(SPEC.n, dtype=np.int64)
+    items = np.arange(SPEC.n)
+    scores = []
+    peak = _traced_peak(lambda: scores.append(est.predict(users, items)))
+    assert peak < 0.7e6
+    p, q = fp16_model.as_float32()
+    reference = np.einsum("ij,ij->i", p[users], q[items])
+    assert scores[0].dtype == np.float32
+    assert scores[0].tobytes() == reference.tobytes()
+
+
+def test_fp16_divergence_guard_reads_the_stored_factors(fp16_model,
+                                                        tmp_path):
+    """The recovery guard tests finiteness on fp16 itself, not on an fp32
+    copy of the model."""
+    trainer = ResilientTrainer(CuMFSGD(k=SPEC.k, half_precision=True),
+                               tmp_path)
+    verdicts = []
+    peak = _traced_peak(
+        lambda: verdicts.append(trainer._diverged(fp16_model, [], None)))
+    assert verdicts == [False]
+    assert peak < 0.5e6
+    poisoned = fp16_model.copy()
+    poisoned.q[3, 5] = np.inf
+    assert trainer._diverged(poisoned, [], None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import sgd_wave_update
 from repro.core.model import FactorModel
 from repro.core.multi_gpu import MultiDeviceSGD, TransferLedger
 from repro.core.partition import GridPartition
@@ -92,6 +93,44 @@ class TestEpoch:
             p, q = model.as_float32()
             finals.append(rmse(p, q, tiny_problem.test))
         assert finals[0] == pytest.approx(finals[1], rel=0.05)
+
+
+class _WaveLoopReference(MultiDeviceSGD):
+    """Each block's pass as a loop of ``sgd_wave_update`` calls over
+    ``workers``-sample slices of the block's permutation."""
+
+    def _device_pass(self, model, rows, cols, vals, lr, lam_p, lam_q):
+        n = len(rows)
+        if not n:
+            return 0
+        order = self._rng.permutation(n)
+        for lo in range(0, n, self.workers):
+            wave = order[lo : lo + self.workers]
+            sgd_wave_update(
+                model.p, model.q, rows[wave], cols[wave], vals[wave],
+                lr, lam_p, lam_q, workspace=self.workspace,
+            )
+        return n
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
+def test_device_pass_matches_the_wave_loop(tiny_problem, half):
+    """A block's waves, replayed as ``EpochPlan(order, workers, 1)``, are
+    bit for bit the loop over ``order[lo:lo + workers]``; ``workers=24``
+    leaves a partial last wave in most blocks."""
+    train = tiny_problem.train
+    models = []
+    for cls in (MultiDeviceSGD, _WaveLoopReference):
+        sgd = cls(n_devices=2, i=4, j=4, workers=24, seed=5)
+        model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=5,
+                                       half_precision=half)
+        for lr in (0.05, 0.04):
+            sgd.run_epoch(model, train, lr, 0.05)
+        models.append(model)
+    replayed, looped = models
+    assert replayed.p.dtype == (np.float16 if half else np.float32)
+    assert replayed.p.tobytes() == looped.p.tobytes()
+    assert replayed.q.tobytes() == looped.q.tobytes()
 
 
 class TestLedger:

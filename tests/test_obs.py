@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ALSSolver, BIDMachSGD, LIBMFSolver, NOMADSolver
+from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.trainer import CuMFSGD
 from repro.metrics.throughput import ThroughputRecord
 from repro.obs import (
@@ -25,8 +26,8 @@ from repro.obs import (
 )
 from repro.obs.tracer import SIM_PID, WALL_PID
 from repro.parallel.wavefront_threads import ThreadedWavefront
+from repro.resilience.trainer import ResilientTrainer
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
-from repro.sched.conflict import ConflictCounter, count_conflicts
 
 pytestmark = pytest.mark.obs
 
@@ -309,6 +310,84 @@ def test_every_solver_epoch_reaches_the_collector(tiny_problem, scheme):
     assert [span["args"]["scheme"] for span in spans] == [scheme, scheme]
 
 
+#: each executor's configuration and its per-epoch ``extra`` over two
+#: epochs on the seeded tiny problem, as the estimator reported them
+#: before each executor owned its diagnostics
+EPOCH_EXTRAS = {
+    "serial": (dict(workers=32, f=16), [
+        {"plan_compiles": 1, "plan_repermutes": 0, "plan_cache_hits": 0,
+         "workspace_allocations": 2, "workspace_plan_binds": 1,
+         "workspace_waves": 480, "workspace_bytes": 435328},
+        {"plan_compiles": 1, "plan_repermutes": 1, "plan_cache_hits": 0,
+         "workspace_allocations": 2, "workspace_plan_binds": 2,
+         "workspace_waves": 960, "workspace_bytes": 435328},
+    ]),
+    "adagrad": (dict(workers=32, f=16), [
+        {"plan_compiles": 1, "plan_repermutes": 0, "plan_cache_hits": 0,
+         "workspace_allocations": 1, "workspace_plan_binds": 1,
+         "workspace_waves": 0, "workspace_bytes": 430080},
+        {"plan_compiles": 1, "plan_repermutes": 1, "plan_cache_hits": 0,
+         "workspace_allocations": 1, "workspace_plan_binds": 2,
+         "workspace_waves": 0, "workspace_bytes": 430080},
+    ]),
+    "threads": (dict(workers=32, f=16, n_threads=2), [
+        {"n_threads": 2, "thread_updates": [7576, 7424]},
+        {"n_threads": 2, "thread_updates": [7576, 7424]},
+    ]),
+    "wavefront": (dict(scheme="wavefront", workers=8), [
+        {"lock_wait_events": 33, "lock_attempts": 161, "sched_rounds": 23},
+        {"lock_wait_events": 34, "lock_attempts": 162, "sched_rounds": 23},
+    ]),
+    "multi_device": (dict(scheme="multi_device", workers=8, n_devices=2,
+                          grid=(4, 4)), [
+        {"transfer_rounds": 9, "transfer_bytes": 308000},
+        {"transfer_rounds": 17, "transfer_bytes": 616000},
+    ]),
+}
+
+
+def _estimator(executor: str) -> CuMFSGD:
+    kw = dict(EPOCH_EXTRAS[executor][0])
+    if executor == "adagrad":  # a fresh schedule: it holds per-fit state
+        kw["schedule"] = AdaGradSchedule(0.1)
+    return CuMFSGD(k=8, lam=0.05, seed=3, **kw)
+
+
+class TestEpochExtras:
+    @pytest.mark.parametrize("executor", EPOCH_EXTRAS)
+    def test_each_executor_reports_its_own_extras(self, tiny_problem,
+                                                  executor):
+        hooks = RecordingHooks()
+        _estimator(executor).fit(tiny_problem.train, epochs=2, hooks=hooks)
+        assert [e.extra for e in hooks.epochs] == EPOCH_EXTRAS[executor][1]
+
+    def test_wavefront_epoch_locks_sum_to_its_totals(self, tiny_problem):
+        hooks = RecordingHooks()
+        est = _estimator("wavefront")
+        est.fit(tiny_problem.train, epochs=3, hooks=hooks)
+        extras = [e.extra for e in hooks.epochs]
+        sched = est.executor
+        assert sum(x["lock_wait_events"] for x in extras) == sched.wait_events
+        assert sum(x["lock_attempts"] for x in extras) == (
+            sched.lock_stats.attempts)
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "wavefront",
+                                          "multi_device"])
+    def test_resilient_fit_carries_the_same_extras(self, tiny_problem,
+                                                   tmp_path, executor):
+        """The recovering fit runs the same loop, so an epoch it keeps
+        carries the executor's diagnostics like a plain fit's."""
+        train, test = tiny_problem.train, tiny_problem.test
+        plain, guarded = RecordingHooks(), RecordingHooks()
+        _estimator(executor).fit(train, epochs=2, test=test, hooks=plain)
+        trainer = ResilientTrainer(_estimator(executor), tmp_path)
+        trainer.fit(train, epochs=2, test=test, hooks=guarded)
+        assert trainer.rollbacks == 0
+        assert all(e.extra for e in guarded.epochs)
+        assert [e.extra for e in guarded.epochs] == (
+            [e.extra for e in plain.epochs])
+
+
 class TestThroughputFromHistory:
     def test_from_history_eq7(self):
         from repro.core.trainer import TrainHistory
@@ -361,31 +440,6 @@ class TestLockContention:
         b = LockContentionStats(attempts=2, waits=2, aborts=1, releases=4)
         assert a + b == LockContentionStats(5, 3, 1, 4)
         assert LockContentionStats().wait_fraction == 0.0
-
-
-class TestConflictCounter:
-    def test_observe_wave(self):
-        counter = ConflictCounter()
-        rows = np.array([0, 1, 0, 2])
-        cols = np.array([0, 1, 2, 1])
-        frac = counter.observe_wave(rows, cols)
-        assert frac == pytest.approx(count_conflicts(rows, cols) / 4)
-        assert counter.attempts == 4 and counter.conflicts == 2
-        assert counter.conflict_rate == 0.5 and counter.waves == 1
-
-    def test_abort_wave(self):
-        counter = ConflictCounter()
-        counter.abort_wave(8)
-        assert counter.attempts == 8 and counter.aborts == 1
-        assert counter.conflict_rate == 0.0
-        with pytest.raises(ValueError):
-            counter.abort_wave(-1)
-
-    def test_merge(self):
-        a = ConflictCounter(attempts=10, conflicts=2, waves=1)
-        b = ConflictCounter(attempts=5, conflicts=1, aborts=1, waves=2)
-        a.merge(b)
-        assert a == ConflictCounter(attempts=15, conflicts=3, aborts=1, waves=3)
 
 
 class TestObsCLI:

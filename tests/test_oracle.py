@@ -191,7 +191,7 @@ def test_thread_executor_at_one_thread_is_batch_hogwild(backend, half):
         model = FactorModel.initialize(train.n_rows, train.n_cols, k,
                                        seed=SEED, half_precision=half)
         run_epochs(executor, model, train, EPOCHS, schedule=NomadSchedule(),
-                   lam=0.05, scheme="batch_hogwild", k=k)
+                   lam=0.05, scheme="batch_hogwild")
         models.append(model)
     serial, threaded = models
     assert threaded.p.dtype == (np.float16 if half else np.float32)

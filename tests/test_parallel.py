@@ -12,6 +12,8 @@ Covers the contracts the parallel layer is built on:
 * ``CuMFSGD(n_threads=..., store=...)`` — four threads still converge
   despite real races, and out of core one NumPy thread is bit-identical to
   a plain loop of ``sgd_serial_update`` over its blocks;
+* the thread dispatch — a thread's failure reaches the caller once every
+  thread has joined, and each thread runs in the caller's context;
 * the epoch loop — every executor's history times its epochs;
 * telemetry — the executor emits epoch and kernel events and publishes
   its ``repro.thread.*`` metrics into the ambient registry.
@@ -19,12 +21,15 @@ Covers the contracts the parallel layer is built on:
 
 from __future__ import annotations
 
+import contextvars
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.backends.c_backend import find_compiler
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
@@ -37,6 +42,7 @@ from repro.metrics.throughput import ThroughputRecord
 from repro.obs import RecordingHooks, TelemetryCollector, activate
 from repro.obs.registry import M
 from repro.parallel import ThreadedHogwild
+from repro.parallel.threads import run_threads
 from repro.san import Sanitizer, activate_sanitizer
 from repro.sched.plan import EpochPlan
 
@@ -46,7 +52,7 @@ def _run_executor(executor, train, epochs, seed, k=8, lam=0.05):
     CuMFSGD's initial model and schedule; returns the model."""
     model = FactorModel.initialize(train.n_rows, train.n_cols, k, seed=seed)
     run_epochs(executor, model, train, epochs, schedule=NomadSchedule(),
-               lam=lam, scheme="batch_hogwild", k=k)
+               lam=lam, scheme="batch_hogwild")
     return model
 
 
@@ -373,6 +379,40 @@ class TestThreadedHogwild:
         assert per_thread == 2 * train.nnz
         assert registry.value(M.STAGE_BLOCKS_LOADED) == 2 * store.n_blocks
         assert registry.value(M.STAGE_BYTES_LOADED) > 0
+
+
+class _FailingOnThread1(NumpyBackend):
+    """The numpy reference, except that thread 1's shard replay fails."""
+
+    def replay(self, ws, shard, *args):
+        if threading.current_thread().name == "hogwild-1":
+            raise RuntimeError("shard replay failed on thread 1")
+        return super().replay(ws, shard, *args)
+
+
+class TestThreadDispatch:
+    def test_failing_thread_reraised_after_every_thread_joins(
+            self, tiny_problem):
+        est = CuMFSGD(k=8, n_threads=2, workers=32, f=16, seed=0,
+                      backend=_FailingOnThread1())
+        with pytest.raises(RuntimeError, match="thread 1"):
+            est.fit(tiny_problem.train, epochs=1)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("hogwild-")]
+
+    def test_each_thread_runs_in_the_callers_context(self):
+        var = contextvars.ContextVar("caller", default=None)
+        token = var.set("set by the caller")
+        seen = [None] * 3
+        try:
+            def work(tid):
+                seen[tid] = (var.get(), threading.current_thread().name)
+
+            run_threads(3, work, "probe")
+        finally:
+            var.reset(token)
+        assert seen == [("set by the caller", f"probe-{tid}")
+                        for tid in range(3)]
 
 
 class TestEpochLoop:

