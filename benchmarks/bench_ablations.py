@@ -83,7 +83,7 @@ def test_ablation_wavefront_grid(benchmark, bench_problem):
                 bench_problem.spec.m, bench_problem.spec.n, 16, seed=0
             )
             sched.run_epoch(model, bench_problem.train, 0.08, 0.05)
-            waits[c_mult] = sched.wait_events
+            waits[c_mult] = sched.lock_stats.waits
         return waits
 
     benchmark.pedantic(run, rounds=1, iterations=1)

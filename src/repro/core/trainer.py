@@ -7,9 +7,9 @@ with per-epoch test-RMSE tracking — the measurement every RMSE-vs-time
 figure in the paper plots.
 
 :func:`run_epochs` is the one epoch loop behind every trainer — this
-estimator, the baselines and the threaded wavefront (each an
-:class:`EpochSolver`), the real-parallelism executors of
-:mod:`repro.parallel`, and :class:`repro.resilience.trainer.ResilientTrainer`.
+estimator, the baselines (each an :class:`EpochSolver`), the
+real-parallelism executors of :mod:`repro.parallel`, and
+:class:`repro.resilience.trainer.ResilientTrainer`.
 Executors only run epochs (:class:`EpochExecutor`); the loop owns the
 learning-rate schedule, per-epoch timing, evaluation, history/event
 emission and early stopping.
@@ -384,13 +384,14 @@ class CuMFSGD(EpochSolver):
         Kernel backend for ``scheme="batch_hogwild"`` wave updates (see
         :mod:`repro.backends`); ``None`` keeps the NumPy reference path.
     n_threads, store:
-        OS threads racing lock-free on the shared factors (§5.1), and a
-        :class:`~repro.data.blockstore.BlockStore` to stream the ratings
-        from (``fit(None)`` then takes the shape from it). More than one
-        thread, or a store, runs the epochs on
-        :class:`~repro.parallel.threads.ThreadedHogwild`; otherwise one
-        thread is :class:`~repro.core.hogwild.BatchHogwild` itself. Both
-        need ``scheme="batch_hogwild"`` without an :class:`AdaGradSchedule`.
+        OS threads, and a :class:`~repro.data.blockstore.BlockStore` to
+        stream the ratings from (``fit(None)`` then takes the shape from
+        it). Batch-Hogwild! threads, or a store, race lock-free on the
+        shared factors in :class:`~repro.parallel.threads.ThreadedHogwild`
+        (§5.1); one thread is :class:`~repro.core.hogwild.BatchHogwild`.
+        Wavefront threads share the column-lock array of
+        :class:`~repro.core.wavefront.WavefrontScheduler` (§5.2). Neither
+        runs an :class:`AdaGradSchedule`, and a store runs batch_hogwild.
     """
 
     def __init__(
@@ -423,13 +424,15 @@ class CuMFSGD(EpochSolver):
         if n_threads > workers and store is None:
             raise ValueError(f"n_threads={n_threads} exceeds the plan's "
                              f"{workers} worker lanes")
+        allowed = (("batch_hogwild",) if store is not None
+                   else ("batch_hogwild", "wavefront"))
         if (n_threads > 1 or store is not None) and (
-                scheme != "batch_hogwild"
+                scheme not in allowed
                 or isinstance(schedule, AdaGradSchedule)):
-            what = (f"scheme {scheme!r}" if scheme != "batch_hogwild"
+            what = (f"scheme {scheme!r}" if scheme not in allowed
                     else "AdaGradSchedule")
-            raise ValueError(f"{what} cannot run on threads or a BlockStore, "
-                             "which run batch_hogwild without AdaGrad")
+            raise ValueError(f"{what} cannot run on threads or a BlockStore, which "
+                             "run batch_hogwild (threads also wavefront) without AdaGrad")
         self.k = k
         self.scheme = scheme
         self.workers = workers
@@ -445,8 +448,8 @@ class CuMFSGD(EpochSolver):
         self.hooks = hooks
         #: kernel backend for the batch-Hogwild! wave updates (name /
         #: BackendType / instance; None = numpy reference). Forwarded to
-        #: BatchHogwild; the wavefront and multi-device simulators model
-        #: schedules, not kernels, and ignore it.
+        #: BatchHogwild; the wavefront and multi-device executors run
+        #: numpy's kernels and ignore it.
         self.backend = backend
         self.n_threads = n_threads
         self.store = store
@@ -456,6 +459,13 @@ class CuMFSGD(EpochSolver):
 
     # ------------------------------------------------------------------
     def _make_executor(self):
+        if self.scheme == "wavefront":
+            from repro.core.wavefront import WavefrontScheduler
+
+            return WavefrontScheduler(
+                workers=self.workers, col_blocks=self.col_blocks,
+                seed=self.seed, n_threads=self.n_threads,
+            )
         if self.n_threads > 1 or self.store is not None:
             from repro.parallel.threads import ThreadedHogwild
 
@@ -475,12 +485,6 @@ class CuMFSGD(EpochSolver):
             return BatchHogwild(
                 workers=self.workers, f=self.f, seed=self.seed,
                 backend=self.backend,
-            )
-        if self.scheme == "wavefront":
-            from repro.core.wavefront import WavefrontScheduler
-
-            return WavefrontScheduler(
-                workers=self.workers, col_blocks=self.col_blocks, seed=self.seed
             )
         from repro.core.multi_gpu import MultiDeviceSGD
 

@@ -8,6 +8,7 @@ Subcommands::
     cumf-sgd train netflix-syn --epochs 20 --scheme wavefront
     cumf-sgd train netflix-syn --executor auto            # policy picks (default)
     cumf-sgd train netflix-syn --executor threads --procs 4   # Hogwild! threads
+    cumf-sgd train netflix-syn --scheme wavefront --executor threads --procs 2
     cumf-sgd train netflix-syn --executor threads --half --fault-plan plan.json
     cumf-sgd train netflix-syn --backend c                # fused C kernel (local cc)
     cumf-sgd train netflix-syn --out-of-core              # stream blocks from disk
@@ -28,7 +29,8 @@ Subcommands::
 byte-identical metrics dump. ``train --fault-plan`` runs training under an
 injected :class:`repro.resilience.faults.FaultPlan` loaded from JSON, with
 checkpoint/rollback recovery via
-:class:`repro.resilience.trainer.ResilientTrainer`, on any executor.
+:class:`repro.resilience.trainer.ResilientTrainer`, on any executor; only
+``--scheme multi_device`` injects faults (elsewhere a non-empty plan exits 2).
 
 ``train`` builds one :class:`repro.core.trainer.CuMFSGD` for every
 executor: ``--executor serial`` is one thread, ``--executor threads``
@@ -128,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "repro.parallel.policy (serial unless measured "
                          "evidence says threads win); serial: one "
                          "thread (--scheme applies); threads: --procs "
-                         "Hogwild! threads (batch_hogwild only)")
+                         "threads (batch_hogwild or wavefront)")
     train_p.add_argument("--backend", default="auto",
                          choices=("auto", "numpy", "c"),
                          help="kernel backend (repro.backends registry); "
@@ -151,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--save", type=Path, help="checkpoint path for the model")
     train_p.add_argument("--fault-plan", type=Path,
                          help="JSON fault plan (see FaultPlan.save); trains "
-                         "under injection with checkpoint/rollback recovery")
+                         "with checkpoint/rollback recovery; faults need "
+                         "--scheme multi_device (elsewhere only {} runs)")
     train_p.add_argument("--checkpoint-dir", type=Path,
                          help="recovery checkpoint directory for --fault-plan "
                          "(default: a temporary directory)")
@@ -326,8 +329,8 @@ def _resolve_executor(args, spec, problem) -> None:
     """Resolve ``--executor auto`` (the default) into a concrete executor.
 
     Structural constraints first — ``--out-of-core`` streams on threads,
-    the non-hogwild schemes only run on the serial simulators — then the
-    measured-evidence policy of
+    the other schemes keep to one thread of numpy's GIL-bound kernels —
+    then the measured-evidence policy of
     :mod:`repro.parallel.policy` (serial unless this host's perf ledger
     shows threads beating serial). Also resolves
     ``--backend auto`` to a concrete verified backend either way (``numpy``
@@ -362,8 +365,8 @@ def _resolve_executor(args, spec, problem) -> None:
     elif args.scheme != "batch_hogwild":
         choice = ExecutorChoice(
             "serial", 1, backend_name,
-            f"--scheme {args.scheme} runs on the serial simulators, "
-            "with the numpy kernels",
+            f"--scheme {args.scheme} runs numpy's GIL-bound kernels, "
+            "which threads do not speed up",
         )
     else:
         from repro.obs.ledger import DEFAULT_LEDGER_PATH, PerfLedger
@@ -435,19 +438,20 @@ def _run_train(args) -> int:
                 n_threads=n_threads,
                 store=store,
             )
+            if args.fault_plan:
+                from repro.resilience.faults import FaultPlan
+                from repro.resilience.trainer import ResilientTrainer
+
+                trainer = ResilientTrainer(
+                    est,
+                    args.checkpoint_dir
+                    or cleanup.enter_context(tempfile.TemporaryDirectory()),
+                    fault_plan=FaultPlan.load(args.fault_plan),
+                )
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-        if args.fault_plan:
-            from repro.resilience.faults import FaultPlan
-            from repro.resilience.trainer import ResilientTrainer
-
-            trainer = ResilientTrainer(
-                est,
-                args.checkpoint_dir
-                or cleanup.enter_context(tempfile.TemporaryDirectory()),
-                fault_plan=FaultPlan.load(args.fault_plan),
-            )
+        if trainer is not None:
             history = trainer.fit(problem.train, epochs=args.epochs,
                                   test=problem.test)
         else:

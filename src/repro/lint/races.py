@@ -28,11 +28,12 @@ plan compilers fails lint even before the test suite runs.
 **Static lock-discipline audit** — files that run worker threads, either
 through ``threading.Thread`` or by handing a function to
 :func:`repro.parallel.threads.run_threads` (``repro/parallel/threads.py``,
-``wavefront_threads.py``), must declare which closure names a worker may
+``repro/core/wavefront.py``), must declare which closure names a worker may
 mutate, in a module-level ``SHARED_WRITE_OK`` tuple. Inside a worker
-function, any store to — or mutating call on — shared state outside that
-declaration is flagged (``race-shared-write``). The allowed discipline
-today: per-thread slots of a preallocated ``counts`` list, GIL-atomic
+function, or a function of the same file it calls by bare name, any store
+to — or mutating call on — shared state outside that declaration is
+flagged (``race-shared-write``). The allowed discipline today: per-thread
+slots, per-grid-row state only the row's thread writes, GIL-atomic
 ``errors.append``, and the internally-locked ``ColumnLockArray``.
 """
 
@@ -263,7 +264,8 @@ def _shared_write_allowlist(tree: ast.Module) -> set[str]:
 def _thread_target_names(tree: ast.Module) -> set[str]:
     """Function names worker threads run: a ``threading.Thread(...)``'s
     ``target=``, the function a ``target=<context>.run`` runs
-    (``args=(fn, ...)``), or the work handed to ``run_threads(n, fn, …)``."""
+    (``args=(fn, ...)``), the work handed to ``run_threads(n, fn, …)``,
+    and every function of the file these call by bare name, transitively."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -283,6 +285,21 @@ def _thread_target_names(tree: ast.Module) -> set[str]:
             target = args.elts[0]
         if isinstance(target, ast.Name):
             out.add(target.id)
+    # a helper a worker calls runs on its thread too; a name may have
+    # several definitions (two closures both called ``replay``): follow all
+    defs: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
+    todo = list(out)
+    while todo:
+        for fn in defs.get(todo.pop(), ()):
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)}
+            new = (called & defs.keys()) - out
+            out |= new
+            todo += new
     return out
 
 

@@ -21,8 +21,8 @@ while this one computes (§6.2). Each block is one
 (§5.1) -- on ``c``, one GIL-free foreign call per block.
 
 :func:`run_threads` is the one place worker threads start: this executor
-and :class:`~repro.parallel.wavefront_threads.ThreadedWavefront` hand it
-their per-thread work every epoch.
+and :class:`~repro.core.wavefront.WavefrontScheduler` hand it their
+per-thread work every epoch.
 """
 
 from __future__ import annotations

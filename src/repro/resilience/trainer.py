@@ -18,7 +18,7 @@ same epoch loop as :class:`repro.core.trainer.CuMFSGD`
   :class:`~repro.resilience.faults.TrainingDivergedError`;
 * attach a :class:`~repro.resilience.faults.FaultPlan` to a multi-device
   executor, so device loss and flaky transfers are exercised under the
-  same roof.
+  same roof (any other scheme rejects a plan that holds faults).
 
 Every recovery action is mirrored into the ambient metrics registry as
 ``repro.resilience.*`` counters and kept in :attr:`ResilientTrainer.log`.
@@ -91,7 +91,7 @@ class ResilientTrainer:
     fault_plan, retry:
         Optional :class:`FaultPlan` / :class:`RetryPolicy` attached to a
         multi-device executor, so simulated device loss and transfer
-        faults run inside the recovering loop.
+        faults run inside the recovering loop (``ValueError`` elsewhere).
     """
 
     def __init__(
@@ -114,6 +114,12 @@ class ResilientTrainer:
             raise ValueError("rollback_lr_factor must be in (0, 1)")
         if divergence_factor <= 1.0:
             raise ValueError("divergence_factor must be > 1")
+        if (fault_plan is not None and not fault_plan.empty
+                and estimator.scheme != "multi_device"):
+            raise ValueError(
+                f"scheme {estimator.scheme!r} cannot apply a fault plan: "
+                "only 'multi_device' simulates the devices and transfers "
+                "it injects faults into (an empty plan runs anywhere)")
         self.estimator = estimator
         self.checkpoint_dir = Path(checkpoint_dir)
         self.checkpoint_every = checkpoint_every

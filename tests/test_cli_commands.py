@@ -71,9 +71,12 @@ class TestTrainCommand:
         (["--k", "0"], "k must be positive, got 0"),
         (["--executor", "threads", "--procs", "100"],
          "n_threads=100 exceeds the plan's 64 worker lanes"),
+        (["--scheme", "wavefront", "--executor", "threads", "--procs", "65"],
+         "n_threads=65 exceeds the plan's 64 worker lanes"),
         (["--workers", "0"], "workers must be positive, got 0"),
         (["--epochs", "0"], "epochs must be positive, got 0"),
-    ], ids=["k0", "procs-over-workers", "workers0", "epochs0"])
+    ], ids=["k0", "procs-over-workers", "wavefront-procs-over-workers",
+            "workers0", "epochs0"])
     def test_out_of_range_option_exits_2(self, capsys, argv, problem):
         """Rejected before ``fit``, with a message instead of a traceback
         or a silent default."""
@@ -160,15 +163,41 @@ class TestTrainExecutors:
         with np.load(ck) as z:
             assert z["p"].dtype == z["q"].dtype == np.float16
 
-    @pytest.mark.parametrize("argv", [
-        ["--executor", "threads", "--scheme", "wavefront"],
-        ["--executor", "threads", "--scheme", "multi_device"],
-        ["--out-of-core", "--scheme", "wavefront"],
+    @pytest.mark.parametrize("argv, runs", [
+        (["--executor", "threads", "--procs", "2", "--scheme", "wavefront"],
+         True),
+        (["--executor", "threads", "--scheme", "multi_device"], False),
+        (["--out-of-core", "--scheme", "wavefront"], False),
     ], ids=["threads-wavefront", "threads-multi_device", "auto-ooc-wavefront"])
-    def test_threads_reject_other_schemes(self, capsys, argv):
-        assert main(["train", "netflix-syn", *argv]) == 2
+    def test_threads_reject_other_schemes(self, capsys, argv, runs):
+        """Threads run batch_hogwild and wavefront; multi_device on threads
+        and wavefront out of core exit 2, naming the scheme."""
+        code = main(["train", "netflix-syn", "--epochs", "1", *argv])
+        if runs:
+            assert code == 0
+            assert "final test RMSE" in capsys.readouterr().out
+            return
+        assert code == 2
         scheme = argv[argv.index("--scheme") + 1]
         assert repr(scheme) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--executor", "threads", "--procs", "2"],
+        ["--scheme", "wavefront"],
+    ], ids=["threads", "wavefront"])
+    def test_fault_plan_needs_multi_device(self, capsys, tmp_path, argv):
+        """Only the multi-device simulator has devices and transfers to
+        fail, so another executor rejects a kill plan instead of training
+        as if it had applied it."""
+        from repro.resilience.faults import FaultPlan
+
+        plan = tmp_path / "kill.json"
+        FaultPlan.kill_one(1, 1).save(plan)
+        assert main(["train", "netflix-syn", "--epochs", "1", *argv,
+                     "--fault-plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot apply a fault plan" in captured.err
+        assert "final test RMSE" not in captured.out
 
     @pytest.mark.parametrize("executor", ["auto", "serial"])
     @pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])

@@ -1,5 +1,5 @@
 """Tests for the extension features: ADAGRAD cuMF_SGD (the paper's stated
-future work) and the real-threads Hogwild executor."""
+future work) and the real-threads Hogwild and wavefront executors."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import CuMFSGD
+from repro.core.wavefront import WavefrontScheduler
 from repro.parallel.threads import ThreadedHogwild
 
 
@@ -100,38 +101,37 @@ class TestThreadedHogwild:
 
 
 class TestThreadedWavefront:
-    def test_converges_and_counts(self, tiny_problem):
-        from repro.parallel.wavefront_threads import ThreadedWavefront
+    """``CuMFSGD(scheme="wavefront", n_threads=N)``: N OS threads share one
+    column-lock array, each owning a run of grid rows (§5.2, Fig. 6)."""
 
-        est = ThreadedWavefront(k=8, workers=4, lam=0.05, seed=0)
+    def test_converges_and_counts(self, tiny_problem):
+        est = CuMFSGD(k=8, scheme="wavefront", workers=4, lam=0.05, seed=0,
+                      n_threads=2)
         hist = est.fit(tiny_problem.train, epochs=4, test=tiny_problem.test)
         assert hist.test_rmse[-1] < hist.test_rmse[0]
         assert hist.updates == [tiny_problem.train.nnz] * 4
-        assert est.locks is not None and est.locks.all_free()
+        locks = est.executor.last_epoch_locks
+        # every grant was released: one per grid block
+        assert locks.attempts - locks.waits == locks.releases == 4 * 8
 
     def test_contention_happens_on_tight_grid(self, tiny_problem):
-        from repro.parallel.wavefront_threads import ThreadedWavefront
-
-        est = ThreadedWavefront(k=8, workers=6, col_blocks=6, seed=0)
+        est = CuMFSGD(k=8, scheme="wavefront", workers=6, col_blocks=6,
+                      seed=0, n_threads=3)
         est.fit(tiny_problem.train, epochs=1)
-        assert est.locks.attempts >= 6 * 6  # every (worker, column) acquire
+        # every (worker, column) acquire
+        assert est.executor.lock_stats.attempts >= 6 * 6
 
     def test_matches_simulated_wavefront_quality(self, tiny_problem):
-        import pytest
-
-        from repro.core.trainer import CuMFSGD
-        from repro.parallel.wavefront_threads import ThreadedWavefront
-
-        threaded = ThreadedWavefront(k=8, workers=4, lam=0.05, seed=0)
+        threaded = CuMFSGD(k=8, scheme="wavefront", workers=4, lam=0.05,
+                           seed=0, n_threads=4)
         ht = threaded.fit(tiny_problem.train, epochs=4, test=tiny_problem.test)
         simulated = CuMFSGD(k=8, scheme="wavefront", workers=4, lam=0.05, seed=0)
         hs = simulated.fit(tiny_problem.train, epochs=4, test=tiny_problem.test)
         assert ht.final_test_rmse == pytest.approx(hs.final_test_rmse, rel=0.05)
 
     def test_validation(self):
-        import pytest
-
-        from repro.parallel.wavefront_threads import ThreadedWavefront
-
-        with pytest.raises(ValueError):
-            ThreadedWavefront(workers=0)
+        for n_threads in (0, 5):
+            with pytest.raises(ValueError, match="n_threads"):
+                WavefrontScheduler(workers=4, n_threads=n_threads)
+        with pytest.raises(ValueError, match="exceeds"):
+            CuMFSGD(scheme="wavefront", workers=4, n_threads=5)

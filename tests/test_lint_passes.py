@@ -20,6 +20,7 @@ BAD_FIXTURES = {
     "bad_rng.py": "rng-legacy",
     "bad_metric.py": "metric-name",
     "bad_races.py": "race-shared-write",
+    "bad_races_helper.py": "race-shared-write",
     "bad_shm.py": "shm-lifecycle",
     "bad_barrier.py": "barrier-pairing",
     "bad_stale.py": "suppression-stale",
@@ -136,6 +137,17 @@ def test_worker_handed_to_run_threads_is_audited(tmp_path):
     findings = [f for f in report.findings if f.rule == "race-shared-write"]
     assert [f.symbol for f in findings] == ["run.work"]
     assert "results.append()" in findings[0].message
+
+
+def test_helpers_a_worker_calls_are_audited():
+    """A function the worker calls by bare name runs on its thread too,
+    and each definition sharing that name is audited."""
+    report = run_lint([FIXTURES / "bad_races_helper.py"])
+    findings = sorted((f.symbol, f.message) for f in report.findings
+                      if f.rule == "race-shared-write")
+    assert [symbol for symbol, _ in findings] == ["run.replay", "run.tally"]
+    assert "'staged'" in findings[0][1]
+    assert "results.append()" in findings[1][1]
 
 
 def test_bad_shm_names_both_missing_calls():

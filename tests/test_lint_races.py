@@ -203,12 +203,19 @@ def test_tampered_round_grants_are_caught():
 # ---------------------------------------------------------------------------
 # the threaded executors really run the verified protocol
 # ---------------------------------------------------------------------------
-def test_threaded_wavefront_sequences_verify():
-    from repro.parallel.wavefront_threads import ThreadedWavefront
+def test_threaded_wavefront_sequences_verify(tiny_problem):
+    """Each grid row's blocks, read back from a 2-thread wavefront fit's
+    batch events, are a full column walk, and the walks' round schedule
+    under the lock protocol is conflict-free."""
+    from repro.core.trainer import CuMFSGD
+    from repro.obs.hooks import RecordingHooks
 
-    executor = ThreadedWavefront(workers=4)
-    rng = np.random.default_rng(1)
-    sequences = [rng.permutation(executor.col_blocks) for _ in range(4)]
-    assert check_wavefront_sequences(sequences, executor.col_blocks) == []
-    rounds = simulate_wavefront_rounds(sequences, executor.col_blocks)
+    hooks = RecordingHooks()
+    est = CuMFSGD(k=8, scheme="wavefront", workers=4, n_threads=2, seed=1)
+    est.fit(tiny_problem.train, epochs=1, hooks=hooks)
+    col_blocks = est.executor.col_blocks
+    sequences = [[e.block[1] for e in hooks.batches if e.worker == w]
+                 for w in range(4)]
+    assert check_wavefront_sequences(sequences, col_blocks) == []
+    rounds = simulate_wavefront_rounds(sequences, col_blocks)
     assert check_round_grants(rounds) == []

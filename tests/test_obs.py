@@ -25,7 +25,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.tracer import SIM_PID, WALL_PID
-from repro.parallel.wavefront_threads import ThreadedWavefront
 from repro.resilience.trainer import ResilientTrainer
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
 
@@ -284,30 +283,31 @@ class TestNullCollectorIdentity:
         assert 0.0 <= summary["conflict_rate"] < 1.0
 
 
-#: every solver whose fit hands itself to run_epochs, by scheme label
+#: every solver whose fit runs the one epoch loop: the baselines, which
+#: hand themselves to run_epochs, and the wavefront estimator on threads
 EPOCH_SOLVERS = {
     "libmf": lambda: LIBMFSolver(k=8, threads=4, a=8, seed=0),
     "nomad": lambda: NOMADSolver(k=8, nodes=4, seed=0),
     "bidmach": lambda: BIDMachSGD(k=8, batch=1024, seed=0),
     "als": lambda: ALSSolver(k=8, seed=0),
-    "threaded-wavefront": lambda: ThreadedWavefront(k=8, workers=4, seed=0),
+    "threaded-wavefront": lambda: CuMFSGD(k=8, scheme="wavefront", workers=4,
+                                          n_threads=2, seed=0),
 }
 
 
-@pytest.mark.parametrize("scheme", EPOCH_SOLVERS)
-def test_every_solver_epoch_reaches_the_collector(tiny_problem, scheme):
+@pytest.mark.parametrize("solver", EPOCH_SOLVERS)
+def test_every_solver_epoch_reaches_the_collector(tiny_problem, solver):
     """Each solver's fit runs the one epoch loop: its epochs are timed,
-    counted by an ambient collector, and traced under its own name."""
+    counted by an ambient collector, and traced under its scheme label."""
     collector = TelemetryCollector()
+    est = EPOCH_SOLVERS[solver]()
     with activate(collector):
-        hist = EPOCH_SOLVERS[scheme]().fit(
-            tiny_problem.train, epochs=2, test=tiny_problem.test
-        )
+        hist = est.fit(tiny_problem.train, epochs=2, test=tiny_problem.test)
     assert all(seconds > 0 for seconds in hist.epoch_seconds)
     assert collector.registry.value("repro.train.updates") == sum(hist.updates)
     spans = [ev for ev in collector.tracer.events if ev.get("cat") == "train"]
     assert [span["name"] for span in spans] == ["epoch 1", "epoch 2"]
-    assert [span["args"]["scheme"] for span in spans] == [scheme, scheme]
+    assert [span["args"]["scheme"] for span in spans] == [est.scheme] * 2
 
 
 #: each executor's configuration and its per-epoch ``extra`` over two
@@ -367,7 +367,8 @@ class TestEpochExtras:
         est.fit(tiny_problem.train, epochs=3, hooks=hooks)
         extras = [e.extra for e in hooks.epochs]
         sched = est.executor
-        assert sum(x["lock_wait_events"] for x in extras) == sched.wait_events
+        assert sum(x["lock_wait_events"] for x in extras) == (
+            sched.lock_stats.waits)
         assert sum(x["lock_attempts"] for x in extras) == (
             sched.lock_stats.attempts)
 

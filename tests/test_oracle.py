@@ -22,10 +22,19 @@ case's storage). The contract per case:
 The chaos test poisons one thread's shard with NaN mid-run and checks that
 :class:`~repro.resilience.trainer.ResilientTrainer` rolls back once and
 recovers on the racing executor.
+
+The wavefront scheme (§5.2) has its own contract over the same shapes, in
+fp32 and fp16, on a 4-row grid. On one thread, ``WavefrontScheduler``
+(what ``CuMFSGD(scheme="wavefront")`` runs) equals :class:`RoundScheduler`,
+the round loop the scheduler ran before it took threads, bit for bit and
+event for event. On 2 and 4 threads every epoch applies exactly nnz
+updates, the factors stay finite, and each epoch's test RMSE is within
+:func:`wavefront_tolerance`.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -35,13 +44,18 @@ from repro.backends import BackendType, available_backends
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.registry import _ATOL, _RTOL, _RTOL_FP16
 from repro.core.hogwild import BatchHogwild
+from repro.core.kernels import WaveWorkspace, sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
+from repro.core.partition import grid_block_index
 from repro.core.trainer import CuMFSGD, run_epochs
+from repro.core.wavefront import WavefrontScheduler
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse
+from repro.obs.hooks import BatchEvent, RecordingHooks, resolve_hooks
 from repro.parallel.threads import ThreadedHogwild
 from repro.resilience.trainer import ResilientTrainer
+from repro.sched.column_lock import ColumnLockArray
 
 EPOCHS = 3
 WORKERS, F, SEED = 16, 8, 1
@@ -235,3 +249,165 @@ def test_poisoned_shard_rolls_back_once_and_recovers(tiny_problem, tmp_path):
     assert history.epochs == [1, 2, 3, 4, 5, 6]
     assert np.isfinite(history.test_rmse).all()
     assert history.final_test_rmse < history.test_rmse[0]
+
+
+# ---------------------------------------------------------------------------
+# the wavefront scheme: one executor, any thread count
+# ---------------------------------------------------------------------------
+#: grid rows of every wavefront case (so 4 threads own one row each)
+WAVE_WORKERS = 4
+
+
+class RoundScheduler:
+    """The reference: the wavefront scheduler's round loop on one thread,
+    as it ran before the scheduler took threads. Each round every
+    unfinished worker, in an order drawn afresh, tries to acquire its next
+    column; the granted blocks run back to back, each shuffled and replayed
+    serially."""
+
+    def __init__(self, workers: int, seed: int) -> None:
+        self.workers, self.col_blocks = workers, 2 * workers
+        self.rng = np.random.default_rng(seed)
+
+    def run_epoch(self, model, ratings, lr, lam_p, lam_q=None, hooks=None):
+        hooks = resolve_hooks(hooks)
+        s, c, rng = self.workers, self.col_blocks, self.rng
+        index = grid_block_index(ratings, s, c)
+        ws = WaveWorkspace()
+        locks = ColumnLockArray(c)
+        sequences = [rng.permutation(c) for _ in range(s)]
+        position = np.zeros(s, dtype=np.int64)
+        waits = np.zeros(s, dtype=np.int64)
+        updates, remaining = 0, set(range(s))
+        while remaining:
+            granted = []
+            for w in rng.permutation(sorted(remaining)):
+                col = int(sequences[w][position[w]])
+                if locks.try_acquire(col, int(w)):
+                    granted.append((int(w), col))
+                else:
+                    waits[w] += 1
+            for w, col in granted:
+                idx = index[w * c + col]
+                if len(idx):
+                    idx = idx[rng.permutation(len(idx))]
+                    sgd_serial_update(model.p, model.q, ratings.rows[idx],
+                                      ratings.cols[idx], ratings.vals[idx],
+                                      lr, lam_p, lam_q, workspace=ws)
+                    updates += len(idx)
+                locks.release(col, w)
+                if hooks.active:
+                    hooks.on_batch(BatchEvent("wavefront", w, (w, col),
+                                              len(idx), int(waits[w])))
+                    waits[w] = 0
+                position[w] += 1
+                if position[w] == c:
+                    remaining.discard(w)
+        return updates
+
+
+def wave_fit(shape: str, half: bool, executor, hooks=None):
+    """Test RMSE per epoch and the model of one wavefront run of
+    ``executor`` from the oracle's initial model."""
+    train, test = problem(shape)
+    model = FactorModel.initialize(train.n_rows, train.n_cols,
+                                   SHAPES[shape][2], seed=SEED,
+                                   half_precision=half)
+    history = run_epochs(executor, model, train, EPOCHS,
+                         schedule=NomadSchedule(), lam=0.05,
+                         scheme="wavefront", test=test, hooks=hooks)
+    return history, model
+
+
+@lru_cache(maxsize=None)
+def wave_reference(shape: str, half: bool) -> np.ndarray:
+    """Per-epoch test RMSE of the one-thread wavefront run at ``SEED``."""
+    history, _ = wave_fit(shape, half, WavefrontScheduler(WAVE_WORKERS,
+                                                          seed=SEED))
+    return np.array(history.test_rmse)
+
+
+@lru_cache(maxsize=None)
+def wavefront_tolerance(shape: str, half: bool) -> float:
+    """Allowed per-epoch test-RMSE gap between a threaded wavefront run and
+    the one-thread run at the same seed.
+
+    Granted blocks share no grid row and no column, so threads never race:
+    a threaded epoch is a serial order of blocks that the one-thread round
+    loop could also have drawn, from other scheduler draws. The natural
+    yardstick is therefore the spread of one-thread runs over scheduler
+    seeds from the same initial model: the widest per-epoch gap of eight
+    such runs from the reference, doubled. Threads keep the reference's
+    column walks (the dispatching thread draws them from the seeded
+    generator) and differ only in round orders, in-block shuffles and
+    interleaving, so they sit nearer the reference than a fresh seed. On
+    a 2-vCPU host, 30 threaded runs per shape on 2 and 4 threads reached
+    at most 0.95 of the undoubled spread (k = 5 on 4 threads); doubling
+    leaves room for other hosts' scheduling. A dropped or repeated block
+    fails the update count before the tolerance matters.
+    """
+    ref = wave_reference(shape, half)
+    gaps = []
+    for seed in range(100, 108):
+        history, _ = wave_fit(shape, half, WavefrontScheduler(WAVE_WORKERS,
+                                                              seed=seed))
+        gaps.append(np.abs(np.array(history.test_rmse) - ref).max())
+    return 2 * max(gaps)
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_wavefront_one_thread_is_the_round_loop(shape, half):
+    """One thread owns every grid row and makes every draw from the seeded
+    generator, in the round loop's order: same factors, same events."""
+    runs = []
+    for executor in (RoundScheduler(WAVE_WORKERS, SEED),
+                     WavefrontScheduler(WAVE_WORKERS, seed=SEED)):
+        hooks = RecordingHooks()
+        history, model = wave_fit(shape, half, executor, hooks)
+        runs.append((history.updates, model, hooks.batches))
+    (ref_updates, ref, ref_events), (updates, got, events) = runs
+    assert updates == ref_updates == [problem(shape)[0].nnz] * EPOCHS
+    assert got.p.dtype == (np.float16 if half else np.float32)
+    assert got.p.tobytes() == ref.p.tobytes()
+    assert got.q.tobytes() == ref.q.tobytes()
+    assert events == ref_events
+
+
+@pytest.mark.parametrize("n_threads", [2, 4])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_wavefront_threads_stay_within_tolerance(shape, n_threads, half):
+    train, _ = problem(shape)
+    history, model = wave_fit(shape, half, WavefrontScheduler(
+        WAVE_WORKERS, seed=SEED, n_threads=n_threads))
+    assert history.updates == [train.nnz] * EPOCHS
+    assert np.isfinite(model.p).all() and np.isfinite(model.q).all()
+    gap = np.abs(np.array(history.test_rmse) - wave_reference(shape, half))
+    tolerance = wavefront_tolerance(shape, half)
+    assert gap.max() <= tolerance, (gap, tolerance)
+
+
+def test_wavefront_threads_deliver_events_on_the_dispatching_thread(
+        tiny_problem):
+    """Each thread buffers its blocks' events; the dispatching thread
+    delivers all of them after the join, so a consumer never runs on two
+    threads at once."""
+
+    class ThreadRecorder(RecordingHooks):
+        """Also notes which thread each batch event arrives on."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.threads: set[int] = set()
+
+        def on_batch(self, event):
+            super().on_batch(event)
+            self.threads.add(threading.get_ident())
+
+    hooks = ThreadRecorder()
+    est = CuMFSGD(k=8, scheme="wavefront", workers=8, n_threads=2, seed=0)
+    est.fit(tiny_problem.train, epochs=1, hooks=hooks)
+    assert type(est.executor) is WavefrontScheduler
+    assert len(hooks.batches) == 8 * 16
+    assert sorted(e.block for e in hooks.batches) == [
+        (w, c) for w in range(8) for c in range(16)]
+    assert hooks.threads == {threading.get_ident()}

@@ -255,6 +255,18 @@ class TestResilientTrainer:
         assert np.isfinite(hist.final_test_rmse)
         assert trainer.events["device_lost"] == 1
 
+    @pytest.mark.parametrize("kw", [
+        {}, {"n_threads": 2}, {"scheme": "wavefront", "n_threads": 2},
+    ], ids=["serial", "threads", "wavefront-threads"])
+    def test_fault_plan_off_multi_device_is_rejected(self, tmp_path, kw):
+        """Only the multi-device simulator has devices to kill: another
+        scheme refuses a plan with faults rather than drop it, and an
+        empty plan still guards it."""
+        est = CuMFSGD(k=8, workers=8, seed=0, **kw)
+        with pytest.raises(ValueError, match=repr(est.scheme)):
+            ResilientTrainer(est, tmp_path, fault_plan=FaultPlan.kill_one(1, 1))
+        assert ResilientTrainer(est, tmp_path, fault_plan=FaultPlan()).fault_plan
+
 
 # ---------------------------------------------------------------------------
 # Atomic checkpointing

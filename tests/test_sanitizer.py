@@ -233,18 +233,21 @@ class TestCleanRuns:
         assert report.race_stats.samples == nnz
 
 
-@pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
+@pytest.mark.parametrize("scheme", ["wavefront", "multi_device",
+                                    "wavefront-threads"])
 class TestBlockSchemes:
     """The wavefront and multi-device schemes record every executed grid
     block under its worker (grid row or device) and sweep the model at
-    every epoch's end, so a clean report covers every sample."""
+    every epoch's end, so a clean report covers every sample. Wavefront
+    threads make the block records themselves."""
 
     @staticmethod
     def _estimator(scheme):
         multi = scheme == "multi_device"
-        return CuMFSGD(k=8, scheme=scheme, workers=8, lam=0.05, seed=0,
-                       n_devices=2 if multi else 1,
-                       grid=(4, 4) if multi else (1, 1))
+        return CuMFSGD(k=8, scheme=scheme.split("-")[0], workers=8, lam=0.05,
+                       seed=0, n_devices=2 if multi else 1,
+                       grid=(4, 4) if multi else (1, 1),
+                       n_threads=2 if scheme.endswith("threads") else 1)
 
     def test_sanitized_fit_logs_every_sample(self, tiny_problem, scheme):
         train = tiny_problem.train

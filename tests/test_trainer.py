@@ -103,13 +103,21 @@ class TestCuMFSGDValidation:
             est.fit(tiny_problem.train, epochs=1)
 
     @pytest.mark.parametrize("kw, named", [
-        ({"scheme": "wavefront"}, "'wavefront'"),
+        ({"scheme": "wavefront"}, None),
         ({"scheme": "multi_device"}, "'multi_device'"),
         ({"schedule": AdaGradSchedule()}, "AdaGradSchedule"),
     ], ids=["wavefront", "multi_device", "adagrad"])
-    def test_threads_run_batch_hogwild_only(self, kw, named):
-        """Threads are a batch-Hogwild! worker count: another scheme or
-        AdaGrad's serial accumulators are rejected, not silently dropped."""
+    def test_threads_run_batch_hogwild_only(self, tiny_problem, kw, named):
+        """Threads are a worker count of batch-Hogwild! and of wavefront,
+        whose threads share its column-lock array; the multi-device
+        simulator or AdaGrad's serial accumulators are rejected, not
+        silently dropped."""
+        if named is None:
+            est = CuMFSGD(k=8, workers=4, n_threads=2, **kw)
+            history = est.fit(tiny_problem.train, epochs=1)
+            assert est.executor.n_threads == 2
+            assert history.updates == [tiny_problem.train.nnz]
+            return
         with pytest.raises(ValueError, match=named):
             CuMFSGD(n_threads=2, **kw)
 

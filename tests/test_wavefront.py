@@ -1,11 +1,18 @@
 """Tests for repro.core.wavefront.WavefrontScheduler."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.model import FactorModel
+from repro.core.trainer import CuMFSGD
 from repro.core.wavefront import WavefrontScheduler
 from repro.metrics.rmse import rmse
+from repro.obs.hooks import RecordingHooks
+from repro.san import activate_sanitizer
+from repro.san.core import Sanitizer
 
 
 class TestPreparation:
@@ -83,7 +90,7 @@ class TestEpoch:
             tiny_problem.spec.m, tiny_problem.spec.n, 8, seed=0
         )
         sched.run_epoch(model, tiny_problem.train, 0.05, 0.05)
-        assert sched.wait_events > 0
+        assert sched.lock_stats.waits > 0
 
     def test_epoch_deterministic_given_seed(self, tiny_problem):
         models = []
@@ -107,3 +114,73 @@ class TestEpoch:
         )
         n = sched.run_epoch(model_b, small_problem.train, 0.05, 0.05)
         assert n == small_problem.train.nnz
+
+
+class TestThreads:
+    def test_every_block_once_under_a_short_switch_interval(
+            self, tiny_problem):
+        """Stress: more threads than cores on a tight grid, the interpreter
+        switching threads every microsecond. Every grid block still runs
+        exactly once per epoch, the sanitizer sees no double execution, and
+        the fit finishes."""
+        hooks, san = RecordingHooks(), Sanitizer("races")
+        est = CuMFSGD(k=8, scheme="wavefront", workers=8, col_blocks=8,
+                      n_threads=4, seed=0)
+
+        def fit():
+            with activate_sanitizer(san):
+                est.fit(tiny_problem.train, epochs=2, hooks=hooks)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=fit, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert est.history.updates == [tiny_problem.train.nnz] * 2
+        blocks = [(w, c) for w in range(8) for c in range(8)]
+        assert sorted(e.block for e in hooks.batches) == sorted(blocks * 2)
+        report = san.finalize(publish=False)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert report.race_stats.samples == 2 * tiny_problem.train.nnz
+
+    def test_a_failing_block_frees_its_columns(self, tiny_problem,
+                                               monkeypatch):
+        """A block that raises hands its round's columns back: the other
+        thread still finishes its row, and the fit re-raises the failure
+        instead of hanging on a column nobody will release."""
+        import repro.core.wavefront as wavefront
+
+        # seed 2: rows 0 and 1 start on different columns, so row 1 fails
+        # holding the column row 0 needs next
+        rng = np.random.default_rng(2)
+        assert rng.permutation(2)[0] != rng.permutation(2)[0]
+        failed = threading.Event()
+        update = wavefront.sgd_serial_update
+
+        def flaky(*args, **kwargs):
+            if threading.current_thread().name == "wavefront-1":
+                failed.set()
+                raise RuntimeError("block failed")
+            failed.wait(timeout=10)  # row 0 runs on after row 1 failed
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(wavefront, "sgd_serial_update", flaky)
+        errors = []
+
+        def fit():
+            est = CuMFSGD(k=8, scheme="wavefront", workers=2, col_blocks=2,
+                          n_threads=2, seed=2)
+            try:
+                est.fit(tiny_problem.train, epochs=1)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=fit, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(exc) for exc in errors] == ["block failed"]
