@@ -18,8 +18,8 @@ of exactly that contract:
   so dispatching through the registry is *structurally* identical to the
   pre-registry code path — same callable, same bits;
 * :meth:`KernelBackend.serial_update` — serial SGD over one worker's
-  samples in order, the unit the out-of-core block loop launches per
-  block (NumPy: conflict-free segments; ``c``: one foreign call).
+  samples in order, the unit an out-of-core or wavefront block launches
+  (NumPy: conflict-free segments; ``c``: one foreign call).
 
 ``exact`` declares the verification gate: exact backends must reproduce the
 reference kernels bit for bit (``tobytes`` equality); accelerated backends

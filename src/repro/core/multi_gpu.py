@@ -6,7 +6,11 @@ and repeatedly dispatches *independent* blocks (pairwise distinct grid rows
 and columns, Eq. 6) to idle devices. Each dispatch stages the block's COO
 samples plus the touched P/Q segments to the device, runs the single-device
 batch-Hogwild! engine on the block, and copies the segments back. Samples are
-read-only and never travel back (§6.1 step 3).
+read-only and never travel back (§6.1 step 3). The engine is one
+``backend.replay`` of the block's ``EpochPlan(order, workers, 1)`` on the
+executor's kernel backend (:mod:`repro.backends`; ``None`` is the NumPy
+reference). The samples stay in host memory: out-of-core training streams
+a :class:`~repro.data.blockstore.BlockStore` on the threads executor.
 
 Numeric semantics: blocks dispatched in the same round touch disjoint
 feature segments, so executing them back-to-back is identical to running
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends.base import replay_waves
+from repro.backends import get_backend
 from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.core.partition import BlockView, GridPartition
@@ -99,6 +103,10 @@ class MultiDeviceSGD:
         convergence.
     workers:
         Concurrent parallel workers *per device* (thread blocks).
+    backend:
+        Kernel backend each device's pass runs on, as for
+        :class:`~repro.core.hogwild.BatchHogwild`; ``None`` (default) is
+        the NumPy reference. Resolved and verified once, here.
     """
 
     n_devices: int
@@ -106,6 +114,7 @@ class MultiDeviceSGD:
     j: int
     workers: int = 256
     seed: int = 0
+    backend: object | None = None
 
     def __post_init__(self) -> None:
         if self.n_devices <= 0:
@@ -122,10 +131,10 @@ class MultiDeviceSGD:
         self.ledger = TransferLedger()
         self._injector = None
         self._retry = None
-        self._store = None
         #: per-coordinator kernel scratch (devices run their blocks serially
         #: here, so one workspace serves them all)
         self.workspace = WaveWorkspace()
+        self._backend = get_backend(self.backend)
 
     # ------------------------------------------------------------------
     def attach_faults(self, faults, retry=None) -> "MultiDeviceSGD":
@@ -150,31 +159,6 @@ class MultiDeviceSGD:
     def injector(self):
         """The attached :class:`FaultInjector`, or None when fault-free."""
         return self._injector
-
-    # ------------------------------------------------------------------
-    def attach_store(self, store) -> "MultiDeviceSGD":
-        """Stage blocks from a persisted :class:`~repro.data.blockstore.BlockStore`.
-
-        Out-of-core mode: subsequent epochs read each block's samples from
-        the store's memory-mapped shards instead of slicing an in-memory
-        :class:`RatingMatrix` — the host-side analogue of §6.1's "R blocks
-        live on the host, stage one block per dispatch". The store's grid
-        must match this coordinator's ``i x j`` partition. Byte accounting
-        is unchanged: the ledger charges the same COO + feature traffic per
-        dispatch, since the staged bytes are the same either way.
-        """
-        if (store.i, store.j) != (self.i, self.j):
-            raise ValueError(
-                f"store grid {store.i}x{store.j} does not match the "
-                f"coordinator's {self.i}x{self.j} partition"
-            )
-        self._store = store
-        return self
-
-    @property
-    def store(self):
-        """The attached :class:`BlockStore`, or None when in-memory."""
-        return self._store
 
     # ------------------------------------------------------------------
     def partition_for(self, ratings: RatingMatrix) -> GridPartition:
@@ -213,30 +197,26 @@ class MultiDeviceSGD:
         lam_q: float,
     ) -> int:
         """Single-device batch-Hogwild! pass over one block's samples: one
-        permutation draw, then waves of ``workers`` consecutive samples of
-        it -- the layout of ``EpochPlan(order, workers, 1)``."""
+        permutation draw, then one ``backend.replay`` of its waves of
+        ``workers`` consecutive samples -- ``EpochPlan(order, workers, 1)``."""
         n = len(rows)
         if not n:
             return 0
         plan = EpochPlan(self._rng.permutation(n), self.workers, 1)
-        ws = self.workspace
-        return replay_waves(ws, ws.wave_update, plan, model.p, model.q,
-                            rows, cols, vals, lr, lam_p, lam_q)
+        return self._backend.replay(self.workspace, plan, model.p, model.q,
+                                    rows, cols, vals, lr, lam_p, lam_q)
 
     # ------------------------------------------------------------------
     def run_epoch(
         self,
         model: FactorModel,
-        ratings: RatingMatrix | None,
+        ratings: RatingMatrix,
         lr: float,
         lam_p: float,
         lam_q: float | None = None,
         hooks: TrainerHooks | None = None,
     ) -> int:
         """One epoch: every block of the grid is updated exactly once.
-
-        With a store attached (:meth:`attach_store`) ``ratings`` may be
-        ``None``: block samples stream from the store's mmap shards.
 
         ``hooks`` receives ``on_transfer`` events for every staged block's
         modelled H2D/D2H bytes (the :class:`TransferLedger` traffic) and one
@@ -258,11 +238,7 @@ class MultiDeviceSGD:
         observe = hooks.active
         san = active_sanitizer()
         epoch = san.begin_epoch() if san is not None else 0
-        store = self._store
-        if store is None:
-            if ratings is None:
-                raise ValueError("ratings is required without an attached store")
-            part = self.partition_for(ratings)
+        part = self.partition_for(ratings)
         feature_bytes = 2 if model.half_precision else 4
         pending = {(bi, bj) for bi in range(self.i) for bj in range(self.j)}
         updates = 0
@@ -293,20 +269,13 @@ class MultiDeviceSGD:
                     # other unfinished block, rebalances across survivors
                     injector.emit("blocks_rebalanced", len(pending))
                     continue
-                view = (
-                    store.view(bi, bj) if store is not None
-                    else part.block(bi, bj)
-                )
+                view = part.block(bi, bj)
                 if injector is not None:
                     self._stage_with_retry(injector, device, view, model.k,
                                            feature_bytes)
                 self.ledger.charge_dispatch(view, model.k, feature_bytes)
-                if store is not None:
-                    rec = store.load(bi, bj)
-                    block = rec["u"], rec["v"], rec["r"]
-                else:
-                    idx = view.sample_index
-                    block = ratings.rows[idx], ratings.cols[idx], ratings.vals[idx]
+                idx = view.sample_index
+                block = ratings.rows[idx], ratings.cols[idx], ratings.vals[idx]
                 n = self._device_pass(model, *block, lr, lam_p, lam_q)
                 if san is not None:
                     san.block_executed(device, epoch, self.ledger.rounds,

@@ -381,8 +381,11 @@ class CuMFSGD(EpochSolver):
         back to the zero-cost null object — the numeric results are
         bit-identical either way.
     backend:
-        Kernel backend for ``scheme="batch_hogwild"`` wave updates (see
-        :mod:`repro.backends`); ``None`` keeps the NumPy reference path.
+        Kernel backend every scheme's updates run on (see
+        :mod:`repro.backends`): batch-Hogwild! waves, wavefront blocks and
+        each device's pass. ``None`` keeps the NumPy reference path, the
+        only one an :class:`AdaGradSchedule` runs (``ValueError`` for
+        another backend).
     n_threads, store:
         OS threads, and a :class:`~repro.data.blockstore.BlockStore` to
         stream the ratings from (``fit(None)`` then takes the shape from
@@ -433,6 +436,9 @@ class CuMFSGD(EpochSolver):
                     else "AdaGradSchedule")
             raise ValueError(f"{what} cannot run on threads or a BlockStore, which "
                              "run batch_hogwild (threads also wavefront) without AdaGrad")
+        if isinstance(schedule, AdaGradSchedule) and backend not in (None, "numpy"):
+            raise ValueError(f"AdaGradSchedule runs only the numpy kernels, "
+                             f"not backend {backend!r}")
         self.k = k
         self.scheme = scheme
         self.workers = workers
@@ -446,10 +452,8 @@ class CuMFSGD(EpochSolver):
         self.seed = seed
         self.strict_safety = strict_safety
         self.hooks = hooks
-        #: kernel backend for the batch-Hogwild! wave updates (name /
-        #: BackendType / instance; None = numpy reference). Forwarded to
-        #: BatchHogwild; the wavefront and multi-device executors run
-        #: numpy's kernels and ignore it.
+        #: kernel backend (name / BackendType / instance; None = numpy
+        #: reference), forwarded to every executor but AdaGrad's
         self.backend = backend
         self.n_threads = n_threads
         self.store = store
@@ -464,7 +468,7 @@ class CuMFSGD(EpochSolver):
 
             return WavefrontScheduler(
                 workers=self.workers, col_blocks=self.col_blocks,
-                seed=self.seed, n_threads=self.n_threads,
+                seed=self.seed, n_threads=self.n_threads, backend=self.backend,
             )
         if self.n_threads > 1 or self.store is not None:
             from repro.parallel.threads import ThreadedHogwild
@@ -494,6 +498,7 @@ class CuMFSGD(EpochSolver):
             j=self.grid[1],
             workers=self.workers,
             seed=self.seed,
+            backend=self.backend,
         )
 
     def _check_safety(self, train: RatingMatrix | None) -> None:

@@ -18,6 +18,13 @@ it owns tries to acquire its next column, then the granted blocks (no
 shared row or column) run back to back. Blocked rows retry next round:
 the load-imbalance waits the lock array counts. One thread owns every
 row and draws only from the seeded generator, so it is deterministic.
+
+Each block is one ``backend.serial_update`` call on its thread's
+workspace, through the kernel backend registry (:mod:`repro.backends`;
+``None`` is numpy's :func:`~repro.core.kernels.sgd_serial_update`, bit
+for bit). On ``c`` a block is one GIL-free foreign call, so the threads
+compute at once; blocks that run at once share no grid row and no
+column, so they write disjoint rows of P and Q.
 """
 
 from __future__ import annotations
@@ -27,12 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import WaveWorkspace, sgd_serial_update
+from repro.backends import get_backend
+from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.core.partition import grid_block_index
 from repro.data.container import RatingMatrix
 from repro.obs.hooks import BatchEvent, TrainerHooks, resolve_hooks
-from repro.parallel.threads import run_threads
+from repro.parallel.dispatch import run_threads
 from repro.san.core import active_sanitizer
 from repro.sched.column_lock import ColumnLockArray, LockContentionStats
 
@@ -63,12 +71,18 @@ class WavefrontScheduler:
     n_threads:
         OS threads sharing the lock array. Thread 0 draws from the seeded
         generator, the others from streams spawned from ``SeedSequence(seed)``.
+    backend:
+        Kernel backend each block runs on, as for
+        :class:`~repro.core.hogwild.BatchHogwild`; ``None`` (default) is
+        the NumPy reference. Resolved and verified once, here, before any
+        thread starts.
     """
 
     workers: int
     col_blocks: int | None = None
     seed: int = 0
     n_threads: int = 1
+    backend: object | None = None
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -91,6 +105,7 @@ class WavefrontScheduler:
         self.last_epoch_locks = LockContentionStats()
         #: one scratch per thread, reused by every block's serial replay
         self.workspaces = [WaveWorkspace() for _ in range(self.n_threads)]
+        self._backend = get_backend(self.backend)
 
     # ------------------------------------------------------------------
     def prepare(self, ratings: RatingMatrix) -> None:
@@ -160,7 +175,7 @@ class WavefrontScheduler:
                             # shuffle within the block; the worker then runs serially
                             idx = idx[rng.permutation(len(idx))]
                             block_rows, block_cols = rows[idx], cols[idx]
-                            sgd_serial_update(
+                            self._backend.serial_update(
                                 model.p, model.q, block_rows, block_cols,
                                 vals[idx], lr, lam_p, lam_q, workspace=ws,
                             )

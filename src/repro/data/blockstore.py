@@ -41,7 +41,7 @@ from repro.core.partition import GridPartition
 from repro.data.container import RatingMatrix, SAMPLE_BYTES
 from repro.data.io import COO_DTYPE
 
-__all__ = ["BlockStore", "StoredBlock", "BlockPrefetcher", "PrefetchStats"]
+__all__ = ["BlockStore", "BlockPrefetcher", "PrefetchStats"]
 
 _META_NAME = "blockstore.json"
 _STORE_VERSION = 1
@@ -64,34 +64,6 @@ _OPEN_LOCK = threading.Lock()
 #: still accumulate into :attr:`PrefetchStats.wait_seconds`, but no
 #: ``stage.stall`` span is emitted for them.
 STALL_SPAN_MIN_S = 1e-4
-
-
-@dataclass(frozen=True)
-class StoredBlock:
-    """Manifest view of one persisted grid block (mirror of
-    :class:`~repro.core.partition.BlockView`, without the sample indices)."""
-
-    bi: int
-    bj: int
-    nnz: int
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.row_hi - self.row_lo, self.col_hi - self.col_lo)
-
-    def coo_bytes(self) -> int:
-        """Bytes to stage this block's samples (12 bytes per COO record)."""
-        return self.nnz * SAMPLE_BYTES
-
-    def feature_bytes(self, k: int, feature_bytes: int = 4) -> int:
-        """Bytes of the P and Q segments this block touches."""
-        rows = self.row_hi - self.row_lo
-        cols = self.col_hi - self.col_lo
-        return (rows + cols) * k * feature_bytes
 
 
 class BlockStore:
@@ -217,19 +189,6 @@ class BlockStore:
     def path(self, bi: int, bj: int) -> Path:
         self._check_coords(bi, bj)
         return self._block_path(self.root, bi, bj)
-
-    def view(self, bi: int, bj: int) -> StoredBlock:
-        """Manifest metadata of one block (no I/O)."""
-        self._check_coords(bi, bj)
-        return StoredBlock(
-            bi=bi,
-            bj=bj,
-            nnz=int(self.block_nnz[bi, bj]),
-            row_lo=int(self.row_edges[bi]),
-            row_hi=int(self.row_edges[bi + 1]),
-            col_lo=int(self.col_edges[bj]),
-            col_hi=int(self.col_edges[bj + 1]),
-        )
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """All grid coordinates in row-major order."""

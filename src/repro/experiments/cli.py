@@ -133,10 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "threads (batch_hogwild or wavefront)")
     train_p.add_argument("--backend", default="auto",
                          choices=("auto", "numpy", "c"),
-                         help="kernel backend (repro.backends registry); "
-                         "auto picks the fastest verified backend the "
-                         "problem size amortizes, numpy is the bit-exact "
-                         "reference")
+                         help="kernel backend (repro.backends registry) "
+                         "of every scheme; auto picks the fastest verified "
+                         "backend the problem size amortizes, numpy is the "
+                         "bit-exact reference")
     train_p.add_argument("--procs", type=int, default=None,
                          help="worker threads for --executor threads "
                          "(default: the auto-policy's choice, else 4)")
@@ -329,12 +329,12 @@ def _resolve_executor(args, spec, problem) -> None:
     """Resolve ``--executor auto`` (the default) into a concrete executor.
 
     Structural constraints first — ``--out-of-core`` streams on threads,
-    the other schemes keep to one thread of numpy's GIL-bound kernels —
+    the other schemes keep to one thread (the measured evidence covers
+    batch_hogwild only, and multi_device simulates its devices on one) —
     then the measured-evidence policy of
     :mod:`repro.parallel.policy` (serial unless this host's perf ledger
-    shows threads beating serial). Also resolves
-    ``--backend auto`` to a concrete verified backend either way (``numpy``
-    for the non-hogwild schemes, which run no other), and publishes the
+    shows threads beating serial). Also resolves ``--backend auto`` to a
+    concrete backend, the same way for every scheme, and publishes the
     decision to any ambient metrics registry.
     """
     from repro.parallel.policy import (
@@ -346,11 +346,7 @@ def _resolve_executor(args, spec, problem) -> None:
 
     k = spec.k if args.k is None else args.k
     nnz = problem.train.nnz
-    if args.scheme == "batch_hogwild":
-        backend_name, reason = choose_backend(nnz, k, args.backend)
-    else:
-        backend_name = "numpy"
-        reason = f"--scheme {args.scheme} runs only the numpy kernels"
+    backend_name, reason = choose_backend(nnz, k, args.backend)
     if args.executor != "auto":
         args.backend = backend_name
         if args.procs is None:
@@ -363,11 +359,11 @@ def _resolve_executor(args, spec, problem) -> None:
             "--out-of-core streams through the threads executor",
         )
     elif args.scheme != "batch_hogwild":
-        choice = ExecutorChoice(
-            "serial", 1, backend_name,
-            f"--scheme {args.scheme} runs numpy's GIL-bound kernels, "
-            "which threads do not speed up",
-        )
+        why = ("the measured threads_vs_serial evidence covers batch_hogwild "
+               "only" if args.scheme == "wavefront"
+               else "it simulates its devices on one thread")
+        choice = ExecutorChoice("serial", 1, backend_name,
+                                f"--scheme {args.scheme}: {why}")
     else:
         from repro.obs.ledger import DEFAULT_LEDGER_PATH, PerfLedger
 

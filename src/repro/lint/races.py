@@ -26,8 +26,9 @@ compiled plans (:meth:`ScheduleRacePass.check_tree`), so a regression in the
 plan compilers fails lint even before the test suite runs.
 
 **Static lock-discipline audit** — files that run worker threads, either
-through ``threading.Thread`` or by handing a function to
-:func:`repro.parallel.threads.run_threads` (``repro/parallel/threads.py``,
+through ``threading.Thread`` (``repro/parallel/dispatch.py``, where
+:func:`~repro.parallel.dispatch.run_threads` starts them) or by handing a
+function to ``run_threads`` (``repro/parallel/threads.py``,
 ``repro/core/wavefront.py``), must declare which closure names a worker may
 mutate, in a module-level ``SHARED_WRITE_OK`` tuple. Inside a worker
 function, or a function of the same file it calls by bare name, any store

@@ -5,9 +5,10 @@ The rest of :mod:`repro.core` *simulates* concurrency deterministically
 concurrency** — OS threads racing over shared NumPy arrays — genuine
 Hogwild!, useful to validate that the simulated semantics match reality
 and as multi-core executors in their own right (the compiled ``c`` kernel
-releases the GIL for a whole plan shard or out-of-core block). Its
-:func:`~repro.parallel.threads.run_threads` also starts the wavefront
-scheduler's threads (:class:`repro.core.wavefront.WavefrontScheduler`).
+releases the GIL for a whole plan shard or out-of-core block).
+:func:`~repro.parallel.dispatch.run_threads` starts every worker thread:
+these executors' and the wavefront scheduler's
+(:class:`repro.core.wavefront.WavefrontScheduler`).
 """
 
 from repro._lazy import lazy_exports

@@ -20,18 +20,16 @@ while this one computes (§6.2). Each block is one
 ``backend.serial_update`` call, the worker updating its samples serially
 (§5.1) -- on ``c``, one GIL-free foreign call per block.
 
-:func:`run_threads` is the one place worker threads start: this executor
-and :class:`~repro.core.wavefront.WavefrontScheduler` hand it their
-per-thread work every epoch.
+Every epoch hands its per-thread work to
+:func:`~repro.parallel.dispatch.run_threads`, the one place worker
+threads start (the wavefront scheduler's too).
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,47 +43,20 @@ from repro.obs.context import active_registry, active_tracer
 from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
 from repro.obs.profiler import StallReport
 from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
+from repro.parallel.dispatch import run_threads
 from repro.san.core import active_sanitizer
 from repro.sched.plan import PlanShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.data.blockstore import BlockStore, PrefetchStats
 
-__all__ = ["ThreadedHogwild", "run_threads"]
+__all__ = ["ThreadedHogwild"]
 
 #: Shared names worker threads may mutate (``race-shared-write`` lint):
-#: ``counts``/``staged`` are write-disjoint per thread id, ``errors.append``
-#: is GIL-atomic (as is ``tracer.add_span``, one list append). P and Q
-#: races are the point of Hogwild! (in the kernel).
-SHARED_WRITE_OK = ("counts", "errors", "staged")
-
-
-def run_threads(n: int, work: Callable[[int], None], name: str) -> None:
-    """Run ``work(tid)`` for ``tid`` in ``range(n)`` on ``n`` OS threads
-    named ``{name}-{tid}``, join them all, then re-raise the first failure.
-
-    Each thread runs in its own copy of the caller's context (a Context
-    admits one thread at a time), so the caller's sanitizer, collector
-    and tracer reach its work. Threads start afresh every call; a thread
-    pool would replace them here.
-    """
-    errors: list[BaseException] = []
-
-    def guarded(tid: int) -> None:
-        try:
-            work(tid)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(guarded, tid), name=f"{name}-{tid}")
-               for tid in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+#: ``counts``/``staged`` are write-disjoint per thread id
+#: (``tracer.add_span`` is one GIL-atomic list append). P and Q races are
+#: the point of Hogwild! (in the kernel).
+SHARED_WRITE_OK = ("counts", "staged")
 
 
 def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,

@@ -18,7 +18,9 @@ same epoch loop as :class:`repro.core.trainer.CuMFSGD`
   :class:`~repro.resilience.faults.TrainingDivergedError`;
 * attach a :class:`~repro.resilience.faults.FaultPlan` to a multi-device
   executor, so device loss and flaky transfers are exercised under the
-  same roof (any other scheme rejects a plan that holds faults).
+  same roof (any other scheme rejects a plan that holds faults); its
+  transfers retry under the default
+  :class:`~repro.resilience.retry.RetryPolicy`.
 
 Every recovery action is mirrored into the ambient metrics registry as
 ``repro.resilience.*`` counters and kept in :attr:`ResilientTrainer.log`.
@@ -45,7 +47,6 @@ from repro.resilience.faults import TrainingDivergedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ResilientTrainer", "RecoveryEvent"]
 
@@ -88,10 +89,10 @@ class ResilientTrainer:
         Consecutive rising epochs that count as divergence once their total
         rise reaches the :func:`detect_divergence` tolerance (a smaller
         rise is a stall, not a reason to roll back).
-    fault_plan, retry:
-        Optional :class:`FaultPlan` / :class:`RetryPolicy` attached to a
-        multi-device executor, so simulated device loss and transfer
-        faults run inside the recovering loop (``ValueError`` elsewhere).
+    fault_plan:
+        Optional :class:`FaultPlan` attached to a multi-device executor,
+        so simulated device loss and transfer faults run inside the
+        recovering loop (``ValueError`` elsewhere).
     """
 
     def __init__(
@@ -104,7 +105,6 @@ class ResilientTrainer:
         divergence_factor: float = 4.0,
         patience: int = 3,
         fault_plan: "FaultPlan | None" = None,
-        retry: "RetryPolicy | None" = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -128,7 +128,6 @@ class ResilientTrainer:
         self.divergence_factor = divergence_factor
         self.patience = patience
         self.fault_plan = fault_plan
-        self.retry = retry
         self.rollbacks = 0
         self.lr_scale = 1.0
         self.log: list[RecoveryEvent] = []
@@ -243,7 +242,7 @@ class ResilientTrainer:
         nnz = est._prepare(train, warm_start)
         est.executor = executor = est._make_executor()
         if self.fault_plan is not None and isinstance(executor, MultiDeviceSGD):
-            executor.attach_faults(self.fault_plan, self.retry)
+            executor.attach_faults(self.fault_plan)
         self.rollbacks = 0
         self.lr_scale = 1.0
         self.log = []

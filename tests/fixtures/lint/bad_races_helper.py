@@ -1,6 +1,6 @@
 """Fixture: helpers a worker calls write shared state the file never declares."""
 
-from repro.parallel.threads import run_threads
+from repro.parallel.dispatch import run_threads
 
 SHARED_WRITE_OK = ("counts",)
 

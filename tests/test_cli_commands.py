@@ -201,9 +201,10 @@ class TestTrainExecutors:
 
     @pytest.mark.parametrize("executor", ["auto", "serial"])
     @pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
-    def test_non_hogwild_schemes_resolve_numpy(self, capsys, executor, scheme):
-        """Only batch_hogwild runs a backend's kernels, so the other
-        schemes report and run numpy whatever ``--backend`` asks for."""
+    def test_every_scheme_keeps_its_backend(self, capsys, executor, scheme):
+        """Every scheme runs the backend's kernels, so the block schemes
+        report and keep what ``--backend`` asks for; auto keeps them on
+        one thread and says why."""
         from types import SimpleNamespace
 
         from repro.experiments.cli import _resolve_executor
@@ -212,9 +213,12 @@ class TestTrainExecutors:
                                k=None, procs=None, out_of_core=False)
         problem = SimpleNamespace(train=SimpleNamespace(nnz=400_000))
         _resolve_executor(args, SimpleNamespace(k=32), problem)
-        assert args.backend == "numpy"
+        assert args.backend == "c"
         out = capsys.readouterr().out
-        assert "backend=numpy" in out and f"--scheme {scheme}" in out
+        assert "backend=c" in out
+        if executor == "auto":
+            assert args.executor == "serial"
+            assert f"--scheme {scheme}: " in out
 
     @pytest.mark.slow
     def test_train_threads(self, capsys):
@@ -314,6 +318,20 @@ class TestFreshInterpreter:
         # the estimator builds the thread executor only for threads
         threads = "repro.parallel.threads" in loaded
         assert threads == ("threads" in executor)
+
+    def test_wavefront_train_loads_no_thread_executor(self):
+        """Wavefront threads start through the dispatch module alone, so
+        a wavefront launch loads neither the batch-Hogwild! thread
+        executor nor its profiler and tracer."""
+        proc = _fresh_python(
+            "-c", _TRAIN_THEN_LIST_MODULES,
+            "train", "netflix-syn", "--epochs", "1", "--scheme", "wavefront",
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert {"repro.core.wavefront", "repro.parallel.dispatch"} <= loaded
+        assert not loaded & {"repro.parallel.threads", "repro.obs.profiler",
+                             "repro.obs.tracer"}
 
     def test_metrics_rmse_stays_the_function(self):
         """``rmse`` is both a function and a submodule of

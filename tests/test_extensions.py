@@ -49,6 +49,14 @@ class TestAdaGradHogwild:
         hist = est.fit(tiny_problem.train, epochs=4, test=tiny_problem.test)
         assert hist.test_rmse[-1] < hist.test_rmse[0]
 
+    @pytest.mark.parametrize("backend", ["c", "auto"])
+    def test_other_backends_rejected(self, backend):
+        """AdaGrad's wave runs only the numpy kernels, so the estimator
+        refuses another backend instead of ignoring it."""
+        with pytest.raises(ValueError, match="numpy kernels"):
+            CuMFSGD(schedule=AdaGradSchedule(), backend=backend)
+        CuMFSGD(schedule=AdaGradSchedule(), backend="numpy")
+
     def test_adagrad_early_progress_strong(self, tiny_problem):
         """ADAGRAD's adaptive rates give fast first-epoch progress — the
         faster-convergence motivation the paper cites for BIDMach."""

@@ -118,7 +118,7 @@ def test_worker_run_in_a_context_copy_is_audited(tmp_path):
 def test_worker_handed_to_run_threads_is_audited(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(
-        "from repro.parallel.threads import run_threads\n"
+        "from repro.parallel.dispatch import run_threads\n"
         "\n"
         "SHARED_WRITE_OK = ('counts',)\n"
         "\n"

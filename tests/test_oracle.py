@@ -30,6 +30,12 @@ the round loop the scheduler ran before it took threads, bit for bit and
 event for event. On 2 and 4 threads every epoch applies exactly nnz
 updates, the factors stay finite, and each epoch's test RMSE is within
 :func:`wavefront_tolerance`.
+
+Both block schemes run the estimator's kernel backend: a wavefront block
+is one ``serial_update``, a multi-device block one ``replay``. A counting
+backend pins that dispatch. On one thread (wavefront) or one device
+(multi-device), ``c`` keeps every shape's factors within the registry's
+verification tolerance of the NumPy fit's, in fp32 and fp16.
 """
 
 from __future__ import annotations
@@ -40,14 +46,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.backends import BackendType, available_backends
+from repro.backends import BackendType, available_backends, get_backend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.registry import _ATOL, _RTOL, _RTOL_FP16
 from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import WaveWorkspace, sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.partition import grid_block_index
+from repro.core.partition import GridPartition, grid_block_index
 from repro.core.trainer import CuMFSGD, run_epochs
 from repro.core.wavefront import WavefrontScheduler
 from repro.data.container import RatingMatrix
@@ -411,3 +417,80 @@ def test_wavefront_threads_deliver_events_on_the_dispatching_thread(
     assert sorted(e.block for e in hooks.batches) == [
         (w, c) for w in range(8) for c in range(16)]
     assert hooks.threads == {threading.get_ident()}
+
+
+# ---------------------------------------------------------------------------
+# the block schemes on the backend registry
+# ---------------------------------------------------------------------------
+def block_fit(shape: str, scheme: str, backend, half: bool = False,
+              n_threads: int = 1) -> CuMFSGD:
+    """A wavefront fit on the oracle's 4-row grid, or a one-device fit on a
+    grid of up to 4 x 4 blocks (fewer where the shape has fewer rows or
+    columns)."""
+    train, _ = problem(shape)
+    est = CuMFSGD(k=SHAPES[shape][2], scheme=scheme, workers=WAVE_WORKERS,
+                  seed=SEED, half_precision=half, backend=backend,
+                  n_threads=n_threads,
+                  grid=(min(4, train.n_rows), min(4, train.n_cols)))
+    est.fit(train, epochs=EPOCHS)
+    return est
+
+
+class _CountingBackend(NumpyBackend):
+    """The NumPy reference, noting the samples of every kernel call."""
+
+    def __init__(self) -> None:
+        self.serial: list[int] = []
+        self.replays: list[int] = []
+
+    def serial_update(self, p, q, rows, *args, **kwargs):
+        self.serial.append(len(rows))  # one GIL-atomic append per call
+        return super().serial_update(p, q, rows, *args, **kwargs)
+
+    def replay(self, ws, shard, p, q, rows, *args):
+        self.replays.append(len(rows))
+        return super().replay(ws, shard, p, q, rows, *args)
+
+
+@pytest.mark.parametrize("scheme, n_threads", [
+    ("wavefront", 1), ("wavefront", 2), ("multi_device", 1)])
+def test_block_schemes_dispatch_through_the_backend(scheme, n_threads):
+    """Every non-empty block is one kernel call on the estimator's backend:
+    a wavefront block one ``serial_update``, a multi-device block one
+    ``replay``. On one thread the fit is the ``backend=None`` fit, bit for
+    bit."""
+    train, _ = problem("k5")
+    backend = _CountingBackend()
+    get_backend(backend)  # the verification gate calls the kernels too
+    backend.serial.clear()
+    backend.replays.clear()
+    est = block_fit("k5", scheme, backend, n_threads=n_threads)
+    if scheme == "wavefront":
+        index = grid_block_index(train, WAVE_WORKERS, 2 * WAVE_WORKERS)
+        calls, other = backend.serial, backend.replays
+    else:
+        index = [b.sample_index for b in GridPartition(train, 4, 4).blocks()]
+        calls, other = backend.replays, backend.serial
+    blocks = [len(idx) for idx in index if len(idx)]
+    assert sorted(calls) == sorted(blocks * EPOCHS)
+    assert other == []
+    if n_threads == 1:
+        ref = block_fit("k5", scheme, None)
+        assert est.model.p.tobytes() == ref.model.p.tobytes()
+        assert est.model.q.tobytes() == ref.model.q.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_block_schemes_on_c_match_numpy(shape, scheme, c_forced, half):
+    """On one thread or one device, the ``c`` fit's factors lie within the
+    registry's verification tolerance of the NumPy fit's."""
+    ref = block_fit(shape, scheme, "numpy", half)
+    est = block_fit(shape, scheme, c_forced, half)
+    assert est.history.updates == ref.history.updates
+    rtol = _RTOL_FP16 if half else _RTOL
+    for got, want in ((est.model.p, ref.model.p), (est.model.q, ref.model.q)):
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got.astype(np.float32),
+                                   want.astype(np.float32),
+                                   rtol=rtol, atol=_ATOL)

@@ -34,7 +34,6 @@ from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import sgd_serial_update
 from repro.core.lr_schedule import NomadSchedule
 from repro.core.model import FactorModel
-from repro.core.multi_gpu import MultiDeviceSGD
 from repro.core.trainer import CuMFSGD, run_epochs
 from repro.data.blockstore import BlockPrefetcher, BlockStore
 from repro.data.container import RatingMatrix
@@ -42,7 +41,7 @@ from repro.metrics.throughput import ThroughputRecord
 from repro.obs import RecordingHooks, TelemetryCollector, activate
 from repro.obs.registry import M
 from repro.parallel import ThreadedHogwild
-from repro.parallel.threads import run_threads
+from repro.parallel.dispatch import run_threads
 from repro.san import Sanitizer, activate_sanitizer
 from repro.sched.plan import EpochPlan
 
@@ -430,23 +429,3 @@ class TestEpochLoop:
             assert len(history.epoch_seconds) == 2, est
             assert all(s > 0 for s in history.epoch_seconds), est
             assert ThroughputRecord.from_history(history, train.nnz).musec > 0
-
-
-class TestMultiDeviceStore:
-    def test_attach_store_runs_every_sample(self, tiny_problem, tmp_path):
-        train = tiny_problem.train
-        store = BlockStore.create(train, 4, 4, tmp_path / "store", seed=0)
-        sgd = MultiDeviceSGD(n_devices=2, i=4, j=4, workers=16, seed=0)
-        sgd.attach_store(store)
-        model = FactorModel.initialize(
-            tiny_problem.spec.m, tiny_problem.spec.n, 8, seed=0
-        )
-        n = sgd.run_epoch(model, None, 0.05, 0.05)
-        assert n == train.nnz
-        assert sgd.ledger.dispatches == len(list(store.blocks()))
-
-    def test_attach_store_grid_mismatch_rejected(self, tiny_problem, tmp_path):
-        store = BlockStore.create(tiny_problem.train, 2, 2, tmp_path / "s", seed=0)
-        sgd = MultiDeviceSGD(n_devices=2, i=4, j=4, workers=16, seed=0)
-        with pytest.raises(ValueError):
-            sgd.attach_store(store)

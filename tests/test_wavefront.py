@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.backends import available_backends
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core.model import FactorModel
 from repro.core.trainer import CuMFSGD
 from repro.core.wavefront import WavefrontScheduler
@@ -120,60 +122,63 @@ class TestThreads:
     def test_every_block_once_under_a_short_switch_interval(
             self, tiny_problem):
         """Stress: more threads than cores on a tight grid, the interpreter
-        switching threads every microsecond. Every grid block still runs
-        exactly once per epoch, the sanitizer sees no double execution, and
-        the fit finishes."""
-        hooks, san = RecordingHooks(), Sanitizer("races")
-        est = CuMFSGD(k=8, scheme="wavefront", workers=8, col_blocks=8,
-                      n_threads=4, seed=0)
+        switching threads every microsecond, on every available backend (on
+        ``c`` the blocks also run outside the GIL, at once). Every grid
+        block still runs exactly once per epoch, the sanitizer sees no
+        double execution, and the fit finishes."""
+        for backend in available_backends():
+            hooks, san = RecordingHooks(), Sanitizer("races")
+            est = CuMFSGD(k=8, scheme="wavefront", workers=8, col_blocks=8,
+                          n_threads=4, seed=0, backend=backend)
 
-        def fit():
-            with activate_sanitizer(san):
-                est.fit(tiny_problem.train, epochs=2, hooks=hooks)
+            def fit():
+                with activate_sanitizer(san):
+                    est.fit(tiny_problem.train, epochs=2, hooks=hooks)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=fit, daemon=True)
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert est.history.updates == [tiny_problem.train.nnz] * 2
-        blocks = [(w, c) for w in range(8) for c in range(8)]
-        assert sorted(e.block for e in hooks.batches) == sorted(blocks * 2)
-        report = san.finalize(publish=False)
-        assert report.clean, "\n".join(f.format() for f in report.findings)
-        assert report.race_stats.samples == 2 * tiny_problem.train.nnz
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runner = threading.Thread(target=fit, daemon=True)
+                runner.start()
+                runner.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not runner.is_alive(), backend
+            assert est.history.updates == [tiny_problem.train.nnz] * 2
+            blocks = [(w, c) for w in range(8) for c in range(8)]
+            assert sorted(e.block for e in hooks.batches) == sorted(blocks * 2)
+            report = san.finalize(publish=False)
+            assert report.clean, "\n".join(f.format() for f in report.findings)
+            assert report.race_stats.samples == 2 * tiny_problem.train.nnz
 
-    def test_a_failing_block_frees_its_columns(self, tiny_problem,
-                                               monkeypatch):
+    def test_a_failing_block_frees_its_columns(self, tiny_problem):
         """A block that raises hands its round's columns back: the other
         thread still finishes its row, and the fit re-raises the failure
         instead of hanging on a column nobody will release."""
-        import repro.core.wavefront as wavefront
-
         # seed 2: rows 0 and 1 start on different columns, so row 1 fails
         # holding the column row 0 needs next
         rng = np.random.default_rng(2)
         assert rng.permutation(2)[0] != rng.permutation(2)[0]
         failed = threading.Event()
-        update = wavefront.sgd_serial_update
 
-        def flaky(*args, **kwargs):
-            if threading.current_thread().name == "wavefront-1":
-                failed.set()
-                raise RuntimeError("block failed")
-            failed.wait(timeout=10)  # row 0 runs on after row 1 failed
-            return update(*args, **kwargs)
+        class Flaky(NumpyBackend):
+            """Row 1's thread fails its first block; row 0's thread runs
+            its blocks only once that has happened."""
 
-        monkeypatch.setattr(wavefront, "sgd_serial_update", flaky)
+            def serial_update(self, *args, **kwargs):
+                name = threading.current_thread().name
+                if name == "wavefront-1":
+                    failed.set()
+                    raise RuntimeError("block failed")
+                if name == "wavefront-0":
+                    failed.wait(timeout=10)
+                return super().serial_update(*args, **kwargs)
+
         errors = []
 
         def fit():
             est = CuMFSGD(k=8, scheme="wavefront", workers=2, col_blocks=2,
-                          n_threads=2, seed=2)
+                          n_threads=2, seed=2, backend=Flaky())
             try:
                 est.fit(tiny_problem.train, epochs=1)
             except RuntimeError as exc:
