@@ -2,12 +2,13 @@
 
 Two variants of one small synthetic Hogwild run:
 
-* **null path** — hooks resolve to ``NULL_HOOKS``; per wave the producer
+* **null path** — hooks resolve to ``NULL_HOOKS``; per epoch the producer
   pays one attribute check, nothing else (the zero-cost discipline of
   ``repro.obs.hooks``);
-* **collector path** — a ``TelemetryCollector`` attached; producers honor
-  its ``kernel_stride`` hint, so per-wave emission amortizes and the Eq. 6
-  collision fraction is a 1-in-stride sample.
+* **collector path** — a ``TelemetryCollector`` attached; the same replay
+  runs, then the epoch's kernel events are read off the plan under the
+  collector's ``kernel_stride`` hint, so the Eq. 6 collision fraction is
+  a 1-in-stride sample.
 
 Timing method: interleave many short epochs of both variants and compare the
 per-variant *minima*. Shared runners show correlated noise bursts of 30-50%

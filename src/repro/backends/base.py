@@ -8,13 +8,13 @@ of exactly that contract:
 
 * :meth:`KernelBackend.replay` — one epoch of one worker's plan shard (or a
   whole :class:`~repro.sched.plan.EpochPlan`), the unit every executor
-  launches when nothing observes single waves.  The base implementation
-  is :func:`replay_waves`, the Python wave loop over :meth:`bind`; the
+  launches, observed or not.  The base implementation is
+  :func:`replay_waves`, the Python wave loop over :meth:`bind`; the
   compiled ``c`` backend replaces it with one GIL-free foreign call;
 * :meth:`KernelBackend.bind` — given the caller's
   :class:`~repro.core.kernels.WaveWorkspace`, the per-wave callable
-  :func:`replay_waves` invokes when kernel hooks or a sanitizer observe
-  the epoch.  The NumPy backend returns the workspace's own bound method,
+  :func:`replay_waves` invokes (on ``c``: for a sanitizer or a fallback).
+  The NumPy backend returns the workspace's own bound method,
   so dispatching through the registry is *structurally* identical to the
   pre-registry code path — same callable, same bits;
 * :meth:`KernelBackend.serial_update` — serial SGD over one worker's
@@ -35,7 +35,6 @@ from enum import Enum
 import numpy as np
 
 from repro.core.kernels import UPDATE_ERRSTATE
-from repro.obs.hooks import KernelEvent, resolve_kernel_stride
 
 __all__ = ["BackendType", "KernelBackend", "replay_waves"]
 
@@ -68,16 +67,19 @@ class KernelBackend:
     exact: bool = True
 
     # ------------------------------------------------------------------
-    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
+    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q,
+               *, san=None, wid: int = 0, epoch: int = 0) -> int:
         """One epoch of ``shard`` (a :class:`~repro.sched.plan.PlanShard`
         or a whole :class:`~repro.sched.plan.EpochPlan`) over the data
         arrays; returns the updates made. ``ws`` is the caller's private
-        workspace. The base implementation is :func:`replay_waves` over
+        workspace; a sanitizer ``san`` observes worker ``wid``'s epoch
+        ``epoch``. The base implementation is :func:`replay_waves` over
         :meth:`bind`, so the NumPy backend replays bit for bit as the
         executors' own wave loops did.
         """
         return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
-                            vals, lr, lam_p, lam_q)
+                            vals, lr, lam_p, lam_q, san=san, wid=wid,
+                            epoch=epoch)
 
     def bind(self, workspace):
         """Return the per-wave callable :func:`replay_waves` invokes.
@@ -101,31 +103,21 @@ class KernelBackend:
 
 
 def replay_waves(ws, wave_update, shard, p, q, rows, cols, vals,
-                 lr, lam_p, lam_q, *, hooks=None, name: str = "hogwild.wave",
-                 san=None, wid: int = 0, epoch: int = 0) -> int:
+                 lr, lam_p, lam_q, *, san=None, wid: int = 0,
+                 epoch: int = 0) -> int:
     """One epoch of a plan shard through a per-wave kernel; returns the
-    updates made. The only Python loop over an epoch's waves: one
+    updates made. The only Python loop over an epoch's waves, entered
+    through :meth:`KernelBackend.replay` (and by AdaGrad's own wave): one
     ``bind_plan`` gather, then one ``wave_update`` launch per wave over its
-    live lanes (padding only trims from the right).
-
-    The observers are optional, and each costs one branch per wave:
-
-    * ``hooks`` (active :class:`~repro.obs.hooks.TrainerHooks`) receive one
-      :class:`~repro.obs.hooks.KernelEvent` called ``name`` per
-      ``kernel_stride`` waves, with the exact updates and waves it stands
-      for and the last wave's coordinates (the Eq. 6 sample), plus one for
-      the tail the stride left over;
-    * a sanitizer ``san`` checks worker ``wid``'s epoch ``epoch``: in
-      numeric mode the fp64-leak probe on the first wave and a residual
-      check on one wave in ``sample_stride``; in race mode one O(1) record
-      of the bound views after the loop (the caller seals the log before
-      the next bind regathers them).
+    live lanes (padding only trims from the right). A sanitizer ``san``
+    checks worker ``wid``'s epoch ``epoch`` at one branch per wave: in
+    numeric mode the fp64-leak probe on the first wave and a residual
+    check on one wave in ``sample_stride``; in race mode one O(1) record
+    of the bound views after the loop (the caller seals the log before
+    the next bind regathers them).
     """
     rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
     width = shard.width
-    observe = hooks is not None and hooks.active
-    stride = resolve_kernel_stride(hooks) if observe else 1
-    pending_waves = pending_updates = 0
     sentry = san.numeric if san is not None and san.check_numeric else None
     san_stride = sentry.sample_stride if sentry is not None else 1
     updates = 0
@@ -145,19 +137,6 @@ def replay_waves(ws, wave_update, shard, p, q, rows, cols, vals,
                 if not i:
                     sentry.check_dtypes(p, q, err, wid, epoch)
                 sentry.check_wave(err, wid, epoch, i)
-            if observe:
-                pending_waves += 1
-                pending_updates += w
-                if pending_waves == stride:
-                    hooks.on_kernel(KernelEvent(
-                        name=name, n_updates=pending_updates,
-                        rows=wr.copy(), cols=wc.copy(),  # lint: hotpath-alloc -- one copy per kernel_stride waves, only while a collector listens
-                        n_waves=pending_waves,
-                    ))
-                    pending_waves = pending_updates = 0
-    if pending_waves:  # tail waves the stride window did not flush
-        hooks.on_kernel(KernelEvent(name=name, n_updates=pending_updates,
-                                    n_waves=pending_waves))
     if san is not None:
         san.epoch_executed(rows_w, cols_w, shard.lengths, wid=wid, epoch=epoch)
     return updates

@@ -14,8 +14,8 @@ releases the GIL for the length of every call:
   int32/fp32 arrays into small workspace scratch, so no wave-major plan
   matrix and no gathered copy of the ids or ratings is built;
 * :meth:`CBackend.bind` returns a per-wave callable for
-  :func:`~repro.backends.base.replay_waves`, which runs when kernel hooks
-  or a sanitizer observe the epoch;
+  :func:`~repro.backends.base.replay_waves`, which :meth:`CBackend.replay`
+  runs for a sanitized epoch and for its fallbacks;
 * :meth:`CBackend.serial_update` runs one worker's samples as plain serial
   SGD, in order, in one foreign call (an out-of-core block, say).
 
@@ -201,23 +201,24 @@ class CBackend(KernelBackend):
         return 1 if self.fp16 else None
 
     # ------------------------------------------------------------------
-    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q) -> int:
+    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q,
+               *, san=None, wid: int = 0, epoch: int = 0) -> int:
         """Every wave of ``shard`` in one GIL-free foreign call, staged
         group by group from its plan's shuffled ``order`` and the data
-        arrays themselves. Data not in
+        arrays themselves. A sanitized epoch (``san``, worker ``wid``'s
+        epoch ``epoch``), fp16 storage without F16C and data not in
         :class:`~repro.data.container.RatingMatrix` layout (contiguous
-        int32 ids) replays wave by wave through :meth:`bind`."""
+        int32 ids) replay wave by wave through :meth:`bind`."""
         half = self._storage(p, q)
-        if half is None:
-            return replay_waves(ws, ws.wave_update, shard, p, q, rows, cols,
-                                vals, lr, lam_p, lam_q)
-        _check_vals(vals)
-        if not len(rows) == len(cols) == len(vals):
-            raise ValueError("rows, cols and vals differ in length")
-        ws.check_ids(rows, cols, p.shape[0], q.shape[0])
-        if not _coo_layout(rows, cols, vals):
+        if half is not None:
+            _check_vals(vals)
+            if not len(rows) == len(cols) == len(vals):
+                raise ValueError("rows, cols and vals differ in length")
+            ws.check_ids(rows, cols, p.shape[0], q.shape[0])
+        if half is None or san is not None or not _coo_layout(rows, cols, vals):
             return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
-                                vals, lr, lam_p, lam_q)
+                                vals, lr, lam_p, lam_q, san=san, wid=wid,
+                                epoch=epoch)
         plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
         k = p.shape[1]
         pu, qv, err = ws.kernel_scratch(hi - lo, k)

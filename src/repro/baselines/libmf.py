@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.kernels import sgd_serial_update
+from repro.core.kernels import WaveWorkspace, sgd_serial_update
 from repro.core.lr_schedule import ConstantSchedule, LearningRateSchedule
 from repro.core.model import FactorModel
 from repro.core.partition import GridPartition
@@ -75,8 +75,9 @@ class LIBMFSolver(EpochSolver):
 
     @contextmanager
     def session(self, model: FactorModel, train: RatingMatrix):
-        """Per-fit state: the block-choice rng, the grid, the table."""
+        """Per-fit state: block-choice rng, grid, table, kernel workspace."""
         self._rng = np.random.default_rng(self.seed)
+        self._workspace = WaveWorkspace()
         self._partition = GridPartition(train, self.a, self.a)
         self.table = GlobalScheduleTable(self.a, seed=self.seed)
         yield model
@@ -112,7 +113,7 @@ class LIBMFSolver(EpochSolver):
                 idx = idx[rng.permutation(len(idx))]
                 sgd_serial_update(
                     model.p, model.q, rows[idx], cols[idx], vals[idx],
-                    lr, lam_p, lam_q,
+                    lr, lam_p, lam_q, workspace=self._workspace,
                 )
                 processed += len(idx)
             table.release(w)

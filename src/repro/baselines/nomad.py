@@ -27,7 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.kernels import sgd_serial_update
+from repro.core.kernels import WaveWorkspace, sgd_serial_update
 from repro.core.lr_schedule import LearningRateSchedule, NomadSchedule
 from repro.core.model import FactorModel
 from repro.core.trainer import EpochSolver
@@ -75,9 +75,10 @@ class NOMADSolver(EpochSolver):
 
     @contextmanager
     def session(self, model: FactorModel, train: RatingMatrix):
-        """Per-fit state: the rng, the hop count and the row partition,
-        drawn from the rng before any epoch."""
+        """Per-fit state: the rng, the hop count, the kernel's workspace and
+        the row partition, drawn from the rng before any epoch."""
         self._rng = np.random.default_rng(self.seed)
+        self._workspace = WaveWorkspace()
         self.token_hops = 0
         self._index = self._index_by_node(train, self._rng)
         yield model
@@ -117,7 +118,7 @@ class NOMADSolver(EpochSolver):
             idx = node_idx[order_by_col][np.argsort(key, kind="stable")]
             sgd_serial_update(
                 model.p, model.q, rows[idx], cols[idx], vals[idx],
-                lr, lam_p, lam_q,
+                lr, lam_p, lam_q, workspace=self._workspace,
             )
             updates += len(idx)
         return updates

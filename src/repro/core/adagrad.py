@@ -25,7 +25,7 @@ from repro.core.kernels import wave_gradients
 from repro.core.lr_schedule import AdaGradSchedule
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
-from repro.obs.hooks import TrainerHooks, resolve_hooks
+from repro.obs.hooks import TrainerHooks, emit_plan_events, resolve_hooks
 from repro.san.core import active_sanitizer
 
 __all__ = ["AdaGradHogwild"]
@@ -74,25 +74,28 @@ class AdaGradHogwild(BatchHogwild):
         """One epoch; ``lr`` is ignored (ADAGRAD supplies per-element rates).
 
         The epoch runs off the compiled :class:`~repro.sched.plan.EpochPlan`
-        shared with :class:`BatchHogwild`, through the same
-        :func:`~repro.backends.base.replay_waves` loop with the ADAGRAD
-        wave as its kernel; each flushed ``adagrad.wave`` event carries the
-        exact update total of the waves in its stride window. An active
-        sanitizer observes the epoch as worker 0, as on
-        :meth:`BatchHogwild.run_epoch`'s observed path.
+        shared with :class:`BatchHogwild`, through
+        :func:`~repro.backends.base.replay_waves` with the ADAGRAD wave as
+        its kernel. An active sanitizer observes it as worker 0, as on
+        :meth:`BatchHogwild.run_epoch`, and ``hooks`` then receive the
+        plan's ``adagrad.wave`` events
+        (:func:`~repro.obs.hooks.emit_plan_events`), each with the exact
+        update total of the waves in its stride window.
         """
         lam_q = lam_p if lam_q is None else lam_q
         self._ensure_state(model)
+        plan = self.compiled_plan(ratings.nnz)
         san = active_sanitizer()
         # begin_epoch seals the previous epoch's recorded views before
         # bind_plan regathers them
         epoch = san.begin_epoch() if san is not None else 0
         updates = replay_waves(
-            self.workspace, self._wave, self.compiled_plan(ratings.nnz),
-            model.p, model.q, ratings.rows, ratings.cols, ratings.vals,
-            lr, lam_p, lam_q, hooks=resolve_hooks(hooks), name="adagrad.wave",
-            san=san, epoch=epoch,
+            self.workspace, self._wave, plan, model.p, model.q, ratings.rows,
+            ratings.cols, ratings.vals, lr, lam_p, lam_q, san=san,
+            epoch=epoch,
         )
         if san is not None:
             san.epoch_end(model.p, model.q, epoch=epoch)
+        emit_plan_events(resolve_hooks(hooks), plan, ratings.rows,
+                         ratings.cols, "adagrad.wave")
         return updates

@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends.base import replay_waves
 from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
-from repro.obs.hooks import TrainerHooks, resolve_hooks
+from repro.obs.hooks import TrainerHooks, emit_plan_events, resolve_hooks
 from repro.san.core import active_sanitizer
 from repro.sched.plan import EpochPlan, PlanStats
 
@@ -138,8 +137,8 @@ class BatchHogwild:
         Wave ``t`` of a group holds sample positions
         ``{w*f + t : w in workers}`` relative to the group start, i.e. each
         worker walks its own chunk of ``f`` consecutive samples while waves
-        cut across workers. Returns arrays independent of the plan, laid
-        out by :meth:`~repro.sched.plan.EpochPlan.positions`.
+        cut across workers. Returns arrays independent of the plan, read by
+        :meth:`~repro.sched.plan.EpochPlan.wave_positions`.
         """
         return self.compiled_plan(nnz).wave_arrays()
 
@@ -155,36 +154,30 @@ class BatchHogwild:
     ) -> int:
         """Execute one full pass over the rating matrix. Returns #updates.
 
-        ``hooks`` receives one ``on_kernel`` event per ``kernel_stride``
-        waves; each event carries the exact number of updates and waves the
-        window covered (plus the last wave's coordinates as the Eq. 6
-        conflict sample). With no collector and no sanitizer attached the
-        backend replays the whole plan (numpy wave by wave, bit for bit;
-        ``c`` in one foreign call); otherwise the epoch runs through
-        :func:`~repro.backends.base.replay_waves` over the backend's
-        per-wave kernel, which the sanitizer observes as worker 0.
+        The epoch is one ``backend.replay`` of the compiled plan (numpy
+        wave by wave, bit for bit; ``c`` in one foreign call), which an
+        active sanitizer observes as worker 0. ``hooks`` then receive the
+        kernel events read off the plan
+        (:func:`~repro.obs.hooks.emit_plan_events`), so listening never
+        changes the kernel path.
         """
         lam_q = lam_p if lam_q is None else lam_q
-        hooks = resolve_hooks(hooks)
         plan = self.compiled_plan(ratings.nnz)
         san = active_sanitizer()
         ws = self.workspace
         p, q = model.p, model.q
         ws.reserve(plan.width, p.shape[1],
                    half_precision=p.dtype != np.float32)
-        backend = self.resolved_backend()
-        # pre-coerced scalars: the kernel skips its per-call conversions
-        args = (p, q, ratings.rows, ratings.cols, ratings.vals,
-                np.float32(lr), np.float32(lam_p), np.float32(lam_q))
-        if not hooks.active and san is None:
-            return backend.replay(ws, plan, *args)
         # begin_epoch seals the previous epoch's recorded views before
         # bind_plan regathers them
         epoch = san.begin_epoch() if san is not None else 0
-        # registry dispatch: numpy binds ws.wave_update itself, so the
-        # observed path is the historical one, bit for bit
-        updates = replay_waves(ws, backend.bind(ws), plan, *args,
-                               hooks=hooks, san=san, epoch=epoch)
+        # pre-coerced scalars: the kernel skips its per-call conversions
+        updates = self.resolved_backend().replay(
+            ws, plan, p, q, ratings.rows, ratings.cols, ratings.vals,
+            np.float32(lr), np.float32(lam_p), np.float32(lam_q),
+            san=san, epoch=epoch)
         if san is not None:
             san.epoch_end(p, q, epoch=epoch)
+        emit_plan_events(resolve_hooks(hooks), plan, ratings.rows,
+                         ratings.cols)
         return updates

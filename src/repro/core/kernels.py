@@ -527,26 +527,13 @@ def sgd_serial_update(
     one sample at a time in Python is prohibitively slow, so the sequence is
     compiled into a :class:`~repro.sched.plan.SerialPlan` of conflict-free
     sub-waves, which are numerically faithful to per-worker serial order,
-    just faster. A :class:`WaveWorkspace` makes the replay allocation-free.
+    just faster, on ``workspace`` (a fresh :class:`WaveWorkspace` when
+    None): a caller that keeps one makes the replay allocation-free.
     """
     lam_q = lam_p if lam_q is None else lam_q
     plan = SerialPlan.compile(rows, cols, max_wave)
-    if workspace is not None:
-        with np.errstate(**UPDATE_ERRSTATE):
-            for start, stop in zip(plan.starts.tolist(), plan.stops.tolist()):
-                workspace.wave_update(
-                    p, q, rows[start:stop], cols[start:stop], vals[start:stop],
-                    lr, lam_p, lam_q,
-                )
-        return
-    for start, stop in zip(plan.starts.tolist(), plan.stops.tolist()):
-        sgd_wave_update(
-            p,
-            q,
-            rows[start:stop],
-            cols[start:stop],
-            vals[start:stop],
-            lr,
-            lam_p,
-            lam_q,
-        )
+    ws = workspace if workspace is not None else WaveWorkspace()
+    with np.errstate(**UPDATE_ERRSTATE):
+        for start, stop in zip(plan.starts.tolist(), plan.stops.tolist()):
+            ws.wave_update(p, q, rows[start:stop], cols[start:stop],
+                           vals[start:stop], lr, lam_p, lam_q)

@@ -364,7 +364,8 @@ class CuMFSGD(EpochSolver):
         Regularization λ (same for P and Q, as in the paper).
     schedule:
         Learning-rate schedule; defaults to Eq. 9 with Table 3's Netflix
-        (α=0.08, β=0.3).
+        (α=0.08, β=0.3). An :class:`AdaGradSchedule` runs only
+        batch_hogwild (``ValueError`` for another scheme).
     half_precision:
         Store P and Q in fp16 (§4); compute stays fp32.
     n_devices, grid:
@@ -436,9 +437,12 @@ class CuMFSGD(EpochSolver):
                     else "AdaGradSchedule")
             raise ValueError(f"{what} cannot run on threads or a BlockStore, which "
                              "run batch_hogwild (threads also wavefront) without AdaGrad")
-        if isinstance(schedule, AdaGradSchedule) and backend not in (None, "numpy"):
-            raise ValueError(f"AdaGradSchedule runs only the numpy kernels, "
-                             f"not backend {backend!r}")
+        if isinstance(schedule, AdaGradSchedule) and (
+                scheme != "batch_hogwild" or backend not in (None, "numpy")):
+            what = (f"scheme {scheme!r}" if scheme != "batch_hogwild"
+                    else f"backend {backend!r}")
+            raise ValueError("AdaGradSchedule runs only batch_hogwild on the "
+                             f"numpy kernels, not {what}")
         self.k = k
         self.scheme = scheme
         self.workers = workers

@@ -28,7 +28,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "trace_schema": ("TraceValidationError", "validate_chrome_trace"),
     "hooks": ("TrainerHooks", "NullHooks", "NULL_HOOKS", "RecordingHooks",
               "EpochEvent", "BatchEvent", "KernelEvent", "TransferEvent",
-              "resolve_hooks", "resolve_kernel_stride"),
+              "resolve_hooks", "emit_plan_events"),
     "context": ("activate", "active_hooks", "active_registry",
                 "active_tracer"),
     "profiler": ("PHASES", "StallReport", "WorkerPhases"),

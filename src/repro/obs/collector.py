@@ -82,7 +82,7 @@ class TelemetryCollector:
             raise ValueError(
                 f"kernel_sample_every must be >= 1, got {kernel_sample_every}"
             )
-        #: producers read this via resolve_kernel_stride()
+        #: emit_plan_events reads this hint
         self.kernel_stride = kernel_sample_every
         reg = self.registry
         # hot-path metric handles, resolved once

@@ -7,15 +7,16 @@ measures:
   per-epoch rows behind every RMSE-vs-time figure);
 * ``on_batch`` — one scheduled block executed (wavefront grid block,
   multi-device staged block; carries scheduler wait counts);
-* ``on_kernel`` — one kernel-equivalent launch (a Hogwild wave); carries the
-  wave's row/column indices so a collector can compute Eq. 6 conflict rates;
+* ``on_kernel`` — one kernel-equivalent launch (a Hogwild wave, read off
+  the epoch's plan by :func:`emit_plan_events`); carries the wave's
+  row/column indices so a collector can compute Eq. 6 conflict rates;
 * ``on_transfer`` — modelled bytes crossed the CPU-GPU interconnect.
 
 **Zero-cost discipline**: every producer takes ``hooks=None`` and resolves
 it via :func:`resolve_hooks` to the shared :data:`NULL_HOOKS` singleton,
-whose ``active`` flag is False. Hot loops guard event *construction* with
-``if hooks.active:`` — with no collector attached the per-wave cost is one
-attribute load, and the numeric path is bit-identical to the uninstrumented
+whose ``active`` flag is False. Producers guard event *construction* with
+``if hooks.active:``, and no producer picks its kernel path by whether
+anyone listens: the numeric path is bit-identical to the uninstrumented
 code (asserted by ``tests/test_obs.py``).
 
 This module deliberately imports nothing from ``repro.core`` / ``repro.gpusim``
@@ -27,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 __all__ = [
     "EpochEvent",
     "BatchEvent",
@@ -37,7 +40,7 @@ __all__ = [
     "NULL_HOOKS",
     "RecordingHooks",
     "resolve_hooks",
-    "resolve_kernel_stride",
+    "emit_plan_events",
 ]
 
 
@@ -178,15 +181,31 @@ def resolve_hooks(hooks: "TrainerHooks | None") -> "TrainerHooks":
     return active_hooks()
 
 
-def resolve_kernel_stride(hooks: "TrainerHooks") -> int:
-    """The consumer's ``kernel_stride`` hint, clamped to >= 1.
-
-    Consumers without the attribute (TrainHistory, RecordingHooks) get every
-    wave; a :class:`~repro.obs.collector.TelemetryCollector` advertises its
-    sampling interval so producers skip event construction entirely for the
-    waves in between.
-    """
-    return max(1, int(getattr(hooks, "kernel_stride", 1)))
+def emit_plan_events(hooks: "TrainerHooks", plan, rows, cols,
+                     name: str = "hogwild.wave") -> None:
+    """Send active ``hooks`` one replayed epoch's kernel events, read off
+    its :class:`~repro.sched.plan.EpochPlan` over the data ids ``rows`` /
+    ``cols``: one ``name`` event per ``kernel_stride`` waves (every wave
+    for a consumer without the hint) with its window's exact updates and
+    waves and its last wave's ids (``intp``, the Eq. 6 sample), then one
+    without ids for the tail. Call it before the plan is re-permuted."""
+    n_waves = plan.n_waves
+    if not hooks.active or not n_waves:
+        return
+    stride = max(1, int(getattr(hooks, "kernel_stride", 1)))
+    full = n_waves // stride
+    totals = np.add.reduceat(plan.lengths, np.arange(0, n_waves, stride))
+    for window, n_updates in enumerate(totals.tolist()):
+        if window == full:  # the tail
+            hooks.on_kernel(KernelEvent(name=name, n_updates=n_updates,
+                                        n_waves=n_waves - full * stride))
+            break
+        pos = plan.wave_positions((window + 1) * stride - 1)
+        hooks.on_kernel(KernelEvent(
+            name=name, n_updates=n_updates,
+            rows=np.asarray(rows[pos], dtype=np.intp),
+            cols=np.asarray(cols[pos], dtype=np.intp), n_waves=stride,
+        ))
 
 
 class RecordingHooks:

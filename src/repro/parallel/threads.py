@@ -8,7 +8,8 @@ wave the threads race for real (§5.1; Hogwild! [44]). A shard is one
 ``backend.replay`` call; the compiled ``c`` backend holds no GIL for its
 length, so the threads compute at once, which the GIL-bound NumPy kernel
 never allows. One thread spans every live lane, so ``n_threads=1`` is
-bit-identical to serial on the same backend.
+bit-identical to serial on the same backend, and the kernel events the
+dispatching thread reads off the plan after the join are serial's.
 
 Out of core (``store=``) the ratings stay on disk in a
 :class:`~repro.data.blockstore.BlockStore`. Each thread owns an
@@ -33,14 +34,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends import get_backend, replay_waves
+from repro.backends import get_backend
 from repro.core.hogwild import BatchHogwild
 from repro.core.kernels import WaveWorkspace
 from repro.core.model import FactorModel
 from repro.data.container import RatingMatrix
 from repro.metrics.rmse import rmse  # noqa: F401 -- perfbench/layers.py wraps threads.rmse
 from repro.obs.context import active_registry, active_tracer
-from repro.obs.hooks import KernelEvent, TrainerHooks, resolve_hooks
+from repro.obs.hooks import (KernelEvent, TrainerHooks, emit_plan_events,
+                             resolve_hooks)
 from repro.obs.profiler import StallReport
 from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 from repro.parallel.dispatch import run_threads
@@ -63,17 +65,12 @@ def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
                   lr, lam_p, lam_q, san=None, wid: int = 0,
                   epoch: int = 0) -> int:
     """One epoch of one worker's plan shard, the kernel entry of the
-    threads executor; returns the updates made. Unobserved, the backend
-    replays the whole shard (``c``: one GIL-free foreign call); under a
-    sanitizer the shard runs through
-    :func:`~repro.backends.base.replay_waves` over ``backend.bind(ws)``
-    as worker ``wid``, as ``BatchHogwild.run_epoch`` does when observed.
+    threads executor: one ``backend.replay`` call (``c``: one GIL-free
+    foreign call, or under a sanitizer ``san`` the Python wave loop as
+    worker ``wid``); returns the updates made.
     """
-    if san is None:
-        return backend.replay(ws, shard, p, q, rows, cols, vals,
-                              lr, lam_p, lam_q)
-    return replay_waves(ws, backend.bind(ws), shard, p, q, rows, cols, vals,
-                        lr, lam_p, lam_q, san=san, wid=wid, epoch=epoch)
+    return backend.replay(ws, shard, p, q, rows, cols, vals, lr, lam_p,
+                          lam_q, san=san, wid=wid, epoch=epoch)
 
 
 def _replay_blocks(ws, backend, prefetcher, p, q, lr, lam_p, lam_q,
@@ -102,13 +99,13 @@ class ThreadedHogwild:
     for ``n_threads > 1``. ``workers``/``f`` shape the shared epoch plan.
     A ``store`` (:class:`~repro.data.blockstore.BlockStore`) streams the
     ratings from disk instead, each thread replaying its own blocks
-    serially (``f`` caps the NumPy reference's segments). One
-    ``on_kernel`` event per thread per epoch. Each thread appends one
-    ``compute`` span per epoch to the ambient tracer (a private one when
-    none is active), the run's only timing record: when the
-    :meth:`session` ends its spans become :attr:`stall_report`, and
-    ``repro.thread.*`` (and, out of core, ``repro.stage.*``) metrics go to
-    the ambient registry."""
+    serially (``f`` caps the NumPy reference's segments). Hooks receive
+    the plan's waves (out of core one event per thread) per epoch. Each
+    thread appends one ``compute`` span per epoch to the ambient tracer
+    (a private one when none is active), the run's only timing record:
+    when the :meth:`session` ends its spans become :attr:`stall_report`,
+    and ``repro.thread.*`` (and, out of core, ``repro.stage.*``) metrics
+    go to the ambient registry."""
 
     def __init__(
         self,
@@ -188,21 +185,18 @@ class ThreadedHogwild:
         lam_q = lam_p if lam_q is None else lam_q
         hooks = resolve_hooks(hooks)
         self._epochs_run += 1
-        shards = None
+        plan = shards = None
         if self.store is None:
-            shards = self._plans.compiled_plan(ratings.nnz).shard(self.n_threads)
+            plan = self._plans.compiled_plan(ratings.nnz)
+            shards = plan.shard(self.n_threads)
         counts = self._epoch(model, ratings, shards, np.float32(lr),
                              np.float32(lam_p), np.float32(lam_q))
-        if hooks.active:
+        if plan is not None:  # the waves every thread's lanes ran
+            emit_plan_events(hooks, plan, ratings.rows, ratings.cols)
+        elif hooks.active:  # one launch per block
             for tid, count in enumerate(counts):
-                if self.store is None:  # one launch per live wave
-                    event = KernelEvent(
-                        name="threads.shard", n_updates=count,
-                        n_waves=int(np.count_nonzero(shards[tid].lengths)))
-                else:  # one launch per block
-                    event = KernelEvent(name="threads.blocks", n_updates=count,
-                                        n_waves=len(self._blocks[tid]))
-                hooks.on_kernel(event)
+                hooks.on_kernel(KernelEvent("threads.blocks", count,
+                                            n_waves=len(self._blocks[tid])))
         self.thread_updates = counts
         self._totals = [a + b for a, b in zip(self._totals, counts)]
         return sum(counts)

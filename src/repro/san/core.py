@@ -93,8 +93,9 @@ class Sanitizer:
     """Runtime race/numeric/lifecycle sanitizer for the Hogwild executors.
 
     Cheap to carry: executors call :meth:`begin_epoch` before they bind
-    an epoch's waves, hand it to :func:`~repro.backends.base.replay_waves`
-    (sampled checks plus one :meth:`epoch_executed` record per worker),
+    an epoch's waves, hand it to ``backend.replay``, which runs the epoch
+    through :func:`~repro.backends.base.replay_waves` (sampled checks plus
+    one :meth:`epoch_executed` record per worker),
     call :meth:`epoch_end` after each epoch, and whoever ran the fit
     calls :meth:`finalize` once after it to run the post-hoc analyses and
     obtain the :class:`~repro.san.report.SanReport`. Keyword arguments

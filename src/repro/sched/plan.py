@@ -206,6 +206,15 @@ class EpochPlan:
                 tail[:part, lanes - lo] = self.order[body + lanes * f :]
         return out
 
+    def wave_positions(self, i: int) -> np.ndarray:
+        """Wave ``i``'s live positions in lane order (row ``i`` of
+        :meth:`positions` without padding): a strided view of ``order``."""
+        if not 0 <= i < self.n_waves:
+            raise IndexError(f"wave {i} of a {self.n_waves}-wave plan")
+        start = i // self.f * self.workers * self.f
+        stop = min(start + self.workers * self.f, self.nnz)
+        return self.order[start + i % self.f : stop : self.f]
+
     def repermute(self, rng: np.random.Generator) -> None:
         """Shuffle the shared ``order`` in place: a new :attr:`version`.
 
@@ -230,11 +239,8 @@ class EpochPlan:
 
     def wave_arrays(self) -> list[np.ndarray]:
         """The schedule as per-wave position arrays, independent of the
-        plan (views into one fresh layout)."""
-        layout = self.positions(
-            0, self.width, np.empty((self.n_waves, self.width), np.int64)
-        )
-        return [row[:n] for row, n in zip(layout, self.lengths.tolist())]
+        plan (copies)."""
+        return [self.wave_positions(i).copy() for i in range(self.n_waves)]
 
     def shard(self, n_shards: int) -> list[PlanShard]:
         """Partition the plan's *live* worker lanes into ``n_shards`` shards.

@@ -57,6 +57,14 @@ class TestAdaGradHogwild:
             CuMFSGD(schedule=AdaGradSchedule(), backend=backend)
         CuMFSGD(schedule=AdaGradSchedule(), backend="numpy")
 
+    @pytest.mark.parametrize("scheme", ["wavefront", "multi_device"])
+    def test_other_schemes_rejected(self, scheme):
+        """AdaGrad's per-coordinate accumulators live in its batch-Hogwild!
+        executor, so the estimator refuses the block schemes instead of
+        training them at the schedule's constant base rate."""
+        with pytest.raises(ValueError, match=f"AdaGradSchedule.*'{scheme}'"):
+            CuMFSGD(scheme=scheme, schedule=AdaGradSchedule(0.1))
+
     def test_adagrad_early_progress_strong(self, tiny_problem):
         """ADAGRAD's adaptive rates give fast first-epoch progress — the
         faster-convergence motivation the paper cites for BIDMach."""

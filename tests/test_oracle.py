@@ -226,9 +226,10 @@ class _PoisonShardOnce(NumpyBackend):
     def __init__(self) -> None:
         self.shard1_calls = 0  # only shard 1's thread touches it
 
-    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q):
+    def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p, lam_q,
+               **observers):
         updates = super().replay(ws, shard, p, q, rows, cols, vals, lr,
-                                 lam_p, lam_q)
+                                 lam_p, lam_q, **observers)
         if shard.index == 1:
             self.shard1_calls += 1
             if self.shard1_calls == 2:
@@ -447,9 +448,9 @@ class _CountingBackend(NumpyBackend):
         self.serial.append(len(rows))  # one GIL-atomic append per call
         return super().serial_update(p, q, rows, *args, **kwargs)
 
-    def replay(self, ws, shard, p, q, rows, *args):
+    def replay(self, ws, shard, p, q, rows, *args, **observers):
         self.replays.append(len(rows))
-        return super().replay(ws, shard, p, q, rows, *args)
+        return super().replay(ws, shard, p, q, rows, *args, **observers)
 
 
 @pytest.mark.parametrize("scheme, n_threads", [

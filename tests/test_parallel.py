@@ -15,8 +15,9 @@ Covers the contracts the parallel layer is built on:
 * the thread dispatch — a thread's failure reaches the caller once every
   thread has joined, and each thread runs in the caller's context;
 * the epoch loop — every executor's history times its epochs;
-* telemetry — the executor emits epoch and kernel events and publishes
-  its ``repro.thread.*`` metrics into the ambient registry.
+* telemetry — the executor emits epoch and kernel events (in core the
+  plan's waves, as one thread emits them) and publishes its
+  ``repro.thread.*`` metrics into the ambient registry.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _run_executor(executor, train, epochs, seed, k=8, lam=0.05):
     run_epochs(executor, model, train, epochs, schedule=NomadSchedule(),
                lam=lam, scheme="batch_hogwild")
     return model
+
+
+def _event_key(event) -> tuple:
+    """Everything a kernel event carries, coordinates' dtype included."""
+    coords = tuple(None if ids is None else (ids.dtype.str, ids.tobytes())
+                   for ids in (event.rows, event.cols))
+    return (event.name, event.n_updates, event.n_waves, coords)
 
 
 def _coo_multiset(rows, cols, vals):
@@ -334,17 +342,25 @@ class TestThreadedHogwild:
             est.fit(wider, epochs=1)
 
     def test_telemetry_and_hooks(self, tiny_problem):
-        hooks = RecordingHooks()
+        """In core the kernel events are the epoch plan's waves, read off
+        it after the join: three threads report a one-thread fit's events
+        of the same seed, event for event."""
+        hooks, one_thread = RecordingHooks(), RecordingHooks()
         collector = TelemetryCollector()
         est = CuMFSGD(k=8, n_threads=3, lam=0.05, seed=0)
         with activate(collector):
             est.fit(tiny_problem.train, epochs=2, hooks=hooks)
+        CuMFSGD(k=8, n_threads=1, lam=0.05, seed=0).fit(
+            tiny_problem.train, epochs=2, hooks=one_thread)
         assert len(hooks.epochs) == 2
         assert all(e.scheme == "batch_hogwild" for e in hooks.epochs)
         assert hooks.epochs[0].extra["n_threads"] == 3
         assert sum(hooks.epochs[0].extra["thread_updates"]) == (
             tiny_problem.train.nnz)
-        assert len(hooks.kernels) == 3 * 2  # one per thread shard per epoch
+        keys = [_event_key(e) for e in hooks.kernels]
+        assert keys == [_event_key(e) for e in one_thread.kernels]
+        assert {e.name for e in hooks.kernels} == {"hogwild.wave"}
+        assert all(e.rows is not None for e in hooks.kernels)
         assert sum(e.n_updates for e in hooks.kernels) == 2 * tiny_problem.train.nnz
         registry = collector.registry
         assert registry.value(M.THREAD_WORKERS) == 3
@@ -383,10 +399,10 @@ class TestThreadedHogwild:
 class _FailingOnThread1(NumpyBackend):
     """The numpy reference, except that thread 1's shard replay fails."""
 
-    def replay(self, ws, shard, *args):
+    def replay(self, ws, shard, *args, **observers):
         if threading.current_thread().name == "hogwild-1":
             raise RuntimeError("shard replay failed on thread 1")
-        return super().replay(ws, shard, *args)
+        return super().replay(ws, shard, *args, **observers)
 
 
 class TestThreadDispatch:

@@ -223,6 +223,22 @@ class TestEpochPlan:
             own = np.arange(shard.width) < shard.lengths[:, None]
             assert np.all(got[own] >= 0) and np.all(got[~own] == -1)
 
+    @pytest.mark.parametrize(
+        "nnz,workers,f",
+        [(96, 4, 8), (100, 4, 8), (37, 4, 8), (12, 3, 4), (5, 8, 16), (1, 2, 2)],
+    )
+    def test_wave_positions_are_the_layouts_live_rows(self, nnz, workers, f):
+        """One wave's positions, computed from ``order``, ``workers`` and
+        ``f`` alone, are that wave's row of the layout without padding."""
+        rng = np.random.default_rng(nnz)
+        plan = EpochPlan(rng.permutation(nnz), workers, f)
+        plan.repermute(rng)
+        whole = layout(plan)
+        for i, n in enumerate(plan.lengths.tolist()):
+            assert np.array_equal(plan.wave_positions(i), whole[i, :n])
+        with pytest.raises(IndexError):
+            plan.wave_positions(plan.n_waves)
+
     def test_positions_rejects_a_mismatched_buffer(self):
         plan = EpochPlan(np.arange(40, dtype=np.int64), 4, 4)
         wide = np.empty((plan.n_waves, 4), np.int64)
@@ -333,16 +349,24 @@ class TestWaveWorkspace:
             assert np.array_equal(vw[i, :w], vals[wave])
 
     def test_serial_update_bit_identical(self):
-        from repro.core.kernels import sgd_serial_update
+        """With or without the caller's workspace, the serial update is
+        the allocating wave kernel over its conflict-free segments, in
+        fp32 and fp16 storage."""
+        from repro.core.kernels import conflict_free_segments, sgd_serial_update
 
         rng = np.random.default_rng(9)
-        p, q, rows, cols, vals = self._wave(rng, 25, 20, 8, 120)
-        p2, q2 = p.copy(), q.copy()
-        sgd_serial_update(p, q, rows, cols, vals, 0.05, 0.02)
-        sgd_serial_update(
-            p2, q2, rows, cols, vals, 0.05, 0.02, workspace=WaveWorkspace()
-        )
-        assert p.tobytes() == p2.tobytes() and q.tobytes() == q2.tobytes()
+        for dtype in (np.float32, np.float16):
+            p, q, rows, cols, vals = self._wave(rng, 25, 20, 8, 120, dtype)
+            ref_p, ref_q = p.copy(), q.copy()
+            for start, stop in conflict_free_segments(rows, cols, 64):
+                sgd_wave_update(ref_p, ref_q, rows[start:stop],
+                                cols[start:stop], vals[start:stop], 0.05, 0.02)
+            for workspace in (None, WaveWorkspace()):
+                p2, q2 = p.copy(), q.copy()
+                sgd_serial_update(p2, q2, rows, cols, vals, 0.05, 0.02,
+                                  workspace=workspace)
+                assert p2.tobytes() == ref_p.tobytes()
+                assert q2.tobytes() == ref_q.tobytes()
 
 
 # ----------------------------------------------------------------------
