@@ -126,7 +126,7 @@ class WaveWorkspace:
         "_capacity", "_k", "_pu", "_qv", "_t1", "_t2", "_t3",
         "_err", "_err2", "_views",
         "_pu16", "_qv16",
-        "_pos", "_rows_w", "_cols_w", "_vals_w", "_bound_shape", "_bound_key",
+        "_pos", "_rows_w", "_cols_w", "_vals_w", "_bound_shape",
         "_cast_cache", "_checked_ids", "_stage",
     )
 
@@ -142,7 +142,6 @@ class WaveWorkspace:
         self._views: dict[int, tuple] = {}
         self._pos = self._rows_w = self._cols_w = self._vals_w = None
         self._bound_shape: tuple[int, int] | None = None
-        self._bound_key: tuple | None = None
         self._cast_cache: tuple | None = None
         self._checked_ids: tuple | None = None
         self._stage: tuple | None = None
@@ -256,28 +255,11 @@ class WaveWorkspace:
         ``-1`` padding indexes the last sample — harmless, as consumers
         only read the first ``shard.lengths[i]`` entries of each row.
         Returned arrays are views into workspace buffers, valid until the
-        next bind. A bind is skipped entirely when the plan (same version
-        — i.e. not re-permuted since), the lanes and the data arrays are
-        unchanged.
+        next bind. Every call gathers, since the executors re-permute the
+        plan before each epoch.
         """
         plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
         shape = (shard.n_waves, hi - lo)
-        bk = self._bound_key
-        if (
-            bk is not None
-            and bk[0] is plan
-            and bk[1] == plan.version
-            and bk[2] == lo
-            and bk[3] == hi
-            and bk[4] is rows
-            and bk[5] is cols
-            and bk[6] is vals
-        ):
-            return (
-                self._rows_w[: shape[0], : shape[1]],
-                self._cols_w[: shape[0], : shape[1]],
-                self._vals_w[: shape[0], : shape[1]],
-            )
         if self._bound_shape is None or (
             shape[0] > self._bound_shape[0] or shape[1] > self._bound_shape[1]
         ):
@@ -308,7 +290,6 @@ class WaveWorkspace:
         np.take(cast[1], pos, out=rw)
         np.take(cast[3], pos, out=cw)
         np.take(vals, pos, out=vw)
-        self._bound_key = (plan, plan.version, lo, hi, rows, cols, vals)
         self.plan_binds += 1
         return rw, cw, vw
 

@@ -371,9 +371,9 @@ class CuMFSGD(EpochSolver):
     n_devices, grid:
         Only for ``scheme="multi_device"``: device count and the (i, j)
         partition grid.
-    warn_unsafe:
-        Raise when the configuration violates the §7.5 safety rule and
-        ``strict_safety`` is set; otherwise the check result is stored on
+    strict_safety:
+        Raise ``ValueError`` when the configuration violates the §7.5
+        safety rule. Either way the check result is stored on
         :attr:`safety` for inspection.
     hooks:
         A :class:`repro.obs.hooks.TrainerHooks` consumer (e.g.

@@ -35,6 +35,7 @@ from repro.gpusim.simulator import libmf_cpu_throughput
 __all__ = [
     "QUICK_DATASETS",
     "dataset_problem",
+    "numeric_history",
     "run_numeric_solver",
     "modelled_epoch_seconds",
     "NUMERIC_SOLVERS",
@@ -140,6 +141,18 @@ def run_numeric_solver(
         raise KeyError(f"unknown numeric solver {solver!r}; known: {NUMERIC_SOLVERS}")
     with timed("run_numeric_solver", solver=solver, dataset=spec.name):
         return est.fit(problem.train, epochs=epochs, test=problem.test)
+
+
+@lru_cache(maxsize=32)
+def numeric_history(solver: str, workload: str, quick: bool,
+                    epochs: int) -> TrainHistory:
+    """:func:`run_numeric_solver` on :func:`dataset_problem`'s problem,
+    fitted once per process for each argument tuple: Fig. 9, Table 4 and
+    the cost experiment read the same histories. Keyed on these values,
+    not on the problem object, so an evicted problem cannot alias another.
+    The history is shared, so treat it as read-only."""
+    return run_numeric_solver(solver, dataset_problem(workload, quick),
+                              epochs)
 
 
 def modelled_epoch_seconds(display_name: str, workload: str) -> float:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import (
-    dataset_problem,
     modelled_epoch_seconds,
-    run_numeric_solver,
+    numeric_history,
 )
 from repro.gpusim.cost import PLATFORM_COSTS, cost_to_converge
 
@@ -36,9 +35,8 @@ def run(quick: bool = True) -> ExperimentResult:
     epochs = 8 if quick else 20
     costs: dict[tuple[str, str], float] = {}
     for workload in ("netflix", "hugewiki"):
-        problem = dataset_problem(workload, quick=quick)
         histories = {
-            numeric: run_numeric_solver(numeric, problem, epochs)
+            numeric: numeric_history(numeric, workload, quick, epochs)
             for numeric in {"LIBMF", "NOMAD", "cuMF_SGD"}
         }
         target = max(h.best_test_rmse for h in histories.values()) * 1.002

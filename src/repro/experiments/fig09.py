@@ -15,9 +15,8 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import (
     PLATFORM_SOLVERS,
-    dataset_problem,
     modelled_epoch_seconds,
-    run_numeric_solver,
+    numeric_history,
 )
 
 __all__ = ["run"]
@@ -35,9 +34,8 @@ def run(quick: bool = True) -> ExperimentResult:
 
     time_to_converge: dict[tuple[str, str], float] = {}
     for workload in workloads:
-        problem = dataset_problem(workload, quick=quick)
         histories = {
-            numeric: run_numeric_solver(numeric, problem, epochs)
+            numeric: numeric_history(numeric, workload, quick, epochs)
             for numeric in {n for _, n, _ in PLATFORM_SOLVERS}
         }
         # the paper-style target: reached by every solver's curve

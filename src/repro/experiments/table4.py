@@ -14,9 +14,8 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import (
     PLATFORM_SOLVERS,
-    dataset_problem,
     modelled_epoch_seconds,
-    run_numeric_solver,
+    numeric_history,
 )
 
 __all__ = ["run"]
@@ -49,9 +48,8 @@ def run(quick: bool = True) -> ExperimentResult:
     epochs = 8 if quick else 20
     speedups: dict[tuple[str, str], float] = {}
     for workload in ("netflix", "yahoo", "hugewiki"):
-        problem = dataset_problem(workload, quick=quick)
         histories = {
-            numeric: run_numeric_solver(numeric, problem, epochs)
+            numeric: numeric_history(numeric, workload, quick, epochs)
             for numeric in {n for _, n, _ in PLATFORM_SOLVERS}
         }
         target = max(h.best_test_rmse for h in histories.values()) * 1.002

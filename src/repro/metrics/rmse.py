@@ -48,10 +48,15 @@ def rmse(p: np.ndarray, q: np.ndarray, ratings: RatingMatrix) -> float:
     blocks of ``_PREDICT_BLOCK``, so working memory is one residual per
     sample of a chunk (4 B) plus one block's gathers, whatever the test
     set's size: paper-scale test sets (tens of millions of samples) never
-    materialize an ``N x k`` intermediate.
+    materialize an ``N x k`` intermediate. An fp16 model is widened to
+    fp32 once per call (exactly, so every prediction is unchanged): a
+    test set gathers each factor row many times, and widening the model
+    costs less than widening every gathered row.
     """
     if ratings.nnz == 0:
         raise ValueError("cannot compute RMSE of an empty rating set")
+    p = np.asarray(p, dtype=np.float32)
+    q = np.asarray(q, dtype=np.float32)
     sse = 0.0
     for lo in range(0, ratings.nnz, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, ratings.nnz)

@@ -10,8 +10,8 @@ NumPy buffers that are cached across epochs:
   its waves straight from the permutation, and
   :meth:`EpochPlan.positions` lays any lane range out wave-major into a
   buffer its caller owns, for the consumers that walk waves in Python.
-  Under ``shuffle_each_epoch`` the permutation is re-shuffled **in
-  place**.
+  Every epoch the permutation is re-shuffled **in place**
+  (:meth:`EpochPlan.repermute`).
 * :class:`SerialPlan` — the serial-equivalent layout used inside one
   worker's chunk (wavefront grid blocks, LIBMF/NOMAD baselines): the greedy
   conflict-free segmentation of a sample sequence, materialized as
@@ -22,7 +22,7 @@ randomness of their own, so executors keep full control of the RNG stream —
 compiling a plan is numerically invisible (bit-identical update order to the
 uncompiled schedule).
 
-:class:`PlanStats` counts compiles / in-place re-permutations / cache hits;
+:class:`PlanStats` counts compiles and in-place re-permutations;
 executors surface it through ``repro.obs`` as per-epoch extras.
 """
 
@@ -42,20 +42,17 @@ class PlanStats:
     ``compiles``
         plans built over a new order;
     ``repermutes``
-        in-place epoch re-shuffles (O(nnz), no allocation);
-    ``cache_hits``
-        epochs served by the cached plan with no work at all.
+        in-place re-shuffles (O(nnz), no allocation), one per epoch of
+        :class:`~repro.core.hogwild.BatchHogwild`, the first included.
     """
 
     compiles: int = 0
     repermutes: int = 0
-    cache_hits: int = 0
 
     def as_extra(self) -> dict:
         return {
             "plan_compiles": self.compiles,
             "plan_repermutes": self.repermutes,
-            "plan_cache_hits": self.cache_hits,
         }
 
 
@@ -74,16 +71,15 @@ class PlanShard:
 
     A shard is a plan in its own right for
     :meth:`~repro.core.kernels.WaveWorkspace.bind_plan` and the backends'
-    ``replay``: they read its ``plan``'s ``order`` (a compiled kernel) or
-    lay its lanes out with :meth:`EpochPlan.positions`. ``version`` is the
-    plan version it was cut for; cut afresh after the plan is re-permuted.
+    ``replay``: they read its ``plan``'s current ``order`` (a compiled
+    kernel) or lay its lanes out with :meth:`EpochPlan.positions`, so a
+    shard stays valid across :meth:`EpochPlan.repermute`.
     """
 
     index: int
     col_lo: int
     col_hi: int
     lengths: np.ndarray = field(repr=False)
-    version: int
     #: the plan whose lanes these are
     plan: "EpochPlan" = field(repr=False)
 
@@ -126,13 +122,13 @@ class EpochPlan:
 
     A plan is also its own full-width shard (``plan``, ``col_lo`` and
     ``col_hi`` as on :class:`PlanShard`), so executors hand either to a
-    backend. The plan shares ``order`` with its owner, who shuffles it
-    through :meth:`repermute`.
+    backend. An int64 ``order`` is held without a copy; the executor
+    shuffles it in place before each epoch through :meth:`repermute`.
     """
 
     __slots__ = (
-        "workers", "f", "nnz", "order", "stats", "version", "lengths",
-        "n_waves", "width",
+        "workers", "f", "nnz", "order", "stats", "lengths", "n_waves",
+        "width",
     )
 
     #: first lane of the plan as a shard
@@ -158,7 +154,6 @@ class EpochPlan:
         self.width = self.workers
         self.lengths = _wave_lengths(self.nnz, self.workers, self.f)
         self.n_waves = len(self.lengths)
-        self.version = 1
         self.stats.compiles += 1
 
     @property
@@ -171,8 +166,8 @@ class EpochPlan:
 
     # ------------------------------------------------------------------
     def positions(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Lay lanes ``[lo, hi)`` of the current :attr:`version` out
-        wave-major into ``out`` and return it.
+        """Lay lanes ``[lo, hi)`` of the current ``order`` out wave-major
+        into ``out`` and return it.
 
         ``out`` is a C-contiguous ``(n_waves, hi - lo)`` int64 array; row
         ``i`` receives wave ``i``'s sample positions in those lanes and
@@ -216,23 +211,17 @@ class EpochPlan:
         return self.order[start + i % self.f : stop : self.f]
 
     def repermute(self, rng: np.random.Generator) -> None:
-        """Shuffle the shared ``order`` in place: a new :attr:`version`.
+        """Shuffle ``order`` in place for the next epoch.
 
-        Draws exactly one ``rng.shuffle(order)`` — the same single draw the
-        uncompiled schedule made per epoch, keeping RNG streams bit-identical.
+        Draws exactly one ``rng.shuffle(order)``, the single draw the
+        uncompiled schedule made per epoch. Over a fresh ``arange(nnz)``
+        that is ``rng.permutation(nnz)`` draw for draw, so a plan's first
+        epoch matches the schedule's first permutation bit for bit.
         """
         rng.shuffle(self.order)
-        self.version += 1
         self.stats.repermutes += 1
 
-    def note_cache_hit(self) -> None:
-        self.stats.cache_hits += 1
-
     # ------------------------------------------------------------------
-    def matches(self, order: np.ndarray, workers: int, f: int) -> bool:
-        """True when this plan is the compiled form of exactly that schedule."""
-        return self.order is order and self.workers == workers and self.f == f
-
     @property
     def n_samples(self) -> int:
         return self.nnz
@@ -252,9 +241,9 @@ class EpochPlan:
         others work. The union of the shards covers every live lane of
         every wave exactly once; with ``n_shards == 1`` the single shard
         spans all live lanes, so executing it wave by wave is the serial
-        compiled-plan path bit for bit. The shards are cut for the current
-        :attr:`version`; widths and lengths are shuffle-invariant, so the
-        edges stay valid across :meth:`repermute`.
+        compiled-plan path bit for bit. Widths and lengths are
+        shuffle-invariant, so the shards stay valid across
+        :meth:`repermute`.
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -262,7 +251,7 @@ class EpochPlan:
         edges = np.linspace(0, live, n_shards + 1).astype(np.int64).tolist()
         return [
             PlanShard(i, lo, hi, np.clip(self.lengths - lo, 0, hi - lo),
-                      self.version, plan=self)
+                      plan=self)
             for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
         ]
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.data.synthetic import DatasetSpec, make_synthetic
+from repro.experiments import common, run_experiment
 from repro.experiments.base import REGISTRY, ExperimentResult, register
 from repro.experiments.cli import main
 from repro.experiments.common import (
@@ -46,6 +48,50 @@ class TestSolverDispatch:
         prob = dataset_problem("netflix", quick=True)
         with pytest.raises(KeyError, match="unknown numeric solver"):
             run_numeric_solver("svd++", prob, epochs=1)
+
+
+class TestSharedHistories:
+    """Fig. 9, Table 4 and the cost experiment fit each (solver, workload)
+    once per process and read the same histories."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Small stand-ins for the quick problems, and the solver names of
+        every fit that actually runs."""
+        problems = {
+            workload: make_synthetic(DatasetSpec(
+                name=f"{workload}-small", m=spec.m // 8, n=spec.n // 8,
+                k=4, n_train=spec.n_train // 100, n_test=spec.n_test // 100,
+                lam=spec.lam, alpha=spec.alpha, beta=spec.beta), seed=11)
+            for workload, spec in QUICK_DATASETS.items()
+        }
+        monkeypatch.setattr(common, "dataset_problem",
+                            lambda workload, quick=True: problems[workload])
+        fitted: list[str] = []
+        fit = common.run_numeric_solver
+
+        def counting(solver, *args, **kwargs):
+            fitted.append(solver)
+            return fit(solver, *args, **kwargs)
+
+        monkeypatch.setattr(common, "run_numeric_solver", counting)
+        common.numeric_history.cache_clear()
+        yield fitted
+        common.numeric_history.cache_clear()
+
+    def test_table4_and_cost_after_fig9_fit_nothing(self, fits):
+        cold = {}
+        for exp_id, n_fits in (("table4", 12), ("cost", 6)):
+            common.numeric_history.cache_clear()
+            fits.clear()
+            cold[exp_id] = run_experiment(exp_id).to_text()
+            assert len(fits) == n_fits
+        common.numeric_history.cache_clear()
+        run_experiment("fig9")
+        for exp_id in ("table4", "cost"):
+            fits.clear()
+            assert run_experiment(exp_id).to_text() == cold[exp_id]
+            assert fits == [], f"{exp_id} refitted {fits}"
 
 
 class TestEpochSecondsModel:

@@ -36,9 +36,9 @@ class TestWaveConstruction:
 
     def test_chunk_structure(self):
         """Wave t of a full group holds sample w*f + t of each worker chunk."""
-        sched = BatchHogwild(workers=3, f=4, seed=0, shuffle_each_epoch=False)
-        waves = sched.wave_indices(12)  # exactly one full group
-        order = sched._order
+        plan = BatchHogwild(workers=3, f=4, seed=0).compiled_plan(12)
+        waves = plan.wave_arrays()  # exactly one full group
+        order = plan.order
         grid = order.reshape(3, 4)
         assert len(waves) == 4
         for t, wave in enumerate(waves):
@@ -47,9 +47,9 @@ class TestWaveConstruction:
     def test_consecutive_samples_go_to_same_worker(self):
         """Each worker's samples across waves are f consecutive storage slots
         of the shuffled order (Eq. 8 locality)."""
-        sched = BatchHogwild(workers=2, f=6, seed=1, shuffle_each_epoch=False)
-        waves = sched.wave_indices(12)
-        order = sched._order
+        plan = BatchHogwild(workers=2, f=6, seed=1).compiled_plan(12)
+        waves = plan.wave_arrays()
+        order = plan.order
         worker0 = [w[0] for w in waves]
         assert set(worker0) == set(order[:6])
 
@@ -59,16 +59,10 @@ class TestWaveConstruction:
         assert sum(len(w) for w in waves) == 37
 
     def test_epoch_shuffling_changes_order(self):
-        sched = BatchHogwild(workers=2, f=4, seed=0, shuffle_each_epoch=True)
+        sched = BatchHogwild(workers=2, f=4, seed=0)
         w1 = [w.copy() for w in sched.wave_indices(64)]
         w2 = [w.copy() for w in sched.wave_indices(64)]
         assert not all(np.array_equal(a, b) for a, b in zip(w1, w2))
-
-    def test_no_shuffle_keeps_order(self):
-        sched = BatchHogwild(workers=2, f=4, seed=0, shuffle_each_epoch=False)
-        w1 = [w.copy() for w in sched.wave_indices(64)]
-        w2 = [w.copy() for w in sched.wave_indices(64)]
-        assert all(np.array_equal(a, b) for a, b in zip(w1, w2))
 
     @pytest.mark.parametrize("workers,f", [(0, 8), (4, 0), (-1, 8)])
     def test_invalid_params(self, workers, f):

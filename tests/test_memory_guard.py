@@ -11,15 +11,17 @@ phase holds at its peak on ``netflix-syn``:
   rating blocks stay below it. A generator that kept its dedup buffers
   while it permuted a copy of the keys and divided them through int64
   temporaries peaked at 46 B;
-* **fit** (10–11 B per training sample beyond P and Q, one or two
+* **fit** (11–13 B per training sample beyond P and Q, one or two
   threads, fp32 or fp16): the shuffled order (8 B), then the kernel's
-  staging scratch, modules imported on first use and the evals. A fit
+  staging scratch, modules imported on first use and the evals (in fp16
+  with their fp32 copy of the model, 2 B per sample). A fit
   that gathered the wave-major plan (52 B) or whose eval gathered whole
   test-set row blocks (22–24 B) would fail;
-* **eval** (0.4 MB for the 20k-sample test set in fp16): one residual
-  per sample (4 B) and one block of gathered rows, widened to fp32 a
-  block at a time. Gathering every test sample's rows at once, after an
-  fp32 copy of the model, held 5.4 MB.
+* **eval** (1.2 MB for the 20k-sample test set in fp16): one fp32 copy
+  of the model (0.84 MB, widened once per eval instead of every gathered
+  row), one residual per sample (4 B) and one block of gathered rows.
+  Gathering every test sample's rows at once, after an fp32 copy of the
+  model, held 5.4 MB.
 
 Off the launch path, the fp16 model (0.42 MB) is read in place as well:
 scoring one user's 1,780 items holds one block of widened rows (0.34 MB,
@@ -93,8 +95,9 @@ def test_c_fit_peak_per_sample_beyond_the_factors(netflix_syn, n_threads,
 
 
 def test_fp16_eval_peak(netflix_syn):
-    """One test-set RMSE of an fp16 model holds one residual per sample
-    and one block of widened rows, not an fp32 model or whole gathers."""
+    """One test-set RMSE of an fp16 model holds one fp32 copy of the
+    model, one residual per sample and one block of gathered rows, not
+    whole gathers."""
     rng = np.random.default_rng(0)
     p = rng.normal(size=(SPEC.m, SPEC.k)).astype(np.float16)
     q = rng.normal(size=(SPEC.n, SPEC.k)).astype(np.float16)

@@ -53,18 +53,16 @@ def legacy_wave_indices(order: np.ndarray, workers: int, f: int) -> list:
 class LegacyBatchHogwild:
     """The pre-plan epoch executor: per-wave gathers, allocating kernel."""
 
-    def __init__(self, workers: int, f: int, seed: int,
-                 shuffle_each_epoch: bool = True) -> None:
+    def __init__(self, workers: int, f: int, seed: int) -> None:
         self.workers = workers
         self.f = f
-        self.shuffle_each_epoch = shuffle_each_epoch
         self._rng = np.random.default_rng(seed)
         self._order: np.ndarray | None = None
 
     def wave_indices(self, nnz: int) -> list:
         if self._order is None or len(self._order) != nnz:
             self._order = self._rng.permutation(nnz).astype(np.int64)
-        elif self.shuffle_each_epoch:
+        else:
             self._rng.shuffle(self._order)
         return legacy_wave_indices(self._order, self.workers, self.f)
 
@@ -138,11 +136,10 @@ class TestEpochPlan:
         order = rng_a.permutation(200).astype(np.int64)
         twin = rng_b.permutation(200).astype(np.int64)
         plan = EpochPlan(order, 4, 8)
-        v0 = plan.version
         plan.repermute(rng_a)
         rng_b.shuffle(twin)
         assert np.array_equal(plan.order, twin)
-        assert plan.version == v0 + 1
+        assert plan.stats.repermutes == 1
         legacy = legacy_wave_indices(twin, 4, 8)
         assert all(
             np.array_equal(a, w) for a, w in zip(plan.wave_arrays(), legacy)
@@ -172,19 +169,8 @@ class TestEpochPlan:
         plan = EpochPlan(order, 4, 4, stats=stats)
         assert stats.compiles == 1
         plan.repermute(np.random.default_rng(0))
-        plan.note_cache_hit()
-        assert stats == PlanStats(compiles=1, repermutes=1, cache_hits=1)
-        assert stats.as_extra() == {
-            "plan_compiles": 1, "plan_repermutes": 1, "plan_cache_hits": 1,
-        }
-
-    def test_matches_is_identity_based(self):
-        order = np.arange(32, dtype=np.int64)
-        plan = EpochPlan(order, 4, 4)
-        assert plan.matches(plan.order, 4, 4)
-        assert not plan.matches(plan.order.copy(), 4, 4)
-        assert not plan.matches(plan.order, 8, 4)
-        assert not plan.matches(plan.order, 4, 8)
+        assert stats == PlanStats(compiles=1, repermutes=1)
+        assert stats.as_extra() == {"plan_compiles": 1, "plan_repermutes": 1}
 
     def test_empty_order(self):
         plan = EpochPlan(np.empty(0, dtype=np.int64), 4, 4)
@@ -327,27 +313,6 @@ class TestWaveWorkspace:
         ws.reserve(64, 8)
         assert ws.allocations == allocs + 1 and ws.nbytes > nbytes
 
-    def test_bind_plan_caches_by_version(self):
-        rng = np.random.default_rng(8)
-        order = rng.permutation(96).astype(np.int64)
-        plan = EpochPlan(order, 4, 8)
-        rows = rng.integers(0, 10, size=96).astype(np.int32)
-        cols = rng.integers(0, 10, size=96).astype(np.int32)
-        vals = rng.standard_normal(96).astype(np.float32)
-        ws = WaveWorkspace()
-        ws.bind_plan(plan, rows, cols, vals)
-        binds = ws.plan_binds
-        ws.bind_plan(plan, rows, cols, vals)  # same plan+version: cached
-        assert ws.plan_binds == binds
-        plan.repermute(rng)
-        rw, cw, vw = ws.bind_plan(plan, rows, cols, vals)  # version bumped
-        assert ws.plan_binds == binds + 1
-        for i, wave in enumerate(plan.wave_arrays()):
-            w = len(wave)
-            assert np.array_equal(rw[i, :w], rows[wave])
-            assert np.array_equal(cw[i, :w], cols[wave])
-            assert np.array_equal(vw[i, :w], vals[wave])
-
     def test_serial_update_bit_identical(self):
         """With or without the caller's workspace, the serial update is
         the allocating wave kernel over its conflict-free segments, in
@@ -373,16 +338,13 @@ class TestWaveWorkspace:
 # executor bit-identity: compiled plans reproduce the legacy epoch exactly
 # ----------------------------------------------------------------------
 class TestExecutorBitIdentity:
-    @pytest.mark.parametrize("shuffle", [True, False])
-    def test_batch_hogwild_matches_legacy(self, tiny_problem, shuffle):
+    def test_batch_hogwild_matches_legacy(self, tiny_problem):
         train = tiny_problem.train
         spec = tiny_problem.spec
         model = FactorModel.initialize(spec.m, spec.n, spec.k, seed=0)
         reference = FactorModel.initialize(spec.m, spec.n, spec.k, seed=0)
-        sched = BatchHogwild(workers=16, f=8, seed=11,
-                             shuffle_each_epoch=shuffle)
-        legacy = LegacyBatchHogwild(workers=16, f=8, seed=11,
-                                    shuffle_each_epoch=shuffle)
+        sched = BatchHogwild(workers=16, f=8, seed=11)
+        legacy = LegacyBatchHogwild(workers=16, f=8, seed=11)
         allocs_after_first = None
         for _ in range(3):
             up = sched.run_epoch(model, train, 0.05, 0.05)
@@ -393,10 +355,7 @@ class TestExecutorBitIdentity:
             assert model.p.tobytes() == reference.p.tobytes()
             assert model.q.tobytes() == reference.q.tobytes()
         assert sched.plan_stats.compiles == 1
-        if shuffle:
-            assert sched.plan_stats.repermutes == 2
-        else:
-            assert sched.plan_stats.cache_hits == 2
+        assert sched.plan_stats.repermutes == 3  # every epoch draws
         # steady-state epochs allocate nothing new
         assert sched.workspace.allocations == allocs_after_first
 
@@ -422,6 +381,31 @@ class TestExecutorBitIdentity:
                 q[wc] = q[wc].astype(np.float32) + rate_q * gq
             assert model.p.tobytes() == reference.p.tobytes()
             assert model.q.tobytes() == reference.q.tobytes()
+
+    @pytest.mark.parametrize("executor", ["serial", "adagrad", "threads"])
+    def test_first_plan_is_the_seeds_permutation(self, tiny_problem,
+                                                 executor):
+        """A fit's first order is ``default_rng(seed).permutation(nnz)``,
+        and drawing it leaves the generator where ``permutation`` leaves
+        it, for every executor that compiles an epoch plan (the in-core
+        threads through their plan source)."""
+        from repro.parallel.threads import ThreadedHogwild
+
+        train, seed = tiny_problem.train, 7
+        reference = np.random.default_rng(seed)
+        expected = reference.permutation(train.nnz)
+        if executor == "threads":
+            threads = ThreadedHogwild(n_threads=2, seed=seed, workers=16, f=8)
+            model = FactorModel.initialize(train.n_rows, train.n_cols, 8)
+            with threads.session(model, train):
+                source = threads._plans
+                plan = source.compiled_plan(train.nnz)
+        else:
+            cls = BatchHogwild if executor == "serial" else AdaGradHogwild
+            source = cls(workers=16, f=8, seed=seed)
+            plan = source.compiled_plan(train.nnz)
+        assert plan.order.tobytes() == expected.tobytes()
+        assert source._rng.bit_generator.state == reference.bit_generator.state
 
     def test_wave_indices_still_covers(self):
         """The public testing hook keeps its legacy contract."""

@@ -46,13 +46,12 @@ from repro.sched.plan import EpochPlan, PlanShard
 
 
 def _serial_epochs(train, san, epochs=2, seed=3, workers=8, f=8,
-                   model=None, shuffle=True):
+                   model=None):
     """Run serial batch-Hogwild epochs under ``san``; returns the model."""
     if model is None:
         model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
                                        seed=seed)
-    sched = BatchHogwild(workers=workers, f=f, seed=seed,
-                         shuffle_each_epoch=shuffle)
+    sched = BatchHogwild(workers=workers, f=f, seed=seed)
     with activate_sanitizer(san):
         for _ in range(epochs):
             sched.run_epoch(model, train, 0.008, 0.05)
@@ -297,14 +296,14 @@ def test_blocks_moved_by_a_device_death_are_not_findings(tiny_problem):
 # ---------------------------------------------------------------------------
 class TestSeededFaults:
     def test_tampered_plan_duplicate_lane_is_caught(self, tiny_problem):
-        """Duplicating one lane of a compiled plan = the same sample
-        executed twice in one epoch; the checker must see it."""
+        """Duplicating one sample in a compiled plan's order = the same
+        sample executed twice in one epoch; the checker must see it."""
         train = tiny_problem.train
         model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=3)
-        sched = BatchHogwild(workers=8, f=8, seed=3,
-                             shuffle_each_epoch=False)
+        sched = BatchHogwild(workers=8, f=8, seed=3)
         plan = sched.compiled_plan(train.nnz)
-        plan.order[plan.f] = plan.order[0]  # lane 1 of wave 0 repeats lane 0
+        # the epoch re-shuffles the order, which keeps both copies
+        plan.order[plan.f] = plan.order[0]
         san = Sanitizer("races")
         with activate_sanitizer(san):
             sched.run_epoch(model, train, 0.008, 0.05)
@@ -325,7 +324,7 @@ class TestSeededFaults:
             last = shards[-1]
             shards[-1] = PlanShard(last.index, 0, last.col_hi,
                                    np.clip(self.lengths, 0, last.col_hi),
-                                   self.version, plan=self)
+                                   plan=self)
             return shards
 
         monkeypatch.setattr(EpochPlan, "shard", overlapping)
