@@ -41,8 +41,9 @@ The shared object is cached under :func:`cache_dir` (outside the working
 tree), named by a hash of the source, the flags and the compiler's version,
 and published with an atomic :func:`os.replace`, so processes compiling
 into an empty cache at once each load a complete file.  A cold build took
-about 0.4 s on a 2-vCPU x86 host; a cached load plus verification about
-20 ms.
+about 0.4 s on a 2-vCPU x86 host. In a fresh ``train`` there, a cached
+load (``CBackend()``) took 2–3 ms and its verification 2–3 ms, after 6–7
+ms to import this module and the modules it imports.
 
 Safety
 ------

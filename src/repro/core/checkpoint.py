@@ -39,10 +39,10 @@ def save_model(
 ) -> Path:
     """Write a checkpoint to ``path`` (``.npz``). Returns the path written.
 
-    The write is atomic: bytes land in a temporary sibling file which is
-    fsynced and then ``os.replace``d over ``path``, so a crash mid-save can
-    truncate only the temporary — the previous checkpoint (recovery's
-    rollback target) survives intact.
+    A missing parent directory is created. The write is atomic: bytes land
+    in a temporary sibling file which is fsynced and then ``os.replace``d
+    over ``path``, so a crash mid-save can truncate only the temporary — the
+    previous checkpoint (recovery's rollback target) survives intact.
     """
     if epoch < 0:
         raise ValueError(f"epoch must be non-negative, got {epoch}")
@@ -50,6 +50,7 @@ def save_model(
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
     meta = dict(metadata or {})
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:

@@ -15,6 +15,9 @@ Run from the CLI::
     cumf-sgd all
 """
 
-from repro.experiments.base import REGISTRY, ExperimentResult, get_experiment, run_experiment
+from repro._lazy import lazy_exports
 
-__all__ = ["REGISTRY", "ExperimentResult", "get_experiment", "run_experiment"]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "base": ("REGISTRY", "ExperimentResult", "get_experiment",
+             "run_experiment"),
+})

@@ -49,22 +49,26 @@ run can seed the ledger via ``--record``).
 ``trace`` and ``metrics-dump`` run an experiment under the
 :mod:`repro.obs` telemetry collector (plus a standard instrumented probe,
 so every metric family is populated even for analytic-only experiments) and
-write the artifacts to ``results/``. Experiment names are normalised, so
-``fig07`` and ``fig7`` both work.
+write the artifacts to ``results/``. ``run``, ``trace`` and
+``metrics-dump`` normalise experiment names, so ``fig07`` and ``fig7`` both
+work; an unknown or ambiguous name exits 2 with the known ids.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-from repro.experiments import REGISTRY, run_experiment
-
 __all__ = ["main", "resolve_experiment_id"]
 
 _GPU_CHOICES = ("maxwell", "pascal")
+
+#: the environment variables OpenBLAS reads its thread count from
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
 
 
 def _gpu_spec(name: str):
@@ -79,6 +83,8 @@ def resolve_experiment_id(name: str) -> str:
     Resolution order: exact match; zero-stripped figure/table number; unique
     prefix match. Raises KeyError with the known ids otherwise.
     """
+    from repro.experiments import REGISTRY
+
     candidate = name.strip().lower()
     if candidate in REGISTRY:
         return candidate
@@ -100,6 +106,14 @@ def resolve_experiment_id(name: str) -> str:
     )
 
 
+def _experiment_arg(name: str) -> str:
+    """``run``'s argument type: the resolved id, else exit 2 with the ids."""
+    try:
+        return resolve_experiment_id(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cumf-sgd",
@@ -109,10 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list registered experiments")
 
     run_p = sub.add_parser("run", help="run one experiment")
-    # the registry loads the experiment modules only when ``run`` checks an
-    # id; the metavar keeps argparse from listing the ids while building
-    run_p.add_argument("experiment", choices=REGISTRY, metavar="experiment",
-                       help="experiment id ('cumf-sgd list' shows them)")
+    # the registry loads the experiment modules only when ``run`` resolves
+    # an id, so building the parser imports none of them
+    run_p.add_argument("experiment", type=_experiment_arg,
+                       help="experiment id (fig07, fig7, table4…; "
+                       "'cumf-sgd list' shows them)")
     run_p.add_argument("--full", action="store_true", help="full-scale numeric runs")
     run_p.add_argument("--csv", type=Path, help="also write rows as CSV")
 
@@ -251,15 +266,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cmd_list(args) -> int:
+    from repro.experiments import REGISTRY
+
+    for exp_id in sorted(REGISTRY):
+        doc = (REGISTRY[exp_id].__doc__ or "").strip().splitlines()
+        print(f"{exp_id:10s} {doc[0] if doc else ''}")
+    return 0
+
+
 def _cmd_run(args) -> int:
+    from repro.experiments import run_experiment
+
     result = run_experiment(args.experiment, quick=not args.full)
     print(result.to_text())
     if args.csv:
+        args.csv.parent.mkdir(parents=True, exist_ok=True)
         args.csv.write_text(result.to_csv())
     return 0 if result.all_checks_pass else 1
 
 
 def _cmd_all(args) -> int:
+    from repro.experiments import REGISTRY, run_experiment
+
     failed: list[str] = []
     for exp_id in sorted(REGISTRY):
         start = time.perf_counter()
@@ -487,6 +516,7 @@ def _run_train(args) -> int:
 
 def _instrumented_run(args):
     """Run one experiment under a fresh collector (+ optional probe)."""
+    from repro.experiments import run_experiment
     from repro.obs import TelemetryCollector, activate
     from repro.obs.probe import standard_probe, workload_for_experiment
 
@@ -674,13 +704,21 @@ def _cmd_lint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI dispatch; returns the process exit code."""
+    # One BLAS thread, asked for before any command imports numpy. Loading
+    # OpenBLAS starts cpu_count - 1 worker threads, which spin while the
+    # launch is still importing: on a 2-vCPU host one thread cut numpy's
+    # import from ~114 to ~53 ms and a serial train's CPU time by ~65 ms.
+    # No command makes a BLAS call that a second thread speeds up (eval's
+    # residual dot, the reference kernels' k-length dots), and the launch
+    # runs its parallel work on its own threads. A user's setting wins;
+    # once numpy is loaded (an in-process caller) the setting could only
+    # leak into the processes it spawns.
+    if "numpy" not in sys.modules and not any(
+            name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        for exp_id in sorted(REGISTRY):
-            doc = (REGISTRY[exp_id].__doc__ or "").strip().splitlines()
-            print(f"{exp_id:10s} {doc[0] if doc else ''}")
-        return 0
     return {
+        "list": _cmd_list,
         "run": _cmd_run,
         "all": _cmd_all,
         "train": _cmd_train,

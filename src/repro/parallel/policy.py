@@ -49,9 +49,13 @@ __all__ = [
 SMALL_NNZ = 200_000
 
 #: below this nnz, loading the c kernel costs more than it saves in one
-#: epoch: a cached load plus verification measured ~20 ms, and the kernel
-#: saves ~380 ns per update (numpy ~450 vs c ~70 ns on netflix-syn, k=32,
-#: 2-vCPU x86 host), so 20 ms / 380 ns ~ 50k updates
+#: epoch. In a fresh train on a 2-vCPU x86 host, importing the backend
+#: took 6-7 ms, its cached load 2-3 ms and its verification 2-3 ms, about
+#: 12 ms in all; the kernel saves ~380 ns per update (numpy ~450 vs c ~70
+#: ns on netflix-syn, k=32), so the load pays for itself from about 30k
+#: updates. The value stays at 50k because it decides which kernel the
+#: 40k-sample CI quick benchmark configs run; moving it goes with those
+#: configs (ROADMAP.md, "One armed gate for every speed claim").
 C_MIN_NNZ = 50_000
 
 #: a parallel executor must beat serial by this measured factor before the

@@ -34,6 +34,13 @@ class TestCheckpoint:
         assert path.suffix == ".npz"
         assert load_model(tmp_path / "noext").epoch == 0
 
+    def test_missing_directory_created(self, tmp_path, fresh_model):
+        """A finished run's model lands under a directory not yet made."""
+        path = save_model(tmp_path / "d" / "e" / "m.npz", fresh_model)
+        assert path == tmp_path / "d" / "e" / "m.npz"
+        assert np.array_equal(load_model(path).model.q, fresh_model.q)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["m.npz"]
+
     def test_negative_epoch_rejected(self, tmp_path, fresh_model):
         with pytest.raises(ValueError):
             save_model(tmp_path / "x", fresh_model, epoch=-1)

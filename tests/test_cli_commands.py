@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.cli import _BLAS_THREAD_VARIABLES, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -246,11 +246,19 @@ class TestTrainExecutors:
         assert (tmp_path / "model.npz").exists()
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, **env_vars: str | None
+                  ) -> subprocess.CompletedProcess:
+    """Run a new interpreter on ``args``; ``env_vars`` set environment
+    variables, or unset them where the value is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
         text=True, timeout=300,
@@ -267,9 +275,37 @@ sys.exit(rc)
 """
 
 
+#: runs the CLI on its arguments, importing numpy first if the first
+#: argument is ``numpy-first``, then prints the process's thread count
+#: and its OpenBLAS thread setting
+_TRAIN_THEN_COUNT_THREADS = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from repro.experiments.cli import main
+rc = main(sys.argv[2:])
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+sys.exit(rc)
+"""
+
+
+def _blas_starts_a_pool() -> bool:
+    """Whether loading numpy's BLAS here starts worker threads to count:
+    Linux (``/proc/self/task``), OpenBLAS, and two or more usable cores
+    (OpenBLAS starts one worker fewer than the cores it may run on)."""
+    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+        return False
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
 #: modules a serial, fp16 or in-core threads ``train`` never runs: the
 #: sanitizer's analyses, the collector, the perf ledger (and its
-#: ``socket``), the block store, the other schemes and the ranking metrics
+#: ``socket``), the block store, the other schemes, the ranking metrics
+#: and ``csv`` (the experiment results' writer)
 _NEVER_LOADED_BY_TRAIN = {
     *(f"repro.san.{m}" for m in ("races", "lifecycle", "numeric", "report")),
     *(f"repro.obs.{m}" for m in ("collector", "ledger", "registry")),
@@ -279,6 +315,7 @@ _NEVER_LOADED_BY_TRAIN = {
     *(f"repro.sched.{m}" for m in ("table", "ordering", "column_lock")),
     "repro.metrics.ranking",
     "socket",
+    "csv",
 }
 
 
@@ -289,7 +326,7 @@ def _unused_by_train(name: str) -> bool:
         name.split(".")[0] == "scipy"
         or name.startswith("repro.baselines")
         or (name.startswith("repro.experiments.")
-            and name not in ("repro.experiments.base", "repro.experiments.cli"))
+            and name != "repro.experiments.cli")
         or (name.startswith("repro.lint.") and name != "repro.lint.cli")
         or name.split(".")[0] == "multiprocessing"
         or name in _NEVER_LOADED_BY_TRAIN
@@ -357,6 +394,52 @@ class TestFreshInterpreter:
         ]
 
     def test_run_loads_the_registry(self):
-        proc = _fresh_python("-m", "repro.experiments.cli", "run", "fig15")
+        """``run`` resolves its id as ``trace`` does (``fig015`` is fig15)."""
+        proc = _fresh_python("-m", "repro.experiments.cli", "run", "fig015")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "8 of 24 orders" in proc.stdout
+
+    def test_run_unknown_id_exits_2_with_the_ids(self):
+        proc = _fresh_python("-m", "repro.experiments.cli", "run", "fig99")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "unknown experiment 'fig99'" in proc.stderr
+        assert "'fig15', 'fig16'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_cli_module_loads_no_numpy(self):
+        """``main`` sets the BLAS thread count before any command imports
+        numpy, which works only while importing the CLI module (and the
+        packages ``python -m`` imports before it) loads no numpy."""
+        proc = _fresh_python("-c", (
+            "import sys, repro.experiments.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
+    @pytest.mark.skipif(not _blas_starts_a_pool(),
+                        reason="needs Linux, OpenBLAS and two usable cores")
+    @pytest.mark.parametrize("first, env, threads, setting", [
+        ("main-first", {}, 1, "1"),
+        # an in-process caller that loaded numpy already keeps its pool,
+        # and main sets nothing its child processes would inherit
+        ("numpy-first", {}, None, None),
+        ("main-first", {"OMP_NUM_THREADS": "2"}, 2, None),
+    ], ids=["launch", "numpy-loaded-first", "user-setting-wins"])
+    def test_launch_starts_no_blas_pool(self, first, env, threads, setting):
+        """A launch asks OpenBLAS for one thread, so loading numpy starts
+        no worker pool, unless the user set a thread count or numpy was
+        loaded before ``main`` ran."""
+        unset = dict.fromkeys(_BLAS_THREAD_VARIABLES)
+        proc = _fresh_python(
+            "-c", _TRAIN_THEN_COUNT_THREADS, first,
+            "train", "netflix-syn", "--epochs", "1", "--executor", "serial",
+            **{**unset, **env},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        n_threads, openblas = json.loads(proc.stdout.splitlines()[-1])
+        assert openblas == setting
+        if threads is None:
+            assert n_threads > 1  # the pool a launch started before
+        else:
+            assert n_threads == threads

@@ -132,7 +132,7 @@ class TestCLI:
         assert "8" in capsys.readouterr().out
 
     def test_run_writes_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "out.csv"
+        csv_path = tmp_path / "d" / "out.csv"  # the run creates d
         assert main(["run", "roofline", "--csv", str(csv_path)]) == 0
         assert csv_path.exists()
         assert "device" in csv_path.read_text()
