@@ -1,21 +1,27 @@
-"""Hot-path benchmark: compiled epoch plans + zero-allocation wave kernels.
+"""Hot-path benchmark: the NumPy wave loop against the compiled ``c`` kernel.
 
-Measures what the plan/workspace layer buys on the batch-Hogwild! hot path
-(the paper's Eq. 7 quantity, #updates/s) by racing two implementations of
-the same epoch over the same data:
+Measures what the compiled kernel buys on the batch-Hogwild! hot path (the
+paper's Eq. 7 quantity, #updates/s) by racing the two kernel backends over
+the same epochs of the same data:
 
-* **plan path** — :class:`repro.core.hogwild.BatchHogwild` as shipped: the
-  epoch schedule compiled once into an ``EpochPlan`` matrix, kernels running
-  through a preallocated ``WaveWorkspace``;
-* **naive reference** — the pre-plan implementation, embedded below: slice
-  one wave's indices per launch and run the allocating kernel.
+* **numpy** — :class:`repro.core.hogwild.BatchHogwild` on the reference
+  backend: the Python wave loop over the workspace's allocation-free wave
+  kernel, the bit-exact anchor of every reproducibility claim;
+* **c** — the same executor on the compiled backend: one GIL-free foreign
+  call per epoch (:meth:`repro.backends.c_backend.CBackend.replay`).
 
-Both draw the identical RNG stream, so the final factors must match
-bit-for-bit — the benchmark asserts it and records the result in the emitted
-document. Timing: shared runners show *multiplicative* noise (CPU frequency
-drift), so the headline speedup is the median of per-round paired ratios —
-each round times one epoch of both variants back to back, alternating which
-goes first to cancel drift within the round.
+Both executors draw one seed, so every epoch replays the same plan order
+on each. The ``c`` kernel sums each dot product in another fixed order, so
+the two are held to agree, not to match bit for bit: the document's
+``agree`` is True when their final test RMSEs differ by at most
+:data:`AGREE_RMSE`. Timing: shared runners show *multiplicative* noise (CPU
+frequency drift), so the headline ``speedup`` (numpy over ``c``) is the
+median of per-round paired ratios — each round times one epoch of both
+back to back, alternating which goes first to cancel drift within the
+round. The observation budgets (``profiler_overhead`` under 5%,
+``sanitizer_overhead`` under 10%) are measured on the NumPy wave loop;
+``sanitizer_overhead_c``, the same measurement on ``c``, is reported and
+not gated.
 
 Run::
 
@@ -34,18 +40,20 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
+from repro.backends import get_backend
 from repro.core.hogwild import BatchHogwild
-from repro.core.kernels import sgd_wave_update
 from repro.core.model import FactorModel
 from repro.data.synthetic import DatasetSpec, make_synthetic
+from repro.metrics.rmse import rmse
 from repro.obs.ledger import PerfLedger, bench_meta
 from repro.obs.tracer import THREAD_TID_BASE, WALL_PID, Tracer
 
 # v2: +meta provenance stamp (bench_meta), +profiler_overhead budget gate
 # v3: +sanitizer_overhead budget gate (reprosan --sanitize all)
-SCHEMA_VERSION = 3
+# v4: numpy races c (speedup is numpy over c), +c_epoch_seconds,
+#     +c_updates_per_sec, +sanitizer_overhead_c, +rmse_gap, +compiled_backend;
+#     bit_identical -> agree; the pre-plan reference loop is gone
+SCHEMA_VERSION = 4
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_hot_path.json"
 
 #: Worker-side profiling (one ``compute`` span appended to a tracer per
@@ -58,9 +66,14 @@ _PROF_CONFIDENT = 0.03
 
 #: Full ``--sanitize all`` instrumentation (shadow access log + sampled
 #: numeric checks + epoch-end model sweep) must cost < 10% of a serial
-#: epoch. Enforced by :func:`validate_result`.
+#: epoch of the NumPy wave loop. Enforced by :func:`validate_result`.
 MAX_SANITIZER_OVERHEAD = 0.10
 _SAN_CONFIDENT = 0.06
+
+#: The two kernels agree when their final test RMSEs differ by no more
+#: than this: their dot products sum in different orders, so the factors
+#: drift apart by a few ulps, which must not move the model's quality.
+AGREE_RMSE = 1e-4
 
 #: The acceptance configuration: nnz >= 1e6, k = 32, s = 128 workers.
 REFERENCE_CONFIG = {
@@ -72,63 +85,6 @@ QUICK_CONFIG = {
     "m": 800, "n": 400, "k": 16, "nnz": 40_000,
     "workers": 64, "f": 64, "epochs": 2, "seed": 7,
 }
-
-
-class NaiveBatchHogwild:
-    """The pre-plan epoch loop, kept verbatim as the benchmark's reference.
-
-    This is ``BatchHogwild`` as it existed before the plan/workspace layer:
-    per-wave index arrays built in Python (reshape per group, boolean-mask
-    copy per wave), gathered per wave, run through the allocating kernel.
-    Same schedule semantics and RNG stream as the shipped executor, so the
-    two must agree bit-for-bit.
-    """
-
-    def __init__(self, workers: int, f: int, seed: int) -> None:
-        self.workers = workers
-        self.f = f
-        self._rng = np.random.default_rng(seed)
-        self._order: np.ndarray | None = None
-
-    def _epoch_order(self, nnz: int) -> np.ndarray:
-        if self._order is None or len(self._order) != nnz:
-            self._order = self._rng.permutation(nnz).astype(np.int64)
-        else:
-            self._rng.shuffle(self._order)
-        return self._order
-
-    def wave_indices(self, nnz: int) -> list:
-        order = self._epoch_order(nnz)
-        waves: list = []
-        group_span = self.workers * self.f
-        for lo in range(0, nnz, group_span):
-            group = order[lo : lo + group_span]
-            g = len(group)
-            n_chunks = -(-g // self.f)  # ceil
-            pad = n_chunks * self.f - g
-            if pad:
-                group = np.concatenate(
-                    [group, np.full(pad, -1, dtype=group.dtype)]
-                )
-            grid = group.reshape(n_chunks, self.f)
-            for t in range(self.f):
-                wave = grid[:, t]
-                wave = wave[wave >= 0]
-                if len(wave):
-                    waves.append(wave)
-        return waves
-
-    def run_epoch(self, model, ratings, lr, lam_p, lam_q=None) -> int:
-        lam_q = lam_p if lam_q is None else lam_q
-        rows, cols, vals = ratings.rows, ratings.cols, ratings.vals
-        updates = 0
-        for wave in self.wave_indices(ratings.nnz):
-            wr, wc = rows[wave], cols[wave]
-            sgd_wave_update(
-                model.p, model.q, wr, wc, vals[wave], lr, lam_p, lam_q
-            )
-            updates += len(wave)
-        return updates
 
 
 def _timed(fn, *args) -> tuple[float, int]:
@@ -235,7 +191,7 @@ def _sanitizer_overhead(sched, model, train) -> float:
 
 
 def run_config(config: dict) -> dict:
-    """Race both implementations over one dataset; return the result doc."""
+    """Race both kernels over one dataset; return the result doc."""
     spec = DatasetSpec(
         name="hot-path", m=config["m"], n=config["n"], k=config["k"],
         n_train=config["nnz"], n_test=1_000,
@@ -243,64 +199,62 @@ def run_config(config: dict) -> dict:
     problem = make_synthetic(spec, seed=1)
     train = problem.train
 
-    model = FactorModel.initialize(spec.m, spec.n, spec.k, seed=0)
-    sched = BatchHogwild(
-        workers=config["workers"], f=config["f"], seed=config["seed"]
-    )
-    reference = FactorModel.initialize(spec.m, spec.n, spec.k, seed=0)
-    naive = NaiveBatchHogwild(config["workers"], config["f"], config["seed"])
+    compiled = get_backend("c")  # numpy, with a warning, without a compiler
+    runs = {}  # backend -> (executor, model, epoch times)
+    for backend in (None, compiled):
+        runs[backend] = (
+            BatchHogwild(workers=config["workers"], f=config["f"],
+                         seed=config["seed"], backend=backend),
+            FactorModel.initialize(spec.m, spec.n, spec.k, seed=0),
+            [],
+        )
 
-    # one epoch of each per round, alternating who goes first; every epoch
-    # advances both executors' (identical) RNG streams in lockstep
-    plan_times: list[float] = []
-    naive_times: list[float] = []
+    # one epoch of each per round, alternating who goes first; both
+    # executors draw the same plan order every epoch
     for r in range(config["epochs"]):
-        runs = [
-            lambda: _timed(sched.run_epoch, model, train, 0.05, 0.05),
-            lambda: _timed(naive.run_epoch, reference, train, 0.05, 0.05),
-        ]
-        if r % 2:
-            runs.reverse()
-        pair = [run() for run in runs]
-        if r % 2:
-            pair.reverse()
-        (tp, up), (tn, un) = pair
-        assert up == train.nnz and un == train.nnz
-        plan_times.append(tp)
-        naive_times.append(tn)
+        for backend in (None, compiled)[:: -1 if r % 2 else 1]:
+            sched, model, times = runs[backend]
+            seconds, updates = _timed(sched.run_epoch, model, train, 0.05,
+                                      0.05)
+            assert updates == train.nnz
+            times.append(seconds)
 
-    bit_identical = (
-        model.p.tobytes() == reference.p.tobytes()
-        and model.q.tobytes() == reference.q.tobytes()
-    )
-    ratios = sorted(n / p for n, p in zip(naive_times, plan_times))
+    (sched, model, times), (sched_c, model_c, times_c) = runs.values()
+    rmse_gap = abs(rmse(model.p, model.q, problem.test)
+                   - rmse(model_c.p, model_c.q, problem.test))
+    ratios = sorted(t / tc for t, tc in zip(times, times_c))
     speedup = ratios[len(ratios) // 2]  # paired-ratio median
-    epoch_seconds = min(plan_times)
-    naive_epoch_seconds = min(naive_times)
+    epoch_seconds = min(times)
+    c_epoch_seconds = min(times_c)
     ws = sched.workspace
     plan_compiles = sched.plan_stats.compiles
     plan_repermutes = sched.plan_stats.repermutes
-    # after bit-identity capture: extra epochs only advance the plan RNG
+    # after the agreement capture: extra epochs only advance the plans
     profiler_overhead = _profiler_overhead(sched, model, train)
     sanitizer_overhead = _sanitizer_overhead(sched, model, train)
+    sanitizer_overhead_c = _sanitizer_overhead(sched_c, model_c, train)
     return {
         "benchmark": "hot_path",
         "schema_version": SCHEMA_VERSION,
         "config": dict(config),
         "meta": bench_meta(),
+        "compiled_backend": compiled.name.value,
         "metrics": {
             "epoch_seconds": epoch_seconds,
-            "naive_epoch_seconds": naive_epoch_seconds,
+            "c_epoch_seconds": c_epoch_seconds,
             "speedup": speedup,
             "updates_per_sec": train.nnz / epoch_seconds,
+            "c_updates_per_sec": train.nnz / c_epoch_seconds,
+            "rmse_gap": rmse_gap,
             "profiler_overhead": profiler_overhead,
             "sanitizer_overhead": sanitizer_overhead,
+            "sanitizer_overhead_c": sanitizer_overhead_c,
             "plan_compiles": plan_compiles,
             "plan_repermutes": plan_repermutes,
             "workspace_allocations": ws.allocations,
             "workspace_bytes": ws.nbytes,
         },
-        "bit_identical": bit_identical,
+        "agree": rmse_gap <= AGREE_RMSE,
     }
 
 
@@ -326,11 +280,14 @@ def validate_result(doc: dict) -> None:
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         fail("metrics missing or not a mapping")
-    for key in ("epoch_seconds", "naive_epoch_seconds", "speedup",
-                "updates_per_sec"):
+    for key in ("epoch_seconds", "c_epoch_seconds", "speedup",
+                "updates_per_sec", "c_updates_per_sec"):
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or value <= 0:
             fail(f"metrics.{key} must be a positive number, got {value!r}")
+    gap = metrics.get("rmse_gap")
+    if not isinstance(gap, (int, float)) or not gap >= 0:
+        fail(f"metrics.rmse_gap must be a non-negative number, got {gap!r}")
     overhead = metrics.get("profiler_overhead")
     if not isinstance(overhead, (int, float)):
         fail(f"metrics.profiler_overhead must be a number, got {overhead!r}")
@@ -344,6 +301,9 @@ def validate_result(doc: dict) -> None:
     if san_overhead >= MAX_SANITIZER_OVERHEAD:
         fail(f"metrics.sanitizer_overhead {san_overhead:.1%} exceeds the "
              f"{MAX_SANITIZER_OVERHEAD:.0%} budget")
+    if not isinstance(metrics.get("sanitizer_overhead_c"), (int, float)):
+        fail(f"metrics.sanitizer_overhead_c must be a number, "
+             f"got {metrics.get('sanitizer_overhead_c')!r}")
     for key in ("plan_compiles", "plan_repermutes",
                 "workspace_allocations", "workspace_bytes"):
         value = metrics.get(key)
@@ -355,8 +315,10 @@ def validate_result(doc: dict) -> None:
     for key in ("git_sha", "timestamp_utc", "hostname", "cpu_count"):
         if key not in meta:
             fail(f"meta.{key} missing")
-    if not isinstance(doc.get("bit_identical"), bool):
-        fail("bit_identical must be a bool")
+    if not isinstance(doc.get("compiled_backend"), str):
+        fail("compiled_backend must be a backend name")
+    if not isinstance(doc.get("agree"), bool):
+        fail("agree must be a bool")
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -388,15 +350,18 @@ def main(argv: list[str] | None = None) -> dict:
     m = doc["metrics"]
     print(f"nnz={config['nnz']:,} k={config['k']} workers={config['workers']} "
           f"f={config['f']}")
-    print(f"plan path   : {m['epoch_seconds'] * 1e3:9.2f} ms/epoch "
+    print(f"numpy       : {m['epoch_seconds'] * 1e3:9.2f} ms/epoch "
           f"({m['updates_per_sec'] / 1e6:.2f} M updates/s)")
-    print(f"naive path  : {m['naive_epoch_seconds'] * 1e3:9.2f} ms/epoch")
-    print(f"speedup     : {m['speedup']:.2f}x   "
-          f"bit-identical: {doc['bit_identical']}")
+    print(f"{doc['compiled_backend']:<12}: {m['c_epoch_seconds'] * 1e3:9.2f} "
+          f"ms/epoch ({m['c_updates_per_sec'] / 1e6:.2f} M updates/s)")
+    print(f"speedup     : {m['speedup']:.2f}x   agree: {doc['agree']} "
+          f"(test RMSE gap {m['rmse_gap']:.2e}, limit {AGREE_RMSE:.0e})")
     print(f"profiler overhead: {m['profiler_overhead'] * 100:+.2f}% "
           f"(budget {MAX_PROFILER_OVERHEAD:.0%})")
     print(f"sanitizer overhead: {m['sanitizer_overhead'] * 100:+.2f}% "
-          f"(budget {MAX_SANITIZER_OVERHEAD:.0%})")
+          f"(budget {MAX_SANITIZER_OVERHEAD:.0%}); on "
+          f"{doc['compiled_backend']}: "
+          f"{m['sanitizer_overhead_c'] * 100:+.2f}% (not gated)")
     print(f"wrote {args.out}")
     return doc
 

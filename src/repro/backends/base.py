@@ -1,22 +1,18 @@
-"""Kernel-backend contract: one wave/shard/serial kernel family per backend.
+"""Kernel-backend contract: one shard kernel and one serial kernel per backend.
 
 The reference SGD kernels (:mod:`repro.core.kernels`) are vectorized NumPy
 with explicit Hogwild race semantics — snapshot gathers, last-writer-wins
 scatters — and every convergence and bit-identity claim in the repo anchors
 on them.  A :class:`KernelBackend` packages one alternative implementation
-of exactly that contract:
+of exactly that contract, as two entry points:
 
 * :meth:`KernelBackend.replay` — one epoch of one worker's plan shard (or a
   whole :class:`~repro.sched.plan.EpochPlan`), the unit every executor
-  launches, observed or not.  The base implementation is
-  :func:`replay_waves`, the Python wave loop over :meth:`bind`; the
-  compiled ``c`` backend replaces it with one GIL-free foreign call;
-* :meth:`KernelBackend.bind` — given the caller's
-  :class:`~repro.core.kernels.WaveWorkspace`, the per-wave callable
-  :func:`replay_waves` invokes (on ``c``: for a sanitizer or a fallback).
-  The NumPy backend returns the workspace's own bound method,
-  so dispatching through the registry is *structurally* identical to the
-  pre-registry code path — same callable, same bits;
+  launches, observed or sanitized or not.  The NumPy backend runs
+  :func:`replay_waves`, the Python wave loop, over the workspace's own
+  ``wave_update``, so dispatching through the registry is the
+  pre-registry code path — same callable, same bits; the compiled ``c``
+  backend runs the shard in one GIL-free foreign call;
 * :meth:`KernelBackend.serial_update` — serial SGD over one worker's
   samples in order, the unit an out-of-core or wavefront block launches
   (NumPy: conflict-free segments; ``c``: one foreign call).
@@ -25,7 +21,7 @@ of exactly that contract:
 reference kernels bit for bit (``tobytes`` equality); accelerated backends
 (different summation order, fused arithmetic) are held to a numerical
 tolerance instead.  :func:`repro.backends.registry.get_backend` runs the
-gate before handing a backend out.
+gate on both entry points before handing a backend out.
 """
 
 from __future__ import annotations
@@ -72,22 +68,9 @@ class KernelBackend:
         """One epoch of ``shard`` (a :class:`~repro.sched.plan.PlanShard`
         or a whole :class:`~repro.sched.plan.EpochPlan`) over the data
         arrays; returns the updates made. ``ws`` is the caller's private
-        workspace; a sanitizer ``san`` observes worker ``wid``'s epoch
-        ``epoch``. The base implementation is :func:`replay_waves` over
-        :meth:`bind`, so the NumPy backend replays bit for bit as the
-        executors' own wave loops did.
-        """
-        return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
-                            vals, lr, lam_p, lam_q, san=san, wid=wid,
-                            epoch=epoch)
-
-    def bind(self, workspace):
-        """Return the per-wave callable :func:`replay_waves` invokes.
-
-        The callable's signature is
-        ``f(p, q, rows, cols, vals, lr, lam_p, lam_q) -> err``. ``workspace``
-        is the caller's (thread-/process-private)
-        :class:`~repro.core.kernels.WaveWorkspace`.
+        :class:`~repro.core.kernels.WaveWorkspace`; a sanitizer ``san``
+        observes worker ``wid``'s epoch ``epoch`` as in
+        :func:`replay_waves`.
         """
         raise NotImplementedError
 
@@ -106,15 +89,15 @@ def replay_waves(ws, wave_update, shard, p, q, rows, cols, vals,
                  lr, lam_p, lam_q, *, san=None, wid: int = 0,
                  epoch: int = 0) -> int:
     """One epoch of a plan shard through a per-wave kernel; returns the
-    updates made. The only Python loop over an epoch's waves, entered
-    through :meth:`KernelBackend.replay` (and by AdaGrad's own wave): one
-    ``bind_plan`` gather, then one ``wave_update`` launch per wave over its
-    live lanes (padding only trims from the right). A sanitizer ``san``
-    checks worker ``wid``'s epoch ``epoch`` at one branch per wave: in
-    numeric mode the fp64-leak probe on the first wave and a residual
-    check on one wave in ``sample_stride``; in race mode one O(1) record
-    of the bound views after the loop (the caller seals the log before
-    the next bind regathers them).
+    updates made. The only Python loop over an epoch's waves: numpy's
+    :meth:`~KernelBackend.replay` (and ``c``'s fallbacks) and AdaGrad's
+    own wave. One ``bind_plan`` gather, then one ``wave_update`` launch
+    per wave over its live lanes (padding only trims from the right). A
+    sanitizer ``san`` checks worker ``wid``'s epoch ``epoch`` at one
+    branch per wave: in numeric mode the fp64-leak probe on the first wave
+    and a residual check on one wave in ``sample_stride``; in race mode
+    one O(1) record of the bound views after the loop (the caller seals
+    the log before the next bind regathers them).
     """
     rows_w, cols_w, vals_w = ws.bind_plan(shard, rows, cols, vals)
     width = shard.width

@@ -5,22 +5,21 @@ registers (§4).  The NumPy reference instead makes about fourteen passes
 over five ``(w, k)`` temporaries per wave, holding the GIL throughout, so
 Hogwild! threads never overlap.  This backend compiles ``c_kernel.c`` with
 the local C compiler on first use and calls it through :mod:`ctypes`, which
-releases the GIL for the length of every call:
+releases the GIL for the length of every call. It has two entry points:
 
 * :meth:`CBackend.replay` runs a whole plan shard — every wave of one
   worker's epoch — in one foreign call. The kernel stages one group of
   ``workers·f`` positions at a time straight from the plan's shuffled
   ``order`` and the :class:`~repro.data.container.RatingMatrix`'s own
   int32/fp32 arrays into small workspace scratch, so no wave-major plan
-  matrix and no gathered copy of the ids or ratings is built;
-* :meth:`CBackend.bind` returns a per-wave callable for
-  :func:`~repro.backends.base.replay_waves`, which :meth:`CBackend.replay`
-  runs for a sanitized epoch and for its fallbacks;
+  matrix and no gathered copy of the ids or ratings is built. A sanitized
+  epoch is the same call, which also reports the residual peaks of the
+  waves a numeric sanitizer samples;
 * :meth:`CBackend.serial_update` runs one worker's samples as plain serial
   SGD, in order, in one foreign call (an out-of-core block, say).
 
-The wave entries keep the reference race semantics (snapshot gather, then
-a lane-order last-writer-wins scatter).  The dot product sums in a
+Both keep the reference race semantics (snapshot gather, then a
+lane-order last-writer-wins scatter).  The dot product sums in a
 different fixed order, so the backend is tolerance-gated
 (``exact = False``).
 
@@ -48,14 +47,14 @@ ms to import this module and the modules it imports.
 Safety
 ------
 The kernel trusts what it is given, so every launch first rejects factors
-that are not C-contiguous fp32 (or fp16 with F16C) and ratings that are
-not fp32 (:class:`ValueError`), and row/column ids outside the model
+that are not C-contiguous fp32 (or fp16) and ratings that are not fp32
+(:class:`ValueError`), and row/column ids outside the model
 (:class:`IndexError`).  :meth:`CBackend.replay` checks the ids once per
 data array pair (:meth:`~repro.core.kernels.WaveWorkspace.check_ids`),
 and the kernel checks every ``order`` entry of the shard against the data
-length before its first update (:class:`IndexError`); the per-wave and
-serial entries get new id arrays every call, so the kernel checks those
-itself before it writes anything.
+length before its first update (:class:`IndexError`); the serial entry
+gets new id arrays every call, so the kernel checks those itself before
+it writes anything. The peak buffer holds a slot per sampled wave.
 """
 
 from __future__ import annotations
@@ -81,10 +80,10 @@ BASE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 CACHE_ENV = "REPRO_C_CACHE"
 
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float
-_WAVE_ARGS = [_P, _P, ctypes.c_int, _I, _I, _I, _P, _P, _P, _I, _P, _P, _P,
-              _F, _F, _F]
+_SERIAL_ARGS = [_P, _P, ctypes.c_int, _I, _I, _I, _P, _P, _P, _I, _P, _P, _P,
+                _F, _F, _F]
 _REPLAY_ARGS = [_P, _P, ctypes.c_int, _I, _P, _P, _P, _I, _P, _I, _I, _I,
-                _I, _I, _P, _P, _P, _P, _P, _P, _F, _F, _F]
+                _I, _I, _P, _P, _P, _P, _P, _P, _P, _I, _F, _F, _F]
 
 
 def find_compiler() -> str | None:
@@ -172,15 +171,12 @@ class CBackend(KernelBackend):
     def __init__(self) -> None:
         self.path = build_library()
         lib = ctypes.CDLL(str(self.path))  # CDLL calls release the GIL
-        lib.cumf_wave.argtypes = _WAVE_ARGS
-        lib.cumf_wave.restype = ctypes.c_int
         lib.cumf_replay.argtypes = _REPLAY_ARGS
         lib.cumf_replay.restype = _I
-        lib.cumf_serial.argtypes = _WAVE_ARGS
+        lib.cumf_serial.argtypes = _SERIAL_ARGS
         lib.cumf_serial.restype = ctypes.c_int
         lib.cumf_has_fp16.argtypes = []
         lib.cumf_has_fp16.restype = ctypes.c_int
-        self._wave = lib.cumf_wave
         self._replay = lib.cumf_replay
         self._serial = lib.cumf_serial
         #: fp16 storage runs natively (compiled with F16C)
@@ -206,30 +202,37 @@ class CBackend(KernelBackend):
                *, san=None, wid: int = 0, epoch: int = 0) -> int:
         """Every wave of ``shard`` in one GIL-free foreign call, staged
         group by group from its plan's shuffled ``order`` and the data
-        arrays themselves. A sanitized epoch (``san``, worker ``wid``'s
-        epoch ``epoch``), fp16 storage without F16C and data not in
-        :class:`~repro.data.container.RatingMatrix` layout (contiguous
-        int32 ids) replay wave by wave through :meth:`bind`."""
+        arrays themselves. A sanitizer ``san`` (worker ``wid``'s epoch
+        ``epoch``) then checks the sampled waves' residual peaks the
+        kernel reported and records the shard's ids. fp16 storage without
+        F16C and data not in :class:`~repro.data.container.RatingMatrix`
+        layout (contiguous int32 ids) replay on NumPy's wave loop."""
         half = self._storage(p, q)
         if half is not None:
             _check_vals(vals)
             if not len(rows) == len(cols) == len(vals):
                 raise ValueError("rows, cols and vals differ in length")
             ws.check_ids(rows, cols, p.shape[0], q.shape[0])
-        if half is None or san is not None or not _coo_layout(rows, cols, vals):
-            return replay_waves(ws, self.bind(ws), shard, p, q, rows, cols,
+        if half is None or not _coo_layout(rows, cols, vals):
+            return replay_waves(ws, ws.wave_update, shard, p, q, rows, cols,
                                 vals, lr, lam_p, lam_q, san=san, wid=wid,
                                 epoch=epoch)
         plan, lo, hi = shard.plan, shard.col_lo, shard.col_hi
         k = p.shape[1]
         pu, qv, err = ws.kernel_scratch(hi - lo, k)
         srows, scols, svals = ws.stage_scratch(hi - lo, plan.f)
+        sentry = san.numeric if san is not None and san.check_numeric else None
+        stride = 1 if sentry is None else sentry.sample_stride
+        peaks = None if sentry is None else ws.peak_scratch(
+            -(-plan.n_waves // stride))  # the kernel's bound, not the shard's
         updates = self._replay(
             p.ctypes.data, q.ctypes.data, half, k,
             rows.ctypes.data, cols.ctypes.data, vals.ctypes.data, len(rows),
             plan.order.ctypes.data, plan.nnz, plan.workers, plan.f, lo, hi,
             srows.ctypes.data, scols.ctypes.data, svals.ctypes.data,
-            pu.ctypes.data, qv.ctypes.data, err.ctypes.data, lr, lam_p, lam_q,
+            pu.ctypes.data, qv.ctypes.data, err.ctypes.data,
+            None if peaks is None else peaks.ctypes.data, stride,
+            lr, lam_p, lam_q,
         )
         if updates < 0:
             raise IndexError(
@@ -237,45 +240,13 @@ class CBackend(KernelBackend):
                 f"{plan.order.max()}], outside the data's [0, {len(rows)})"
             )
         ws.waves += int(np.count_nonzero(shard.lengths))
+        if sentry is not None:
+            sentry.check_peaks(peaks, shard.lengths, wid, epoch)
+        if san is not None and san.check_races:
+            rows_w, cols_w, _ = ws.bind_plan(shard, rows, cols, vals)
+            san.epoch_executed(rows_w, cols_w, shard.lengths, wid=wid,
+                               epoch=epoch)
         return updates
-
-    def bind(self, workspace):
-        """A per-wave callable over the workspace's scratch. Executors pass
-        the same P and Q every wave, so it validates them, and takes their
-        and the scratch's addresses, only when they change."""
-        ws, launch = workspace, self._wave
-        pq = scratch = None  # (p, q, half, p_ptr, q_ptr), (pu, pointers)
-
-        def wave_update(p, q, rows, cols, vals, lr, lam_p, lam_q):
-            nonlocal pq, scratch
-            if pq is None or pq[0] is not p or pq[1] is not q:
-                pq = (p, q, self._storage(p, q), p.ctypes.data, q.ctypes.data)
-            half = pq[2]
-            if half is None:
-                return ws.wave_update(p, q, rows, cols, vals, lr, lam_p, lam_q)
-            _check_vals(vals)
-            rows = np.ascontiguousarray(rows, dtype=np.intp)  # lint: hotpath-alloc -- no-op for the intp wave views executors pass
-            cols = np.ascontiguousarray(cols, dtype=np.intp)  # lint: hotpath-alloc -- no-op for the intp wave views executors pass
-            vals = np.ascontiguousarray(vals)  # lint: hotpath-alloc -- no-op for contiguous wave values
-            w = len(rows)
-            if len(cols) != w or len(vals) != w:
-                raise ValueError("rows, cols and vals differ in length")
-            (m, k), n = p.shape, q.shape[0]
-            pu, qv, err = ws.kernel_scratch(w, k)
-            if scratch is None or scratch[0] is not pu:
-                scratch = (pu, pu.ctypes.data, qv.ctypes.data, err.ctypes.data)
-            if launch(pq[3], pq[4], half, k, m, n, rows.ctypes.data,
-                      cols.ctypes.data, vals.ctypes.data, w, *scratch[1:],
-                      lr, lam_p, lam_q):
-                raise IndexError(
-                    f"wave ids leave the {m} x {n} model: rows span "
-                    f"[{rows.min()}, {rows.max()}], columns "
-                    f"[{cols.min()}, {cols.max()}]"
-                )
-            ws.waves += 1
-            return err[:w]
-
-        return wave_update
 
     def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
                       max_wave=64, workspace=None):

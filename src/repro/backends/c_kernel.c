@@ -155,22 +155,16 @@ wave(char *p, char *q, int half, idx_t k,
     }
 }
 
-/* One wave: the per-wave kernel observed executors call.  Its id arrays
- * change every call, so it checks them against the m x n model itself and
- * returns -1, having written nothing, when one is out of range. */
-int cumf_wave(void *p, void *q, int half, idx_t k, idx_t m, idx_t n,
-              const idx_t *rows, const idx_t *cols, const float *vals,
-              idx_t w, float *pu, float *qv, float *err,
-              float lr, float lam_p, float lam_q)
+/* Largest |residual| of a wave's w lanes; a NaN sticks, as in numpy's max. */
+static float peak(const float *err, idx_t w)
 {
-    for (idx_t i = 0; i < w; i++)
-        if ((uint64_t)rows[i] >= (uint64_t)m || (uint64_t)cols[i] >= (uint64_t)n)
-            return -1;
-    if (half)
-        wave(p, q, 1, k, rows, cols, vals, w, pu, qv, err, lr, lam_p, lam_q);
-    else
-        wave(p, q, 0, k, rows, cols, vals, w, pu, qv, err, lr, lam_p, lam_q);
-    return 0;
+    float m = 0.0f;
+    for (idx_t i = 0; i < w; i++) {
+        const float a = err[i] < 0.0f ? -err[i] : err[i];
+        if (a > m || a != a)
+            m = a;
+    }
+    return m;
 }
 
 /* Live lanes of a shard of lanes [lo, lo + width) in wave t of a group
@@ -194,6 +188,9 @@ static inline idx_t live_lanes(idx_t rem, idx_t span, idx_t f, idx_t t,
  * live lanes.  Copying wave by wave writes the scratch in order and keeps
  * the lanes' order entries in L1; copying lane by lane was 5-13% slower
  * per epoch (netflix-syn, 64 lanes, f = 256, 2-vCPU x86).
+ * A numeric sanitizer's sample: when `peaks` is not null, each plan wave
+ * i (g_wave, the group's first, plus t) with live lanes and i % stride == 0
+ * stores its peak() in peaks[i / stride]; a plain replay passes null.
  * Checks every order entry of the shard against the n_data samples first
  * and returns -1, having written nothing, when one is out of range;
  * otherwise returns the updates made. */
@@ -203,6 +200,7 @@ idx_t cumf_replay(void *p, void *q, int half, idx_t k,
                   idx_t workers, idx_t f, idx_t lo, idx_t hi,
                   idx_t *srows, idx_t *scols, float *svals,
                   float *pu, float *qv, float *err,
+                  float *peaks, idx_t stride,
                   float lr, float lam_p, float lam_q)
 {
     const idx_t span = workers * f, width = hi - lo;
@@ -211,7 +209,7 @@ idx_t cumf_replay(void *p, void *q, int half, idx_t k,
             if ((uint64_t)order[i] >= (uint64_t)n_data)
                 return -1;
     idx_t updates = 0;
-    for (idx_t g = 0; g < nnz; g += span) {
+    for (idx_t g = 0, g_wave = 0; g < nnz; g += span, g_wave += f) {
         const idx_t rem = nnz - g;
         idx_t waves = 0;
         for (; waves < f; waves++) {
@@ -236,6 +234,8 @@ idx_t cumf_replay(void *p, void *q, int half, idx_t k,
             else
                 wave(p, q, 0, k, srows + off, scols + off, svals + off, w,
                      pu, qv, err, lr, lam_p, lam_q);
+            if (peaks && (g_wave + t) % stride == 0)
+                peaks[(g_wave + t) / stride] = peak(err, w);
             updates += w;
         }
     }

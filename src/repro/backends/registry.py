@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.backends.base import BackendType, KernelBackend
 from repro.core.kernels import WaveWorkspace, sgd_serial_update, sgd_wave_update
+from repro.sched.plan import EpochPlan
 
 __all__ = [
     "BackendUnavailable",
@@ -143,49 +144,48 @@ def _verification_problem():
     arithmetic, not duplicate-resolution policy (which Hogwild semantics
     leave open for accelerated backends). ``k = 12`` is one 8-wide vector
     body plus a 4-feature tail, so a kernel that splits its rows that way
-    is gated on both halves.
+    is gated on both halves. The waves lie back to back in RatingMatrix
+    layout (int32 ids), and the returned plan replays exactly them.
     """
     rng = np.random.default_rng(20260808)
     m, n, k, w, n_waves = 48, 40, 12, 16, 4
     p = rng.standard_normal((m, k)).astype(np.float32)
     q = rng.standard_normal((n, k)).astype(np.float32)
-    waves = []
+    rows, cols, vals = [], [], []
     for _ in range(n_waves):
-        rows = rng.permutation(m)[:w].astype(np.int64)
-        cols = rng.permutation(n)[:w].astype(np.int64)
-        vals = rng.standard_normal(w).astype(np.float32)
-        waves.append((rows, cols, vals))
-    return p, q, waves
+        rows.append(rng.permutation(m)[:w].astype(np.int32))
+        cols.append(rng.permutation(n)[:w].astype(np.int32))
+        vals.append(rng.standard_normal(w).astype(np.float32))
+    data = tuple(np.concatenate(parts) for parts in (rows, cols, vals))
+    return p, q, data, EpochPlan(np.arange(n_waves * w), w, 1)
 
 
 def verify_backend(backend: KernelBackend) -> None:
     """Gate ``backend`` against the reference kernels; raises
     :class:`BackendVerificationError` on disagreement.
 
-    With fp32 and with fp16 storage, the per-wave kernel
-    (:meth:`~KernelBackend.bind`) runs the problem's waves, and
-    :meth:`~KernelBackend.serial_update` replays them as one worker's run.
-    Exact backends must match :func:`sgd_wave_update` /
-    :func:`sgd_serial_update` bit for bit; accelerated backends within
-    ``np.allclose`` tolerance. Each instance verifies once per process.
+    With fp32 and with fp16 storage, :meth:`~KernelBackend.replay` runs
+    the problem's waves as one plan, and
+    :meth:`~KernelBackend.serial_update` as one worker's samples. Exact
+    backends must match :func:`sgd_wave_update` / :func:`sgd_serial_update`
+    bit for bit; accelerated backends within ``np.allclose`` tolerance.
+    Each instance verifies once per process.
     """
     if id(backend) in _verified:
         return
-    p0, q0, waves = _verification_problem()
+    p0, q0, (rows, cols, vals), plan = _verification_problem()
     lr, lam = 0.05, 0.02
-    # serial replay: concatenate the waves into one worker-run sequence
-    rows = np.concatenate([wv[0] for wv in waves])
-    cols = np.concatenate([wv[1] for wv in waves])
-    vals = np.concatenate([wv[2] for wv in waves])
 
     for dtype in (np.float32, np.float16):
         ref_p, ref_q = p0.astype(dtype), q0.astype(dtype)
         got_p, got_q = p0.astype(dtype), q0.astype(dtype)
-        bound = backend.bind(WaveWorkspace())
-        for wave in waves:
-            sgd_wave_update(ref_p, ref_q, *wave, lr, lam, lam)
-            bound(got_p, got_q, *wave, lr, lam, lam)
-        _compare(backend, "wave_update", ref_p, got_p, ref_q, got_q)
+        for i in range(plan.n_waves):
+            wave = plan.wave_positions(i)
+            sgd_wave_update(ref_p, ref_q, rows[wave], cols[wave], vals[wave],
+                            lr, lam, lam)
+        backend.replay(WaveWorkspace(), plan, got_p, got_q, rows, cols, vals,
+                       lr, lam, lam)
+        _compare(backend, "replay", ref_p, got_p, ref_q, got_q)
 
         ref_p, ref_q = p0.astype(dtype), q0.astype(dtype)
         got_p, got_q = p0.astype(dtype), q0.astype(dtype)

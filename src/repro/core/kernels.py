@@ -111,7 +111,9 @@ class WaveWorkspace:
       instead of gathering per wave;
     * **staging scratch** — :meth:`stage_scratch`, one group's waves, into
       which a compiled kernel copies a plan shard's samples from the
-      shuffled order as it replays (no epoch-sized gather at all).
+      shuffled order as it replays (no epoch-sized gather at all), and
+      :meth:`peak_scratch`, where it reports the residual peaks of the
+      waves a numeric sanitizer samples.
 
     Counters (surfaced as ``repro.train.extra.workspace_*`` through
     :meth:`~repro.core.hogwild.BatchHogwild.epoch_extras`):
@@ -127,7 +129,7 @@ class WaveWorkspace:
         "_err", "_err2", "_views",
         "_pu16", "_qv16",
         "_pos", "_rows_w", "_cols_w", "_vals_w", "_bound_shape",
-        "_cast_cache", "_checked_ids", "_stage",
+        "_cast_cache", "_checked_ids", "_stage", "_peaks",
     )
 
     def __init__(self) -> None:
@@ -145,6 +147,7 @@ class WaveWorkspace:
         self._cast_cache: tuple | None = None
         self._checked_ids: tuple | None = None
         self._stage: tuple | None = None
+        self._peaks: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -152,7 +155,7 @@ class WaveWorkspace:
         total = 0
         for name in ("_pu", "_qv", "_t1", "_t2", "_t3", "_err",
                      "_pu16", "_qv16", "_pos", "_rows_w", "_cols_w",
-                     "_vals_w"):
+                     "_vals_w", "_peaks"):
             buf = getattr(self, name)
             if buf is not None:
                 total += buf.nbytes
@@ -205,6 +208,14 @@ class WaveWorkspace:
                                    np.empty(n, np.float32))
             self.allocations += 1
         return stage
+
+    def peak_scratch(self, n: int) -> np.ndarray:
+        """``n`` or more fp32 residual-peak slots. Grows, never shrinks."""
+        peaks = self._peaks
+        if peaks is None or len(peaks) < n:
+            self._peaks = peaks = np.empty(n, np.float32)
+            self.allocations += 1
+        return peaks
 
     def check_ids(self, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> None:
         """Raise :class:`IndexError` unless every row id is in ``[0, m)``

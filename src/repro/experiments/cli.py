@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "exits nonzero on any finding")
     train_p.add_argument("--san-report", type=Path,
                          help="write the sanitizer report (findings + "
-                         "race-rate table) as JSON here")
+                         "race-rate table) as JSON here; needs --sanitize")
     train_p.add_argument("--trace", type=Path,
                          help="run under telemetry and write a merged "
                          "multi-lane Chrome trace here (one lane per "
@@ -309,6 +309,14 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # each of these flags qualifies another and would do nothing alone
+    if args.san_report is not None and args.sanitize == "off":
+        print("--san-report needs --sanitize races|numeric|all",
+              file=sys.stderr)
+        return 2
+    if args.checkpoint_dir is not None and args.fault_plan is None:
+        print("--checkpoint-dir needs --fault-plan", file=sys.stderr)
+        return 2
     from repro.san import activate_sanitizer, sanitizer_from_mode
 
     san = sanitizer_from_mode(args.sanitize)

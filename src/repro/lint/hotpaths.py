@@ -77,7 +77,6 @@ HOT_FUNCTIONS: dict[str, dict[str, HotSpec]] = {
     },
     "repro/backends/c_backend.py": {
         "CBackend.replay": _spec("rows", "cols"),
-        "CBackend.bind": _spec("rows", "cols"),
         "CBackend.serial_update": _spec("rows", "cols"),
     },
 }

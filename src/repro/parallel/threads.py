@@ -66,8 +66,8 @@ def _replay_shard(ws, backend, shard: PlanShard, p, q, rows, cols, vals,
                   epoch: int = 0) -> int:
     """One epoch of one worker's plan shard, the kernel entry of the
     threads executor: one ``backend.replay`` call (``c``: one GIL-free
-    foreign call, or under a sanitizer ``san`` the Python wave loop as
-    worker ``wid``); returns the updates made.
+    foreign call, sanitized or not), which a sanitizer ``san`` observes as
+    worker ``wid``; returns the updates made.
     """
     return backend.replay(ws, shard, p, q, rows, cols, vals, lr, lam_p,
                           lam_q, san=san, wid=wid, epoch=epoch)

@@ -14,9 +14,9 @@ without plumbing a parameter through every constructor:
 Three check families, toggled by mode:
 
 ``races``
-    Every worker-epoch of waves (:func:`~repro.backends.base.replay_waves`)
-    is one record of its bound ``(n_waves, width)`` index views, and
-    every out-of-core block one record of its ids, in a shadow
+    Every worker-epoch of waves is one record of its ids' wave-major
+    ``(n_waves, width)`` views (one ``bind_plan`` gather, on either
+    kernel), and every out-of-core block one record of its ids, in a shadow
     :class:`~repro.san.races.AccessLog`; a post-fit
     :func:`~repro.san.races.analyze_log` pass detects within-wave write
     overlaps, cross-shard ownership violations and quantifies the benign
@@ -24,9 +24,9 @@ Three check families, toggled by mode:
     ledger.
 
 ``numeric``
-    Sampled NaN/Inf/overflow checks on kernel residuals, an fp64-leak
-    probe per (worker, epoch) and a deterministic epoch-end model sweep,
-    raising :class:`~repro.san.errors.SanitizerError` immediately.
+    Sampled NaN/Inf/overflow checks on kernel residual peaks, an
+    fp64-leak probe per (worker, epoch) and a deterministic epoch-end
+    model sweep, raising :class:`~repro.san.errors.SanitizerError`.
 
 ``all``
     Both.
@@ -93,9 +93,8 @@ class Sanitizer:
     """Runtime race/numeric/lifecycle sanitizer for the Hogwild executors.
 
     Cheap to carry: executors call :meth:`begin_epoch` before they bind
-    an epoch's waves, hand it to ``backend.replay``, which runs the epoch
-    through :func:`~repro.backends.base.replay_waves` (sampled checks plus
-    one :meth:`epoch_executed` record per worker),
+    an epoch's waves, hand it to ``backend.replay``, which makes the
+    sampled checks and one :meth:`epoch_executed` record per worker,
     call :meth:`epoch_end` after each epoch, and whoever ran the fit
     calls :meth:`finalize` once after it to run the post-hoc analyses and
     obtain the :class:`~repro.san.report.SanReport`. Keyword arguments

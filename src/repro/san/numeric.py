@@ -7,12 +7,16 @@ else — which is exactly what this sentry, opt-in via ``--sanitize``,
 turns back into a hard, located error:
 
 * one wave in every ``sample_stride`` of each worker's epoch has its
-  error vector checked for non-finite values and overflow-risk magnitudes;
+  residual peak (largest |error|) checked for non-finite values and
+  overflow-risk magnitudes — as it runs in the Python wave loop, or in
+  wave order from the peaks the compiled ``c`` replay reports — so a
+  finding names the same (worker, epoch, wave) on either kernel;
 * at each epoch end the executors hand the full P/Q matrices over for a
   deterministic non-finite sweep (so an injected NaN is caught on the
   epoch it appears, regardless of sampling);
 * the first wave per (worker, epoch) verifies no fp64 leaked into the
-  fp32 kernel path (factors and error vector dtype);
+  fp32 kernel path (factors and error vector dtype; ``c`` rejects fp64
+  factors before any wave);
 * out-of-core staging verifies each block's ratings are finite before
   compute consumes them.
 
@@ -43,8 +47,8 @@ class NumericSentry:
     """Sampled numeric checks over kernel outputs and gradient magnitudes.
 
     Thread-safe by construction: per-wave state lives in each worker's
-    own :func:`~repro.backends.base.replay_waves` frame; this object only
-    accumulates counters under a lock on the (sampled) slow path.
+    own replay; this object only accumulates counters under a lock on
+    the (sampled) slow path.
     """
 
     def __init__(
@@ -65,23 +69,14 @@ class NumericSentry:
         self._lock = threading.Lock()
 
     # -- kernel-output checks (sampled) ---------------------------------
-    def check_wave(
-        self, err: np.ndarray, wid: int, epoch: int, wave: int
+    def check_peak(
+        self, peak: float, wid: int, epoch: int, wave: int
     ) -> None:
-        """Check one wave's error vector (the kernel's residual output).
+        """The wave check: one rule on a sampled wave's largest |residual|.
 
-        Hot path: ndarray method reductions (no ``np.abs`` temporary, no
-        ufunc-dispatch wrappers) and one combined guard — ``peak <=
-        err_limit`` is False for NaN, +Inf and overflow alike, so the
-        healthy case pays a single comparison.
+        ``peak <= err_limit`` is False for NaN, +Inf and overflow alike, so
+        the healthy case pays a single comparison.
         """
-        if err is None:  # backend that does not expose residuals
-            return
-        if err.size:
-            hi, lo = float(err.max()), float(err.min())
-            peak = hi if hi >= -lo else -lo
-        else:
-            peak = 0.0
         with self._lock:
             self.wave_checks += 1
             if peak > self.max_abs_err:
@@ -100,6 +95,27 @@ class NumericSentry:
                 f"overflow guard {self.err_limit:.1e}",
                 worker=wid, epoch=epoch, wave=wave,
             )
+
+    def check_wave(
+        self, err: np.ndarray, wid: int, epoch: int, wave: int
+    ) -> None:
+        """Check one live wave's error vector by its peak. Hot path:
+        ndarray method reductions (no ``np.abs`` temporary); a NaN
+        anywhere makes the peak NaN."""
+        hi, lo = float(err.max()), float(err.min())
+        self.check_peak(hi if hi >= -lo else -lo, wid, epoch, wave)
+
+    def check_peaks(
+        self, peaks: np.ndarray, lengths: np.ndarray, wid: int, epoch: int
+    ) -> None:
+        """Check, in wave order, the peaks a compiled replay reported:
+        ``peaks[j]`` is wave ``j * sample_stride``'s, unless ``lengths``
+        (the shard's live lanes per wave) says the wave did not run."""
+        stride = self.sample_stride
+        live = lengths[::stride].tolist()
+        for j, (n, peak) in enumerate(zip(live, peaks[:len(live)].tolist())):
+            if n:
+                self.check_peak(peak, wid, epoch, j * stride)
 
     def check_dtypes(
         self, p: np.ndarray, q: np.ndarray, err, wid: int, epoch: int

@@ -3,7 +3,7 @@
 Covers the dispatch layer introduced with :mod:`repro.backends`:
 
 * the NumPy reference backend is *structurally* the pre-registry path —
-  ``bind`` returns the workspace's own kernel, and every executor's
+  ``replay`` runs the workspace's own kernel, and every executor's
   registry-dispatched output is bit-identical to direct kernel calls;
 * optional backends gate through verification (exact backends by
   ``tobytes``, accelerated by tolerance) and fall back to NumPy with a
@@ -39,6 +39,7 @@ from repro.backends import c_backend
 from repro.backends import registry as backend_registry
 from repro.backends.numpy_backend import NumpyBackend
 from repro.core.kernels import WaveWorkspace, sgd_serial_update, sgd_wave_update
+from repro.sched.plan import EpochPlan
 
 HAVE_CC = c_backend.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler found")
@@ -62,13 +63,19 @@ def no_compiler(monkeypatch, clean_warnings):
 
 
 def _problem(seed=5, nnz=600, m=60, n=50, k=8):
+    """Factors and racy samples, ids in RatingMatrix layout (int32)."""
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((m, k)).astype(np.float32)
     q = rng.standard_normal((n, k)).astype(np.float32)
-    rows = rng.integers(0, m, nnz).astype(np.int64)
-    cols = rng.integers(0, n, nnz).astype(np.int64)
+    rows = rng.integers(0, m, nnz).astype(np.int32)
+    cols = rng.integers(0, n, nnz).astype(np.int32)
     vals = rng.standard_normal(nnz).astype(np.float32)
     return p, q, rows, cols, vals
+
+
+def _slices(nnz, w=64):
+    """A plan whose waves are the samples' consecutive ``w``-slices."""
+    return EpochPlan(np.arange(nnz), w, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +109,21 @@ class TestRegistryResolution:
         get_backend("numpy")
         assert backend_status()["numpy"] == "verified"
 
-    def test_bind_is_the_workspace_kernel(self):
-        """The numpy backend's bound callable IS the workspace method —
-        registry dispatch adds literally nothing to the hot loop."""
-        ws = WaveWorkspace()
-        assert get_backend("numpy").bind(ws) == ws.wave_update
+    def test_replay_is_the_workspace_kernel(self):
+        """The numpy backend replays a plan through the workspace's own
+        wave kernel: one gather and one ``wave_update`` per live wave, and
+        no allocation once the workspace has grown — registry dispatch
+        adds nothing to the hot loop."""
+        p, q, rows, cols, vals = _problem()
+        plan = EpochPlan(np.random.default_rng(5).permutation(len(rows)),
+                         16, 4)
+        ws, backend = WaveWorkspace(), get_backend("numpy")
+        args = (p, q, rows, cols, vals, 0.05, 0.02, 0.02)
+        assert backend.replay(ws, plan, *args) == len(rows)
+        grown = ws.allocations
+        assert backend.replay(ws, plan, *args) == len(rows)
+        assert (ws.plan_binds, ws.waves) == (2, 2 * plan.n_waves)
+        assert ws.allocations == grown
 
 
 class TestNumpyBitIdentity:
@@ -114,14 +131,12 @@ class TestNumpyBitIdentity:
         backend = get_backend("numpy")
         p_ref, q_ref, rows, cols, vals = _problem()
         p_got, q_got = p_ref.copy(), q_ref.copy()
-        ws = WaveWorkspace()
-        bound = backend.bind(ws)
         for lo in range(0, len(rows), 64):
             sl = slice(lo, lo + 64)
             sgd_wave_update(p_ref, q_ref, rows[sl], cols[sl], vals[sl],
                             0.05, 0.02, 0.02)
-            bound(p_got, q_got, rows[sl], cols[sl], vals[sl],
-                  0.05, 0.02, 0.02)
+        backend.replay(WaveWorkspace(), _slices(len(rows)), p_got, q_got,
+                       rows, cols, vals, 0.05, 0.02, 0.02)
         assert p_ref.tobytes() == p_got.tobytes()
         assert q_ref.tobytes() == q_got.tobytes()
 
@@ -161,20 +176,17 @@ class TestNumpyBitIdentity:
 class TestVerificationAndFallback:
     def test_broken_backend_fails_the_gate(self):
         class BrokenBackend(NumpyBackend):
-            def bind(self, workspace):
-                kernel = workspace.wave_update
-
-                def off_by_lr(p, q, rows, cols, vals, lr, lam_p, lam_q):
-                    kernel(p, q, rows, cols, vals, lr * 1.5, lam_p, lam_q)
-
-                return off_by_lr
+            def replay(self, ws, shard, p, q, rows, cols, vals, lr, lam_p,
+                       lam_q, **observers):
+                return super().replay(ws, shard, p, q, rows, cols, vals,
+                                      lr * 1.5, lam_p, lam_q, **observers)
 
         with pytest.raises(BackendVerificationError, match="bit identity"):
             verify_backend(BrokenBackend())
 
     def test_fp16_serial_update_is_gated(self):
         """The serial kernel is gated with fp16 storage too, not only the
-        per-wave one (out-of-core ``--half`` runs it)."""
+        shard replay (out-of-core ``--half`` runs it)."""
 
         class BrokenHalfSerial(NumpyBackend):
             def serial_update(self, p, q, rows, cols, vals, lr, lam_p, lam_q,
@@ -193,17 +205,14 @@ class TestVerificationAndFallback:
         an error confined to features 8 and up is caught."""
 
         class BrokenTail(NumpyBackend):
-            def bind(self, workspace):
-                kernel = workspace.wave_update
+            def replay(self, ws, shard, p, q, rows, cols, vals, *args,
+                       **observers):
+                n = super().replay(ws, shard, p, q, rows, cols, vals, *args,
+                                   **observers)
+                p[rows, 8:] += 1
+                return n
 
-                def tail_off_by_one(p, q, rows, cols, vals, lr, lam_p, lam_q):
-                    err = kernel(p, q, rows, cols, vals, lr, lam_p, lam_q)
-                    p[rows, 8:] += 1
-                    return err
-
-                return tail_off_by_one
-
-        with pytest.raises(BackendVerificationError, match="wave_update"):
+        with pytest.raises(BackendVerificationError, match="replay"):
             verify_backend(BrokenTail())
 
     def test_missing_c_compiler_falls_back_with_single_warning(
@@ -250,12 +259,11 @@ class TestCBackend:
         # order, as numpy's scatter does) agree within the gate tolerance
         p_ref, q_ref, rows, cols, vals = _problem(seed=8)
         p_got, q_got = p_ref.copy(), q_ref.copy()
-        ref, got = WaveWorkspace(), backend.bind(WaveWorkspace())
-        for lo in range(0, len(rows), 64):
-            sl = slice(lo, lo + 64)
-            ref.wave_update(p_ref, q_ref, rows[sl], cols[sl], vals[sl],
-                            0.05, 0.02, 0.02)
-            got(p_got, q_got, rows[sl], cols[sl], vals[sl], 0.05, 0.02, 0.02)
+        plan = _slices(len(rows))
+        for b, p, q in ((get_backend("numpy"), p_ref, q_ref),
+                        (backend, p_got, q_got)):
+            b.replay(WaveWorkspace(), plan, p, q, rows, cols, vals,
+                     0.05, 0.02, 0.02)
         assert np.allclose(p_ref, p_got, rtol=1e-4, atol=1e-5)
         assert np.allclose(q_ref, q_got, rtol=1e-4, atol=1e-5)
 
@@ -263,16 +271,15 @@ class TestCBackend:
     @pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
     def test_replay_matches_its_own_wave_kernel(self, tiny_problem, half, k):
         """One foreign call per shard, staged from the plan's order, is the
-        per-wave kernel, wave after wave: the two entry points agree bit
+        compiled wave kernel run wave after wave (each wave replayed as a
+        one-wave plan of its own lanes, in lane order): the two agree bit
         for bit, through the 8-wide body alone (k = 8) and with a scalar
         tail (k = 13). Inputs: a whole plan and each of its three thread
         shards; a plan whose last group is partial (twelve full lanes and
         one of eight samples); and one of 100 samples, which fills 7 of
         its 32 lanes and leaves the rest empty in every wave."""
-        from repro.backends import replay_waves
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
-        from repro.sched.plan import EpochPlan
 
         backend = get_backend("c")
         if half and not backend.fp16:
@@ -291,8 +298,14 @@ class TestCBackend:
                       for _ in range(2)]
             ws = WaveWorkspace()
             n = backend.replay(ws, shard, models[0].p, models[0].q, *args)
-            m = replay_waves(ws, backend.bind(ws), shard,
-                             models[1].p, models[1].q, *args)
+            lo, hi = shard.col_lo, shard.col_hi
+            lanes = shard.plan.positions(
+                lo, hi, np.empty((shard.n_waves, hi - lo), np.int64))
+            m = 0
+            for wave, w in zip(lanes, shard.lengths.tolist()):
+                if w:
+                    m += backend.replay(ws, EpochPlan(wave[:w], w, 1),
+                                        models[1].p, models[1].q, *args)
             assert n == m == int(shard.lengths.sum())
             assert models[0].p.tobytes() == models[1].p.tobytes()
             assert models[0].q.tobytes() == models[1].q.tobytes()
@@ -377,8 +390,6 @@ class TestCBackend:
         results, a tie down to zero and negatives in features 0-7 (the
         8-wide body) and 8-12 (the scalar tail); every entry must store the
         bits NumPy does."""
-        from repro.sched.plan import EpochPlan
-
         backend = get_backend("c")
         if not backend.fp16:
             pytest.skip("fp16 storage runs the c kernel only with F16C")
@@ -397,7 +408,7 @@ class TestCBackend:
         q0 = np.array([np.resize(qs, k) for _, qs in cases], np.float16)
         assert q0.astype(np.float64).tolist() == [np.resize(qs, k).tolist()
                                                   for _, qs in cases]
-        ids = np.arange(w, dtype=np.int64)
+        ids = np.arange(w, dtype=np.int32)  # RatingMatrix layout
         with np.errstate(over="ignore"):
             want = (vals[:, None] * q0.astype(np.float32)).astype(np.float16)
         assert np.isinf(want).any() and (want == 0).any()
@@ -414,15 +425,12 @@ class TestCBackend:
         assert ref == (want.tobytes(), q0.tobytes())
         plan = EpochPlan(np.arange(w), workers=w, f=1)
         ws = WaveWorkspace()
-        bound = backend.bind(WaveWorkspace())
-        assert run(lambda p, q: bound(p, q, *args)) == ref
         assert run(lambda p, q: backend.replay(ws, plan, p, q, *args)) == ref
         assert run(lambda p, q: backend.serial_update(p, q, *args)) == ref
 
     def test_out_of_range_id_raises_before_any_update(self, tiny_problem):
         from repro.core.hogwild import BatchHogwild
         from repro.core.model import FactorModel
-        from repro.sched.plan import EpochPlan
 
         backend = get_backend("c")
         train = tiny_problem.train
@@ -447,11 +455,11 @@ class TestCBackend:
                                train.vals, 0.05, 0.02, 0.02)
             assert model.p.tobytes() == before.tobytes()
             assert model.q.tobytes() == before_q.tobytes()
-        cols = np.array([0, -1], np.intp)
-        with pytest.raises(IndexError, match="leave the 300 x 200 model"):
-            backend.bind(WaveWorkspace())(
-                model.p, model.q, np.array([0, 1], np.intp), cols,
-                np.ones(2, np.float32), 0.05, 0.02, 0.02)
+        cols = train.cols.copy()
+        cols[0] = -1
+        with pytest.raises(IndexError, match="column ids"):
+            backend.replay(WaveWorkspace(), plan, model.p, model.q,
+                           train.rows, cols, train.vals, 0.05, 0.02, 0.02)
         assert model.p.tobytes() == before.tobytes()
         # the serial kernel checks every id before its first update
         before_q = model.q.copy()
@@ -464,16 +472,18 @@ class TestCBackend:
     def test_fp64_model_and_ratings_rejected(self):
         backend = get_backend("c")
         p, q, rows, cols, vals = _problem(seed=9)
-        bound = backend.bind(WaveWorkspace())
+        plan = _slices(8, 8)
+
+        def replay(p, q, vals):
+            backend.replay(WaveWorkspace(), plan, p, q, rows, cols, vals,
+                           0.05, 0.02, 0.02)
+
         with pytest.raises(ValueError, match="fp32 or fp16"):
-            bound(p.astype(np.float64), q.astype(np.float64), rows[:8],
-                  cols[:8], vals[:8], 0.05, 0.02, 0.02)
+            replay(p.astype(np.float64), q.astype(np.float64), vals)
         with pytest.raises(ValueError, match="fp32 ratings"):
-            bound(p, q, rows[:8], cols[:8], vals[:8].astype(np.float64),
-                  0.05, 0.02, 0.02)
+            replay(p, q, vals.astype(np.float64))
         with pytest.raises(ValueError, match="C-contiguous"):
-            bound(np.asfortranarray(p), q, rows[:8], cols[:8], vals[:8],
-                  0.05, 0.02, 0.02)
+            replay(np.asfortranarray(p), q, vals)
 
     def test_two_processes_build_into_a_cold_cache(self, tmp_path):
         """Both compile into the same empty cache at once; the atomic

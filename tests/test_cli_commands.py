@@ -85,6 +85,27 @@ class TestTrainCommand:
         assert problem in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, needs", [
+        ("--san-report", "r.json", "--sanitize"),
+        ("--checkpoint-dir", "ckpt", "--fault-plan"),
+    ], ids=["san-report", "checkpoint-dir"])
+    def test_lone_qualifying_flag_exits_2(self, capsys, monkeypatch,
+                                          tmp_path, flag, value, needs):
+        """A flag that only qualifies another would do nothing alone, so it
+        exits 2 before any data is generated, naming the flag it needs,
+        and writes nothing."""
+        import repro.data.synthetic as synthetic
+
+        def make_synthetic(*args, **kwargs):
+            pytest.fail(f"{flag} alone generated the data set")
+
+        monkeypatch.setattr(synthetic, "make_synthetic", make_synthetic)
+        target = tmp_path / value
+        assert main(["train", "netflix-syn", "--epochs", "1", flag,
+                     str(target)]) == 2
+        assert f"{flag} needs {needs}" in capsys.readouterr().err
+        assert not target.exists()
+
     @pytest.mark.parametrize("procs", ["65", "0"])
     def test_out_of_core_procs_rejected_before_any_block(self, capsys,
                                                          monkeypatch, procs):

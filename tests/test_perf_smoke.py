@@ -4,8 +4,9 @@ Runs ``benchmarks/bench_hot_path.py`` and ``benchmarks/bench_parallel.py``
 on their tiny quick configs and checks the emitted ``BENCH_*.json``
 documents against the pinned schemas. Speed is *not* asserted here (timing
 on shared CI runners is noise at this scale, and the 1-core case makes any
-parallel-scaling assertion meaningless); bit-identity is — it is each
-benchmark's correctness contract and holds at any problem size and core
+parallel-scaling assertion meaningless); each benchmark's correctness
+contract is — the two kernels' agreement for ``bench_hot_path``, bit
+identity for ``bench_parallel`` — and holds at any problem size and core
 count.
 """
 
@@ -47,7 +48,7 @@ class TestBenchHotPathSmoke:
         doc = bench.main(["--quick", "--out", str(out)])
         bench.validate_result(doc)  # raises on schema violations
         assert doc["config"] == bench.QUICK_CONFIG
-        assert doc["bit_identical"] is True
+        assert doc["agree"] is True
         on_disk = json.loads(out.read_text())
         assert on_disk == doc
 
@@ -58,31 +59,39 @@ class TestBenchHotPathSmoke:
             "config": dict(bench.QUICK_CONFIG),
             "meta": {"git_sha": "abc123def456", "timestamp_utc": "t",
                      "hostname": "h", "cpu_count": 4},
+            "compiled_backend": "c",
             "metrics": {
-                "epoch_seconds": 0.1, "naive_epoch_seconds": 0.2,
-                "speedup": 2.0, "updates_per_sec": 1e6,
+                "epoch_seconds": 0.2, "c_epoch_seconds": 0.05,
+                "speedup": 4.0, "updates_per_sec": 1e6,
+                "c_updates_per_sec": 4e6, "rmse_gap": 2e-6,
                 "profiler_overhead": 0.01,
                 "sanitizer_overhead": 0.02,
+                "sanitizer_overhead_c": 0.3,
                 "plan_compiles": 1, "plan_repermutes": 1,
                 "workspace_allocations": 2, "workspace_bytes": 1024,
             },
-            "bit_identical": True,
+            "agree": True,
         }
         bench.validate_result(good)
         for mutate in (
-            lambda d: d.pop("bit_identical"),
+            lambda d: d.pop("agree"),
+            lambda d: d.pop("compiled_backend"),
             lambda d: d.update(benchmark="other"),
             lambda d: d.update(schema_version=99),
             lambda d: d["config"].update(nnz=0),
             lambda d: d["metrics"].update(speedup=-1.0),
             lambda d: d["metrics"].update(plan_compiles=1.5),
             lambda d: d["metrics"].pop("updates_per_sec"),
+            lambda d: d["metrics"].pop("c_epoch_seconds"),
+            lambda d: d["metrics"].update(rmse_gap=-1.0),
             lambda d: d["metrics"].pop("profiler_overhead"),
             # the 5% budget is part of the schema contract
             lambda d: d["metrics"].update(profiler_overhead=0.5),
             lambda d: d["metrics"].pop("sanitizer_overhead"),
             # likewise the sanitizer's 10% budget
             lambda d: d["metrics"].update(sanitizer_overhead=0.5),
+            # reported on c, not gated: present, any value
+            lambda d: d["metrics"].pop("sanitizer_overhead_c"),
             lambda d: d.pop("meta"),
             lambda d: d["meta"].pop("git_sha"),
         ):
@@ -95,21 +104,6 @@ class TestBenchHotPathSmoke:
         """BENCH_hot_path.json is canonical at the repo root (CI archives
         it from there)."""
         assert bench.DEFAULT_OUT == BENCHMARKS.parent / "BENCH_hot_path.json"
-
-    def test_naive_reference_matches_shipped_schedule(self, bench):
-        """The embedded reference must draw the same waves as BatchHogwild
-        — otherwise the race (and its bit-identity assertion) is vacuous."""
-        import numpy as np
-
-        from repro.core.hogwild import BatchHogwild
-
-        shipped = BatchHogwild(workers=8, f=16, seed=4)
-        naive = bench.NaiveBatchHogwild(workers=8, f=16, seed=4)
-        for _ in range(2):  # first epoch permutes, second shuffles
-            got = naive.wave_indices(1000)
-            want = shipped.wave_indices(1000)
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestBenchParallelSmoke:

@@ -1,6 +1,9 @@
 """Adversarial suite for reprosan (``repro.san``).
 
-The sanitizer's acceptance bar has two sides, and both are tested here:
+The sanitizer's acceptance bar has two sides, and both are tested here,
+on the NumPy reference and (``TestCleanRunsOnC``, ``TestSeededFaultsOnC``)
+on the compiled ``c`` kernel that launches run, where a sanitized epoch is
+the same one foreign call per shard as a plain one (``TestOneReplay``):
 
 * **clean runs never report** — the serial and threaded executors, in
   core and out of core, and the wavefront and multi-device schemes (a
@@ -10,11 +13,12 @@ The sanitizer's acceptance bar has two sides, and both are tested here:
   randomizes the schedule geometry;
 * **seeded faults are always caught** — a tampered
   :class:`~repro.sched.plan.EpochPlan` (a lane duplicated within a wave,
-  overlapping thread shards), a NaN injected into Q or into a staged
-  block, non-finite ratings in a worker thread, and an fp64 model each
-  surface as the documented typed finding or
+  overlapping thread shards), a NaN or an overflowing value injected into
+  Q, a NaN in a staged block, non-finite ratings in a worker thread, and
+  an fp64 model each surface as the documented typed finding or
   :class:`~repro.san.errors.SanitizerError`, deterministically, naming the
-  worker that tripped it.
+  worker that tripped it (and the same worker, epoch and wave on either
+  kernel).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import c_backend, get_backend
 from repro.core.hogwild import BatchHogwild
 from repro.core.lr_schedule import AdaGradSchedule, NomadSchedule
 from repro.core.model import FactorModel
@@ -44,28 +49,59 @@ from repro.san import (
 from repro.san.core import Sanitizer
 from repro.sched.plan import EpochPlan, PlanShard
 
+needs_cc = pytest.mark.skipif(c_backend.find_compiler() is None,
+                              reason="no C compiler found")
+
 
 def _serial_epochs(train, san, epochs=2, seed=3, workers=8, f=8,
-                   model=None):
+                   model=None, backend=None):
     """Run serial batch-Hogwild epochs under ``san``; returns the model."""
     if model is None:
         model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
                                        seed=seed)
-    sched = BatchHogwild(workers=workers, f=f, seed=seed)
+    sched = BatchHogwild(workers=workers, f=f, seed=seed, backend=backend)
     with activate_sanitizer(san):
         for _ in range(epochs):
             sched.run_epoch(model, train, 0.008, 0.05)
     return model
 
 
+#: schedule geometries of the randomized clean-run sweep
+GEOMETRIES = dict(seed=st.integers(0, 2**16), workers=st.integers(2, 12),
+                  f=st.integers(1, 9), nnz=st.integers(20, 70))
+
+
+def _never_reports(seed, workers, f, nnz, backend):
+    """One sanitized serial epoch of a random problem reports nothing."""
+    rng = np.random.default_rng(seed)
+    m, n = 12, 10
+    keys = rng.choice(m * n, size=nnz, replace=False)
+    train = RatingMatrix(
+        rows=(keys // n).astype(np.int32),
+        cols=(keys % n).astype(np.int32),
+        vals=rng.normal(size=nnz).astype(np.float32),
+        n_rows=m, n_cols=n, name="hyp",
+    )
+    model = FactorModel.initialize(m, n, 4, seed=seed)
+    san = Sanitizer("all")
+    _serial_epochs(train, san, epochs=1, seed=seed, workers=workers, f=f,
+                   model=model, backend=backend)
+    report = san.finalize(publish=False)
+    assert report.clean, "\n".join(f.format() for f in report.findings)
+    assert report.race_stats.samples == nnz
+
+
 # ---------------------------------------------------------------------------
 # clean runs never report
 # ---------------------------------------------------------------------------
 class TestCleanRuns:
+    #: kernel backend of the executors (None: the NumPy reference)
+    backend = None
+
     def test_serial_all_modes_clean(self, tiny_problem):
         train = tiny_problem.train
         san = Sanitizer("all")
-        _serial_epochs(train, san, epochs=2)
+        _serial_epochs(train, san, epochs=2, backend=self.backend)
         report = san.finalize(publish=False)
         assert report.clean, "\n".join(f.format() for f in report.findings)
         # coverage accounting: every sample of every epoch was logged
@@ -95,7 +131,8 @@ class TestCleanRuns:
     def test_threads_clean(self, tiny_problem):
         train = tiny_problem.train
         san = Sanitizer("all")
-        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0)
+        est = CuMFSGD(k=8, n_threads=4, lam=0.05, seed=0,
+                      backend=self.backend)
         with activate_sanitizer(san):
             est.fit(train, epochs=2)
         report = san.finalize(publish=False)
@@ -113,7 +150,8 @@ class TestCleanRuns:
         report covers every sample of every epoch under six workers."""
         train = tiny_problem.train
         san = Sanitizer("all")
-        est = CuMFSGD(k=8, n_threads=6, lam=0.05, seed=0, workers=32, f=16)
+        est = CuMFSGD(k=8, n_threads=6, lam=0.05, seed=0, workers=32, f=16,
+                      backend=self.backend)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -137,7 +175,8 @@ class TestCleanRuns:
                  if out_of_core else None)
         san = Sanitizer("all")
         est = CuMFSGD(
-            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16, store=store
+            k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16, store=store,
+            backend=self.backend,
         )
         with activate_sanitizer(san):
             est.fit(None if out_of_core else train, epochs=2)
@@ -175,9 +214,10 @@ class TestCleanRuns:
         accesses and ends with the same factors."""
         train = tiny_problem.train
         runs = []
-        for executor in (BatchHogwild(workers=32, f=16, seed=7),
+        for executor in (BatchHogwild(workers=32, f=16, seed=7,
+                                      backend=self.backend),
                          ThreadedHogwild(n_threads=1, seed=7, workers=32,
-                                         f=16)):
+                                         f=16, backend=self.backend)):
             model = FactorModel.initialize(train.n_rows, train.n_cols, 8,
                                            seed=7)
             san = Sanitizer("races")
@@ -197,7 +237,8 @@ class TestCleanRuns:
 
     def test_report_round_trips_and_validates(self, tiny_problem):
         san = Sanitizer("all")
-        _serial_epochs(tiny_problem.train, san, epochs=1)
+        _serial_epochs(tiny_problem.train, san, epochs=1,
+                       backend=self.backend)
         report = san.finalize(publish=False)
         state = report.as_dict()
         SanReport.validate_dict(state)  # benchmark embedding contract
@@ -206,30 +247,28 @@ class TestCleanRuns:
         assert back.race_stats.samples == report.race_stats.samples
 
     @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        workers=st.integers(2, 12),
-        f=st.integers(1, 9),
-        nnz=st.integers(20, 70),
-    )
+    @given(**GEOMETRIES)
     def test_clean_runs_never_report(self, seed, workers, f, nnz):
         """No schedule geometry makes a healthy serial run dirty."""
-        rng = np.random.default_rng(seed)
-        m, n = 12, 10
-        keys = rng.choice(m * n, size=nnz, replace=False)
-        train = RatingMatrix(
-            rows=(keys // n).astype(np.int32),
-            cols=(keys % n).astype(np.int32),
-            vals=rng.normal(size=nnz).astype(np.float32),
-            n_rows=m, n_cols=n, name="hyp",
-        )
-        model = FactorModel.initialize(m, n, 4, seed=seed)
-        san = Sanitizer("all")
-        _serial_epochs(train, san, epochs=1, seed=seed, workers=workers,
-                       f=f, model=model)
-        report = san.finalize(publish=False)
-        assert report.clean, "\n".join(f.format() for f in report.findings)
-        assert report.race_stats.samples == nnz
+        _never_reports(seed, workers, f, nnz, self.backend)
+
+
+@needs_cc
+class TestCleanRunsOnC(TestCleanRuns):
+    """The clean runs on the compiled kernel. AdaGrad steps with its own
+    NumPy wave, which ``CuMFSGD`` refuses to pair with ``c``, and staging
+    blocks runs no kernel, so those two stay on the class above."""
+
+    backend = "c"
+    test_adagrad_epochs_are_observed = None
+    test_sanitized_prefetch_pairs_every_mmap = None
+
+    # hypothesis runs one test function on one class, so this one is its own
+    @settings(max_examples=12, deadline=None)
+    @given(**GEOMETRIES)
+    def test_clean_runs_never_report(self, seed, workers, f, nnz):
+        """No schedule geometry makes a healthy serial run dirty."""
+        _never_reports(seed, workers, f, nnz, self.backend)
 
 
 @pytest.mark.parametrize("scheme", ["wavefront", "multi_device",
@@ -295,12 +334,15 @@ def test_blocks_moved_by_a_device_death_are_not_findings(tiny_problem):
 # seeded faults are always caught
 # ---------------------------------------------------------------------------
 class TestSeededFaults:
+    #: kernel backend of the executors (None: the NumPy reference)
+    backend = None
+
     def test_tampered_plan_duplicate_lane_is_caught(self, tiny_problem):
         """Duplicating one sample in a compiled plan's order = the same
         sample executed twice in one epoch; the checker must see it."""
         train = tiny_problem.train
         model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=3)
-        sched = BatchHogwild(workers=8, f=8, seed=3)
+        sched = BatchHogwild(workers=8, f=8, seed=3, backend=self.backend)
         plan = sched.compiled_plan(train.nnz)
         # the epoch re-shuffles the order, which keeps both copies
         plan.order[plan.f] = plan.order[0]
@@ -329,7 +371,8 @@ class TestSeededFaults:
 
         monkeypatch.setattr(EpochPlan, "shard", overlapping)
         san = Sanitizer("races")
-        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, workers=32, f=16,
+                      backend=self.backend)
         with activate_sanitizer(san):
             est.fit(train, epochs=1)
         report = san.finalize(publish=False)
@@ -337,16 +380,31 @@ class TestSeededFaults:
         assert "race-ownership" in kinds, kinds
         assert "race-overlap" in kinds, kinds
 
-    def test_nan_injected_into_q_raises_typed_error(self, tiny_problem):
-        train = tiny_problem.train
+    def _poisoned_q(self, train, value):
+        """A serial epoch after ``value`` is written into one row of Q;
+        returns the sentry's error and its wave-check count."""
         model = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=3)
-        model.q[5, :] = np.nan
+        model.q[5, :] = value
         san = Sanitizer("numeric")
         with pytest.raises(SanitizerError) as excinfo:
-            _serial_epochs(train, san, epochs=1, model=model)
-        assert excinfo.value.kind == "numeric-nonfinite"
-        # the error pins the offending execution point
-        assert excinfo.value.epoch is not None
+            _serial_epochs(train, san, epochs=1, model=model,
+                           backend=self.backend)
+        return excinfo.value, san.numeric.wave_checks
+
+    def test_nan_injected_into_q_raises_typed_error(self, tiny_problem):
+        """The first sampled wave whose residuals the NaN reached raises,
+        at the same execution point on either kernel: worker 0, epoch 1,
+        wave 48, after the sampled waves 0, 16 and 32 passed."""
+        error, checks = self._poisoned_q(tiny_problem.train, np.nan)
+        assert error.kind == "numeric-nonfinite"
+        assert (error.worker, error.epoch, error.wave, checks) == (0, 1, 48, 4)
+
+    def test_overflowing_q_raises_typed_error(self, tiny_problem):
+        """A finite but huge factor row drives the residuals it touches past
+        the overflow guard, caught at the same wave as the NaN."""
+        error, checks = self._poisoned_q(tiny_problem.train, 1e4)
+        assert error.kind == "numeric-overflow"
+        assert (error.worker, error.epoch, error.wave, checks) == (0, 1, 48, 4)
 
     def test_fp64_model_raises_leak_error(self, tiny_problem):
         train = tiny_problem.train
@@ -369,7 +427,8 @@ class TestSeededFaults:
         rec = np.load(path)
         rec["r"][0] = np.nan
         np.save(path, rec)
-        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store)
+        est = CuMFSGD(k=8, n_threads=2, lam=0.05, seed=0, store=store,
+                      backend=self.backend)
         with activate_sanitizer(Sanitizer("numeric")):
             with pytest.raises(SanitizerError) as excinfo:
                 est.fit(None, epochs=1)
@@ -390,7 +449,8 @@ class TestSeededFaults:
         )
         bad.vals[0] = np.float32("inf")  # poisons residuals immediately
         san = sanitizer_from_mode("numeric")
-        executor = ThreadedHogwild(n_threads=2, seed=0, workers=32, f=16)
+        executor = ThreadedHogwild(n_threads=2, seed=0, workers=32, f=16,
+                                   backend=self.backend)
         model = FactorModel.initialize(bad.n_rows, bad.n_cols, 8, seed=0)
         with activate_sanitizer(san):
             with pytest.raises(SanitizerError) as excinfo:
@@ -398,3 +458,93 @@ class TestSeededFaults:
                            lam=0.05, scheme="batch_hogwild")
         assert excinfo.value.kind.startswith("numeric-")
         assert excinfo.value.worker is not None
+
+
+@needs_cc
+class TestSeededFaultsOnC(TestSeededFaults):
+    """The seeded faults on the compiled kernel: the same findings."""
+
+    backend = "c"
+
+    def test_fp64_model_raises_leak_error(self, tiny_problem):
+        """``c`` rejects fp64 factors before any wave, so the fp64-leak
+        probe of the Python wave loop has nothing to catch here."""
+        train = tiny_problem.train
+        base = FactorModel.initialize(train.n_rows, train.n_cols, 8, seed=3)
+        model = FactorModel(
+            p=base.p.astype(np.float64), q=base.q.astype(np.float64)
+        )
+        with pytest.raises(ValueError, match="fp32 or fp16"):
+            _serial_epochs(train, Sanitizer("numeric"), epochs=1,
+                           model=model, backend="c")
+
+
+# ---------------------------------------------------------------------------
+# one compiled replay, sanitized or not
+# ---------------------------------------------------------------------------
+@needs_cc
+class TestOneReplay:
+    """On ``c`` a sanitized epoch is the call a plain one makes: one
+    ``cumf_replay`` per shard, which also reports the sampled residual
+    peaks, so the sanitizer watches the kernel the run ships."""
+
+    @staticmethod
+    def _storage(half):
+        if half and not get_backend("c").fp16:
+            pytest.skip("fp16 storage runs the c kernel only with F16C")
+        return half
+
+    def _fit(self, train, half, n_threads=1, mode=None):
+        est = CuMFSGD(k=8, n_threads=n_threads, lam=0.05, seed=0, workers=32,
+                      f=16, half_precision=self._storage(half), backend="c")
+        san = sanitizer_from_mode(mode)
+        with activate_sanitizer(san):
+            est.fit(train, epochs=2)
+        report = None if san is None else san.finalize(publish=False)
+        return est.model, report
+
+    @pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
+    def test_sanitized_factors_equal_unsanitized(self, tiny_problem, half):
+        """One thread, sanitized in full or not: the same bytes."""
+        train = tiny_problem.train
+        plain, _ = self._fit(train, half)
+        checked, report = self._fit(train, half, mode="all")
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert report.race_stats.samples == 2 * train.nnz
+        assert checked.p.tobytes() == plain.p.tobytes()
+        assert checked.q.tobytes() == plain.q.tobytes()
+
+    @pytest.mark.parametrize("half", [False, True], ids=["fp32", "fp16"])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("mode", ["races", "numeric", "all"])
+    def test_sanitized_epoch_is_one_compiled_replay(self, tiny_problem,
+                                                    monkeypatch, mode,
+                                                    n_threads, half):
+        """Every sanitized worker-epoch is one foreign call, and the Python
+        wave loop never runs; the checks still see every epoch."""
+        from repro.backends import base
+
+        def no_wave_loop(*args, **kwargs):
+            raise AssertionError("a sanitized c epoch entered replay_waves")
+
+        monkeypatch.setattr(base, "replay_waves", no_wave_loop)
+        monkeypatch.setattr(c_backend, "replay_waves", no_wave_loop)
+        backend = get_backend("c")
+        calls = []
+        launch = backend._replay
+
+        def counted(*args):
+            calls.append(args[12:14])  # the shard's lanes [lo, hi)
+            return launch(*args)
+
+        monkeypatch.setattr(backend, "_replay", counted)
+        train = tiny_problem.train
+        _, report = self._fit(train, half, n_threads, mode)
+        assert report.clean, "\n".join(f.format() for f in report.findings)
+        assert len(calls) == 2 * n_threads
+        assert len(set(calls)) == n_threads
+        if mode != "numeric":
+            assert report.race_stats.samples == 2 * train.nnz
+        if mode != "races":
+            assert report.numeric["wave_checks"] > 0
+            assert report.numeric["model_checks"] == 2
